@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"shmd/internal/chaos"
@@ -382,6 +383,54 @@ func TestMalformedRequests(t *testing.T) {
 	postResp.Body.Close()
 	if postResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /healthz = %d", postResp.StatusCode)
+	}
+}
+
+// TestDetectReadErrors pins the status and message of bodies whose
+// read fails part-way: the body limit tripping (inside or after the
+// JSON value) and a transport cut-off. The decoder buffers the body
+// before parsing, so these are the cases where the read error, not
+// the bytes, decides the reply.
+func TestDetectReadErrors(t *testing.T) {
+	const limit = 4 << 10
+	srv := newTestServer(t, Config{Limits: Limits{MaxBodyBytes: limit}})
+	handler := srv.Handler()
+
+	valid := detectBody(t, testWindows(t, trace.Trojan, 0, 1))
+	if len(valid) >= limit {
+		t.Fatalf("valid body %d bytes does not fit the %d-byte limit", len(valid), limit)
+	}
+	cutMidArray := `{"programs":[{"windows":[{"opcode":[1,2,`
+	cases := []struct {
+		name string
+		body io.Reader
+		want int
+		msg  string
+	}{
+		{"over limit",
+			bytes.NewReader(append([]byte(`{"programs":[{"windows":[`), bytes.Repeat([]byte("0,"), limit)...)),
+			http.StatusRequestEntityTooLarge, "http: request body too large"},
+		{"whitespace past limit after a valid object",
+			bytes.NewReader(append(valid, bytes.Repeat([]byte(" "), limit)...)),
+			http.StatusBadRequest, "request body holds more than one JSON value"},
+		{"cut off mid-array",
+			io.MultiReader(strings.NewReader(cutMidArray), iotest.ErrReader(io.ErrUnexpectedEOF)),
+			http.StatusBadRequest, "unexpected EOF"},
+		{"cut off after a valid object",
+			io.MultiReader(bytes.NewReader(valid), iotest.ErrReader(io.ErrUnexpectedEOF)),
+			http.StatusBadRequest, "request body holds more than one JSON value"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/detect", tc.body))
+			if rec.Code != tc.want {
+				t.Errorf("status = %d, want %d (%s)", rec.Code, tc.want, rec.Body.Bytes())
+			}
+			if got := strings.TrimSpace(rec.Body.String()); got != tc.msg {
+				t.Errorf("message = %q, want %q", got, tc.msg)
+			}
+		})
 	}
 }
 
