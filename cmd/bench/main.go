@@ -1,7 +1,8 @@
 // Command bench measures the inference hot paths A/B — fused vs scalar
 // exact kernels, geometric skip-ahead vs per-multiplication Bernoulli
 // fault injection, sharded vs serial evaluation, JSON/HTTP vs SHMDWIRE
-// streaming over real sockets — and writes the results to a JSON file
+// streaming over real sockets, single-pass vs encoding/json request
+// decoding — and writes the results to a JSON file
 // (BENCH_inference.json by default) so the speedups are recorded
 // alongside the code that produced them.
 //
@@ -88,6 +89,10 @@ type Speedups struct {
 	// real sockets both ways, keep-alive HTTP clients vs the SDK's
 	// pipelined detect stream on one multiplexed connection.
 	ServeWireVsJSON float64 `json:"serve_wire_stream_vs_json"`
+	// JSONDecodeFastVsStd is the encoding/json reference decoder's
+	// ns/op over the single-pass /v1/detect decoder's, on a
+	// 16-window x 4096-instruction body.
+	JSONDecodeFastVsStd float64 `json:"json_decode_fast_vs_std"`
 }
 
 // Report is the JSON document written to -out.
@@ -259,6 +264,12 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 	}
 	rep.Results = append(rep.Results, serveJSON, serveWire)
 
+	decodeFast, decodeStd, err := measureDecode(env.Base, count)
+	if err != nil {
+		return nil, err
+	}
+	rep.Results = append(rep.Results, decodeFast, decodeStd)
+
 	lane64 := batchRows[64].NsPerOp / 64
 	rep.Speedups = Speedups{
 		ExactFusedVsScalar:         scalar.NsPerOp / fused.NsPerOp,
@@ -268,6 +279,7 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 		BatchLane64VsExactFused:    fused.NsPerOp / lane64,
 		ServeBatchedVsScalar:       serveScalar.NsPerOp / serveBatched.NsPerOp,
 		ServeWireVsJSON:            serveJSON.NsPerOp / serveWire.NsPerOp,
+		JSONDecodeFastVsStd:        decodeStd.NsPerOp / decodeFast.NsPerOp,
 	}
 	return rep, nil
 }
@@ -474,6 +486,40 @@ func measureServeTransports(base *hmd.HMD, count, maxBatch int) (Result, Result,
 	return jsonRow, wireRow, nil
 }
 
+// measureDecode benchmarks /v1/detect body decoding A/B: the
+// single-pass decoder against its encoding/json reference, both with
+// full validation, on one program of 16 windows x 4096 instructions —
+// the production request geometry, not the small serve-row body.
+func measureDecode(base *hmd.HMD, count int) (Result, Result, error) {
+	prog, err := trace.NewProgram(trace.Trojan, 0, 1)
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	windows, err := prog.Trace(16, 4096)
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	body, err := json.Marshal(serve.DetectRequest{Programs: []serve.ProgramJSON{{
+		ID: "bench", Windows: serve.EncodeWindows(windows),
+	}}})
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	lim := serve.Limits{MinWindows: base.Config().Period}
+	row := func(name string, decode func(io.Reader, serve.Limits) ([]serve.DecodedProgram, error)) Result {
+		return measure(name, count, func(b *testing.B) {
+			rd := bytes.NewReader(body)
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				if _, err := decode(rd, lim); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	return row("decode_json_16", serve.DecodeDetectRequest), row("decode_json_16_std", serve.DecodeDetectRequestStd), nil
+}
+
 // write renders the report as indented JSON to path.
 func write(rep *Report, path string) error {
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -522,6 +568,7 @@ func compare(rep, base *Report, maxRegress float64) []string {
 	ratio("faulty_skipahead_vs_bernoulli", rep.Speedups.FaultySkipAheadVsBernoulli, base.Speedups.FaultySkipAheadVsBernoulli)
 	ratio("batch_lane64_vs_faulty_skipahead", rep.Speedups.BatchLane64VsScalarFaulty, base.Speedups.BatchLane64VsScalarFaulty)
 	ratio("batch_lane64_vs_exact_fused", rep.Speedups.BatchLane64VsExactFused, base.Speedups.BatchLane64VsExactFused)
+	ratio("json_decode_fast_vs_std", rep.Speedups.JSONDecodeFastVsStd, base.Speedups.JSONDecodeFastVsStd)
 	// The parallel rows cannot speed up on one proc: a 1-core runner
 	// reporting a ~1.0x ratio against a multi-core baseline is the
 	// machine, not a regression — skip those gates there.
@@ -634,6 +681,7 @@ func main() {
 	fmt.Printf("batch lane64 vs exact fused:  %.2fx\n", rep.Speedups.BatchLane64VsExactFused)
 	fmt.Printf("serve batched vs scalar:      %.2fx\n", rep.Speedups.ServeBatchedVsScalar)
 	fmt.Printf("serve wire stream vs json:    %.2fx\n", rep.Speedups.ServeWireVsJSON)
+	fmt.Printf("json decode fast vs std:      %.2fx\n", rep.Speedups.JSONDecodeFastVsStd)
 	fmt.Printf("wrote %s\n", *out)
 
 	if base != nil {

@@ -23,6 +23,7 @@ func TestCompareGate(t *testing.T) {
 			BatchLane64VsExactFused:    1.1,
 			ServeBatchedVsScalar:       1.8,
 			ServeWireVsJSON:            1.3,
+			JSONDecodeFastVsStd:        6.0,
 		},
 		Results: []Result{
 			{Name: "inference_exact_fused", NsPerOp: 100, AllocsPerOp: 0},
@@ -81,6 +82,13 @@ func TestCompareGate(t *testing.T) {
 		r.Speedups.BatchLane64VsScalarFaulty = 1.0
 	}), base, 0.25); len(p) != 1 {
 		t.Errorf("batch-lane regression not flagged: %v", p)
+	}
+	// The decode ratio is single-threaded: it gates on any proc count.
+	if p := compare(clone(func(r *Report) {
+		r.MaxProcs = 1
+		r.Speedups.JSONDecodeFastVsStd = 4.0
+	}), base, 0.25); len(p) != 1 {
+		t.Errorf("json decode regression not flagged: %v", p)
 	}
 	// Parallel ratios on a 1-proc runner: the machine cannot shard or
 	// overlap requests, so their gates are skipped, not failed.
@@ -155,15 +163,16 @@ func TestRunAndWriteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 14 {
-		t.Fatalf("got %d results, want 14", len(rep.Results))
+	if len(rep.Results) != 16 {
+		t.Fatalf("got %d results, want 16", len(rep.Results))
 	}
 	for _, r := range rep.Results {
 		if r.NsPerOp <= 0 || r.Iterations <= 0 {
 			t.Errorf("%s: empty measurement %+v", r.Name, r)
 		}
 	}
-	if rep.Speedups.ExactFusedVsScalar <= 0 || rep.Speedups.FaultySkipAheadVsBernoulli <= 0 {
+	if rep.Speedups.ExactFusedVsScalar <= 0 || rep.Speedups.FaultySkipAheadVsBernoulli <= 0 ||
+		rep.Speedups.JSONDecodeFastVsStd <= 0 {
 		t.Errorf("speedups not computed: %+v", rep.Speedups)
 	}
 	if rep.NumMuls <= 0 {

@@ -13,6 +13,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -168,7 +169,35 @@ func StatusOf(err error) int {
 // DecodeDetectRequest parses and validates a /v1/detect body. Every
 // rejection is a *RequestError (or a JSON syntax error) classifying to
 // a 4xx via StatusOf; the decoder never panics on any input.
+//
+// The body is read whole and parsed in one pass straight into window
+// counts. Anything outside that parser's subset, and every invalid
+// request, goes to DecodeDetectRequestStd, so results and rejection
+// messages are exactly the reference decoder's.
 func DecodeDetectRequest(r io.Reader, lim Limits) ([]DecodedProgram, error) {
+	lim = lim.withDefaults()
+	s := decodePool.Get().(*decodeScratch)
+	defer s.release()
+	var err error
+	s.body, err = readBody(r, s.body[:0])
+	if err != nil {
+		// Replay the bytes that arrived and then the same read error:
+		// the reference decoder sees exactly the stream it would have
+		// read itself, so an oversize body stays a 413 and a cut-off one
+		// the same 400.
+		return DecodeDetectRequestStd(io.MultiReader(bytes.NewReader(s.body), errReader{err}), lim)
+	}
+	if programs, ok := s.parse(lim); ok {
+		return programs, nil
+	}
+	return DecodeDetectRequestStd(bytes.NewReader(s.body), lim)
+}
+
+// DecodeDetectRequestStd is the encoding/json reference decoder behind
+// DecodeDetectRequest: the fallback for every body the single-pass
+// parser does not accept, and the oracle the differential fuzz target
+// and the A/B benchmark compare it against.
+func DecodeDetectRequestStd(r io.Reader, lim Limits) ([]DecodedProgram, error) {
 	lim = lim.withDefaults()
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
