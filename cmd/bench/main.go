@@ -2,7 +2,7 @@
 // exact kernels, geometric skip-ahead vs per-multiplication Bernoulli
 // fault injection, sharded vs serial evaluation, JSON/HTTP vs SHMDWIRE
 // streaming over real sockets, single-pass vs encoding/json request
-// decoding — and writes the results to a JSON file
+// decoding, lane-1 vs scalar supervised detection — and writes the results to a JSON file
 // (BENCH_inference.json by default) so the speedups are recorded
 // alongside the code that produced them.
 //
@@ -34,6 +34,7 @@ import (
 	"testing"
 	"time"
 
+	"shmd/internal/core"
 	"shmd/internal/experiments"
 	"shmd/internal/faults"
 	"shmd/internal/fxp"
@@ -41,6 +42,7 @@ import (
 	"shmd/internal/rng"
 	"shmd/internal/serve"
 	"shmd/internal/trace"
+	"shmd/internal/volt"
 	"shmd/internal/wire"
 	"shmd/pkg/sdk"
 )
@@ -93,6 +95,10 @@ type Speedups struct {
 	// ns/op over the single-pass /v1/detect decoder's, on a
 	// 16-window x 4096-instruction body.
 	JSONDecodeFastVsStd float64 `json:"json_decode_fast_vs_std"`
+	// DetectLane1VsScalar is the scalar-kernel ns/op over the lane-1
+	// ns/op of one supervised detection of a 16-window x
+	// 4096-instruction program.
+	DetectLane1VsScalar float64 `json:"detect_lane1_vs_scalar"`
 }
 
 // Report is the JSON document written to -out.
@@ -270,6 +276,12 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 	}
 	rep.Results = append(rep.Results, decodeFast, decodeStd)
 
+	detectLane1, detectScalar, err := measureDetect(env.Base, count)
+	if err != nil {
+		return nil, err
+	}
+	rep.Results = append(rep.Results, detectLane1, detectScalar)
+
 	lane64 := batchRows[64].NsPerOp / 64
 	rep.Speedups = Speedups{
 		ExactFusedVsScalar:         scalar.NsPerOp / fused.NsPerOp,
@@ -280,6 +292,7 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 		ServeBatchedVsScalar:       serveScalar.NsPerOp / serveBatched.NsPerOp,
 		ServeWireVsJSON:            serveJSON.NsPerOp / serveWire.NsPerOp,
 		JSONDecodeFastVsStd:        decodeStd.NsPerOp / decodeFast.NsPerOp,
+		DetectLane1VsScalar:        detectScalar.NsPerOp / detectLane1.NsPerOp,
 	}
 	return rep, nil
 }
@@ -520,6 +533,64 @@ func measureDecode(base *hmd.HMD, count int) (Result, Result, error) {
 	return row("decode_json_16", serve.DecodeDetectRequest), row("decode_json_16_std", serve.DecodeDetectRequestStd), nil
 }
 
+// scalarInjector hides an injector's batch form: it is still a
+// core.FaultUnit and an fxp.BulkUnit, but not a *faults.Injector, so
+// scoring through it runs fann.FixedNetwork.Run and Injector.DotRow —
+// the scalar path production detection used before lane-1.
+type scalarInjector struct{ *faults.Injector }
+
+// measureDetect benchmarks one supervised detection A/B on one program
+// of 16 windows x 4096 instructions, the http-scalar request geometry:
+// the production detector, which scores each window as one lane of the
+// batch kernel, against the same supervisor, session and seed around a
+// scalar injector.
+func measureDetect(base *hmd.HMD, count int) (Result, Result, error) {
+	prog, err := trace.NewProgram(trace.Trojan, 0, 1)
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	windows, err := prog.Trace(16, 4096)
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	opts := core.Options{ErrorRate: experiments.OperatingErrorRate, Seed: 1}
+	lane1, err := core.New(base.WithFreshBuffers(), opts)
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	reg, err := volt.NewRegulator(volt.PlaneCore, volt.NewDeviceProfile(opts.DeviceSeed))
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	inj, err := faults.NewInjector(0, nil, rng.NewRand(opts.Seed, 0x5BD))
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	scalar, err := core.NewWithHardware(base.WithFreshBuffers(), reg, scalarInjector{inj}, opts)
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	row := func(name string, s *core.StochasticHMD) (Result, error) {
+		sup, err := core.NewSupervisor(s, core.SupervisorConfig{})
+		if err != nil {
+			return Result{}, err
+		}
+		return measure(name, count, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sup.DetectProgram(windows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}), nil
+	}
+	lane1Row, err := row("detect_program_16", lane1)
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	scalarRow, err := row("detect_program_16_scalar", scalar)
+	return lane1Row, scalarRow, err
+}
+
 // write renders the report as indented JSON to path.
 func write(rep *Report, path string) error {
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -569,6 +640,7 @@ func compare(rep, base *Report, maxRegress float64) []string {
 	ratio("batch_lane64_vs_faulty_skipahead", rep.Speedups.BatchLane64VsScalarFaulty, base.Speedups.BatchLane64VsScalarFaulty)
 	ratio("batch_lane64_vs_exact_fused", rep.Speedups.BatchLane64VsExactFused, base.Speedups.BatchLane64VsExactFused)
 	ratio("json_decode_fast_vs_std", rep.Speedups.JSONDecodeFastVsStd, base.Speedups.JSONDecodeFastVsStd)
+	ratio("detect_lane1_vs_scalar", rep.Speedups.DetectLane1VsScalar, base.Speedups.DetectLane1VsScalar)
 	// The parallel rows cannot speed up on one proc: a 1-core runner
 	// reporting a ~1.0x ratio against a multi-core baseline is the
 	// machine, not a regression — skip those gates there.
@@ -682,6 +754,7 @@ func main() {
 	fmt.Printf("serve batched vs scalar:      %.2fx\n", rep.Speedups.ServeBatchedVsScalar)
 	fmt.Printf("serve wire stream vs json:    %.2fx\n", rep.Speedups.ServeWireVsJSON)
 	fmt.Printf("json decode fast vs std:      %.2fx\n", rep.Speedups.JSONDecodeFastVsStd)
+	fmt.Printf("detect lane-1 vs scalar:      %.2fx\n", rep.Speedups.DetectLane1VsScalar)
 	fmt.Printf("wrote %s\n", *out)
 
 	if base != nil {

@@ -24,6 +24,7 @@ func TestCompareGate(t *testing.T) {
 			ServeBatchedVsScalar:       1.8,
 			ServeWireVsJSON:            1.3,
 			JSONDecodeFastVsStd:        6.0,
+			DetectLane1VsScalar:        1.6,
 		},
 		Results: []Result{
 			{Name: "inference_exact_fused", NsPerOp: 100, AllocsPerOp: 0},
@@ -89,6 +90,20 @@ func TestCompareGate(t *testing.T) {
 		r.Speedups.JSONDecodeFastVsStd = 4.0
 	}), base, 0.25); len(p) != 1 {
 		t.Errorf("json decode regression not flagged: %v", p)
+	}
+	// The lane-1 detect ratio is single-threaded too: it gates on any
+	// proc count, inside the margin passes and past it fails.
+	if p := compare(clone(func(r *Report) {
+		r.MaxProcs = 1
+		r.Speedups.DetectLane1VsScalar = 1.3
+	}), base, 0.25); len(p) != 0 {
+		t.Errorf("in-margin detect lane-1 drop flagged: %v", p)
+	}
+	if p := compare(clone(func(r *Report) {
+		r.MaxProcs = 1
+		r.Speedups.DetectLane1VsScalar = 1.1
+	}), base, 0.25); len(p) != 1 {
+		t.Errorf("detect lane-1 regression not flagged: %v", p)
 	}
 	// Parallel ratios on a 1-proc runner: the machine cannot shard or
 	// overlap requests, so their gates are skipped, not failed.
@@ -163,8 +178,8 @@ func TestRunAndWriteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 16 {
-		t.Fatalf("got %d results, want 16", len(rep.Results))
+	if len(rep.Results) != 18 {
+		t.Fatalf("got %d results, want 18", len(rep.Results))
 	}
 	for _, r := range rep.Results {
 		if r.NsPerOp <= 0 || r.Iterations <= 0 {
@@ -172,7 +187,7 @@ func TestRunAndWriteReport(t *testing.T) {
 		}
 	}
 	if rep.Speedups.ExactFusedVsScalar <= 0 || rep.Speedups.FaultySkipAheadVsBernoulli <= 0 ||
-		rep.Speedups.JSONDecodeFastVsStd <= 0 {
+		rep.Speedups.JSONDecodeFastVsStd <= 0 || rep.Speedups.DetectLane1VsScalar <= 0 {
 		t.Errorf("speedups not computed: %+v", rep.Speedups)
 	}
 	if rep.NumMuls <= 0 {

@@ -243,7 +243,7 @@ func cmdDetect(args []string) error {
 		if err != nil {
 			return err
 		}
-		inj, err := faults.NewInjector(0, nil, rng.NewRand(*seed, 0x5BD))
+		inj, err := faults.NewInjectorSource(0, nil, rng.NewSource64(*seed, 0x5BD))
 		if err != nil {
 			return err
 		}

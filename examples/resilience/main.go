@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	inj, err := faults.NewInjector(0, nil, rng.NewRand(3, 0x5BD))
+	inj, err := faults.NewInjectorSource(0, nil, rng.NewSource64(3, 0x5BD))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func New(base *hmd.HMD, opts Options) (*StochasticHMD, error) {
 	if dist == nil {
 		dist = faults.Fig1Distribution()
 	}
-	inj, err := faults.NewInjector(0, dist, rng.NewRand(opts.Seed, 0x5BD))
+	inj, err := faults.NewInjectorSource(0, dist, rng.NewSource64(opts.Seed, 0x5BD))
 	if err != nil {
 		return nil, err
 	}
@@ -301,8 +301,8 @@ func (s *StochasticHMD) DetectorForProgram(idx int) hmd.Detector {
 		return nil
 	}
 	rate := s.inj.Rate()
-	inj, err := faults.NewInjector(rate, s.dist,
-		rng.NewRand(s.seed, shardStreamLabel, math.Float64bits(rate), uint64(idx)))
+	inj, err := faults.NewInjectorSource(rate, s.dist,
+		rng.NewSource64(s.seed, shardStreamLabel, math.Float64bits(rate), uint64(idx)))
 	if err != nil {
 		return nil
 	}

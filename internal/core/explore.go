@@ -92,8 +92,8 @@ func ConfidenceDistributions(base *hmd.HMD, programs []dataset.TracedProgram, ra
 	scores := make([]float64, repeats*len(programs))
 	if err := forEachRepeat(repeats*len(programs), func(job int) error {
 		rep, pi := job/len(programs), job%len(programs)
-		inj, err := faults.NewInjector(rate, nil,
-			rng.NewRand(seed, 0xC0F, uint64(rep)+1, uint64(pi)))
+		inj, err := faults.NewInjectorSource(rate, nil,
+			rng.NewSource64(seed, 0xC0F, uint64(rep)+1, uint64(pi)))
 		if err != nil {
 			return err
 		}

@@ -1,0 +1,259 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"shmd/internal/fann"
+	"shmd/internal/faults"
+	"shmd/internal/features"
+	"shmd/internal/hmd"
+	"shmd/internal/rng"
+	"shmd/internal/trace"
+)
+
+// scalarOracle scores windows the way the detector did before scalar
+// detection moved onto the lane-1 batch kernel: fann.FixedNetwork.Run
+// with a scalar faults.Injector built on rand.Rand (no Source64), so
+// every multiplication goes through Injector.DotRow. It shares no code
+// path with the detector under test beyond the feature extractor.
+type scalarOracle struct {
+	cfg hmd.Config
+	fn  *fann.FixedNetwork
+	inj *faults.Injector
+}
+
+func newScalarOracle(t *testing.T, base *hmd.HMD, rate float64, dist *faults.Distribution, seed uint64) *scalarOracle {
+	t.Helper()
+	inj, err := faults.NewInjector(rate, dist, rng.NewRand(seed, 0x5BD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &scalarOracle{cfg: base.Config(), fn: base.Fixed().Clone(), inj: inj}
+}
+
+func (o *scalarOracle) score(t *testing.T, windows []trace.WindowCounts) []float64 {
+	t.Helper()
+	vecs, err := features.Extract(windows, o.cfg.FeatureSet, o.cfg.Period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := make([]float64, len(vecs))
+	for i, v := range vecs {
+		scores[i] = o.fn.Run(o.inj, v)[0]
+	}
+	return scores
+}
+
+func (o *scalarOracle) scoreTraced(t *testing.T, windows []trace.WindowCounts) ([]float64, faults.DrawLog) {
+	t.Helper()
+	var log faults.DrawLog
+	o.inj.StartRecord(&log)
+	scores := o.score(t, windows)
+	o.inj.StopRecord()
+	return scores, log
+}
+
+func sameScoreBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d scores, oracle %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: window %d score %v, oracle %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+func sameDrawLog(t *testing.T, what string, got, want faults.DrawLog) {
+	t.Helper()
+	if got.InitialGap != want.InitialGap || len(got.Gaps) != len(want.Gaps) || len(got.Bits) != len(want.Bits) {
+		t.Fatalf("%s: draw log (initial %d, %d gaps, %d bits), oracle (initial %d, %d gaps, %d bits)",
+			what, got.InitialGap, len(got.Gaps), len(got.Bits), want.InitialGap, len(want.Gaps), len(want.Bits))
+	}
+	for i := range got.Gaps {
+		if got.Gaps[i] != want.Gaps[i] {
+			t.Fatalf("%s: gap %d = %d, oracle %d", what, i, got.Gaps[i], want.Gaps[i])
+		}
+	}
+	for i := range got.Bits {
+		if got.Bits[i] != want.Bits[i] {
+			t.Fatalf("%s: bit %d = %d, oracle %d", what, i, got.Bits[i], want.Bits[i])
+		}
+	}
+}
+
+func sameStats(t *testing.T, what string, s *StochasticHMD, o *scalarOracle) {
+	t.Helper()
+	if got, want := s.Injector().(*faults.Injector).Stats(), o.inj.Stats(); got != want {
+		t.Fatalf("%s: stats %d muls / %d faults, oracle %d / %d (or per-bit counts differ)",
+			what, got.Muls, got.Faults, want.Muls, want.Faults)
+	}
+}
+
+// topBitDist puts every fault on the highest faultable bit, so any row
+// with a fault inflates past fxp.NoSatBound and the lane kernel must
+// take its saturating dotPlannedSpan fallback.
+func topBitDist(t *testing.T) *faults.Distribution {
+	t.Helper()
+	var w [faults.ProductBits]float64
+	w[faults.MaxFaultBit] = 1
+	d, err := faults.NewDistribution(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestStochasticMatchesScalarOracle holds StochasticHMD's scalar
+// detection entry points — DetectProgram, ScoreWindows (traced and
+// untraced) and DetectProgramTraced — to the scalar Run/DotRow oracle
+// on the same seed: score bits, draw logs and injector counters, over
+// consecutive detections that carry a pending gap from one call into
+// the next, at rates spanning exact (0), the log-inversion regime
+// below the gap-table floor (0.004), the tabulated regime with tail
+// resamples (0.01) and without (0.1, 0.5), and every-mul faulting
+// (1), and with the saturating fallback forced.
+func TestStochasticMatchesScalarOracle(t *testing.T) {
+	d, base := fixtures(t)
+	progs := d.Programs
+	if len(progs) > 6 {
+		progs = progs[:6]
+	}
+	dists := []struct {
+		name string
+		dist *faults.Distribution
+	}{{"fig1", nil}, {"topbit", topBitDist(t)}}
+	for _, dc := range dists {
+		for _, rate := range []float64{0, 0.004, 0.01, 0.1, 0.5, 1} {
+			const seed = 77
+			s, err := New(base, Options{Seed: seed, Dist: dc.dist})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Injector().SetRate(rate); err != nil {
+				t.Fatal(err)
+			}
+			o := newScalarOracle(t, base, rate, dc.dist, seed)
+			for i, p := range progs {
+				what := func(call string) string {
+					return fmt.Sprintf("%s rate %v program %s %s", dc.name, rate, p.Program.Name, call)
+				}
+				switch i % 4 {
+				case 0:
+					got := s.DetectProgram(p.Windows)
+					want := base.DecideFromScores(o.score(t, p.Windows))
+					if got.Malware != want.Malware || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+						t.Fatalf("%s: %+v, oracle %+v", what("DetectProgram"), got, want)
+					}
+				case 1:
+					sameScoreBits(t, what("ScoreWindows"), s.ScoreWindows(p.Windows), o.score(t, p.Windows))
+				case 2:
+					got, gotLog := s.DetectProgramTraced(p.Windows)
+					scores, wantLog := o.scoreTraced(t, p.Windows)
+					want := base.DecideFromScores(scores)
+					if got.Malware != want.Malware || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+						t.Fatalf("%s: %+v, oracle %+v", what("DetectProgramTraced"), got, want)
+					}
+					sameDrawLog(t, what("DetectProgramTraced"), gotLog, wantLog)
+				case 3:
+					s.EnableDecisionTrace()
+					got := s.ScoreWindows(p.Windows)
+					s.traceOn = false
+					scores, wantLog := o.scoreTraced(t, p.Windows)
+					sameScoreBits(t, what("traced ScoreWindows"), got, scores)
+					sameDrawLog(t, what("traced ScoreWindows"), s.LastDraws(), wantLog)
+				}
+				sameStats(t, what("stats"), s, o)
+			}
+		}
+	}
+}
+
+// TestSessionMatchesScalarOracle repeats the oracle check through the
+// Session enter/exit cycle, where every detection moves the injector
+// rate 0 → r → 0 and so discards the pending gap at each boundary.
+func TestSessionMatchesScalarOracle(t *testing.T) {
+	d, base := fixtures(t)
+	progs := d.Programs
+	if len(progs) > 6 {
+		progs = progs[:6]
+	}
+	const seed = 91
+	s, err := New(base, Options{ErrorRate: 0.1, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Session.enter restores the calibrated depth, whose device rate is
+	// the regulator's rate right now.
+	enterRate := s.reg.ErrorRate()
+	sess, err := NewSession(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newScalarOracle(t, base, 0.1, nil, seed)
+	if err := o.inj.SetRate(0); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range progs {
+		if err := o.inj.SetRate(enterRate); err != nil {
+			t.Fatal(err)
+		}
+		want := o.score(t, p.Windows)
+		if err := o.inj.SetRate(0); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			got, err := sess.DetectProgram(p.Windows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := base.DecideFromScores(want); got.Malware != w.Malware || math.Float64bits(got.Score) != math.Float64bits(w.Score) {
+				t.Fatalf("session DetectProgram %s: %+v, oracle %+v", p.Program.Name, got, w)
+			}
+		} else {
+			got, err := sess.ScoreWindows(p.Windows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameScoreBits(t, "session ScoreWindows "+p.Program.Name, got, want)
+		}
+		sameStats(t, "session "+p.Program.Name, s, o)
+	}
+}
+
+// TestSupervisedDetectionAllocs bounds the allocations of one
+// supervised detection. The lane-1 pass reuses the network's batch
+// arenas and the cached gap table, so a detection allocates only its
+// feature vectors and score slices; rebuilding the gap table on every
+// Session cycle, or a per-window batch view, would blow the bound.
+func TestSupervisedDetectionAllocs(t *testing.T) {
+	d, base := fixtures(t)
+	s, err := New(base, Options{ErrorRate: 0.1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := NewSupervisor(s, SupervisorConfig{CanaryEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := d.Programs[0].Windows
+	vecs, err := features.Extract(windows, base.Config().FeatureSet, base.Config().Period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := sup.DetectProgram(windows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// features.Extract: the aggregated-window slice, the vector list
+	// and one vector per window; then the score slice. A few more for
+	// slack.
+	limit := float64(len(vecs) + 8)
+	if allocs > limit {
+		t.Fatalf("supervised detection of %d windows: %.0f allocs/op, want <= %.0f", len(vecs), allocs, limit)
+	}
+}

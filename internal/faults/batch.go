@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"shmd/internal/fxp"
@@ -37,7 +36,6 @@ import (
 // A BatchInjector is not safe for concurrent use.
 type BatchInjector struct {
 	rate         float64
-	dist         *Distribution
 	table        *geomTable
 	invLog1mRate float64
 	lanes        []*Injector
@@ -114,13 +112,7 @@ func NewBatchInjector(rate float64, dist *Distribution, srcs []rand.Source64) (*
 	if dist == nil {
 		dist = Fig1Distribution()
 	}
-	b := &BatchInjector{
-		dist:  dist,
-		lanes: make([]*Injector, len(srcs)),
-		sites: make([][]int32, len(srcs)),
-		bits:  make([][]uint8, len(srcs)),
-		spans: make([]laneSpan, len(srcs)),
-	}
+	b := newBatchInjector(make([]*Injector, len(srcs)))
 	b.configure(rate)
 	for l, src := range srcs {
 		if src == nil {
@@ -139,18 +131,22 @@ func NewBatchInjector(rate float64, dist *Distribution, srcs []rand.Source64) (*
 	return b, nil
 }
 
-// configure rebuilds the shared rate-dependent state (the geometric
-// gap table and the cached log constant), mirroring Injector.SetRate.
+// newBatchInjector allocates the per-lane plan arenas around lanes;
+// the caller sets the rate state.
+func newBatchInjector(lanes []*Injector) *BatchInjector {
+	return &BatchInjector{
+		lanes: lanes,
+		sites: make([][]int32, len(lanes)),
+		bits:  make([][]uint8, len(lanes)),
+		spans: make([]laneSpan, len(lanes)),
+	}
+}
+
+// configure sets the shared rate-dependent state (the geometric gap
+// table and the cached log constant), mirroring Injector.SetRate.
 func (b *BatchInjector) configure(rate float64) {
 	b.rate = rate
-	b.invLog1mRate = 0
-	b.table = nil
-	if rate > 0 && rate < 1 {
-		b.invLog1mRate = 1 / math.Log1p(-rate)
-		if rate >= gapTableMinRate {
-			b.table = newGeomTable(rate)
-		}
-	}
+	b.invLog1mRate, b.table = rateState(rate)
 }
 
 // Rate returns the configured per-multiplication error rate.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"shmd/internal/fxp"
 )
@@ -59,12 +60,13 @@ func (c Counters) BitRates() [ProductBits]float64 {
 // An Injector is not safe for concurrent use; give each goroutine its
 // own (they are cheap, and independent streams keep runs reproducible).
 type Injector struct {
-	rate  float64
-	dist  *Distribution
-	rnd   *rand.Rand
+	rate float64
+	dist *Distribution
+	rnd  *rand.Rand
 	// src, when non-nil, is the Source64 behind rnd (same state, two
 	// views). The fused per-fault draw reads it directly to skip the
-	// rand.Rand call wrapper; batch-injector lanes set it. Draw values
+	// rand.Rand call wrapper, and the span planner's hot loop requires
+	// it; NewInjectorSource and batch-injector lanes set it. Draw values
 	// are identical either way — rand.Rand.Uint64 on a Source64
 	// delegates to the source.
 	src   rand.Source64
@@ -86,6 +88,10 @@ type Injector struct {
 	// Recordable in record.go). Recording is observational only: the
 	// draw order and count are identical with and without it.
 	rec *DrawLog
+	// view is the one-lane batch view (see BatchView), built on first
+	// use. Its only lane is this injector, so it holds no stream state
+	// of its own.
+	view *BatchInjector
 }
 
 // Geometric gap-table parameters: 512 alias rows indexed by 9 random
@@ -112,7 +118,50 @@ const (
 // see the derivation on Distribution.buildAlias — from a single
 // 8-byte row load.
 type geomTable struct {
+	rate float64
 	rows [gapTableSize]aliasRow32
+}
+
+// gapTableCacheSize bounds the process-wide gap-table cache.
+const gapTableCacheSize = 8
+
+// gapTables caches recently built gap tables process-wide. Tables are
+// immutable once built, so any number of injectors may share one; the
+// cache turns the Session enter/exit cycle (rate 0 → r → 0) and the
+// fresh BatchInjector of every batched pass into a lookup instead of a
+// 512-row alias build. Slots are few and overwritten round-robin:
+// chaos temperature drift produces arbitrary rates, and a miss costs
+// only the build it would have cost without the cache.
+var gapTables struct {
+	slots [gapTableCacheSize]atomic.Pointer[geomTable]
+	next  atomic.Uint32
+}
+
+// gapTableFor returns the gap table for rate in [gapTableMinRate, 1),
+// from the cache when one was built recently.
+func gapTableFor(rate float64) *geomTable {
+	for i := range gapTables.slots {
+		if t := gapTables.slots[i].Load(); t != nil && t.rate == rate {
+			return t
+		}
+	}
+	t := newGeomTable(rate)
+	gapTables.slots[gapTables.next.Add(1)%gapTableCacheSize].Store(t)
+	return t
+}
+
+// rateState derives the rate-dependent sampler state shared by
+// Injector.SetRate and BatchInjector.configure: the cached log
+// constant 1/ln(1-rate) and the gap table (nil when rate is 0 or 1,
+// where no draw happens, or too small to tabulate).
+func rateState(rate float64) (invLog1mRate float64, table *geomTable) {
+	if rate > 0 && rate < 1 {
+		invLog1mRate = 1 / math.Log1p(-rate)
+		if rate >= gapTableMinRate {
+			table = gapTableFor(rate)
+		}
+	}
+	return invLog1mRate, table
 }
 
 // newGeomTable tabulates Geometric(rate) for rate in
@@ -125,7 +174,7 @@ func newGeomTable(rate float64) *geomTable {
 		q *= 1 - rate
 	}
 	w[gapTableTail] = q // P(gap >= gapTableTail)
-	t := &geomTable{}
+	t := &geomTable{rate: rate}
 	prob, alias := aliasBuild(w)
 	for i := range t.rows {
 		t.rows[i] = aliasRow32{
@@ -193,6 +242,41 @@ func NewInjector(rate float64, dist *Distribution, rnd *rand.Rand) (*Injector, e
 	return in, nil
 }
 
+// NewInjectorSource is NewInjector on a raw random source: the
+// injector draws exactly the stream NewInjector(rate, dist,
+// rand.New(src)) draws, but reads src directly for its fused
+// per-fault draws. Production injectors are built this way because
+// the span planner behind BatchView takes its hot loop only when the
+// source is known.
+func NewInjectorSource(rate float64, dist *Distribution, src rand.Source64) (*Injector, error) {
+	if src == nil {
+		return nil, fmt.Errorf("faults: injector needs a random stream")
+	}
+	in, err := NewInjector(rate, dist, rand.New(src))
+	if err != nil {
+		return nil, err
+	}
+	in.src = src
+	return in, nil
+}
+
+// BatchView returns the injector's one-lane batch view: a
+// BatchInjector whose only lane is this injector, built on first call
+// and cached. Every piece of stream state — pending gap, RNG, draw
+// log, counters, rate — stays in the injector, so a forward pass run
+// through fann.RunBatch on the view consumes the stream exactly as
+// fann.Run on the injector would (the batch bit-identity suites pin
+// this), and SetRate, recording and Stats keep working on the
+// injector itself. Like the injector, the view is not safe for
+// concurrent use.
+func (in *Injector) BatchView() *BatchInjector {
+	if in.view == nil {
+		in.view = newBatchInjector([]*Injector{in})
+		in.view.rate, in.view.invLog1mRate, in.view.table = in.rate, in.invLog1mRate, in.gapTable
+	}
+	return in.view
+}
+
 // Rate returns the configured per-multiplication error rate.
 func (in *Injector) Rate() float64 { return in.rate }
 
@@ -201,7 +285,8 @@ func (in *Injector) Rate() float64 { return in.rate }
 // fault gap is discarded — it was drawn from the old rate's geometric
 // distribution. Re-setting the identical rate is a no-op: the pending
 // gap stays valid (a geometric gap in progress is exactly the state of
-// the equivalent Bernoulli stream), and the gap table is not rebuilt.
+// the equivalent Bernoulli stream). Gap tables come from a shared
+// cache, so cycling between two rates does not rebuild them.
 func (in *Injector) SetRate(rate float64) error {
 	if rate < 0 || rate > 1 {
 		return fmt.Errorf("faults: error rate %v outside [0,1]", rate)
@@ -211,13 +296,11 @@ func (in *Injector) SetRate(rate float64) error {
 	}
 	in.rate = rate
 	in.gap = -1
-	in.invLog1mRate = 0
-	in.gapTable = nil
-	if rate > 0 && rate < 1 {
-		in.invLog1mRate = 1 / math.Log1p(-rate)
-		if rate >= gapTableMinRate {
-			in.gapTable = newGeomTable(rate)
-		}
+	in.invLog1mRate, in.gapTable = rateState(rate)
+	if v := in.view; v != nil {
+		v.rate, v.invLog1mRate, v.table = rate, in.invLog1mRate, in.gapTable
+		// A presampled span was drawn from the old rate's gap law.
+		v.spans[0].active = false
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"shmd/internal/dataset"
 	"shmd/internal/fann"
+	"shmd/internal/faults"
 	"shmd/internal/features"
 	"shmd/internal/fxp"
 	"shmd/internal/stats"
@@ -188,6 +189,11 @@ func (h *HMD) Fixed() *fann.FixedNetwork { return h.fixed }
 // ScoreWindowsUnit scores a trace through an arbitrary multiplier unit
 // — fxp.Exact for the nominal detector, a faults.Injector for the
 // undervolted one. This is the integration point internal/core uses.
+//
+// Units with a batch form (see batchForm) score each window as one
+// lane of fann.RunBatch, the faster kernel; the lane consumes the unit
+// exactly as fann.Run would, so scores, fault streams and draw logs
+// are bit-identical either way. Other units run through fann.Run.
 func (h *HMD) ScoreWindowsUnit(u fxp.Unit, windows []trace.WindowCounts) []float64 {
 	vecs, err := features.Extract(windows, h.cfg.FeatureSet, h.cfg.Period)
 	if err != nil {
@@ -195,10 +201,36 @@ func (h *HMD) ScoreWindowsUnit(u fxp.Unit, windows []trace.WindowCounts) []float
 		panic(fmt.Sprintf("hmd: %v", err))
 	}
 	scores := make([]float64, len(vecs))
+	bu := batchForm(u)
+	if bu == nil {
+		for i, v := range vecs {
+			scores[i] = h.fixed.Run(u, v)[0]
+		}
+		return scores
+	}
+	var lane [1][]float64
+	var out []float64
 	for i, v := range vecs {
-		scores[i] = h.fixed.Run(u, v)[0]
+		lane[0] = v
+		out = h.fixed.RunBatch(bu, lane[:], nil, out)
+		scores[i] = out[0]
 	}
 	return scores
+}
+
+// batchForm returns the lane-1 batch form of u, or nil when it has
+// none: a faults.Injector scores through its one-lane view, and units
+// that already implement fxp.BatchUnit (fxp.Exact) score directly.
+// The reference and ablation units (BernoulliInjector, TruncatedUnit,
+// the replay unit) have no batch form and keep the scalar pass.
+func batchForm(u fxp.Unit) fxp.BatchUnit {
+	switch u := u.(type) {
+	case *faults.Injector:
+		return u.BatchView()
+	case fxp.BatchUnit:
+		return u
+	}
+	return nil
 }
 
 // ScoreWindows implements Detector at nominal voltage.

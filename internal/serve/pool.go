@@ -330,7 +330,7 @@ func (p *Pool) newDetector(base *hmd.HMD, opts core.Options, profile volt.Device
 	if err != nil {
 		return nil, err
 	}
-	inj, err := faults.NewInjector(0, nil, rng.NewRand(opts.Seed, 0x5BD))
+	inj, err := faults.NewInjectorSource(0, nil, rng.NewSource64(opts.Seed, 0x5BD))
 	if err != nil {
 		return nil, err
 	}
