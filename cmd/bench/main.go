@@ -2,7 +2,8 @@
 // exact kernels, geometric skip-ahead vs per-multiplication Bernoulli
 // fault injection, sharded vs serial evaluation, JSON/HTTP vs SHMDWIRE
 // streaming over real sockets, single-pass vs encoding/json request
-// decoding, lane-1 vs scalar supervised detection — and writes the results to a JSON file
+// decoding, lane-1 vs scalar supervised detection, idle micro-batched
+// vs scalar serving — and writes the results to a JSON file
 // (BENCH_inference.json by default) so the speedups are recorded
 // alongside the code that produced them.
 //
@@ -86,6 +87,11 @@ type Speedups struct {
 	// micro-batched ns/request for the in-process /v1/detect server
 	// under concurrent load.
 	ServeBatchedVsScalar float64 `json:"serve_batched_vs_scalar"`
+	// ServeBatchedIdleVsScalar is scalar-dispatch ns/request over
+	// micro-batched ns/request with one client sending requests one
+	// after another, so the batcher is idle on every request: the cost
+	// of the batched path when there is nothing to coalesce.
+	ServeBatchedIdleVsScalar float64 `json:"serve_batched_idle_vs_scalar"`
 	// ServeWireVsJSON is JSON-over-TCP ns/request over SHMDWIRE
 	// streaming ns/request: the same single-program request mix through
 	// real sockets both ways, keep-alive HTTP clients vs the SDK's
@@ -250,17 +256,19 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 
 	// In-process /v1/detect throughput, scalar dispatch vs micro-batched:
 	// same model, same pool shape, concurrent clients through the handler
-	// (no sockets). One op = one single-program request.
-	serveScalar, err := measureServe(env.Base, count, 0)
-	if err != nil {
-		return nil, err
+	// (no sockets), then one serial client. One op = one single-program
+	// request.
+	serveRows := map[string]Result{}
+	for _, serial := range []bool{false, true} {
+		for _, maxBatch := range []int{0, 16} {
+			res, err := measureServe(env.Base, count, maxBatch, serial)
+			if err != nil {
+				return nil, err
+			}
+			rep.Results = append(rep.Results, res)
+			serveRows[res.Name] = res
+		}
 	}
-	rep.Results = append(rep.Results, serveScalar)
-	serveBatched, err := measureServe(env.Base, count, 16)
-	if err != nil {
-		return nil, err
-	}
-	rep.Results = append(rep.Results, serveBatched)
 
 	// Transport A/B over real sockets: JSON/HTTP vs SHMDWIRE streaming,
 	// same request mix and server shape on both sides.
@@ -289,7 +297,8 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 		EvaluateShardedVsSerial:    serial.NsPerOp / sharded.NsPerOp,
 		BatchLane64VsScalarFaulty:  faulty.NsPerOp / lane64,
 		BatchLane64VsExactFused:    fused.NsPerOp / lane64,
-		ServeBatchedVsScalar:       serveScalar.NsPerOp / serveBatched.NsPerOp,
+		ServeBatchedVsScalar:       serveRows["serve_detect_scalar"].NsPerOp / serveRows["serve_detect_batched_16"].NsPerOp,
+		ServeBatchedIdleVsScalar:   serveRows["serve_detect_scalar_serial"].NsPerOp / serveRows["serve_detect_batched_16_serial"].NsPerOp,
 		ServeWireVsJSON:            serveJSON.NsPerOp / serveWire.NsPerOp,
 		JSONDecodeFastVsStd:        decodeStd.NsPerOp / decodeFast.NsPerOp,
 		DetectLane1VsScalar:        detectScalar.NsPerOp / detectLane1.NsPerOp,
@@ -299,13 +308,17 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 
 // measureServe benchmarks the detection service end to end in-process:
 // a real serve.Server (pool of 4 undervolted sessions at the operating
-// rate), concurrent clients calling the handler directly. maxBatch 0
-// measures the scalar per-request dispatch; > 1 the micro-batching
-// dispatcher with that lane limit.
-func measureServe(base *hmd.HMD, count, maxBatch int) (Result, error) {
+// rate), clients calling the handler directly — concurrent ones, or
+// with serial set one client sending its requests one after another.
+// maxBatch 0 measures the scalar per-request dispatch; > 1 the
+// micro-batching dispatcher with that lane limit.
+func measureServe(base *hmd.HMD, count, maxBatch int, serial bool) (Result, error) {
 	name := "serve_detect_scalar"
 	if maxBatch > 1 {
 		name = fmt.Sprintf("serve_detect_batched_%d", maxBatch)
+	}
+	if serial {
+		name += "_serial"
 	}
 	win := 4
 	if p := base.Config().Period; p > win {
@@ -338,18 +351,32 @@ func measureServe(base *hmd.HMD, count, maxBatch int) (Result, error) {
 			return Result{}, err
 		}
 		handler := srv.Handler()
+		detect := func(b *testing.B) bool {
+			req := httptest.NewRequest(http.MethodPost, "/v1/detect", bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				b.Errorf("detect status %d: %s", rec.Code, rec.Body.Bytes())
+				return false
+			}
+			return true
+		}
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
+			if serial {
+				for i := 0; i < b.N; i++ {
+					if !detect(b) {
+						return
+					}
+				}
+				return
+			}
 			// Enough concurrent clients to keep batches forming regardless
 			// of core count.
 			b.SetParallelism(32/runtime.GOMAXPROCS(0) + 1)
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					req := httptest.NewRequest(http.MethodPost, "/v1/detect", bytes.NewReader(body))
-					rec := httptest.NewRecorder()
-					handler.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						b.Errorf("detect status %d: %s", rec.Code, rec.Body.Bytes())
+					if !detect(b) {
 						return
 					}
 				}
@@ -641,6 +668,16 @@ func compare(rep, base *Report, maxRegress float64) []string {
 	ratio("batch_lane64_vs_exact_fused", rep.Speedups.BatchLane64VsExactFused, base.Speedups.BatchLane64VsExactFused)
 	ratio("json_decode_fast_vs_std", rep.Speedups.JSONDecodeFastVsStd, base.Speedups.JSONDecodeFastVsStd)
 	ratio("detect_lane1_vs_scalar", rep.Speedups.DetectLane1VsScalar, base.Speedups.DetectLane1VsScalar)
+	// One serial client leaves nothing to overlap, so the idle-batcher
+	// ratio gates on any proc count. Its baseline is capped at 1.0 like
+	// the other serve ratios: the invariant is that an idle batcher
+	// dispatches at once, as fast as scalar dispatch, whatever this
+	// machine's exact ratio.
+	wantIdle := base.Speedups.ServeBatchedIdleVsScalar
+	if wantIdle > 1 {
+		wantIdle = 1
+	}
+	ratio("serve_batched_idle_vs_scalar", rep.Speedups.ServeBatchedIdleVsScalar, wantIdle)
 	// The parallel rows cannot speed up on one proc: a 1-core runner
 	// reporting a ~1.0x ratio against a multi-core baseline is the
 	// machine, not a regression — skip those gates there.
@@ -752,6 +789,7 @@ func main() {
 	fmt.Printf("batch lane64 vs scalar faulty: %.2fx\n", rep.Speedups.BatchLane64VsScalarFaulty)
 	fmt.Printf("batch lane64 vs exact fused:  %.2fx\n", rep.Speedups.BatchLane64VsExactFused)
 	fmt.Printf("serve batched vs scalar:      %.2fx\n", rep.Speedups.ServeBatchedVsScalar)
+	fmt.Printf("serve batched idle vs scalar: %.2fx\n", rep.Speedups.ServeBatchedIdleVsScalar)
 	fmt.Printf("serve wire stream vs json:    %.2fx\n", rep.Speedups.ServeWireVsJSON)
 	fmt.Printf("json decode fast vs std:      %.2fx\n", rep.Speedups.JSONDecodeFastVsStd)
 	fmt.Printf("detect lane-1 vs scalar:      %.2fx\n", rep.Speedups.DetectLane1VsScalar)

@@ -22,6 +22,7 @@ func TestCompareGate(t *testing.T) {
 			BatchLane64VsScalarFaulty:  5.0,
 			BatchLane64VsExactFused:    1.1,
 			ServeBatchedVsScalar:       1.8,
+			ServeBatchedIdleVsScalar:   0.9,
 			ServeWireVsJSON:            1.3,
 			JSONDecodeFastVsStd:        6.0,
 			DetectLane1VsScalar:        1.6,
@@ -105,6 +106,29 @@ func TestCompareGate(t *testing.T) {
 	}), base, 0.25); len(p) != 1 {
 		t.Errorf("detect lane-1 regression not flagged: %v", p)
 	}
+	// The idle-batcher ratio has one serial client, so it gates on any
+	// proc count: inside the margin passes, an idle batcher that waits
+	// for a timer again fails.
+	if p := compare(clone(func(r *Report) {
+		r.MaxProcs = 1
+		r.Speedups.ServeBatchedIdleVsScalar = 0.7
+	}), base, 0.25); len(p) != 0 {
+		t.Errorf("in-margin idle batcher drop flagged: %v", p)
+	}
+	if p := compare(clone(func(r *Report) {
+		r.MaxProcs = 1
+		r.Speedups.ServeBatchedIdleVsScalar = 0.05
+	}), base, 0.25); len(p) != 1 {
+		t.Errorf("idle batcher regression not flagged: %v", p)
+	}
+	// Its baseline is capped at 1.0: losing a 1.3x upside passes.
+	if p := compare(clone(func(r *Report) {
+		r.Speedups.ServeBatchedIdleVsScalar = 0.8
+	}), clone(func(r *Report) {
+		r.Speedups.ServeBatchedIdleVsScalar = 1.3
+	}), 0.25); len(p) != 0 {
+		t.Errorf("idle batcher upside wrongly gated: %v", p)
+	}
 	// Parallel ratios on a 1-proc runner: the machine cannot shard or
 	// overlap requests, so their gates are skipped, not failed.
 	if p := compare(clone(func(r *Report) {
@@ -178,8 +202,8 @@ func TestRunAndWriteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 18 {
-		t.Fatalf("got %d results, want 18", len(rep.Results))
+	if len(rep.Results) != 20 {
+		t.Fatalf("got %d results, want 20", len(rep.Results))
 	}
 	for _, r := range rep.Results {
 		if r.NsPerOp <= 0 || r.Iterations <= 0 {
@@ -187,7 +211,8 @@ func TestRunAndWriteReport(t *testing.T) {
 		}
 	}
 	if rep.Speedups.ExactFusedVsScalar <= 0 || rep.Speedups.FaultySkipAheadVsBernoulli <= 0 ||
-		rep.Speedups.JSONDecodeFastVsStd <= 0 || rep.Speedups.DetectLane1VsScalar <= 0 {
+		rep.Speedups.JSONDecodeFastVsStd <= 0 || rep.Speedups.DetectLane1VsScalar <= 0 ||
+		rep.Speedups.ServeBatchedIdleVsScalar <= 0 {
 		t.Errorf("speedups not computed: %+v", rep.Speedups)
 	}
 	if rep.NumMuls <= 0 {

@@ -71,7 +71,7 @@ func soakRun(ctx context.Context, args []string) error {
 	seed := fs.Uint64("seed", 1, "root seed (fault streams, storm schedule)")
 	hedgeAfter := fs.Duration("hedge-after", 5*time.Millisecond, "hedged re-dispatch budget (0 = off)")
 	maxBatch := fs.Int("max-batch", 0, "micro-batch lane limit (0 or 1 = scalar dispatch)")
-	maxBatchWait := fs.Duration("max-batch-wait", 0, "partial micro-batch flush wait (0 = serve default)")
+	maxBatchWait := fs.Duration("max-batch-wait", 0, "cap on a partial micro-batch's wait behind a busy batcher (0 = serve default)")
 	deadline := fs.Duration("deadline", 2*time.Second, "server-side default detection deadline")
 	journal := fs.String("journal", "", "calibration journal path (empty = journaling off)")
 	report := fs.String("report", "soak_report.json", "JSON report output path")

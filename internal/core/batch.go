@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 
 	"shmd/internal/faults"
 	"shmd/internal/fxp"
@@ -68,9 +67,12 @@ func (s *StochasticHMD) DetectTracesBatch(traces [][]trace.WindowCounts, record 
 	rate := s.inj.Rate()
 	pass := s.batchPass
 	s.batchPass++
-	srcs := make([]rand.Source64, len(traces))
-	for j := range srcs {
-		srcs[j] = rng.NewSource64(s.seed, batchPassLabel, pass, math.Float64bits(rate), uint64(j))
+	for len(s.laneSrcs) < len(traces) {
+		s.laneSrcs = append(s.laneSrcs, rng.NewSource64(s.seed))
+	}
+	srcs := s.laneSrcs[:len(traces)]
+	for j, src := range srcs {
+		rng.Reseed(src, s.seed, batchPassLabel, pass, math.Float64bits(rate), uint64(j))
 	}
 	binj, err := faults.NewBatchInjector(rate, s.dist, srcs)
 	if err != nil {

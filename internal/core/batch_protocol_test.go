@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"shmd/internal/faults"
 	"shmd/internal/fxp"
 	"shmd/internal/hmd"
+	"shmd/internal/rng"
 	"shmd/internal/trace"
 )
 
@@ -110,6 +113,40 @@ func TestDetectTracesBatchReproducibleAndMoving(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("consecutive batched passes drew identical fault streams")
+	}
+}
+
+// TestDetectTracesBatchReusesSources pins the pooled lane sources:
+// passes of varying width on one detector, each re-seeding sources a
+// wider or narrower earlier pass used, decide bit-for-bit what the
+// same pass decides on freshly built sources.
+func TestDetectTracesBatchReusesSources(t *testing.T) {
+	_, base := fixtures(t)
+	all := batchTraces(t, 6)
+	s, err := New(base, Options{ErrorRate: 0.4, Seed: 101})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass, n := range []int{6, 3, 6, 1} {
+		traces := all[:n]
+		rate := s.inj.Rate()
+		srcs := make([]rand.Source64, n)
+		for j := range srcs {
+			srcs[j] = rng.NewSource64(s.seed, batchPassLabel, uint64(pass), math.Float64bits(rate), uint64(j))
+		}
+		binj, err := faults.NewBatchInjector(rate, s.dist, srcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := base.WithFreshBuffers().DetectTracesUnit(binj, traces)
+		got, _, ok := s.DetectTracesBatch(traces, false)
+		if !ok {
+			t.Fatal("New-built detector declined batching")
+		}
+		sameDecisions(t, fmt.Sprintf("pass %d (%d lanes)", pass, n), got, want)
+	}
+	if len(s.laneSrcs) != 6 {
+		t.Errorf("pooled %d lane sources, want 6 (the widest pass)", len(s.laneSrcs))
 	}
 }
 

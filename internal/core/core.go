@@ -105,6 +105,10 @@ type StochasticHMD struct {
 	// — the moving-target property across batches.
 	laneSeeded bool
 	batchPass  uint64
+	// laneSrcs are the per-lane rand sources DetectTracesBatch re-seeds
+	// on every pass instead of allocating; like batchPass they belong
+	// to the one caller the detector's locking admits at a time.
+	laneSrcs []rand.Source64
 
 	// Decision tracing (opt-in, see EnableDecisionTrace): when on,
 	// every ScoreWindows pass records its stochastic draws into

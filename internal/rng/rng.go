@@ -71,6 +71,14 @@ func NewSource64(root uint64, labels ...uint64) rand.Source64 {
 	return int63Source{src}
 }
 
+// Reseed restarts src, a source from NewSource64, on the stream
+// NewSource64(root, labels...) starts: Seed rebuilds the generator's
+// whole state, so the draws match a fresh source's exactly while the
+// ~4.9 KB of state is reused.
+func Reseed(src rand.Source64, root uint64, labels ...uint64) {
+	src.Seed(int64(DeriveSeed(root, labels...)))
+}
+
 // int63Source lifts a Source to Source64 with the same two-Int63
 // expansion math/rand uses internally.
 type int63Source struct{ rand.Source }

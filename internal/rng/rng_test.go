@@ -161,3 +161,22 @@ func TestTRNGDeterministicStream(t *testing.T) {
 		}
 	}
 }
+
+// TestReseedMatchesFresh pins the pooled-source contract: a source
+// already advanced on another stream and then re-seeded draws exactly
+// what a fresh NewSource64 on the target stream draws.
+func TestReseedMatchesFresh(t *testing.T) {
+	src := NewSource64(3, 7)
+	for i := 0; i < 1234; i++ {
+		src.Uint64()
+	}
+	for _, labels := range [][]uint64{{0x5BA7, 0, 1}, {0x5BA7, 1, 1}, {}} {
+		Reseed(src, 11, labels...)
+		fresh := NewSource64(11, labels...)
+		for i := 0; i < 10000; i++ {
+			if got, want := src.Uint64(), fresh.Uint64(); got != want {
+				t.Fatalf("labels %v: draw %d = %#x, fresh source drew %#x", labels, i, got, want)
+			}
+		}
+	}
+}

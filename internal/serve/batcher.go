@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,13 +16,26 @@ import (
 // coalesce into lane batches, each served by ONE pool-slot checkout
 // and ONE batched undervolted pass (core.Supervisor.DetectBatch feeding
 // the batch-lane kernels) instead of a slot checkout and a scalar pass
-// per program. Admission control, per-request deadlines, hedged
-// dispatch, and decision tracing all survive unchanged:
+// per program.
+//
+// Flushing is self-clocked, like Nagle's algorithm:
+//
+//   - with nothing in flight, a request's lanes dispatch at once;
+//   - while a batch is in flight, new lanes coalesce, and the partial
+//     batch goes out when an in-flight batch completes, when it fills
+//     to MaxBatch, or — a safety cap for a stalled batch — when its
+//     oldest lane has waited MaxBatchWait;
+//   - lanes bind to a batch only when its flusher is granted a pool
+//     slot, so a flusher blocked in Pool.Acquire picks up every lane
+//     that arrived while it waited.
+//
+// Admission control, per-request deadlines, hedged dispatch, and
+// decision tracing all survive unchanged:
 //
 //   - the admission queue token is held by each request's handler for
 //     its whole life, batching wait included;
 //   - a lane whose request deadline expires while the batch forms is
-//     shed at flush time (its handler has already replied 503) and
+//     shed when it binds (its handler has already replied 503) and
 //     never occupies a kernel lane;
 //   - a batch past the hedge budget re-dispatches onto a second idle
 //     slot, first outcome winning, exactly like scalar dispatch;
@@ -33,13 +47,28 @@ type batcher struct {
 	max  int
 	wait time.Duration
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// pending holds the lanes not yet bound to a batch, oldest first.
 	pending []*lane
-	// gen counts flushes; the flush timer captures the generation it was
-	// armed for and stands down if the batch it guarded already flushed
-	// full, so a late timer never double-flushes or mislabels a flush.
-	gen   uint64
+	// waiting counts flushers blocked on a pool slot; each binds up to
+	// max lanes from the front of pending when its slot is granted, so
+	// the first waiting*max pending lanes are already claimed.
+	waiting int
+	// running counts bound batches not yet completed.
+	running int
+	// wake is the context flushers wait for a slot under. When a
+	// withdrawal leaves more flushers waiting than the pending lanes
+	// need, rouse cancels it (a fresh one takes its place) and every
+	// waiter rechecks, so the surplus stops waiting.
+	wake  context.Context
+	rouse context.CancelFunc
+	// timer is the MaxBatchWait cap on the oldest unclaimed lane
+	// (timed). gen counts timer ends (stopped or fired); a callback
+	// whose generation moved on stands down, so a late timer never
+	// double-flushes.
 	timer *time.Timer
+	timed *lane
+	gen   uint64
 }
 
 // lane is one program awaiting batched detection.
@@ -69,26 +98,46 @@ type laneOutcome struct {
 
 // newBatcher wires the dispatcher to the server's pool and metrics.
 func newBatcher(srv *Server) *batcher {
-	return &batcher{srv: srv, max: srv.cfg.MaxBatch, wait: srv.cfg.MaxBatchWait}
+	b := &batcher{srv: srv, max: srv.cfg.MaxBatch, wait: srv.cfg.MaxBatchWait}
+	b.wake, b.rouse = context.WithCancel(context.Background())
+	return b
 }
 
 // dispatch submits every program as a lane and assembles the request's
-// results as lanes complete. Lanes from one request may land in
-// different batches (and thus different slots); the reported session is
-// the first lane's. A request error (deadline, pool closed) aborts the
-// request; verdict-level degradation does not.
+// results as lanes complete.
 func (b *batcher) dispatch(ctx context.Context, tenantID string, programs []DecodedProgram) (batchOutcome, error) {
+	return b.collect(ctx, programs, b.submit(ctx, tenantID, programs))
+}
+
+// submit enqueues every program of one request as a lane under one
+// lock, so no flush can bind part of a request while the rest is still
+// arriving: an idle batcher dispatches the whole request at once.
+func (b *batcher) submit(ctx context.Context, tenantID string, programs []DecodedProgram) []*lane {
 	lanes := make([]*lane, len(programs))
 	now := time.Now()
 	for i, p := range programs {
 		lanes[i] = &lane{windows: p.Windows, tenant: tenantID, ctx: ctx, enq: now, done: make(chan laneOutcome, 1)}
-		b.submit(lanes[i])
 	}
+	b.mu.Lock()
+	b.pending = append(b.pending, lanes...)
+	b.schedule()
+	b.mu.Unlock()
+	return lanes
+}
+
+// collect waits for the request's lanes. Lanes from one request may
+// land in different batches (and thus different slots) once the request
+// outgrows MaxBatch or arrives behind a filling batch; the reported
+// session is the first lane's. A request error (deadline, pool closed)
+// aborts the request and withdraws its unbound lanes; verdict-level
+// degradation does not.
+func (b *batcher) collect(ctx context.Context, programs []DecodedProgram, lanes []*lane) (batchOutcome, error) {
 	out := batchOutcome{results: make([]DetectResult, len(programs)), session: -1}
 	for i, ln := range lanes {
 		select {
 		case lo := <-ln.done:
 			if lo.err != nil {
+				b.withdraw(lanes[i+1:])
 				return batchOutcome{}, lo.err
 			}
 			if out.session < 0 {
@@ -107,72 +156,195 @@ func (b *batcher) dispatch(ctx context.Context, tenantID string, programs []Deco
 				Windows:     len(programs[i].Windows),
 			}
 		case <-ctx.Done():
-			// The remaining lanes stay in the batcher; the flusher sheds
-			// or completes them into their buffered channels.
+			// Bound lanes stay with their flusher, which sheds or
+			// completes them into their buffered channels.
+			b.withdraw(lanes[i:])
 			return batchOutcome{}, ctx.Err()
 		}
 	}
 	return out, nil
 }
 
-// submit adds one lane to the forming batch, flushing when it reaches
-// MaxBatch and arming the MaxBatchWait timer when it opens a new batch.
-func (b *batcher) submit(ln *lane) {
-	b.mu.Lock()
-	b.pending = append(b.pending, ln)
-	if len(b.pending) >= b.max {
-		batch := b.take()
-		b.mu.Unlock()
-		b.flushAsync(batch, "full")
+// withdraw drops the lanes of a request whose handler has given up
+// from pending, so lanes that no slot will take (every slot
+// quarantined, say) do not outlive their requests. Flushers left
+// waiting for lanes that are gone are roused to stop.
+func (b *batcher) withdraw(lanes []*lane) {
+	if len(lanes) == 0 {
 		return
 	}
-	if len(b.pending) == 1 {
-		gen := b.gen
-		b.timer = time.AfterFunc(b.wait, func() { b.onTimer(gen) })
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := len(b.pending)
+	b.pending = slices.DeleteFunc(b.pending, func(ln *lane) bool { return slices.Contains(lanes, ln) })
+	if len(b.pending) == n {
+		return
 	}
-	b.mu.Unlock()
+	if b.waiting > 0 && b.surplus() {
+		b.rouse()
+		b.wake, b.rouse = context.WithCancel(context.Background())
+	}
+	b.schedule()
 }
 
-// take claims the forming batch and disarms its timer. Callers hold
-// b.mu.
-func (b *batcher) take() []*lane {
-	batch := b.pending
-	b.pending = nil
+// surplus reports whether the other waiting flushers already claim
+// every pending lane, leaving one flusher with nothing to bind.
+// Callers hold b.mu.
+func (b *batcher) surplus() bool {
+	return (b.waiting-1)*b.max >= len(b.pending)
+}
+
+// schedule puts every unclaimed pending lane on a path out. An idle
+// batcher (nothing bound, nobody waiting) starts flushers for all of
+// it at once; a busy one starts a flusher per MaxBatch lanes and arms
+// the MaxBatchWait cap on the remainder, which otherwise leaves when
+// an in-flight batch completes. Callers hold b.mu.
+func (b *batcher) schedule() {
+	if b.running == 0 && b.waiting == 0 {
+		for len(b.pending) > b.waiting*b.max {
+			b.spawn("idle")
+		}
+	}
+	for len(b.pending)-b.waiting*b.max >= b.max {
+		b.spawn("full")
+	}
+	if len(b.pending) > b.waiting*b.max {
+		b.arm()
+	} else {
+		b.disarm()
+	}
+}
+
+// spawn starts one flusher. Flushers are tracked goroutines: a flush
+// can outlive every one of its lanes' handlers (all deadlines
+// expired), and shutdown must still wait for it to release its slot.
+// Callers hold b.mu.
+func (b *batcher) spawn(reason string) {
+	b.waiting++
+	b.srv.detWG.Add(1)
+	go b.flusher(reason)
+}
+
+// arm keeps the MaxBatchWait cap pointed at the oldest unclaimed lane.
+// Callers hold b.mu.
+func (b *batcher) arm() {
+	first := b.pending[b.waiting*b.max]
+	if b.timer != nil && b.timed == first {
+		return
+	}
+	b.disarm()
+	gen := b.gen
+	b.timed = first
+	b.timer = time.AfterFunc(b.wait-time.Since(first.enq), func() { b.onTimer(gen) })
+}
+
+// disarm stops the MaxBatchWait cap. Callers hold b.mu.
+func (b *batcher) disarm() {
+	if b.timer == nil {
+		return
+	}
+	b.timer.Stop()
+	b.timer, b.timed = nil, nil
 	b.gen++
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	return batch
 }
 
-// onTimer flushes the batch the timer was armed for, unless that batch
-// already flushed full (the generation moved on).
+// onTimer flushes the unclaimed lanes whose oldest has waited
+// MaxBatchWait behind a busy batcher, unless the cap it was armed for
+// already ended.
 func (b *batcher) onTimer(gen uint64) {
 	b.mu.Lock()
-	if gen != b.gen || len(b.pending) == 0 {
-		b.mu.Unlock()
+	defer b.mu.Unlock()
+	if gen != b.gen {
 		return
 	}
-	batch := b.take()
-	b.mu.Unlock()
-	b.flushAsync(batch, "timer")
+	b.timer, b.timed = nil, nil
+	b.gen++
+	if len(b.pending) > b.waiting*b.max {
+		b.spawn("timer")
+	}
+	b.schedule()
 }
 
-// flushAsync runs the flush in a tracked goroutine: a flush can outlive
-// every one of its lanes' handlers (all deadlines expired), and
-// shutdown must still wait for it to release its slot.
-func (b *batcher) flushAsync(lanes []*lane, reason string) {
-	b.srv.detWG.Add(1)
-	go func() {
-		defer b.srv.detWG.Done()
-		b.flush(lanes, reason)
-	}()
+// take unbinds up to n lanes from the front of pending. Callers hold
+// b.mu.
+func (b *batcher) take(n int) []*lane {
+	if n > len(b.pending) {
+		n = len(b.pending)
+	}
+	lanes := make([]*lane, n)
+	copy(lanes, b.pending)
+	rest := copy(b.pending, b.pending[n:])
+	clear(b.pending[rest:])
+	b.pending = b.pending[:rest]
+	return lanes
 }
 
-// flush sheds expired lanes, acquires one slot for the survivors, and
-// runs them as one batch.
-func (b *batcher) flush(lanes []*lane, reason string) {
+// flusher waits for a pool slot, binds the lanes pending at that
+// moment, and runs them as one batch. The batch counts as complete
+// before its verdicts fan out, so a client's follow-up request finds
+// the batcher idle. When lanes coalesced while the batch ran, the
+// flusher goes round again with them: completion is the batcher's
+// clock. A flusher whose lanes were all withdrawn stops waiting.
+func (b *batcher) flusher(reason string) {
+	defer b.srv.detWG.Done()
+	for {
+		b.mu.Lock()
+		if b.surplus() {
+			b.waiting--
+			b.mu.Unlock()
+			return
+		}
+		wake := b.wake
+		b.mu.Unlock()
+		slot, err := b.srv.pool.Acquire(wake)
+		closed := errors.Is(err, ErrPoolClosed)
+		if err != nil && !closed {
+			// Roused to recheck the claim, or refused a busy slot (the
+			// pool counts the breach): no lane is bound, wait again.
+			continue
+		}
+		b.mu.Lock()
+		b.waiting--
+		var lanes []*lane
+		if closed {
+			// Nothing pending can be served any more.
+			lanes = b.take(len(b.pending))
+		} else if lanes = b.take(b.max); len(lanes) > 0 {
+			b.running++
+		}
+		b.schedule()
+		b.mu.Unlock()
+		if closed {
+			deliver(lanes, batchRun{err: err})
+			return
+		}
+		if len(lanes) == 0 {
+			// Withdrawals emptied pending while the slot was granted.
+			b.srv.pool.Release(slot)
+			return
+		}
+		live, out := b.flush(slot, lanes, reason)
+
+		b.mu.Lock()
+		b.running--
+		more := len(b.pending) > b.waiting*b.max
+		if more {
+			b.waiting++
+			reason = "idle"
+		}
+		b.schedule()
+		b.mu.Unlock()
+		deliver(live, out)
+		if !more {
+			return
+		}
+	}
+}
+
+// flush sheds expired lanes and runs the survivors as one batch on the
+// granted slot, which it always gives back. It returns the survivors
+// with their outcome, for the caller to deliver.
+func (b *batcher) flush(slot *Slot, lanes []*lane, reason string) ([]*lane, batchRun) {
 	m := b.srv.metrics
 	m.BatchFlush(reason, len(lanes))
 	now := time.Now()
@@ -188,23 +360,21 @@ func (b *batcher) flush(lanes []*lane, reason string) {
 		}
 		live = append(live, ln)
 	}
-	for len(live) > 0 {
-		slot, err := b.srv.pool.Acquire(live[0].ctx)
-		if err == nil {
-			b.run(slot, live)
-			return
+	if len(live) == 0 {
+		b.srv.pool.Release(slot)
+		return nil, batchRun{}
+	}
+	return live, b.run(slot, live)
+}
+
+// deliver fans one batch outcome out to its lanes.
+func deliver(lanes []*lane, out batchRun) {
+	for j, ln := range lanes {
+		if out.err != nil {
+			ln.done <- laneOutcome{err: out.err}
+			continue
 		}
-		if errors.Is(err, ErrPoolClosed) {
-			for _, ln := range live {
-				ln.done <- laneOutcome{err: err}
-			}
-			return
-		}
-		// Acquire gave up because live[0]'s context ended while waiting;
-		// fail that lane and keep acquiring for the rest, whose deadlines
-		// may still have room.
-		live[0].done <- laneOutcome{err: err}
-		live = live[1:]
+		ln.done <- laneOutcome{v: out.verdicts[j], session: out.session, model: out.model, hedged: out.hedge}
 	}
 }
 
@@ -218,9 +388,10 @@ type batchRun struct {
 }
 
 // run executes the batch on the acquired slot, hedging onto a second
-// idle slot past the configured budget exactly like scalar dispatch;
-// the first successful outcome fans out to the lanes.
-func (b *batcher) run(primary *Slot, lanes []*lane) {
+// idle slot past the configured budget exactly like scalar dispatch,
+// and returns the first successful outcome (or the first failure when
+// every runner failed).
+func (b *batcher) run(primary *Slot, lanes []*lane) batchRun {
 	traces := make([][]trace.WindowCounts, len(lanes))
 	tenants := make([]string, len(lanes))
 	for i, ln := range lanes {
@@ -244,10 +415,7 @@ func (b *batcher) run(primary *Slot, lanes []*lane) {
 		case out := <-outcomes:
 			pending--
 			if out.err == nil {
-				for j, ln := range lanes {
-					ln.done <- laneOutcome{v: out.verdicts[j], session: out.session, model: out.model, hedged: out.hedge}
-				}
-				return
+				return out
 			}
 			if firstErr == nil {
 				firstErr = out.err
@@ -263,32 +431,35 @@ func (b *batcher) run(primary *Slot, lanes []*lane) {
 			}
 		}
 	}
-	for _, ln := range lanes {
-		ln.done <- laneOutcome{err: firstErr}
-	}
+	return batchRun{err: firstErr}
 }
 
-// runDetached starts one tracked runner that serves the whole batch
-// through the slot's supervisor in a single batched detection, records
-// each lane's provenance when tracing is on, and always releases its
-// own slot — so a hedged loser can finish after the winner replied.
+// runDetached starts one tracked runner for the batch, so a hedged
+// loser can finish after the winner replied.
 func (b *batcher) runDetached(slot *Slot, traces [][]trace.WindowCounts, tenants []string, hedge bool, outcomes chan<- batchRun) {
-	s := b.srv
-	s.detWG.Add(1)
+	b.srv.detWG.Add(1)
 	go func() {
-		defer s.detWG.Done()
-		record := s.cfg.Trace != nil
-		verdicts, logs, err := slot.Sup.DetectBatch(traces, record)
-		if err == nil && record {
-			for j, v := range verdicts {
-				draws := faults.DrawLog{InitialGap: -1}
-				if logs != nil && !v.Unprotected {
-					draws = logs[j]
-				}
-				s.traceRecord(slot, traces[j], v, Confidence(v.Score, s.threshold, v.Malware), draws, tenants[j])
-			}
-		}
-		s.pool.Release(slot)
-		outcomes <- batchRun{verdicts: verdicts, session: slot.ID, model: slot.Model, hedge: hedge, err: err}
+		defer b.srv.detWG.Done()
+		outcomes <- b.detect(slot, traces, tenants, hedge)
 	}()
+}
+
+// detect serves the whole batch through the slot's supervisor in a
+// single batched detection, records each lane's provenance when
+// tracing is on, and always releases the slot.
+func (b *batcher) detect(slot *Slot, traces [][]trace.WindowCounts, tenants []string, hedge bool) batchRun {
+	s := b.srv
+	record := s.cfg.Trace != nil
+	verdicts, logs, err := slot.Sup.DetectBatch(traces, record)
+	if err == nil && record {
+		for j, v := range verdicts {
+			draws := faults.DrawLog{InitialGap: -1}
+			if logs != nil && !v.Unprotected {
+				draws = logs[j]
+			}
+			s.traceRecord(slot, traces[j], v, Confidence(v.Score, s.threshold, v.Malware), draws, tenants[j])
+		}
+	}
+	s.pool.Release(slot)
+	return batchRun{verdicts: verdicts, session: slot.ID, model: slot.Model, hedge: hedge, err: err}
 }

@@ -19,42 +19,87 @@ import (
 	"time"
 
 	"shmd/internal/chaos"
+	"shmd/internal/core"
 	"shmd/internal/replay"
 	"shmd/internal/trace"
 )
 
-// TestBatchedDetectFullFlush pins the size-triggered path: a request
-// carrying exactly MaxBatch programs fills the forming batch on
-// arrival, so it flushes with reason "full" and every program gets a
-// well-formed verdict from one batched pass.
-func TestBatchedDetectFullFlush(t *testing.T) {
-	srv := newTestServer(t, Config{MaxBatch: 4, MaxBatchWait: time.Hour})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Close()
+// holdSlots checks every pool slot out, so a flusher blocks in
+// Pool.Acquire and the lanes submitted meanwhile coalesce behind it;
+// the returned func parks the slots again.
+func holdSlots(t *testing.T, srv *Server) func() {
+	t.Helper()
+	held := make([]*Slot, srv.Pool().Size())
+	for i := range held {
+		slot, err := srv.Pool().Acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = slot
+	}
+	return func() {
+		for _, slot := range held {
+			srv.Pool().Release(slot)
+		}
+	}
+}
 
-	body := detectBody(t,
-		testWindows(t, trace.Trojan, 0, 8),
-		testWindows(t, trace.Benign, 0, 8),
-		testWindows(t, trace.Worm, 1, 8),
-		testWindows(t, trace.Backdoor, 2, 8))
-	resp, raw := postDetect(t, ts, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
+// boundedCtx bounds a test request, so a batcher that holds lanes it
+// should have dispatched fails the test instead of hanging it.
+func boundedCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	t.Cleanup(cancel)
+	return ctx
+}
+
+// laneResult is one request's collected outcome.
+type laneResult struct {
+	out batchOutcome
+	err error
+}
+
+// collectAsync waits for a submitted request's lanes in the background.
+func collectAsync(b *batcher, ctx context.Context, progs []DecodedProgram, lanes []*lane) <-chan laneResult {
+	c := make(chan laneResult, 1)
+	go func() {
+		out, err := b.collect(ctx, progs, lanes)
+		c <- laneResult{out, err}
+	}()
+	return c
+}
+
+// programs builds n decoded programs of 8 windows each.
+func programs(t *testing.T, prefix string, n int) []DecodedProgram {
+	t.Helper()
+	classes := []trace.Class{trace.Trojan, trace.Benign, trace.Worm, trace.Backdoor}
+	progs := make([]DecodedProgram, n)
+	for i := range progs {
+		progs[i] = DecodedProgram{ID: fmt.Sprintf("%s-%d", prefix, i), Windows: testWindows(t, classes[i%len(classes)], i, 8)}
 	}
-	var dr DetectResponse
-	if err := json.Unmarshal(raw, &dr); err != nil {
-		t.Fatalf("bad response %s: %v", raw, err)
+	return progs
+}
+
+// detections sums the supervisor detections across the pool.
+func detections(srv *Server) uint64 {
+	var served uint64
+	for _, slot := range srv.Pool().Slots() {
+		served += slot.Sup.Health().Detections
 	}
-	if len(dr.Results) != 4 {
-		t.Fatalf("results = %d, want 4", len(dr.Results))
+	return served
+}
+
+// checkResults pins a well-formed verdict for every program.
+func checkResults(t *testing.T, out batchOutcome, progs []DecodedProgram, poolSize int) {
+	t.Helper()
+	if len(out.results) != len(progs) {
+		t.Fatalf("results = %d, want %d", len(out.results), len(progs))
 	}
-	if dr.Session < 0 || dr.Session >= srv.Pool().Size() {
-		t.Errorf("session = %d outside pool", dr.Session)
+	if out.session < 0 || out.session >= poolSize {
+		t.Errorf("session = %d outside pool", out.session)
 	}
-	for i, r := range dr.Results {
-		if r.ID != fmt.Sprintf("prog-%d", i) {
-			t.Errorf("result %d id = %q", i, r.ID)
+	for i, r := range out.results {
+		if r.ID != progs[i].ID {
+			t.Errorf("result %d id = %q, want %q", i, r.ID, progs[i].ID)
 		}
 		if r.Score < 0 || r.Score > 1 {
 			t.Errorf("result %d score = %v", i, r.Score)
@@ -69,80 +114,395 @@ func TestBatchedDetectFullFlush(t *testing.T) {
 			t.Errorf("result %d confidence %v, margin says %v", i, r.Confidence, want)
 		}
 	}
-	// The wait timer was pinned at an hour, so only the size trigger can
-	// have flushed — and it must have, exactly once for four lanes.
-	full, timer := srv.Metrics().BatchFlushes()
-	if full != 1 || timer != 0 {
-		t.Errorf("flushes full=%d timer=%d, want 1/0", full, timer)
-	}
+}
 
-	// Each lane is one supervisor detection on the slot that served it.
-	var served uint64
-	for _, slot := range srv.Pool().Slots() {
-		served += slot.Sup.Health().Detections
-	}
-	if served != 4 {
-		t.Errorf("supervisors served %d detections, want 4", served)
+// checkFlushes pins the flush counters by trigger.
+func checkFlushes(t *testing.T, srv *Server, idle, full, timer uint64) {
+	t.Helper()
+	gi, gf, gt := srv.Metrics().BatchFlushes()
+	if gi != idle || gf != full || gt != timer {
+		t.Errorf("flushes idle=%d full=%d timer=%d, want %d/%d/%d", gi, gf, gt, idle, full, timer)
 	}
 }
 
-// TestBatchedDetectTimerFlush pins the wait-triggered path: a partial
-// batch must not wait for lanes that never come — the MaxBatchWait
-// timer flushes it.
-func TestBatchedDetectTimerFlush(t *testing.T) {
-	srv := newTestServer(t, Config{MaxBatch: 8, MaxBatchWait: time.Millisecond})
+// TestBatchedIdleFlush pins the idle path: with nothing in flight a
+// request's lanes dispatch at once, whatever MaxBatchWait says — the
+// hour-long cap never comes into play.
+func TestBatchedIdleFlush(t *testing.T) {
+	srv := newTestServer(t, Config{MaxBatch: 8, MaxBatchWait: time.Hour})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
 
-	resp, raw := postDetect(t, ts, detectBody(t,
-		testWindows(t, trace.Trojan, 3, 8),
-		testWindows(t, trace.Benign, 3, 8)))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
+	body := detectBody(t, testWindows(t, trace.Trojan, 3, 8), testWindows(t, trace.Benign, 3, 8))
+	for i := 0; i < 3; i++ {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/detect", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A request held for the wait would fail here, not hang the test.
+		req.Header.Set(deadlineHeader, "10000")
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status = %d, body %s", i, resp.StatusCode, raw)
+		}
+		var dr DetectResponse
+		if err := json.Unmarshal(raw, &dr); err != nil {
+			t.Fatal(err)
+		}
+		if len(dr.Results) != 2 {
+			t.Fatalf("results = %d, want 2", len(dr.Results))
+		}
 	}
-	var dr DetectResponse
-	if err := json.Unmarshal(raw, &dr); err != nil {
+	checkFlushes(t, srv, 3, 0, 0)
+}
+
+// TestBatchedIdleNeverSplitsRequest pins that a request's lanes are
+// submitted together: an idle flush binds the whole request, and a
+// request wider than MaxBatch leaves at once in full-width pieces.
+func TestBatchedIdleNeverSplitsRequest(t *testing.T) {
+	srv := newTestServer(t, Config{MaxBatch: 4, MaxBatchWait: time.Hour})
+	defer srv.Close()
+	ctx := boundedCtx(t)
+
+	const rounds = 8
+	for i := 0; i < rounds; i++ {
+		progs := programs(t, fmt.Sprintf("r%d", i), 3)
+		out, err := srv.batcher.dispatch(ctx, "", progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkResults(t, out, progs, srv.Pool().Size())
+	}
+	checkFlushes(t, srv, rounds, 0, 0)
+	m := srv.Metrics()
+	if got := m.batchSizeCount.Load(); got != rounds {
+		t.Errorf("batches = %d, want %d (one per request)", got, rounds)
+	}
+	if got := m.batchSizeSum.Load(); got != 3*rounds {
+		t.Errorf("batched lanes = %d, want %d", got, 3*rounds)
+	}
+
+	// Six programs at MaxBatch 4: both pieces go out idle, neither
+	// waits for the other or for the cap.
+	progs := programs(t, "wide", 6)
+	out, err := srv.batcher.dispatch(ctx, "", progs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dr.Results) != 2 {
-		t.Fatalf("results = %d, want 2", len(dr.Results))
+	checkResults(t, out, progs, srv.Pool().Size())
+	checkFlushes(t, srv, rounds+2, 0, 0)
+	if got := detections(srv); got != 3*rounds+6 {
+		t.Errorf("supervisors served %d detections, want %d", got, 3*rounds+6)
 	}
-	full, timer := srv.Metrics().BatchFlushes()
-	if full != 0 || timer == 0 {
-		t.Errorf("flushes full=%d timer=%d, want 0/1+", full, timer)
+}
+
+// TestBatchedLateBinding pins late binding: a flusher blocked in
+// Pool.Acquire binds every lane that arrived while it waited, so three
+// requests behind a saturated pool leave as one batch.
+func TestBatchedLateBinding(t *testing.T) {
+	srv := newTestServer(t, Config{MaxBatch: 16})
+	defer srv.Close()
+	release := holdSlots(t, srv)
+
+	ctx := boundedCtx(t)
+	var progs [][]DecodedProgram
+	var done []<-chan laneResult
+	for i, n := range []int{1, 2, 1} {
+		p := programs(t, fmt.Sprintf("q%d", i), n)
+		progs = append(progs, p)
+		done = append(done, collectAsync(srv.batcher, ctx, p, srv.batcher.submit(ctx, "", p)))
+	}
+	release()
+	session := -1
+	for i, c := range done {
+		res := <-c
+		if res.err != nil {
+			t.Fatalf("request %d: %v", i, res.err)
+		}
+		checkResults(t, res.out, progs[i], srv.Pool().Size())
+		if session < 0 {
+			session = res.out.session
+		}
+		if res.out.session != session {
+			t.Errorf("request %d served on session %d, want %d (one batch)", i, res.out.session, session)
+		}
+	}
+	checkFlushes(t, srv, 1, 0, 0)
+	if got := srv.Metrics().batchSizeSum.Load(); got != 4 {
+		t.Errorf("batched lanes = %d, want 4", got)
+	}
+}
+
+// TestBatchedDetectFullFlush pins the size-triggered path: behind a
+// waiting flusher that already claims MaxBatch lanes, the next
+// MaxBatch lanes start a second flusher with reason "full", and every
+// program gets a well-formed verdict.
+func TestBatchedDetectFullFlush(t *testing.T) {
+	srv := newTestServer(t, Config{MaxBatch: 4})
+	defer srv.Close()
+	release := holdSlots(t, srv)
+
+	ctx := boundedCtx(t)
+	a, b := programs(t, "a", 4), programs(t, "b", 4)
+	aDone := collectAsync(srv.batcher, ctx, a, srv.batcher.submit(ctx, "", a))
+	bDone := collectAsync(srv.batcher, ctx, b, srv.batcher.submit(ctx, "", b))
+	release()
+	for _, c := range []struct {
+		progs []DecodedProgram
+		done  <-chan laneResult
+	}{{a, aDone}, {b, bDone}} {
+		res := <-c.done
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		checkResults(t, res.out, c.progs, srv.Pool().Size())
+	}
+	// Both flushers were started before any slot came free: the default
+	// MaxBatchWait cap was never armed.
+	checkFlushes(t, srv, 1, 1, 0)
+	// Each lane is one supervisor detection on the slot that served it.
+	if got := detections(srv); got != 8 {
+		t.Errorf("supervisors served %d detections, want 8", got)
+	}
+}
+
+// stalledBatch is a two-slot server whose first batch, request a, is
+// in flight on slot bad and stalled in its supervisor's retry backoff
+// until unstall; slot good is parked and free.
+type stalledBatch struct {
+	srv       *Server
+	bad, good *Slot
+	a         []DecodedProgram
+	aDone     <-chan laneResult
+	unstall   func()
+}
+
+// stallGates returns a supervisor Sleep hook whose first n calls — one
+// faulted batch each — block in turn: call i closes stalled[i] and
+// waits for resume[i]. Later calls return at once. The resume funcs
+// are idempotent and registered for cleanup.
+func stallGates(t *testing.T, n int) (sleep func(time.Duration), stalled []chan struct{}, resume []func()) {
+	gates := make([]chan struct{}, n)
+	stalled, resume = make([]chan struct{}, n), make([]func(), n)
+	for i := range gates {
+		gates[i], stalled[i] = make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		gate := gates[i]
+		resume[i] = func() { once.Do(func() { close(gate) }) }
+		t.Cleanup(resume[i])
+	}
+	var calls atomic.Int32
+	sleep = func(time.Duration) {
+		if i := int(calls.Add(1)) - 1; i < n {
+			close(stalled[i])
+			<-gates[i]
+		}
+	}
+	return sleep, stalled, resume
+}
+
+// awaitStall waits for a gated batch to reach its retry backoff.
+func awaitStall(t *testing.T, stalled <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-stalled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("batch never reached its retry backoff")
+	}
+}
+
+// faultNext makes the slot's next plane write fail once, so the next
+// batch it serves retries through the supervisor's Sleep.
+func faultNext(t *testing.T, slot *Slot) {
+	t.Helper()
+	if err := slot.Det.Regulator().(*chaos.Env).Trigger(chaos.Rule{Kind: chaos.TransientMSR}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// chaosBatchServer is a server on a chaos pool of the given size with
+// the Sleep hook installed, its slots all checked out for the test to
+// park one at a time.
+func chaosBatchServer(t *testing.T, size, maxBatch int, wait time.Duration, sleep func(time.Duration)) (*Server, []*Slot) {
+	srv := newTestServer(t, Config{
+		Pool: PoolConfig{
+			Size:        size,
+			ChaosConfig: &chaos.Config{Seed: 9},
+			Supervisor:  core.SupervisorConfig{Sleep: sleep},
+		},
+		MaxBatch:     maxBatch,
+		MaxBatchWait: wait,
+	})
+	t.Cleanup(func() { srv.Close() })
+	slots := make([]*Slot, size)
+	for i := range slots {
+		slot, err := srv.Pool().Acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots[i] = slot
+	}
+	return srv, slots
+}
+
+// newStalledBatch builds a stalledBatch with the given MaxBatchWait.
+func newStalledBatch(t *testing.T, wait time.Duration) *stalledBatch {
+	sleep, stalled, resume := stallGates(t, 1)
+	srv, slots := chaosBatchServer(t, 2, 8, wait, sleep)
+	bad, good := slots[0], slots[1]
+	// Park only the slot about to stall, so the first batch lands there.
+	faultNext(t, bad)
+	srv.Pool().Release(bad)
+
+	ctx := boundedCtx(t)
+	a := programs(t, "a", 2)
+	aDone := collectAsync(srv.batcher, ctx, a, srv.batcher.submit(ctx, "", a))
+	awaitStall(t, stalled[0])
+	srv.Pool().Release(good)
+	return &stalledBatch{srv: srv, bad: bad, good: good, a: a, aDone: aDone, unstall: resume[0]}
+}
+
+// finish lets the stalled batch go and checks it was served on its
+// slot after one faulted cycle.
+func (sb *stalledBatch) finish(t *testing.T) {
+	t.Helper()
+	sb.unstall()
+	res := <-sb.aDone
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	checkResults(t, res.out, sb.a, sb.srv.Pool().Size())
+	if res.out.session != sb.bad.ID {
+		t.Errorf("stalled batch served on session %d, want %d", res.out.session, sb.bad.ID)
+	}
+	for i, r := range res.out.results {
+		if r.Attempts != 2 {
+			t.Errorf("stalled lane %d attempts = %d, want 2 (one faulted cycle)", i, r.Attempts)
+		}
+	}
+}
+
+// TestBatchedDetectTimerFlush pins the MaxBatchWait safety cap: a
+// partial batch stuck behind an in-flight batch that stalls flushes to
+// the free slot once the cap passes, without waiting for the stalled
+// batch to complete.
+func TestBatchedDetectTimerFlush(t *testing.T) {
+	sb := newStalledBatch(t, time.Millisecond)
+	b := programs(t, "b", 2)
+	out, err := sb.srv.batcher.dispatch(boundedCtx(t), "", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResults(t, out, b, sb.srv.Pool().Size())
+	if out.session != sb.good.ID {
+		t.Errorf("capped batch served on session %d, want the free slot %d", out.session, sb.good.ID)
+	}
+	checkFlushes(t, sb.srv, 1, 0, 1)
+	sb.finish(t)
+}
+
+// TestBatchedCompletionFlush pins the batcher's clock: a partial batch
+// behind an in-flight batch waits for it — not for the free slot, and
+// not for an hour-long cap — and leaves the moment it completes.
+func TestBatchedCompletionFlush(t *testing.T) {
+	sb := newStalledBatch(t, time.Hour)
+	ctx := boundedCtx(t)
+	b := programs(t, "b", 2)
+	bLanes := sb.srv.batcher.submit(ctx, "", b)
+	sb.srv.batcher.mu.Lock()
+	coalesced := len(sb.srv.batcher.pending)
+	sb.srv.batcher.mu.Unlock()
+	if coalesced != len(b) {
+		t.Fatalf("pending = %d behind the in-flight batch, want %d", coalesced, len(b))
+	}
+	bDone := collectAsync(sb.srv.batcher, ctx, b, bLanes)
+	sb.finish(t)
+	res := <-bDone
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	checkResults(t, res.out, b, sb.srv.Pool().Size())
+	checkFlushes(t, sb.srv, 2, 0, 0)
+}
+
+// TestBatchedCompletionFlushUnderLoad pins that any completion clocks
+// the batcher, not only the last: with two batches in flight, lanes
+// pending behind them leave when the first completes while the second
+// is still stalled.
+func TestBatchedCompletionFlushUnderLoad(t *testing.T) {
+	sleep, stalled, resume := stallGates(t, 2)
+	srv, slots := chaosBatchServer(t, 3, 2, time.Hour, sleep)
+	p := srv.Pool()
+	ctx := boundedCtx(t)
+
+	// A goes out idle onto slot 0 and stalls there.
+	faultNext(t, slots[0])
+	p.Release(slots[0])
+	a := programs(t, "a", 1)
+	aDone := collectAsync(srv.batcher, ctx, a, srv.batcher.submit(ctx, "", a))
+	awaitStall(t, stalled[0])
+
+	// C fills a batch behind A, goes out full onto slot 1, and stalls.
+	faultNext(t, slots[1])
+	p.Release(slots[1])
+	c := programs(t, "c", 2)
+	cDone := collectAsync(srv.batcher, ctx, c, srv.batcher.submit(ctx, "", c))
+	awaitStall(t, stalled[1])
+
+	// B coalesces behind both; only a completion can send it out.
+	p.Release(slots[2])
+	b := programs(t, "b", 1)
+	bDone := collectAsync(srv.batcher, ctx, b, srv.batcher.submit(ctx, "", b))
+	resume[0]()
+	for _, r := range []<-chan laneResult{aDone, bDone} {
+		if res := <-r; res.err != nil {
+			t.Fatal(res.err)
+		}
+	}
+	checkFlushes(t, srv, 2, 1, 0)
+
+	resume[1]()
+	if res := <-cDone; res.err != nil {
+		t.Fatal(res.err)
 	}
 }
 
 // TestBatchedMixedDeadlines is the batching analogue of the scalar
 // deadline contract, driven with the race detector in mind: 64
-// concurrent clients share one batcher, half with a deadline far
-// shorter than the batch wait (they must shed 503 without ever
-// occupying a kernel lane) and half unbounded (they must all get
-// verdicts, unaffected by their expired neighbours). MaxBatch is
-// larger than the client count so no flush can beat the wait timer,
-// and the margins absorb scheduler jitter: a deadline lane only
-// avoids shedding if its request arrives within 50ms of a flush that
-// fires a full second after the first arrival, i.e. after 950ms of
-// goroutine start skew. (TestBatchedShedSkipsDetection pins the same
-// invariant with no clock at all.)
+// concurrent clients share one batcher while every slot is held, half
+// with a short deadline (they must shed 503 without ever occupying a
+// kernel lane) and half unbounded (they must all get verdicts,
+// unaffected by their expired neighbours). The slots come back only
+// after every deadline client has had its 503, so no schedule can let
+// a deadline lane reach a supervisor.
 func TestBatchedMixedDeadlines(t *testing.T) {
 	const clients = 64
 	srv := newTestServer(t, Config{
-		Pool:         PoolConfig{Size: 2},
-		QueueDepth:   clients * 2,
-		MaxBatch:     100,
-		MaxBatchWait: time.Second,
+		Pool:       PoolConfig{Size: 2},
+		QueueDepth: clients * 2,
+		MaxBatch:   100,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	ts.Client().Transport = &http.Transport{MaxIdleConnsPerHost: clients}
+	release := holdSlots(t, srv)
 
 	body := detectBody(t, testWindows(t, trace.Trojan, 1, 4))
-	var wg sync.WaitGroup
+	var expiredWG, unboundedWG sync.WaitGroup
 	var ok200, ok503 atomic.Uint64
 	errc := make(chan error, clients)
 	for c := 0; c < clients; c++ {
+		expired := c%2 == 1
+		wg := &unboundedWG
+		if expired {
+			wg = &expiredWG
+		}
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
@@ -152,7 +512,6 @@ func TestBatchedMixedDeadlines(t *testing.T) {
 				return
 			}
 			req.Header.Set("Content-Type", "application/json")
-			expired := c%2 == 1
 			if expired {
 				req.Header.Set(deadlineHeader, "50")
 			}
@@ -186,7 +545,9 @@ func TestBatchedMixedDeadlines(t *testing.T) {
 			}
 		}(c)
 	}
-	wg.Wait()
+	expiredWG.Wait()
+	release()
+	unboundedWG.Wait()
 	close(errc)
 	for err := range errc {
 		t.Error(err)
@@ -204,56 +565,166 @@ func TestBatchedMixedDeadlines(t *testing.T) {
 		t.Fatalf("pool handed out a session twice: %d violations", got)
 	}
 	// Shed lanes never reach a supervisor: exactly the live lanes count.
-	var served uint64
-	for _, slot := range srv.Pool().Slots() {
-		served += slot.Sup.Health().Detections
-	}
-	if served != clients/2 {
-		t.Errorf("supervisors served %d detections, want %d", served, clients/2)
+	if got := detections(srv); got != clients/2 {
+		t.Errorf("supervisors served %d detections, want %d", got, clients/2)
 	}
 }
 
 // TestBatchedShedSkipsDetection pins the shed-saves-work invariant
 // with no wall-clock in play: lanes whose context is already dead
-// when their batch flushes are shed without ever reaching a
-// supervisor, while live lanes in the same batch are served.
+// when their batch binds are shed without ever reaching a supervisor,
+// while live lanes in the same batch are served.
 func TestBatchedShedSkipsDetection(t *testing.T) {
 	srv := newTestServer(t, Config{
-		Pool:         PoolConfig{Size: 1},
-		MaxBatch:     3,
-		MaxBatchWait: time.Hour,
+		Pool:     PoolConfig{Size: 1},
+		MaxBatch: 3,
 	})
 	defer srv.Close()
+	release := holdSlots(t, srv)
 	progs := []DecodedProgram{{ID: "p", Windows: testWindows(t, trace.Trojan, 0, 8)}}
 
-	// Two lanes born dead: dispatch returns their context error
-	// immediately, but the lanes stay in the forming batch.
+	// Two lanes whose context ends while they wait behind the held
+	// slot. They are submitted without a collector, like handlers that
+	// have not yet seen the expiry (a handler that has withdraws its
+	// lanes; TestBatchedOutageWithdrawsLanes covers that side).
 	dead, cancel := context.WithCancel(context.Background())
-	cancel()
 	for i := 0; i < 2; i++ {
-		if _, err := srv.batcher.dispatch(dead, "", progs); !errors.Is(err, context.Canceled) {
-			t.Fatalf("dead lane %d: err = %v, want context.Canceled", i, err)
+		srv.batcher.submit(dead, "", progs)
+	}
+	cancel()
+	// The live lane joins the same batch and must be the only one
+	// detected.
+	live := boundedCtx(t)
+	done := collectAsync(srv.batcher, live, progs, srv.batcher.submit(live, "", progs))
+	release()
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if len(res.out.results) != 1 {
+		t.Fatalf("live lane results = %d, want 1", len(res.out.results))
+	}
+	checkFlushes(t, srv, 1, 0, 0)
+	if got := srv.Metrics().batchSizeSum.Load(); got != 3 {
+		t.Errorf("batched lanes = %d, want 3 (shed lanes still bind)", got)
+	}
+	if got := detections(srv); got != 1 {
+		t.Errorf("supervisors served %d detections, want 1 (dead lanes shed)", got)
+	}
+}
+
+// TestBatchedOutageWithdrawsLanes pins that an outage holds nothing
+// past its requests: with every slot quarantined and its respawn an
+// hour out, deadline requests get their errors, their lanes leave
+// pending, the flushers waiting for them stop, and a drain completes.
+func TestBatchedOutageWithdrawsLanes(t *testing.T) {
+	srv := newTestServer(t, Config{
+		Pool: PoolConfig{Size: 2, Lifecycle: LifecycleConfig{
+			Enabled:           true,
+			RespawnBackoff:    time.Hour,
+			RespawnMaxBackoff: time.Hour,
+		}},
+		MaxBatch:     2,
+		MaxBatchWait: time.Millisecond,
+	})
+	defer srv.Close()
+	p := srv.Pool()
+	for i := 0; i < p.Size(); i++ {
+		slot, err := p.Acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
+		p.quarantine(slot)
 	}
-	// The live lane fills the batch (size trigger, the wait timer is
-	// pinned at an hour) and must be the only one detected.
-	out, err := srv.batcher.dispatch(context.Background(), "", progs)
-	if err != nil {
-		t.Fatal(err)
+
+	// Staggered requests of 1-3 programs: the first goes out idle, the
+	// rest coalesce behind it and the cap starts more flushers, all
+	// blocked with no slot to grant.
+	const requests = 6
+	var wg sync.WaitGroup
+	errc := make(chan error, requests)
+	for r := 0; r < requests; r++ {
+		progs := programs(t, fmt.Sprint("r", r), 1+r%3)
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			if _, err := srv.batcher.dispatch(ctx, "", progs); !errors.Is(err, context.DeadlineExceeded) {
+				errc <- fmt.Errorf("request %d: err = %v, want DeadlineExceeded", r, err)
+			}
+		}(r)
+		time.Sleep(5 * time.Millisecond)
 	}
-	if len(out.results) != 1 {
-		t.Fatalf("live lane results = %d, want 1", len(out.results))
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
 	}
-	if full, timer := srv.Metrics().BatchFlushes(); full != 1 || timer != 0 {
-		t.Errorf("flushes full=%d timer=%d, want 1/0", full, timer)
+	srv.batcher.mu.Lock()
+	left := len(srv.batcher.pending)
+	srv.batcher.mu.Unlock()
+	if left != 0 {
+		t.Errorf("pending = %d lanes after every request returned, want 0", left)
 	}
-	var served uint64
-	for _, slot := range srv.Pool().Slots() {
-		served += slot.Sup.Health().Detections
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("Drain = %v, want nil (flushers still waiting for a slot)", err)
 	}
-	if served != 1 {
-		t.Errorf("supervisors served %d detections, want 1 (dead lanes shed)", served)
+	srv.batcher.mu.Lock()
+	waiting := srv.batcher.waiting
+	srv.batcher.mu.Unlock()
+	if waiting != 0 {
+		t.Errorf("waiting flushers = %d after drain, want 0", waiting)
 	}
+	if got := detections(srv); got != 0 {
+		t.Errorf("supervisors served %d detections with every slot quarantined", got)
+	}
+}
+
+// TestBatchedBusySlotRetries pins that a slot the pool refuses (a busy
+// session parked by mistake) fails no lane: the flusher counts the
+// breach through the pool and waits for the next slot.
+func TestBatchedBusySlotRetries(t *testing.T) {
+	srv := newTestServer(t, Config{MaxBatch: 4})
+	defer srv.Close()
+	p := srv.Pool()
+	var held [2]*Slot
+	for i := range held {
+		slot, err := p.Acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = slot
+	}
+	// Park a checked-out slot behind the pool's back.
+	busy, good := held[0], held[1]
+	p.slots <- busy
+
+	ctx := boundedCtx(t)
+	progs := programs(t, "p", 2)
+	done := collectAsync(srv.batcher, ctx, progs, srv.batcher.submit(ctx, "", progs))
+	deadline := time.Now().Add(10 * time.Second)
+	for p.DoubleCheckouts() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("flusher never drew the busy slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p.Release(good)
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("request failed on a refused slot: %v", res.err)
+	}
+	checkResults(t, res.out, progs, p.Size())
+	if res.out.session != good.ID {
+		t.Errorf("served on session %d, want %d", res.out.session, good.ID)
+	}
+	if got := p.DoubleCheckouts(); got != 1 {
+		t.Errorf("double checkouts = %d, want 1", got)
+	}
+	p.Release(busy)
 }
 
 // TestBatchedMetricsScrape pins the batching counters in the
@@ -261,7 +732,7 @@ func TestBatchedShedSkipsDetection(t *testing.T) {
 // batch-wait histogram, and that every non-comment line parses as
 // `name{labels} value`.
 func TestBatchedMetricsScrape(t *testing.T) {
-	srv := newTestServer(t, Config{MaxBatch: 2, MaxBatchWait: time.Hour})
+	srv := newTestServer(t, Config{MaxBatch: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -281,7 +752,8 @@ func TestBatchedMetricsScrape(t *testing.T) {
 	mResp.Body.Close()
 	metrics := string(mRaw)
 	for _, want := range []string{
-		`shmd_batch_flush_total{reason="full"} 1`,
+		`shmd_batch_flush_total{reason="idle"} 1`,
+		`shmd_batch_flush_total{reason="full"} 0`,
 		`shmd_batch_flush_total{reason="timer"} 0`,
 		`shmd_batch_size_bucket{le="2"} 1`,
 		`shmd_batch_size_bucket{le="+Inf"} 1`,
@@ -327,9 +799,8 @@ func TestBatchedMetricsScrape(t *testing.T) {
 // this test pins that wiring.
 func TestBatchedChaosPool(t *testing.T) {
 	srv := newTestServer(t, Config{
-		Pool:         PoolConfig{Size: 1, ChaosConfig: &chaos.Config{Seed: 9}},
-		MaxBatch:     3,
-		MaxBatchWait: time.Hour,
+		Pool:     PoolConfig{Size: 1, ChaosConfig: &chaos.Config{Seed: 9}},
+		MaxBatch: 3,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -362,9 +833,7 @@ func TestBatchedChaosPool(t *testing.T) {
 			t.Errorf("result %d score = %v", i, r.Score)
 		}
 	}
-	if full, _ := srv.Metrics().BatchFlushes(); full != 1 {
-		t.Errorf("full flushes = %d, want 1", full)
-	}
+	checkFlushes(t, srv, 1, 0, 0)
 }
 
 // TestBatchedTraceReplaysBitIdentically extends the tentpole replay
@@ -379,9 +848,8 @@ func TestBatchedTraceReplaysBitIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := newTestServer(t, Config{
-		Trace:        sink,
-		MaxBatch:     4,
-		MaxBatchWait: time.Millisecond,
+		Trace:    sink,
+		MaxBatch: 4,
 	})
 	ts := httptest.NewServer(srv.Handler())
 

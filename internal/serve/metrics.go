@@ -42,6 +42,7 @@ type Metrics struct {
 
 	// Micro-batching: flush counters by reason, batch-size histogram,
 	// and the per-lane wait between enqueue and flush.
+	batchFlushIdle  atomic.Uint64
 	batchFlushFull  atomic.Uint64
 	batchFlushTimer atomic.Uint64
 	batchSizeCount  atomic.Uint64
@@ -133,9 +134,10 @@ var batchSizeBuckets = [numBatchSizeBuckets]float64{1, 2, 4, 8, 16, 32, 64}
 // numBatchWaitBuckets sizes the batch-wait histogram.
 const numBatchWaitBuckets = 10
 
-// batchWaitBuckets are the histogram upper bounds in seconds: waits are
-// bounded by MaxBatchWait, so the range sits well below the end-to-end
-// latency buckets.
+// batchWaitBuckets are the histogram upper bounds in seconds: an idle
+// batcher dispatches at once, and a busy one holds lanes only until an
+// in-flight batch completes or MaxBatchWait passes, so the range sits
+// well below the end-to-end latency buckets.
 var batchWaitBuckets = [numBatchWaitBuckets]float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 }
@@ -204,12 +206,15 @@ func (m *Metrics) Observe(d time.Duration) {
 	m.latencyOver.Add(1)
 }
 
-// BatchFlush records one micro-batch flush with its trigger ("full" or
-// "timer") and the number of lanes it carried.
+// BatchFlush records one micro-batch flush with its trigger ("idle",
+// "full" or "timer") and the number of lanes it carried.
 func (m *Metrics) BatchFlush(reason string, size int) {
-	if reason == "full" {
+	switch reason {
+	case "idle":
+		m.batchFlushIdle.Add(1)
+	case "full":
 		m.batchFlushFull.Add(1)
-	} else {
+	default:
 		m.batchFlushTimer.Add(1)
 	}
 	m.batchSizeCount.Add(1)
@@ -238,8 +243,8 @@ func (m *Metrics) ObserveBatchWait(d time.Duration) {
 }
 
 // BatchFlushes reports micro-batch flushes by trigger.
-func (m *Metrics) BatchFlushes() (full, timer uint64) {
-	return m.batchFlushFull.Load(), m.batchFlushTimer.Load()
+func (m *Metrics) BatchFlushes() (idle, full, timer uint64) {
+	return m.batchFlushIdle.Load(), m.batchFlushFull.Load(), m.batchFlushTimer.Load()
 }
 
 // WireConnOpen records one accepted SHMDWIRE connection.
@@ -487,6 +492,7 @@ func (m *Metrics) WriteProm(w io.Writer, pool *Pool) {
 
 	fmt.Fprintln(w, "# HELP shmd_batch_flush_total Micro-batch flushes, by trigger.")
 	fmt.Fprintln(w, "# TYPE shmd_batch_flush_total counter")
+	fmt.Fprintf(w, "shmd_batch_flush_total{reason=\"idle\"} %d\n", m.batchFlushIdle.Load())
 	fmt.Fprintf(w, "shmd_batch_flush_total{reason=\"full\"} %d\n", m.batchFlushFull.Load())
 	fmt.Fprintf(w, "shmd_batch_flush_total{reason=\"timer\"} %d\n", m.batchFlushTimer.Load())
 

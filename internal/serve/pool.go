@@ -375,10 +375,12 @@ func (e *AcquireError) Error() string { return "serve: no session acquired: " + 
 // Unwrap exposes the context cause.
 func (e *AcquireError) Unwrap() error { return e.Cause }
 
-// Acquire checks a session out of the pool, blocking until one parks
-// or ctx is done. An already-cancelled context fails fast — the slot
-// channel is never consulted — with an *AcquireError wrapping the
-// context cause. The returned slot is exclusively owned until Release.
+// Acquire checks a session out of the pool, blocking until one parks,
+// ctx is done, or the pool closes (ErrPoolClosed: with every slot
+// quarantined no respawn will park one). An already-cancelled context
+// fails fast — the slot channel is never consulted — with an
+// *AcquireError wrapping the context cause. The returned slot is
+// exclusively owned until Release.
 func (p *Pool) Acquire(ctx context.Context) (*Slot, error) {
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
@@ -398,6 +400,8 @@ func (p *Pool) Acquire(ctx context.Context) (*Slot, error) {
 		return slot, nil
 	case <-ctx.Done():
 		return nil, &AcquireError{Cause: ctx.Err()}
+	case <-p.stop:
+		return nil, ErrPoolClosed
 	}
 }
 

@@ -143,6 +143,49 @@ func TestPoolClose(t *testing.T) {
 	}
 }
 
+// TestAcquireWakesOnClose pins that a checkout with no deadline cannot
+// outlive the pool: with every slot quarantined and its respawn
+// pending, Close stops the respawns without parking anything, so only
+// the close itself can release a waiter.
+func TestAcquireWakesOnClose(t *testing.T) {
+	p := newTestPool(t, PoolConfig{Size: 2, Lifecycle: LifecycleConfig{
+		Enabled:           true,
+		RespawnBackoff:    time.Hour,
+		RespawnMaxBackoff: time.Hour,
+	}})
+	for i := 0; i < p.Size(); i++ {
+		slot, err := p.Acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.quarantine(slot)
+	}
+	if got := p.QuarantinedNow(); got != int64(p.Size()) {
+		t.Fatalf("quarantined = %d, want %d", got, p.Size())
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Acquire(context.Background())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("Acquire returned %v with no slot parked and the pool open", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrPoolClosed) {
+			t.Errorf("waiter err = %v, want ErrPoolClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Acquire still blocked after Close")
+	}
+}
+
 // TestPoolFreshBuffers proves pooled detectors share weights but not
 // scratch state: concurrent inference from every slot yields the same
 // decisions as serial inference.

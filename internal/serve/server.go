@@ -54,10 +54,12 @@ type Config struct {
 	// back out to their requests. 0 or 1 leaves the scalar per-request
 	// dispatch path in place.
 	MaxBatch int
-	// MaxBatchWait bounds how long a partial batch waits for more lanes
-	// before flushing (default 2ms when MaxBatch enables batching). The
-	// knob trades a bounded first-lane latency penalty for lane
-	// occupancy under load; full batches flush immediately.
+	// MaxBatchWait bounds how long a partial batch waits behind a busy
+	// batcher (default 2ms when MaxBatch enables batching). The batcher
+	// is self-clocked: with nothing in flight a request's lanes
+	// dispatch at once, and while a batch is in flight new lanes
+	// coalesce until it completes or they fill MaxBatch. The wait only
+	// caps that coalescing when the in-flight batch stalls.
 	MaxBatchWait time.Duration
 	// ReadHeaderTimeout bounds how long Serve waits for request headers
 	// (default 10s).
