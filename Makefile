@@ -5,6 +5,7 @@
 #   make race     suite under the race detector
 #   make verify   vet + build + test + race, in that order
 #   make bench    A/B inference benchmarks -> BENCH_inference.json
+#   make loc      net non-test Go lines against LOC_BASE
 #
 # The race pass is part of `verify` because the deployment layer
 # (core.Session / core.Supervisor / chaos.Env / serve.Pool) is
@@ -25,8 +26,9 @@ FLEET_SOAK_FLAGS ?=
 TENANT_SOAK_FLAGS ?=
 ROLLOUT_SOAK_FLAGS ?=
 STATICCHECK_VERSION ?= 2024.1.1
+LOC_BASE ?= origin/main
 
-.PHONY: build test race vet verify bench soak fleet-soak tenant-soak rollout-soak conform lint
+.PHONY: build test race vet verify bench soak fleet-soak tenant-soak rollout-soak conform lint loc
 
 build:
 	$(GO) build ./...
@@ -67,6 +69,17 @@ conform:
 lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
+
+# loc prints added, removed and net non-test Go lines per top-level
+# directory ("." for the repo root), from `git diff --numstat` of the
+# working tree against LOC_BASE. _test.go files and testdata are
+# excluded; untracked files are not counted until added.
+loc:
+	@git diff --numstat --no-renames $(LOC_BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)**/testdata/**' | \
+	awk -F'\t' '{ d = index($$3, "/") ? substr($$3, 1, index($$3, "/") - 1) : "."; \
+		add[d] += $$1; del[d] += $$2; ta += $$1; td += $$2 } \
+		END { for (d in add) printf "%-12s +%-6d -%-6d net %+d\n", d, add[d], del[d], add[d] - del[d] | "sort"; \
+		close("sort"); printf "%-12s +%-6d -%-6d net %+d\n", "total", ta, td, ta - td }'
 
 # soak chaos-soaks the full detection service under the race detector:
 # concurrent clients against a real listener while a scripted storm

@@ -382,11 +382,11 @@ func fleetSoakRun(ctx context.Context, p fleetParams) error {
 		Requests:      total.Load(),
 		Status:        status,
 		ClientErrors:  clientErrs.Load(),
-		Hedges:        m.Hedges(),
-		HedgeWins:     m.HedgeWins(),
-		Retries:       m.Retries(),
-		Sheds:         m.Sheds(),
-		Ejections:     m.Ejections(),
+		Hedges:        m.Hedges.Value(),
+		HedgeWins:     m.HedgeWins.Value(),
+		Retries:       m.Retries.Value(),
+		Sheds:         m.Sheds.Value(),
+		Ejections:     m.Ejections.Value(),
 		StormTriggers: stormTriggers,
 		Killed:        victim.name,
 	}

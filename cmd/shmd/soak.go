@@ -357,9 +357,9 @@ func soakRun(ctx context.Context, args []string) error {
 		DoubleCheckouts: p.DoubleCheckouts(),
 		Quarantines:     p.Quarantines(),
 		Respawns:        p.Respawns(),
-		Hedges:          m.Hedges(),
-		HedgeWins:       m.HedgeWins(),
-		DeadlineExpired: m.DeadlineExpirations(),
+		Hedges:          m.Hedges.Value(),
+		HedgeWins:       m.HedgeWins.Value(),
+		DeadlineExpired: m.DeadlineExpired.Value(),
 		DegradedSeen:    degradedSeen.Load(),
 		RecoveredAfter:  recoveredAfter.Load(),
 		StormTriggers:   stormTriggers,

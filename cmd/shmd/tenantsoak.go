@@ -259,7 +259,7 @@ func tenantSoakRun(ctx context.Context, p tenantParams) error {
 		Duration:     p.duration.String(),
 		SLOP99Ms:     float64(p.sloP99) / float64(time.Millisecond),
 		MinShed:      p.minShed,
-		TenantSeries: srv.Metrics().TenantSeriesCount(),
+		TenantSeries: srv.Metrics().TenantAccepted.Len(),
 	}
 	fail := func(format string, args ...any) {
 		rep.Failures = append(rep.Failures, fmt.Sprintf(format, args...))

@@ -41,7 +41,7 @@ func (rt *Router) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rt.draining.Load() {
-		rt.metrics.Shed()
+		rt.metrics.Sheds.Inc()
 		rt.shedHint(w)
 		rt.status(w, http.StatusServiceUnavailable, "router draining")
 		return
@@ -50,7 +50,7 @@ func (rt *Router) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// classes are shed here — cheap, before the body is even read — so
 	// the surviving backends' capacity goes to interactive traffic.
 	if class := classFor(r.Header.Get("X-Tenant-Class")); rt.shedClass(class) {
-		rt.metrics.Shed()
+		rt.metrics.Sheds.Inc()
 		rt.shedHint(w)
 		rt.status(w, http.StatusTooManyRequests,
 			fmt.Sprintf("fleet brownout: %s traffic shed", class))
@@ -76,7 +76,7 @@ func (rt *Router) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res.hedged {
-		rt.metrics.HedgeWin()
+		rt.metrics.HedgeWins.Inc()
 	}
 	w.Header().Set("X-Shmd-Backend", res.backend)
 	if res.ctype != "" {
@@ -94,7 +94,7 @@ func (rt *Router) failDetect(w http.ResponseWriter, r *http.Request, err error) 
 		// Client gone; nobody is listening. Metrics label only.
 		rt.metrics.Request(statusClientClosedRequest)
 	case errors.Is(err, errBrownout):
-		rt.metrics.Shed()
+		rt.metrics.Sheds.Inc()
 		rt.shedHint(w)
 		rt.status(w, http.StatusServiceUnavailable, err.Error())
 	default:
@@ -147,7 +147,7 @@ func (rt *Router) dispatch(ctx context.Context, body []byte, hdr http.Header) (*
 		if attempt >= rt.cfg.MaxRetries {
 			return nil, lastErr
 		}
-		rt.metrics.Retry()
+		rt.metrics.Retries.Inc()
 		rt.cfg.Sleep(rt.jitter.Backoff(rt.cfg.RetryBackoff, rt.cfg.MaxRetryBackoff, attempt))
 	}
 }
@@ -192,7 +192,7 @@ func (rt *Router) race(ctx context.Context, body []byte, hdr http.Header, tried 
 			// no second backend → the primary simply keeps running.
 			if h, hprobe := rt.pick(tried); h != nil {
 				tried[h] = true
-				rt.metrics.Hedge()
+				rt.metrics.Hedges.Inc()
 				pending++
 				rt.forwardAsync(ctx, h, body, hdr, true, hprobe, outcomes)
 			}

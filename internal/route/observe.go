@@ -2,108 +2,49 @@ package route
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"shmd/internal/core"
+	"shmd/internal/prom"
 )
 
-// Metrics is the router's counter block, rendered in the Prometheus
-// text format alongside per-backend gauges read at scrape time.
+// Metrics is the router's metric set, registered once on one registry
+// and rendered by its exposition writer alongside per-backend families
+// read at scrape time.
 type Metrics struct {
-	mu       sync.Mutex
-	requests map[int]*atomic.Uint64
-	// classSheds counts partial-brownout sheds by priority class; the
-	// key set is bounded by tenant.ParseClass (three classes).
-	classSheds map[string]*atomic.Uint64
+	reg prom.Registry
 
-	sheds     atomic.Uint64
-	hedges    atomic.Uint64
-	hedgeWins atomic.Uint64
-	retries   atomic.Uint64
-	ejections atomic.Uint64
+	// Requests counts routed /v1/detect requests by final status code.
+	// Observe endpoints (/healthz, /readyz, /metrics) do not feed it:
+	// health probing at any frequency must not move the error-rate
+	// counters the fleet alerts on.
+	Requests *prom.CounterVec // code
+	// ClassSheds counts partial-brownout sheds by priority class; the
+	// label set is bounded by tenant.ParseClass (three classes).
+	ClassSheds *prom.CounterVec // class
+	Sheds      *prom.Counter
+	Hedges     *prom.Counter
+	HedgeWins  *prom.Counter
+	Retries    *prom.Counter
+	Ejections  *prom.Counter
 }
 
-// NewMetrics builds an empty counter block.
+// NewMetrics registers the router's own series.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		requests:   make(map[int]*atomic.Uint64),
-		classSheds: make(map[string]*atomic.Uint64),
-	}
+	m := &Metrics{}
+	r := &m.reg
+	m.Requests = r.CounterVec("shmd_route_requests_total", "Proxied /v1/detect requests, by final status code (observe endpoints excluded).", "code")
+	m.ClassSheds = r.CounterVec("shmd_route_class_sheds_total", "Partial-brownout sheds by priority class.", "class")
+	m.Sheds = r.Counter("shmd_route_sheds_total", "Requests refused with no routable backend or while draining.")
+	m.Hedges = r.Counter("shmd_route_hedges_total", "Requests re-dispatched onto a second backend past the hedge budget.")
+	m.HedgeWins = r.Counter("shmd_route_hedge_wins_total", "Replies won by the hedge attempt.")
+	m.Retries = r.Counter("shmd_route_retries_total", "Retry rounds after failed dispatches.")
+	m.Ejections = r.Counter("shmd_route_ejections_total", "Backends ejected from the rotation on failed health probes.")
+	return m
 }
 
 // Request records one routed /v1/detect request by final status code.
-// Observe endpoints (/healthz, /readyz, /metrics) do not feed it —
-// health probing at any frequency must not move the error-rate
-// counters the fleet alerts on.
-func (m *Metrics) Request(code int) {
-	m.mu.Lock()
-	c, ok := m.requests[code]
-	if !ok {
-		c = new(atomic.Uint64)
-		m.requests[code] = c
-	}
-	m.mu.Unlock()
-	c.Add(1)
-}
-
-// Shed records one request refused because no backend was routable or
-// the router was draining.
-func (m *Metrics) Shed() { m.sheds.Add(1) }
-
-// ClassShed records one partial-brownout shed of the named priority
-// class.
-func (m *Metrics) ClassShed(class string) {
-	m.mu.Lock()
-	c, ok := m.classSheds[class]
-	if !ok {
-		c = new(atomic.Uint64)
-		m.classSheds[class] = c
-	}
-	m.mu.Unlock()
-	c.Add(1)
-}
-
-// ClassSheds reports partial-brownout sheds for one class.
-func (m *Metrics) ClassSheds(class string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.classSheds[class]; ok {
-		return c.Load()
-	}
-	return 0
-}
-
-// Hedge records one hedged re-dispatch onto a second backend.
-func (m *Metrics) Hedge() { m.hedges.Add(1) }
-
-// HedgeWin records one reply won by the hedge attempt.
-func (m *Metrics) HedgeWin() { m.hedgeWins.Add(1) }
-
-// Retry records one retry round after a failed dispatch.
-func (m *Metrics) Retry() { m.retries.Add(1) }
-
-// Ejection records one backend leaving the rotation on a failed probe.
-func (m *Metrics) Ejection() { m.ejections.Add(1) }
-
-// Sheds reports brownout/drain refusals.
-func (m *Metrics) Sheds() uint64 { return m.sheds.Load() }
-
-// Hedges reports hedged re-dispatches.
-func (m *Metrics) Hedges() uint64 { return m.hedges.Load() }
-
-// HedgeWins reports replies won by hedge attempts.
-func (m *Metrics) HedgeWins() uint64 { return m.hedgeWins.Load() }
-
-// Retries reports retry rounds.
-func (m *Metrics) Retries() uint64 { return m.retries.Load() }
-
-// Ejections reports rotation ejections.
-func (m *Metrics) Ejections() uint64 { return m.ejections.Load() }
+func (m *Metrics) Request(code int) { m.Requests.With(prom.Itoa(code)).Inc() }
 
 // BackendHealth is one backend's row in the /healthz report.
 type BackendHealth struct {
@@ -217,12 +158,12 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	rt.writeProm(w)
+	rt.metrics.reg.Write(w)
 }
 
 // breakerStateValue encodes a breaker state as a numeric gauge
 // (0 closed, 1 open, 2 half-open), mirroring shmd_session_state.
-func breakerStateValue(s core.BreakerState) int {
+func breakerStateValue(s core.BreakerState) float64 {
 	switch s {
 	case core.BreakerOpen:
 		return 1
@@ -233,95 +174,46 @@ func breakerStateValue(s core.BreakerState) int {
 	}
 }
 
-// writeProm renders the router counters and per-backend gauges.
-func (rt *Router) writeProm(w io.Writer) {
-	m := rt.metrics
-	fmt.Fprintln(w, "# HELP shmd_route_requests_total Proxied /v1/detect requests, by final status code (observe endpoints excluded).")
-	fmt.Fprintln(w, "# TYPE shmd_route_requests_total counter")
-	m.mu.Lock()
-	codes := make([]int, 0, len(m.requests))
-	for code := range m.requests {
-		codes = append(codes, code)
+// observeBackends registers the per-backend families, read at scrape
+// time with one breaker snapshot per backend, so every family of one
+// scrape sees the same breaker state.
+func (rt *Router) observeBackends() {
+	type reading struct {
+		b    *backend
+		snap core.BreakerSnapshot
 	}
-	sort.Ints(codes)
-	counts := make(map[int]uint64, len(codes))
-	for _, code := range codes {
-		counts[code] = m.requests[code].Load()
+	col := func(name, help, typ string, v func(reading) float64) prom.Column[reading] {
+		return prom.Column[reading]{Name: name, Help: help, Type: typ, Value: v}
 	}
-	m.mu.Unlock()
-	for _, code := range codes {
-		fmt.Fprintf(w, "shmd_route_requests_total{code=\"%d\"} %d\n", code, counts[code])
-	}
-
-	fmt.Fprintln(w, "# HELP shmd_route_class_sheds_total Partial-brownout sheds by priority class.")
-	fmt.Fprintln(w, "# TYPE shmd_route_class_sheds_total counter")
-	m.mu.Lock()
-	classes := make([]string, 0, len(m.classSheds))
-	for class := range m.classSheds {
-		classes = append(classes, class)
-	}
-	sort.Strings(classes)
-	classCounts := make(map[string]uint64, len(classes))
-	for _, class := range classes {
-		classCounts[class] = m.classSheds[class].Load()
-	}
-	m.mu.Unlock()
-	for _, class := range classes {
-		fmt.Fprintf(w, "shmd_route_class_sheds_total{class=\"%s\"} %d\n", class, classCounts[class])
-	}
-
-	scalars := []struct {
-		name, help string
-		value      uint64
-	}{
-		{"shmd_route_sheds_total", "Requests refused with no routable backend or while draining.", m.sheds.Load()},
-		{"shmd_route_hedges_total", "Requests re-dispatched onto a second backend past the hedge budget.", m.hedges.Load()},
-		{"shmd_route_hedge_wins_total", "Replies won by the hedge attempt.", m.hedgeWins.Load()},
-		{"shmd_route_retries_total", "Retry rounds after failed dispatches.", m.retries.Load()},
-		{"shmd_route_ejections_total", "Backends ejected from the rotation on failed health probes.", m.ejections.Load()},
-	}
-	for _, s := range scalars {
-		fmt.Fprintf(w, "# HELP %s %s\n", s.name, s.help)
-		fmt.Fprintf(w, "# TYPE %s counter\n", s.name)
-		fmt.Fprintf(w, "%s %d\n", s.name, s.value)
-	}
-
-	type row struct {
-		name, help, kind string
-		value            func(b *backend, snap core.BreakerSnapshot) string
-	}
-	rows := []row{
-		{"shmd_route_backend_up", "Backend in the probe rotation (1) or ejected (0).", "gauge",
-			func(b *backend, _ core.BreakerSnapshot) string {
-				if b.ready.Load() {
-					return "1"
+	prom.Func(&rt.metrics.reg, "backend", func(r reading) string { return r.b.name }, []prom.Column[reading]{
+		col("shmd_route_backend_up", "Backend in the probe rotation (1) or ejected (0).", prom.TypeGauge,
+			func(r reading) float64 {
+				if r.b.ready.Load() {
+					return 1
 				}
-				return "0"
-			}},
-		{"shmd_route_backend_breaker_state", "Backend breaker state (0 closed, 1 open, 2 half-open).", "gauge",
-			func(_ *backend, snap core.BreakerSnapshot) string {
-				return fmt.Sprintf("%d", breakerStateValue(snap.State))
-			}},
-		{"shmd_route_backend_inflight", "Outstanding requests dispatched to the backend.", "gauge",
-			func(b *backend, _ core.BreakerSnapshot) string { return fmt.Sprintf("%d", b.inflight.Load()) }},
-		{"shmd_route_backend_requests_total", "Dispatch attempts sent to the backend (incl. hedges and retries).", "counter",
-			func(b *backend, _ core.BreakerSnapshot) string { return fmt.Sprintf("%d", b.requests.Load()) }},
-		{"shmd_route_backend_failures_total", "Attempts that counted as breaker failures (connect errors, 5xx).", "counter",
-			func(b *backend, _ core.BreakerSnapshot) string { return fmt.Sprintf("%d", b.failures.Load()) }},
-		{"shmd_route_backend_breaker_trips_total", "Breaker trips (closed to open).", "counter",
-			func(_ *backend, snap core.BreakerSnapshot) string { return fmt.Sprintf("%d", snap.Trips) }},
-		{"shmd_route_backend_breaker_reopens_total", "Failed half-open probes (re-opened with doubled cooldown).", "counter",
-			func(_ *backend, snap core.BreakerSnapshot) string { return fmt.Sprintf("%d", snap.Reopens) }},
-		{"shmd_route_backend_breaker_recoveries_total", "Breaker recoveries back to closed.", "counter",
-			func(_ *backend, snap core.BreakerSnapshot) string { return fmt.Sprintf("%d", snap.Recoveries) }},
-		{"shmd_route_backend_ejections_total", "Rotation ejections on failed health probes.", "counter",
-			func(b *backend, _ core.BreakerSnapshot) string { return fmt.Sprintf("%d", b.ejections.Load()) }},
-	}
-	for _, r := range rows {
-		fmt.Fprintf(w, "# HELP %s %s\n", r.name, r.help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", r.name, r.kind)
-		for _, b := range rt.backends {
-			fmt.Fprintf(w, "%s{backend=\"%s\"} %s\n", r.name, b.name, r.value(b, b.breaker.Snapshot()))
+				return 0
+			}),
+		col("shmd_route_backend_breaker_state", "Backend breaker state (0 closed, 1 open, 2 half-open).", prom.TypeGauge,
+			func(r reading) float64 { return breakerStateValue(r.snap.State) }),
+		col("shmd_route_backend_inflight", "Outstanding requests dispatched to the backend.", prom.TypeGauge,
+			func(r reading) float64 { return float64(r.b.inflight.Load()) }),
+		col("shmd_route_backend_requests_total", "Dispatch attempts sent to the backend (incl. hedges and retries).", prom.TypeCounter,
+			func(r reading) float64 { return float64(r.b.requests.Load()) }),
+		col("shmd_route_backend_failures_total", "Attempts that counted as breaker failures (connect errors, 5xx).", prom.TypeCounter,
+			func(r reading) float64 { return float64(r.b.failures.Load()) }),
+		col("shmd_route_backend_breaker_trips_total", "Breaker trips (closed to open).", prom.TypeCounter,
+			func(r reading) float64 { return float64(r.snap.Trips) }),
+		col("shmd_route_backend_breaker_reopens_total", "Failed half-open probes (re-opened with doubled cooldown).", prom.TypeCounter,
+			func(r reading) float64 { return float64(r.snap.Reopens) }),
+		col("shmd_route_backend_breaker_recoveries_total", "Breaker recoveries back to closed.", prom.TypeCounter,
+			func(r reading) float64 { return float64(r.snap.Recoveries) }),
+		col("shmd_route_backend_ejections_total", "Rotation ejections on failed health probes.", prom.TypeCounter,
+			func(r reading) float64 { return float64(r.b.ejections.Load()) }),
+	}, func() []reading {
+		out := make([]reading, len(rt.backends))
+		for i, b := range rt.backends {
+			out[i] = reading{b, b.breaker.Snapshot()}
 		}
-	}
+		return out
+	})
 }

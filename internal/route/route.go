@@ -271,6 +271,7 @@ func New(cfg Config) (*Router, error) {
 		b.ready.Store(true)
 		rt.backends = append(rt.backends, b)
 	}
+	rt.observeBackends()
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("/v1/detect", rt.handleDetect)
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
@@ -313,7 +314,7 @@ func (rt *Router) probeBackend(ctx context.Context, b *backend) bool {
 	}
 	if was := b.ready.Swap(ok); was && !ok {
 		b.ejections.Add(1)
-		rt.metrics.Ejection()
+		rt.metrics.Ejections.Inc()
 	}
 	return ok
 }
@@ -453,6 +454,6 @@ func (rt *Router) shedClass(c tenant.Class) bool {
 	if load >= 1 || action != tenant.ActionShed {
 		return false
 	}
-	rt.metrics.ClassShed(c.String())
+	rt.metrics.ClassSheds.With(c.String()).Inc()
 	return true
 }

@@ -286,9 +286,9 @@ func TestRetryOnConnectError(t *testing.T) {
 		}
 		ok = true
 	}
-	retried = rt.metrics.Retries() > 0
+	retried = rt.metrics.Retries.Value() > 0
 	if !ok || !retried {
-		t.Errorf("ok=%v retries=%d, want success with retries recorded", ok, rt.metrics.Retries())
+		t.Errorf("ok=%v retries=%d, want success with retries recorded", ok, rt.metrics.Retries.Value())
 	}
 	if rt.backends[0].failures.Load() == 0 {
 		t.Error("dead backend recorded no failures")
@@ -322,8 +322,8 @@ func TestHedgeWinsOnSlowPrimary(t *testing.T) {
 	if reply.Backend != "fast" {
 		t.Errorf("verdict came from %q, want the hedge backend", reply.Backend)
 	}
-	if rt.metrics.Hedges() != 1 || rt.metrics.HedgeWins() != 1 {
-		t.Errorf("hedges=%d wins=%d, want 1/1", rt.metrics.Hedges(), rt.metrics.HedgeWins())
+	if rt.metrics.Hedges.Value() != 1 || rt.metrics.HedgeWins.Value() != 1 {
+		t.Errorf("hedges=%d wins=%d, want 1/1", rt.metrics.Hedges.Value(), rt.metrics.HedgeWins.Value())
 	}
 }
 
@@ -337,8 +337,8 @@ func TestBrownout(t *testing.T) {
 	if up := rt.ProbeOnce(context.Background()); up != 0 {
 		t.Fatalf("ProbeOnce = %d backends up, want 0", up)
 	}
-	if rt.metrics.Ejections() != 2 {
-		t.Errorf("ejections = %d, want 2", rt.metrics.Ejections())
+	if rt.metrics.Ejections.Value() != 2 {
+		t.Errorf("ejections = %d, want 2", rt.metrics.Ejections.Value())
 	}
 
 	rec := postDetect(t, rt, `{}`)
@@ -348,7 +348,7 @@ func TestBrownout(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("brownout 503 missing Retry-After")
 	}
-	if rt.metrics.Sheds() == 0 {
+	if rt.metrics.Sheds.Value() == 0 {
 		t.Error("shed not counted")
 	}
 

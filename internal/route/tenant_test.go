@@ -88,7 +88,7 @@ func TestBrownoutClassShed(t *testing.T) {
 			t.Fatalf("class %q under half-brownout: status %d, want 200", class, rec.Code)
 		}
 	}
-	if n := rt.Metrics().ClassSheds("batch"); n != 1 {
+	if n := rt.Metrics().ClassSheds.With("batch").Value(); n != 1 {
 		t.Errorf("batch class sheds = %d, want 1", n)
 	}
 

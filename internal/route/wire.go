@@ -140,7 +140,7 @@ func (rt *Router) dispatchWire(ctx context.Context, payload []byte) (*wireReply,
 		if attempt >= rt.cfg.MaxRetries {
 			return nil, lastErr
 		}
-		rt.metrics.Retry()
+		rt.metrics.Retries.Inc()
 		rt.cfg.Sleep(rt.jitter.Backoff(rt.cfg.RetryBackoff, rt.cfg.MaxRetryBackoff, attempt))
 	}
 }
@@ -179,7 +179,7 @@ func (rt *Router) raceWire(ctx context.Context, payload []byte, tried map[*backe
 			hedgeC = nil
 			if h, hprobe := rt.pickWire(tried); h != nil {
 				tried[h] = true
-				rt.metrics.Hedge()
+				rt.metrics.Hedges.Inc()
 				pending++
 				rt.wireForwardAsync(ctx, h, payload, true, hprobe, outcomes)
 			}
@@ -490,13 +490,13 @@ func (rt *Router) handleWireClient(nc net.Conn) {
 		switch f.Type {
 		case wire.FrameDetect:
 			if rt.draining.Load() {
-				rt.metrics.Shed()
+				rt.metrics.Sheds.Inc()
 				rt.metrics.Request(int(wire.CodeUnavailable))
 				c.WriteError(f.Corr, wire.CodeUnavailable, "router draining")
 				continue
 			}
 			if class := tenant.Class(wc.class.Load()); rt.shedClass(class) {
-				rt.metrics.Shed()
+				rt.metrics.Sheds.Inc()
 				rt.metrics.Request(int(wire.CodeOverloaded))
 				c.WriteError(f.Corr, wire.CodeOverloaded,
 					fmt.Sprintf("fleet brownout: %s traffic shed; retry in %ds", class, rt.jitter.RetryAfter()))
@@ -558,7 +558,7 @@ func (rt *Router) relayWireDetect(ctx context.Context, wc *routerWireConn, f wir
 		case ctx.Err() != nil:
 			rt.metrics.Request(statusClientClosedRequest)
 		case errors.Is(err, errBrownout):
-			rt.metrics.Shed()
+			rt.metrics.Sheds.Inc()
 			rt.metrics.Request(int(wire.CodeUnavailable))
 			wc.c.WriteError(f.Corr, wire.CodeUnavailable,
 				fmt.Sprintf("%s; retry in %ds", err.Error(), rt.jitter.RetryAfter()))
@@ -569,7 +569,7 @@ func (rt *Router) relayWireDetect(ctx context.Context, wc *routerWireConn, f wir
 		return
 	}
 	if res.hedged {
-		rt.metrics.HedgeWin()
+		rt.metrics.HedgeWins.Inc()
 	}
 	if res.frameType == wire.FrameVerdict {
 		rt.metrics.Request(200)

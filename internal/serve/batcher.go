@@ -346,11 +346,12 @@ func (b *batcher) flusher(reason string) {
 // with their outcome, for the caller to deliver.
 func (b *batcher) flush(slot *Slot, lanes []*lane, reason string) ([]*lane, batchRun) {
 	m := b.srv.metrics
-	m.BatchFlush(reason, len(lanes))
+	m.BatchFlushes.With(reason).Inc()
+	m.BatchSize.Observe(int64(len(lanes)))
 	now := time.Now()
 	live := lanes[:0]
 	for _, ln := range lanes {
-		m.ObserveBatchWait(now.Sub(ln.enq))
+		m.BatchWait.Observe(int64(now.Sub(ln.enq)))
 		if err := ln.ctx.Err(); err != nil {
 			// The handler already replied (503 on deadline, 499 on a gone
 			// client); the buffered send is bookkeeping for a listener
@@ -425,7 +426,7 @@ func (b *batcher) run(primary *Slot, lanes []*lane) batchRun {
 			// Never wait for a hedge slot: hedging spends only capacity
 			// that is idle right now.
 			if hslot, ok := b.srv.pool.TryAcquire(); ok {
-				b.srv.metrics.Hedge()
+				b.srv.metrics.Hedges.Inc()
 				pending++
 				b.runDetached(hslot, traces, tenants, true, outcomes)
 			}

@@ -119,7 +119,8 @@ func checkResults(t *testing.T, out batchOutcome, progs []DecodedProgram, poolSi
 // checkFlushes pins the flush counters by trigger.
 func checkFlushes(t *testing.T, srv *Server, idle, full, timer uint64) {
 	t.Helper()
-	gi, gf, gt := srv.Metrics().BatchFlushes()
+	f := srv.Metrics().BatchFlushes
+	gi, gf, gt := f.With("idle").Value(), f.With("full").Value(), f.With("timer").Value()
 	if gi != idle || gf != full || gt != timer {
 		t.Errorf("flushes idle=%d full=%d timer=%d, want %d/%d/%d", gi, gf, gt, idle, full, timer)
 	}
@@ -181,10 +182,10 @@ func TestBatchedIdleNeverSplitsRequest(t *testing.T) {
 	}
 	checkFlushes(t, srv, rounds, 0, 0)
 	m := srv.Metrics()
-	if got := m.batchSizeCount.Load(); got != rounds {
+	if got := m.BatchSize.Count(); got != rounds {
 		t.Errorf("batches = %d, want %d (one per request)", got, rounds)
 	}
-	if got := m.batchSizeSum.Load(); got != 3*rounds {
+	if got := m.BatchSize.Sum(); got != 3*rounds {
 		t.Errorf("batched lanes = %d, want %d", got, 3*rounds)
 	}
 
@@ -234,7 +235,7 @@ func TestBatchedLateBinding(t *testing.T) {
 		}
 	}
 	checkFlushes(t, srv, 1, 0, 0)
-	if got := srv.Metrics().batchSizeSum.Load(); got != 4 {
+	if got := srv.Metrics().BatchSize.Sum(); got != 4 {
 		t.Errorf("batched lanes = %d, want 4", got)
 	}
 }
@@ -558,7 +559,7 @@ func TestBatchedMixedDeadlines(t *testing.T) {
 	if got := ok503.Load(); got != clients/2 {
 		t.Errorf("deadline clients shed = %d, want %d", got, clients/2)
 	}
-	if got := srv.Metrics().DeadlineExpirations(); got != clients/2 {
+	if got := srv.Metrics().DeadlineExpired.Value(); got != clients/2 {
 		t.Errorf("deadline expirations = %d, want %d", got, clients/2)
 	}
 	if got := srv.Pool().DoubleCheckouts(); got != 0 {
@@ -605,7 +606,7 @@ func TestBatchedShedSkipsDetection(t *testing.T) {
 		t.Fatalf("live lane results = %d, want 1", len(res.out.results))
 	}
 	checkFlushes(t, srv, 1, 0, 0)
-	if got := srv.Metrics().batchSizeSum.Load(); got != 3 {
+	if got := srv.Metrics().BatchSize.Sum(); got != 3 {
 		t.Errorf("batched lanes = %d, want 3 (shed lanes still bind)", got)
 	}
 	if got := detections(srv); got != 1 {

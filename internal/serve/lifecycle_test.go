@@ -200,11 +200,11 @@ func TestHedgedDispatch(t *testing.T) {
 	if got := srv.Pool().DoubleCheckouts(); got != 0 {
 		t.Fatalf("double checkouts under hedging = %d", got)
 	}
-	if srv.Metrics().Hedges() == 0 {
+	if srv.Metrics().Hedges.Value() == 0 {
 		t.Error("no hedged dispatches recorded despite 1ns hedge budget")
 	}
-	if srv.Metrics().HedgeWins() > srv.Metrics().Hedges() {
-		t.Errorf("hedge wins %d > hedges %d", srv.Metrics().HedgeWins(), srv.Metrics().Hedges())
+	if srv.Metrics().HedgeWins.Value() > srv.Metrics().Hedges.Value() {
+		t.Errorf("hedge wins %d > hedges %d", srv.Metrics().HedgeWins.Value(), srv.Metrics().Hedges.Value())
 	}
 }
 
@@ -284,7 +284,7 @@ func TestDeadline(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 on expired deadline missing Retry-After")
 	}
-	if srv.Metrics().DeadlineExpirations() == 0 {
+	if srv.Metrics().DeadlineExpired.Value() == 0 {
 		t.Error("deadline expiration not counted")
 	}
 }

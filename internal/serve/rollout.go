@@ -481,7 +481,7 @@ func (ro *rollout) promote(candidate uint32) {
 	ro.phase = RolloutIdle
 	ro.promoted++
 	ro.mu.Unlock()
-	ro.srv.metrics.ModelRollout("promoted")
+	ro.srv.metrics.ModelRollouts.With("promoted").Inc()
 	ro.srv.logf("serve: rollout: v%d promoted on all %d slots", candidate, pool.Size())
 }
 
@@ -501,7 +501,7 @@ func (ro *rollout) rollback(candidate, incumbent uint32, ids []int) {
 	ro.phase = RolloutIdle
 	ro.rolledBack++
 	ro.mu.Unlock()
-	ro.srv.metrics.ModelRollout("rolledback")
+	ro.srv.metrics.ModelRollouts.With("rolledback").Inc()
 	ro.srv.logf("serve: rollout: v%d rolled back, incumbent v%d restored on slots %v", candidate, incumbent, ids)
 }
 
@@ -514,5 +514,5 @@ func (ro *rollout) abort() {
 	ro.phase = RolloutIdle
 	ro.aborted++
 	ro.mu.Unlock()
-	ro.srv.metrics.ModelRollout("aborted")
+	ro.srv.metrics.ModelRollouts.With("aborted").Inc()
 }

@@ -167,7 +167,7 @@ func TestRolloutCanaryPromote(t *testing.T) {
 	if st := ro.Status(); st.Promoted != 1 || st.RolledBack != 0 || st.Aborted != 0 {
 		t.Errorf("counters = %+v, want exactly one promotion", st)
 	}
-	if got := srv.Metrics().ModelRollouts("promoted"); got != 1 {
+	if got := srv.Metrics().ModelRollouts.With("promoted").Value(); got != 1 {
 		t.Errorf("shmd_model_rollouts_total{outcome=promoted} = %d, want 1", got)
 	}
 }
@@ -207,7 +207,7 @@ func TestRolloutDriftRollback(t *testing.T) {
 			t.Errorf("slot %d on v%d after rollback, want v1", id, v)
 		}
 	}
-	if got := srv.Metrics().ModelRollouts("rolledback"); got != 1 {
+	if got := srv.Metrics().ModelRollouts.With("rolledback").Value(); got != 1 {
 		t.Errorf("shmd_model_rollouts_total{outcome=rolledback} = %d, want 1", got)
 	}
 }

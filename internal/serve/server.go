@@ -217,6 +217,7 @@ func New(base *hmd.HMD, cfg Config) (*Server, error) {
 		}
 	}
 	s.rollout = newRollout(s, cfg.Registry, cfg.Rollout)
+	s.metrics.observe(s)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/detect", s.handleDetect)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -297,7 +298,7 @@ func (s *Server) admitTenant(id string) *tenant.Admission {
 // an unknown tenant, 429 with a jittered Retry-After for quota and
 // pressure sheds.
 func (s *Server) rejectTenant(w http.ResponseWriter, adm *tenant.Admission) {
-	s.metrics.TenantShed(adm.Tenant, adm.Class.String(), adm.Outcome.String())
+	s.metrics.shedTenant(adm.Tenant, adm.Class.String(), adm.Outcome.String())
 	if adm.Outcome == tenant.Unknown {
 		s.status(w, http.StatusForbidden, fmt.Sprintf("unknown tenant %q", adm.Tenant))
 		return
@@ -327,7 +328,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		tenantID, class = adm.Tenant, adm.Class
-		s.metrics.TenantAccepted(adm.Tenant, adm.Class.String())
+		s.metrics.TenantAccepted.With(adm.Tenant, adm.Class.String()).Inc()
 		w.Header().Set(tenantHeader, adm.Tenant)
 	}
 
@@ -337,9 +338,9 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	case s.queue <- struct{}{}:
 		defer func() { <-s.queue }()
 	default:
-		s.metrics.QueueReject()
+		s.metrics.QueueRejects.Inc()
 		if s.tenants != nil {
-			s.metrics.TenantShed(tenantID, class.String(), "queue")
+			s.metrics.shedTenant(tenantID, class.String(), "queue")
 		}
 		s.shedHint(w)
 		s.status(w, http.StatusTooManyRequests, "detection queue full")
@@ -378,14 +379,14 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if out.hedge {
-		s.metrics.HedgeWin()
+		s.metrics.HedgeWins.Inc()
 	}
 	for _, res := range out.results {
 		s.metrics.Decision(res.Malware, res.Unprotected)
 	}
 	resp := DetectResponse{Results: out.results, Session: out.session, Hedged: out.hedge, Tenant: tenantID}
 	s.metrics.Request(http.StatusOK)
-	s.metrics.Observe(time.Since(start))
+	s.metrics.DetectLatency.Observe(int64(time.Since(start)))
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
@@ -419,11 +420,11 @@ func (s *Server) failDetect(w http.ResponseWriter, r *http.Request, err error) {
 		// The client disconnected or cancelled; nobody is listening.
 		s.metrics.Request(statusClientClosedRequest)
 	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.DeadlineExpired()
+		s.metrics.DeadlineExpired.Inc()
 		s.shedHint(w)
 		s.status(w, http.StatusServiceUnavailable, "detection deadline exceeded")
 	case errors.Is(err, tenant.ErrQueueFull):
-		s.metrics.QueueReject()
+		s.metrics.QueueRejects.Inc()
 		s.shedHint(w)
 		s.status(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrPoolClosed):
@@ -468,7 +469,9 @@ func (s *Server) dispatch(ctx context.Context, class tenant.Class, tenantID stri
 			return batchOutcome{}, err
 		}
 		defer s.gate.Release()
-		s.metrics.ObserveClassWait(int(class), time.Since(wait))
+		if int(class) < len(s.metrics.ClassWait) {
+			s.metrics.ClassWait[class].Observe(int64(time.Since(wait)))
+		}
 	}
 	slot, err := s.pool.Acquire(ctx)
 	if err != nil {
@@ -505,7 +508,7 @@ func (s *Server) dispatch(ctx context.Context, class tenant.Class, tenantID stri
 			// Never wait for a hedge slot: hedging spends only capacity
 			// that is idle right now.
 			if hslot, ok := s.pool.TryAcquire(); ok {
-				s.metrics.Hedge()
+				s.metrics.Hedges.Inc()
 				pending++
 				s.runDetached(ctx, hslot, programs, tenantID, true, outcomes)
 			}
@@ -787,18 +790,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.Request(http.StatusOK)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.WriteProm(w, s.pool)
-	fmt.Fprintf(w, "# HELP shmd_model_active_version Incumbent model version (0 = compiled-in model).\n")
-	fmt.Fprintf(w, "# TYPE shmd_model_active_version gauge\n")
-	fmt.Fprintf(w, "shmd_model_active_version %d\n", s.rollout.Incumbent())
-	if s.cfg.Trace != nil {
-		fmt.Fprintf(w, "# HELP shmd_trace_records_total Decision-trace records durably written.\n")
-		fmt.Fprintf(w, "# TYPE shmd_trace_records_total counter\n")
-		fmt.Fprintf(w, "shmd_trace_records_total %d\n", s.cfg.Trace.Written())
-		fmt.Fprintf(w, "# HELP shmd_trace_dropped_total Decision-trace records dropped (ring full or sink wedged).\n")
-		fmt.Fprintf(w, "# TYPE shmd_trace_dropped_total counter\n")
-		fmt.Fprintf(w, "shmd_trace_dropped_total %d\n", s.cfg.Trace.Dropped())
-	}
+	s.metrics.Write(w)
 }
 
 // Serve accepts connections on ln until Shutdown. It returns the

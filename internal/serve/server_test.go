@@ -292,7 +292,7 @@ func TestBackpressure(t *testing.T) {
 			t.Errorf("queued request status = %d", r.status)
 		}
 	}
-	if srv.Metrics().queueRejects.Load() == 0 {
+	if srv.Metrics().QueueRejects.Value() == 0 {
 		t.Error("queue reject not counted")
 	}
 }

@@ -95,7 +95,7 @@ func TestTenantAdmissionHTTP(t *testing.T) {
 	}
 
 	var prom bytes.Buffer
-	srv.Metrics().WriteProm(&prom, nil)
+	srv.Metrics().Write(&prom)
 	out := prom.String()
 	for _, want := range []string{
 		`shmd_tenant_accepted_total{tenant="acme",class="realtime"} 2`,
@@ -431,14 +431,14 @@ func TestWireStreamTenantBinding(t *testing.T) {
 func TestTenantMetricsCardinalityCap(t *testing.T) {
 	m := NewMetrics()
 	for i := 0; i < maxTenantSeries+40; i++ {
-		m.TenantAccepted(fmt.Sprintf("tenant-%03d", i), "standard")
+		m.TenantAccepted.With(fmt.Sprintf("tenant-%03d", i), "standard").Inc()
 	}
-	m.TenantShed("yet-another", "batch", "rate")
-	if got, limit := m.TenantSeriesCount(), maxTenantSeries+1; got > limit {
+	m.shedTenant("yet-another", "batch", "rate")
+	if got, limit := m.TenantAccepted.Len(), maxTenantSeries+1; got > limit {
 		t.Fatalf("tenant series = %d, want <= %d", got, limit)
 	}
 	var buf bytes.Buffer
-	m.WriteProm(&buf, nil)
+	m.Write(&buf)
 	out := buf.String()
 	if !strings.Contains(out, `shmd_tenant_accepted_total{tenant="other",class="other"} 40`) {
 		t.Error("overflow row missing or miscounted")

@@ -153,7 +153,7 @@ func (s *Server) drainWire(ctx context.Context) {
 	conns := s.wire.snapshot()
 	goaway := wire.AppendGoAway(nil, wire.GoAway{Code: 0, Msg: "draining"})
 	for _, wc := range conns {
-		s.metrics.WireGoAway()
+		s.metrics.WireGoAways.Inc()
 		wc.c.WriteFrame(wire.Frame{Type: wire.FrameGoAway, Payload: goaway})
 	}
 	idle := make(chan struct{})
@@ -184,8 +184,9 @@ func (s *Server) handleWireConn(nc net.Conn) {
 		c.Close()
 		return
 	}
-	s.metrics.WireConnOpen()
-	defer s.metrics.WireConnClose()
+	s.metrics.WireConns.Inc()
+	s.metrics.WireActive.Inc()
+	defer s.metrics.WireActive.Dec()
 	if v != wire.ProtoVersion {
 		// Answer skew with a typed error, not a silent hangup, so the
 		// client can report something actionable.
@@ -213,7 +214,7 @@ func (s *Server) handleWireConn(nc net.Conn) {
 		c.Close()
 	}()
 	if s.draining.Load() {
-		s.metrics.WireGoAway()
+		s.metrics.WireGoAways.Inc()
 		c.WriteFrame(wire.Frame{Type: wire.FrameGoAway, Payload: wire.AppendGoAway(nil, wire.GoAway{Code: 0, Msg: "draining"})})
 	}
 
@@ -233,7 +234,7 @@ func (s *Server) handleWireConn(nc net.Conn) {
 			}
 			return
 		}
-		s.metrics.WireFrame()
+		s.metrics.WireFrames.Inc()
 		switch f.Type {
 		case wire.FrameDetect:
 			s.wireDetect(ctx, wc, f)
@@ -252,7 +253,7 @@ func (s *Server) handleWireConn(nc net.Conn) {
 			if !f.Type.Known() {
 				// Forward compatibility: skip with a warning, never kill
 				// the connection over a frame we don't understand.
-				s.metrics.WireUnknownFrame()
+				s.metrics.WireUnknownFrames.Inc()
 				log.Printf("serve: wire: skipping unknown frame type 0x%02x from %s", uint8(f.Type), c.RemoteAddr())
 				continue
 			}
@@ -296,7 +297,7 @@ func (s *Server) writeWireError(wc *wireConn, corr uint64, code wire.ErrorCode, 
 // unknown tenant, 429 with a jittered backoff hint for quota and
 // pressure sheds.
 func (s *Server) rejectWireTenant(wc *wireConn, corr uint64, adm *tenant.Admission) {
-	s.metrics.TenantShed(adm.Tenant, adm.Class.String(), adm.Outcome.String())
+	s.metrics.shedTenant(adm.Tenant, adm.Class.String(), adm.Outcome.String())
 	if adm.Outcome == tenant.Unknown {
 		s.metrics.Request(int(wire.CodeForbidden))
 		wc.c.WriteError(corr, wire.CodeForbidden, fmt.Sprintf("unknown tenant %q", adm.Tenant))
@@ -339,7 +340,7 @@ func (s *Server) wireDetect(ctx context.Context, wc *wireConn, f wire.Frame) {
 	select {
 	case s.queue <- struct{}{}:
 	default:
-		s.metrics.QueueReject()
+		s.metrics.QueueRejects.Inc()
 		s.metrics.Request(int(wire.CodeOverloaded))
 		hint := s.jitter.RetryAfter()
 		s.writeWireError(wc, f.Corr, wire.CodeOverloaded, fmt.Sprintf("detection queue full; retry in %ds", hint), hint)
@@ -372,7 +373,7 @@ func (s *Server) wireDetect(ctx context.Context, wc *wireConn, f wire.Frame) {
 			s.rejectWireTenant(wc, f.Corr, adm)
 			return
 		}
-		s.metrics.TenantAccepted(tenantID, class.String())
+		s.metrics.TenantAccepted.With(tenantID, class.String()).Inc()
 	}
 	programs := make([]DecodedProgram, len(req.Programs))
 	for i, p := range req.Programs {
@@ -417,7 +418,7 @@ func (s *Server) wireDetect(ctx context.Context, wc *wireConn, f wire.Frame) {
 			return
 		}
 		if out.hedge {
-			s.metrics.HedgeWin()
+			s.metrics.HedgeWins.Inc()
 		}
 		for _, res := range out.results {
 			s.metrics.Decision(res.Malware, res.Unprotected)
@@ -429,7 +430,7 @@ func (s *Server) wireDetect(ctx context.Context, wc *wireConn, f wire.Frame) {
 			return
 		}
 		s.metrics.Request(200)
-		s.metrics.Observe(time.Since(start))
+		s.metrics.DetectLatency.Observe(int64(time.Since(start)))
 		c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: f.Corr, Payload: payload})
 	}()
 }
@@ -550,14 +551,14 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 			s.rejectWireTenant(wc, f.Corr, adm)
 			return
 		}
-		s.metrics.TenantAccepted(adm.Tenant, adm.Class.String())
+		s.metrics.TenantAccepted.With(adm.Tenant, adm.Class.String()).Inc()
 	}
 	select {
 	case s.queue <- struct{}{}:
 	default:
-		s.metrics.QueueReject()
+		s.metrics.QueueRejects.Inc()
 		if adm != nil {
-			s.metrics.TenantShed(adm.Tenant, adm.Class.String(), "queue")
+			s.metrics.shedTenant(adm.Tenant, adm.Class.String(), "queue")
 			adm.Release()
 		}
 		s.metrics.Request(int(wire.CodeOverloaded))
@@ -622,7 +623,7 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 			return
 		}
 		if out.hedge {
-			s.metrics.HedgeWin()
+			s.metrics.HedgeWins.Inc()
 		}
 		for _, res := range out.results {
 			s.metrics.Decision(res.Malware, res.Unprotected)
@@ -634,7 +635,7 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 			return
 		}
 		s.metrics.Request(200)
-		s.metrics.Observe(time.Since(start))
+		s.metrics.DetectLatency.Observe(int64(time.Since(start)))
 		c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: f.Corr, Payload: payload})
 	}()
 }
@@ -662,11 +663,11 @@ func (s *Server) failWireDetect(connCtx context.Context, wc *wireConn, corr uint
 		// The connection is gone; nobody is listening.
 		s.metrics.Request(statusClientClosedRequest)
 	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.DeadlineExpired()
+		s.metrics.DeadlineExpired.Inc()
 		s.metrics.Request(int(wire.CodeUnavailable))
 		c.WriteError(corr, wire.CodeUnavailable, "detection deadline exceeded")
 	case errors.Is(err, tenant.ErrQueueFull):
-		s.metrics.QueueReject()
+		s.metrics.QueueRejects.Inc()
 		s.metrics.Request(int(wire.CodeOverloaded))
 		hint := s.jitter.RetryAfter()
 		s.writeWireError(wc, corr, wire.CodeOverloaded, err.Error(), hint)

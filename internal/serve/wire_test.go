@@ -259,7 +259,7 @@ func TestWireBackpressure(t *testing.T) {
 			t.Errorf("queued detect: %v", err)
 		}
 	}
-	if srv.Metrics().queueRejects.Load() == 0 {
+	if srv.Metrics().QueueRejects.Value() == 0 {
 		t.Error("queue reject not counted")
 	}
 }
@@ -322,7 +322,7 @@ func TestWireUnknownFrameSkipped(t *testing.T) {
 	if f.Type != wire.FramePong || f.Corr != 10 {
 		t.Fatalf("got %v corr %d, want PONG corr 10", f.Type, f.Corr)
 	}
-	if got := srv.Metrics().WireUnknownFrames(); got != 1 {
+	if got := srv.Metrics().WireUnknownFrames.Value(); got != 1 {
 		t.Errorf("unknown-frame counter = %d, want 1", got)
 	}
 }
@@ -392,7 +392,7 @@ func TestWireDrainSendsGoAway(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if srv.Metrics().wireGoAways.Load() == 0 {
+	if srv.Metrics().WireGoAways.Value() == 0 {
 		t.Error("GOAWAY not counted")
 	}
 }
