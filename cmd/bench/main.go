@@ -2,7 +2,7 @@
 // exact kernels, geometric skip-ahead vs per-multiplication Bernoulli
 // fault injection, sharded vs serial evaluation, JSON/HTTP vs SHMDWIRE
 // streaming over real sockets, single-pass vs encoding/json request
-// decoding, lane-1 vs scalar supervised detection, idle micro-batched
+// decoding, window-lane vs scalar supervised detection, idle micro-batched
 // vs scalar serving — and writes the results to a JSON file
 // (BENCH_inference.json by default) so the speedups are recorded
 // alongside the code that produced them.
@@ -10,10 +10,13 @@
 // Usage:
 //
 //	bench [-scale quick|full] [-seed N] [-count N] [-out BENCH_inference.json]
+//	      [-baseline FILE -max-regress F] [-rows name,glob*,...]
 //
 // Each benchmark is run -count times through testing.Benchmark and the
 // fastest repetition is kept (per-machine noise only ever slows a run
-// down). Speedups are computed within the same report, so the pairs
+// down). With -rows, only the named rows of the existing -out report
+// are replaced and the ratios recomputed from the merged rows, so a
+// change refreshes the rows it moves and leaves the rest as committed. Speedups are computed within the same report, so the pairs
 // share the trained network, the input vector, and the machine state.
 package main
 
@@ -29,6 +32,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path"
 	"runtime"
 	"strings"
 	"sync"
@@ -101,9 +105,11 @@ type Speedups struct {
 	// ns/op over the single-pass /v1/detect decoder's, on a
 	// 16-window x 4096-instruction body.
 	JSONDecodeFastVsStd float64 `json:"json_decode_fast_vs_std"`
-	// DetectLane1VsScalar is the scalar-kernel ns/op over the lane-1
-	// ns/op of one supervised detection of a 16-window x
-	// 4096-instruction program.
+	// DetectLane1VsScalar is the scalar-kernel ns/op over the
+	// production ns/op of one supervised detection of a 16-window x
+	// 4096-instruction program. The key predates window lanes: the
+	// production side scores the program's 16 windows as lanes of one
+	// planned pass, no longer as 16 lane-1 passes.
 	DetectLane1VsScalar float64 `json:"detect_lane1_vs_scalar"`
 }
 
@@ -201,24 +207,23 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 		MaxProcs:  runtime.GOMAXPROCS(0),
 		Count:     count,
 	}
-	add := func(res Result, withMuls bool) Result {
+	add := func(res Result, withMuls bool) {
 		if withMuls {
 			res.MulsPerSec = float64(muls) / (res.NsPerOp * 1e-9)
 		}
 		rep.Results = append(rep.Results, res)
-		return res
 	}
 
-	fused := add(measure("inference_exact_fused", count, forwardPass(fxp.Exact{})), true)
-	scalar := add(measure("inference_exact_scalar", count, forwardPass(scalarUnit{fxp.Exact{}})), true)
-	faulty := add(measure("inference_faulty_skipahead", count, forwardPass(skip)), true)
-	bernoulli := add(measure("inference_faulty_bernoulli", count, forwardPass(scalarUnit{bern})), true)
-	sharded := add(measure("evaluate_sharded", count, func(b *testing.B) {
+	add(measure("inference_exact_fused", count, forwardPass(fxp.Exact{})), true)
+	add(measure("inference_exact_scalar", count, forwardPass(scalarUnit{fxp.Exact{}})), true)
+	add(measure("inference_faulty_skipahead", count, forwardPass(skip)), true)
+	add(measure("inference_faulty_bernoulli", count, forwardPass(scalarUnit{bern})), true)
+	add(measure("evaluate_sharded", count, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			hmd.Evaluate(stoch, test)
 		}
 	}), false)
-	serial := add(measure("evaluate_serial_1worker", count, func(b *testing.B) {
+	add(measure("evaluate_serial_1worker", count, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			hmd.EvaluateParallel(stoch, test, 1)
 		}
@@ -227,7 +232,6 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 	// Batch-lane faulty passes: one RunBatch over k lanes, each lane on
 	// its own fault stream at the operating rate. NsPerOp is the cost of
 	// the whole batched call; per-lane cost is NsPerOp / k.
-	batchRows := map[int]Result{}
 	for _, k := range []int{1, 4, 16, 64} {
 		streams := make([]rand.Source64, k)
 		for l := range streams {
@@ -251,14 +255,12 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 		res.Lanes = k
 		res.MulsPerSec = float64(muls*k) / (res.NsPerOp * 1e-9)
 		rep.Results = append(rep.Results, res)
-		batchRows[k] = res
 	}
 
 	// In-process /v1/detect throughput, scalar dispatch vs micro-batched:
 	// same model, same pool shape, concurrent clients through the handler
 	// (no sockets), then one serial client. One op = one single-program
 	// request.
-	serveRows := map[string]Result{}
 	for _, serial := range []bool{false, true} {
 		for _, maxBatch := range []int{0, 16} {
 			res, err := measureServe(env.Base, count, maxBatch, serial)
@@ -266,7 +268,6 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 				return nil, err
 			}
 			rep.Results = append(rep.Results, res)
-			serveRows[res.Name] = res
 		}
 	}
 
@@ -290,20 +291,64 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 	}
 	rep.Results = append(rep.Results, detectLane1, detectScalar)
 
-	lane64 := batchRows[64].NsPerOp / 64
-	rep.Speedups = Speedups{
-		ExactFusedVsScalar:         scalar.NsPerOp / fused.NsPerOp,
-		FaultySkipAheadVsBernoulli: bernoulli.NsPerOp / faulty.NsPerOp,
-		EvaluateShardedVsSerial:    serial.NsPerOp / sharded.NsPerOp,
-		BatchLane64VsScalarFaulty:  faulty.NsPerOp / lane64,
-		BatchLane64VsExactFused:    fused.NsPerOp / lane64,
-		ServeBatchedVsScalar:       serveRows["serve_detect_scalar"].NsPerOp / serveRows["serve_detect_batched_16"].NsPerOp,
-		ServeBatchedIdleVsScalar:   serveRows["serve_detect_scalar_serial"].NsPerOp / serveRows["serve_detect_batched_16_serial"].NsPerOp,
-		ServeWireVsJSON:            serveJSON.NsPerOp / serveWire.NsPerOp,
-		JSONDecodeFastVsStd:        decodeStd.NsPerOp / decodeFast.NsPerOp,
-		DetectLane1VsScalar:        detectScalar.NsPerOp / detectLane1.NsPerOp,
-	}
+	rep.Speedups = speedupsOf(rep.Results)
 	return rep, nil
+}
+
+// speedupsOf computes the headline ratios from a report's rows by
+// name, so a report whose rows were partly refreshed (-rows) gets
+// ratios that agree with the rows it carries.
+func speedupsOf(results []Result) Speedups {
+	ns := make(map[string]float64, len(results))
+	for _, r := range results {
+		ns[r.Name] = r.NsPerOp
+	}
+	return Speedups{
+		ExactFusedVsScalar:         ns["inference_exact_scalar"] / ns["inference_exact_fused"],
+		FaultySkipAheadVsBernoulli: ns["inference_faulty_bernoulli"] / ns["inference_faulty_skipahead"],
+		EvaluateShardedVsSerial:    ns["evaluate_serial_1worker"] / ns["evaluate_sharded"],
+		BatchLane64VsScalarFaulty:  ns["inference_faulty_skipahead"] / (ns["batch_faulty_64"] / 64),
+		BatchLane64VsExactFused:    ns["inference_exact_fused"] / (ns["batch_faulty_64"] / 64),
+		ServeBatchedVsScalar:       ns["serve_detect_scalar"] / ns["serve_detect_batched_16"],
+		ServeBatchedIdleVsScalar:   ns["serve_detect_scalar_serial"] / ns["serve_detect_batched_16_serial"],
+		ServeWireVsJSON:            ns["serve_json_tcp_batched_16"] / ns["serve_wire_stream_batched_16"],
+		JSONDecodeFastVsStd:        ns["decode_json_16_std"] / ns["decode_json_16"],
+		DetectLane1VsScalar:        ns["detect_program_16_scalar"] / ns["detect_program_16"],
+	}
+}
+
+// refreshRows returns prev with only the rows matching patterns
+// (comma-separated row names or path.Match globs, e.g. "serve_*")
+// replaced by their fresh measurements, and the ratios recomputed
+// from the merged rows. Every other row keeps its committed value and
+// place, so a change re-measures what it moves and nothing else. A
+// pattern that matches no row is an error (a typo would otherwise
+// refresh nothing silently).
+func refreshRows(prev, fresh *Report, patterns string) (*Report, error) {
+	byName := make(map[string]Result, len(fresh.Results))
+	for _, r := range fresh.Results {
+		byName[r.Name] = r
+	}
+	out := *prev
+	out.Results = append([]Result(nil), prev.Results...)
+	for _, p := range strings.Split(patterns, ",") {
+		p = strings.TrimSpace(p)
+		hit := false
+		for i, r := range out.Results {
+			ok, err := path.Match(p, r.Name)
+			if err != nil {
+				return nil, fmt.Errorf("-rows %q: %w", p, err)
+			}
+			if f, measured := byName[r.Name]; ok && measured {
+				out.Results[i], hit = f, true
+			}
+		}
+		if !hit {
+			return nil, fmt.Errorf("-rows %q matches no benchmark row", p)
+		}
+	}
+	out.Speedups = speedupsOf(out.Results)
+	return &out, nil
 }
 
 // measureServe benchmarks the detection service end to end in-process:
@@ -563,14 +608,14 @@ func measureDecode(base *hmd.HMD, count int) (Result, Result, error) {
 // scalarInjector hides an injector's batch form: it is still a
 // core.FaultUnit and an fxp.BulkUnit, but not a *faults.Injector, so
 // scoring through it runs fann.FixedNetwork.Run and Injector.DotRow —
-// the scalar path production detection used before lane-1.
+// the scalar path production detection used before batch kernels.
 type scalarInjector struct{ *faults.Injector }
 
 // measureDetect benchmarks one supervised detection A/B on one program
 // of 16 windows x 4096 instructions, the http-scalar request geometry:
-// the production detector, which scores each window as one lane of the
-// batch kernel, against the same supervisor, session and seed around a
-// scalar injector.
+// the production detector, which scores the program's windows as lanes
+// of one planned pass of the batch kernel, against the same
+// supervisor, session and seed around a scalar injector.
 func measureDetect(base *hmd.HMD, count int) (Result, Result, error) {
 	prog, err := trace.NewProgram(trace.Trojan, 0, 1)
 	if err != nil {
@@ -736,6 +781,7 @@ func main() {
 	out := flag.String("out", "BENCH_inference.json", "output JSON path")
 	baseline := flag.String("baseline", "", "committed report to gate against (empty = no gate)")
 	maxRegress := flag.Float64("max-regress", 0.25, "fail when a gated metric degrades by more than this fraction")
+	rows := flag.String("rows", "", "refresh only these rows of the existing -out report (comma-separated names or globs); the ratios are recomputed, every other row is kept")
 	flag.Parse()
 
 	var scale experiments.Scale
@@ -764,10 +810,27 @@ func main() {
 		}
 	}
 
+	// Read the report a partial refresh merges into before running, for
+	// the same reason.
+	var prev *Report
+	if *rows != "" {
+		var err error
+		if prev, err = load(*out); err != nil {
+			fmt.Fprintf(os.Stderr, "bench: -rows needs an existing report: %v\n", err)
+			os.Exit(1)
+		}
+	}
+
 	rep, err := run(scale, *count)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 		os.Exit(1)
+	}
+	if prev != nil {
+		if rep, err = refreshRows(prev, rep, *rows); err != nil {
+			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+			os.Exit(1)
+		}
 	}
 	if err := write(rep, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
@@ -792,7 +855,7 @@ func main() {
 	fmt.Printf("serve batched idle vs scalar: %.2fx\n", rep.Speedups.ServeBatchedIdleVsScalar)
 	fmt.Printf("serve wire stream vs json:    %.2fx\n", rep.Speedups.ServeWireVsJSON)
 	fmt.Printf("json decode fast vs std:      %.2fx\n", rep.Speedups.JSONDecodeFastVsStd)
-	fmt.Printf("detect lane-1 vs scalar:      %.2fx\n", rep.Speedups.DetectLane1VsScalar)
+	fmt.Printf("detect lanes vs scalar:       %.2fx\n", rep.Speedups.DetectLane1VsScalar)
 	fmt.Printf("wrote %s\n", *out)
 
 	if base != nil {

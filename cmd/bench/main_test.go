@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"shmd/internal/experiments"
@@ -233,5 +234,81 @@ func TestRunAndWriteReport(t *testing.T) {
 	}
 	if back.Speedups != rep.Speedups || len(back.Results) != len(rep.Results) {
 		t.Errorf("round-trip mismatch")
+	}
+}
+
+// TestSpeedupsOfCommittedReport pins speedupsOf to the ratios the
+// committed report carries: every ratio is a pure function of its rows,
+// which is what lets -rows recompute them after a partial refresh.
+func TestSpeedupsOfCommittedReport(t *testing.T) {
+	rep, err := load(filepath.Join("..", "..", "BENCH_inference.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := speedupsOf(rep.Results); got != rep.Speedups {
+		t.Errorf("ratios recomputed from the committed rows %+v, committed %+v", got, rep.Speedups)
+	}
+}
+
+// TestRefreshRows pins -rows: only the matching rows take their fresh
+// measurement, every other row keeps its committed value and place,
+// the ratios follow the merged rows, and a pattern that matches
+// nothing (or is malformed) is an error.
+func TestRefreshRows(t *testing.T) {
+	names := []string{
+		"inference_exact_fused", "inference_exact_scalar", "inference_faulty_skipahead",
+		"inference_faulty_bernoulli", "evaluate_sharded", "evaluate_serial_1worker",
+		"batch_faulty_1", "batch_faulty_4", "batch_faulty_16", "batch_faulty_64",
+		"serve_detect_scalar", "serve_detect_batched_16", "serve_detect_scalar_serial",
+		"serve_detect_batched_16_serial", "serve_json_tcp_batched_16", "serve_wire_stream_batched_16",
+		"decode_json_16", "decode_json_16_std", "detect_program_16", "detect_program_16_scalar",
+	}
+	mk := func(ns float64, allocs int64) *Report {
+		r := &Report{Scale: "quick", Count: 3}
+		for i, n := range names {
+			r.Results = append(r.Results, Result{Name: n, NsPerOp: ns * float64(i+1), AllocsPerOp: allocs, Iterations: 1})
+		}
+		r.Speedups = speedupsOf(r.Results)
+		return r
+	}
+	prev, fresh := mk(100, 5), mk(50, 3)
+	fresh.Count = 2
+	got, err := refreshRows(prev, fresh, "detect_program_16, batch_faulty_*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Count != prev.Count || len(got.Results) != len(prev.Results) {
+		t.Fatalf("header or row count changed: count %d, %d rows", got.Count, len(got.Results))
+	}
+	for i, r := range got.Results {
+		if r.Name != names[i] {
+			t.Fatalf("row %d is %s, want %s in committed order", i, r.Name, names[i])
+		}
+		refreshed := r.Name == "detect_program_16" || strings.HasPrefix(r.Name, "batch_faulty_")
+		want := prev.Results[i]
+		if refreshed {
+			want = fresh.Results[i]
+		}
+		if r != want {
+			t.Errorf("%s: %+v, want %+v (refreshed %v)", r.Name, r, want, refreshed)
+		}
+	}
+	if got.Speedups != speedupsOf(got.Results) {
+		t.Errorf("ratios not recomputed from the merged rows")
+	}
+	if want := prev.Results[19].NsPerOp / fresh.Results[18].NsPerOp; got.Speedups.DetectLane1VsScalar != want {
+		t.Errorf("detect ratio %v, want committed scalar over fresh lane row %v", got.Speedups.DetectLane1VsScalar, want)
+	}
+	if got.Speedups.ExactFusedVsScalar != prev.Speedups.ExactFusedVsScalar {
+		t.Errorf("untouched ratio moved: %v, committed %v", got.Speedups.ExactFusedVsScalar, prev.Speedups.ExactFusedVsScalar)
+	}
+	// The inputs are not modified.
+	if prev.Results[18].NsPerOp != 100*19 {
+		t.Errorf("refresh mutated the committed report")
+	}
+	for _, bad := range []string{"detect_progam_16", "serve_[", " , "} {
+		if _, err := refreshRows(prev, fresh, bad); err == nil {
+			t.Errorf("-rows %q accepted", bad)
+		}
 	}
 }

@@ -74,7 +74,14 @@ func (s *StochasticHMD) DetectTracesBatch(traces [][]trace.WindowCounts, record 
 	for j, src := range srcs {
 		rng.Reseed(src, s.seed, batchPassLabel, pass, math.Float64bits(rate), uint64(j))
 	}
-	binj, err := faults.NewBatchInjector(rate, s.dist, srcs)
+	binj := s.batchInj
+	var err error
+	if binj == nil {
+		binj, err = faults.NewBatchInjector(rate, s.dist, srcs)
+		s.batchInj, s.batchBase = binj, s.base.WithFreshBuffers()
+	} else {
+		err = binj.Reset(rate, s.dist, srcs)
+	}
 	if err != nil {
 		return nil, nil, false
 	}
@@ -89,7 +96,7 @@ func (s *StochasticHMD) DetectTracesBatch(traces [][]trace.WindowCounts, record 
 			}
 		}()
 	}
-	decs = s.base.WithFreshBuffers().DetectTracesUnit(binj, traces)
+	decs = s.batchBase.DetectTracesUnit(binj, traces)
 	return decs, logs, true
 }
 

@@ -106,9 +106,13 @@ type StochasticHMD struct {
 	laneSeeded bool
 	batchPass  uint64
 	// laneSrcs are the per-lane rand sources DetectTracesBatch re-seeds
-	// on every pass instead of allocating; like batchPass they belong
-	// to the one caller the detector's locking admits at a time.
-	laneSrcs []rand.Source64
+	// on every pass instead of allocating, batchInj the batch injector
+	// it re-arms over them (Reset) and batchBase the buffer-fresh copy
+	// of base it scores through; like batchPass they belong to the one
+	// caller the detector's locking admits at a time.
+	laneSrcs  []rand.Source64
+	batchInj  *faults.BatchInjector
+	batchBase *hmd.HMD
 
 	// Decision tracing (opt-in, see EnableDecisionTrace): when on,
 	// every ScoreWindows pass records its stochastic draws into

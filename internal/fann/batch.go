@@ -15,11 +15,12 @@ import (
 // inference allocates nothing.
 //
 // Per lane the computation is bit-identical to Run: the same quantize
-// → MAC → activation → quantize pipeline with the same rounding and
-// saturation at every step. The only differences are layout and
-// hoisted constants (the 2^F scale factor is precomputed; multiplying
-// by the exact power-of-two reciprocal is the same IEEE operation as
-// dividing by the scale).
+// → MAC → activation pipeline with the same rounding and saturation at
+// every step. The differences are layout, hoisted constants (the 2^F
+// scale factor is precomputed; multiplying by the exact power-of-two
+// reciprocal is the same IEEE operation as dividing by the scale), and
+// the activation, which is looked up in its exact fixed-point form
+// (fixedact.go) rather than recomputed through float64.
 
 // batchScratch is the reusable lane-major state of batched runs.
 type batchScratch struct {
@@ -73,14 +74,19 @@ func quantizeBatch(x, scale float64) fxp.Value {
 // driving all lanes. inputs[j] is packed lane j's input vector;
 // lanes[j] maps packed positions to the unit's stable lane identities
 // (nil = identity), which is how callers keep per-lane fault streams
-// attached to the right program as lanes drop out across calls.
+// attached to the right program. Lane ids may repeat: positions on one
+// unit lane are consecutive forward passes on its stream, in packed
+// order (see fxp.SpanPlanner), so one program's windows can share a
+// pass.
 //
 // Results are written lane-major into out (grown if needed) and
 // returned: packed lane j's outputs are out[j*NumOutputs :
 // (j+1)*NumOutputs]. Per lane the scores are bit-identical to
-// Run(unit, inputs[j]) with the unit in the same stream state. The
-// scratch arenas are reused, so a FixedNetwork is not safe for
-// concurrent runs (Clone per goroutine, as with Run).
+// Run(unit, inputs[j]) with the unit in the same stream state: the MAC
+// is the same, and activations go through their exact fixed-point
+// form (fixedAct) instead of Run's float expression. The scratch
+// arenas are reused, so a FixedNetwork is not safe for concurrent runs
+// (Clone per goroutine, as with Run).
 func (fn *FixedNetwork) RunBatch(u fxp.BatchUnit, inputs [][]float64, lanes []int, out []float64) []float64 {
 	k := len(inputs)
 	if k == 0 {
@@ -142,7 +148,7 @@ func (fn *FixedNetwork) RunBatch(u fxp.BatchUnit, inputs [][]float64, lanes []in
 	for l, w := range fn.weights {
 		fanIn := fn.layers[l]
 		fanOut := fn.layers[l+1]
-		a := fn.activationAtFixed(l)
+		t := fn.fixedActAt(l)
 		stride = fanIn + 1
 		for j := 0; j < k; j++ {
 			act[j*stride+fanIn] = one // bias input
@@ -157,66 +163,16 @@ func (fn *FixedNetwork) RunBatch(u fxp.BatchUnit, inputs [][]float64, lanes []in
 			row := w[r*stride : (r+1)*stride]
 			s.bt.WAbs = fn.rowAbs[l][r]
 			u.DotRowBatch(f, row, &s.bt, s.rowOut)
-			// The activation dispatch is hoisted out of the lane loop;
-			// each case's float expression is Activation.apply's,
-			// verbatim, so batched activations stay bit-identical.
-			switch a {
-			case Sigmoid:
-				for j := 0; j < k; j++ {
-					x := float64(s.rowOut[j]) * inv
-					v := quantizeBatch(1/(1+math.Exp(-x)), scale)
-					next[j*nextStride+r] = v
-					if av := int64(v); av > nextMax[j] {
-						nextMax[j] = av
-					} else if -av > nextMax[j] {
-						nextMax[j] = -av
-					}
+			for j := 0; j < k; j++ {
+				v, ok := t.lookup(s.rowOut[j])
+				if !ok {
+					v = t.apply(v)
 				}
-			case SigmoidSymmetric:
-				for j := 0; j < k; j++ {
-					x := float64(s.rowOut[j]) * inv
-					v := quantizeBatch(2/(1+math.Exp(-2*x))-1, scale)
-					next[j*nextStride+r] = v
-					if av := int64(v); av > nextMax[j] {
-						nextMax[j] = av
-					} else if -av > nextMax[j] {
-						nextMax[j] = -av
-					}
-				}
-			case Linear:
-				for j := 0; j < k; j++ {
-					x := float64(s.rowOut[j]) * inv
-					v := quantizeBatch(x, scale)
-					next[j*nextStride+r] = v
-					if av := int64(v); av > nextMax[j] {
-						nextMax[j] = av
-					} else if -av > nextMax[j] {
-						nextMax[j] = -av
-					}
-				}
-			case ReLU:
-				for j := 0; j < k; j++ {
-					x := float64(s.rowOut[j]) * inv
-					if x < 0 {
-						x = 0
-					}
-					v := quantizeBatch(x, scale)
-					next[j*nextStride+r] = v
-					if av := int64(v); av > nextMax[j] {
-						nextMax[j] = av
-					} else if -av > nextMax[j] {
-						nextMax[j] = -av
-					}
-				}
-			default:
-				for j := 0; j < k; j++ {
-					v := quantizeBatch(a.apply(float64(s.rowOut[j])*inv), scale)
-					next[j*nextStride+r] = v
-					if av := int64(v); av > nextMax[j] {
-						nextMax[j] = av
-					} else if -av > nextMax[j] {
-						nextMax[j] = -av
-					}
+				next[j*nextStride+r] = v
+				if av := int64(v); av > nextMax[j] {
+					nextMax[j] = av
+				} else if -av > nextMax[j] {
+					nextMax[j] = -av
 				}
 			}
 		}

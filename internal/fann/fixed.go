@@ -24,6 +24,10 @@ type FixedNetwork struct {
 	// prove the unchecked fast path safe without re-walking weights.
 	rowAbs [][]float64
 
+	// hiddenAct and outputAct are the activations in exact fixed-point
+	// form, the ones RunBatch applies (read-only, shared process-wide).
+	hiddenAct, outputAct *fixedAct
+
 	// scratch buffers reused across runs to keep the per-inference
 	// allocation count flat (the detector is "always on").
 	actA, actB []fxp.Value
@@ -55,6 +59,8 @@ func (n *Network) ToFixed(f fxp.Format) (*FixedNetwork, error) {
 			maxWidth = width
 		}
 	}
+	fn.hiddenAct = fixedActFor(n.hidden, f)
+	fn.outputAct = fixedActFor(n.output, f)
 	fn.actA = make([]fxp.Value, maxWidth+1)
 	fn.actB = make([]fxp.Value, maxWidth+1)
 	fn.rowAbs = make([][]float64, len(fn.weights))
@@ -132,10 +138,12 @@ func (fn *FixedNetwork) Run(u fxp.Unit, input []float64) []float64 {
 		for j := 0; j < fanOut; j++ {
 			row := w[j*(fanIn+1) : (j+1)*(fanIn+1)]
 			pre := fxp.Dot(u, f, row, cur)
-			// Activation is evaluated via float64 — the equivalent of
-			// FANN's fixed-point sigmoid lookup. The multiplier faults
-			// land in the MAC, which is where the paper characterizes
-			// them; the activation lookup has no long carry chains.
+			// Activation is evaluated via float64: this is the oracle
+			// RunBatch's exact fixed-point tables (fixedAct) are built
+			// from and tested against, entry for entry. The multiplier
+			// faults land in the MAC, which is where the paper
+			// characterizes them; FANN's fixed-point mode looks its
+			// sigmoids up in a table, which has no long carry chains.
 			next[j] = f.FromFloat(a.apply(f.ToFloat(pre)))
 		}
 		cur, nextBuf = next, cur[:cap(cur)]
@@ -154,4 +162,12 @@ func (fn *FixedNetwork) activationAtFixed(l int) Activation {
 		return fn.output
 	}
 	return fn.hidden
+}
+
+// fixedActAt is activationAtFixed in exact fixed-point form.
+func (fn *FixedNetwork) fixedActAt(l int) *fixedAct {
+	if l == len(fn.weights)-1 {
+		return fn.outputAct
+	}
+	return fn.hiddenAct
 }

@@ -44,39 +44,51 @@ type BatchInjector struct {
 	sites [][]int32
 	bits  [][]uint8
 
-	// per-lane presampled span plans (see BeginSpan).
+	// spans holds the presampled span plan of each packed position (see
+	// BeginSpan); plan is the one arena every position's entries slice
+	// points into, reused across spans.
 	spans []laneSpan
+	plan  []spanFault
+
+	// seen stamps unit lanes per row on the live path (gen<<1 | live),
+	// so a lane repeated without an announced span is caught.
+	seen []uint64
+	gen  uint64
 
 	// accumulator arena for the blocked whole-row fast path.
 	accs []int64
 
-	// maxInfl is the largest inflTotal across the lanes announced by the
-	// last BeginSpan: one float compare per row then covers every lane's
-	// inflation bound in allSpanFast.
+	// maxInfl is the largest inflTotal across the packed positions of
+	// the last BeginSpan: one float compare per row then covers every
+	// position's inflation bound in allSpanFast.
 	maxInfl float64
 }
 
-// laneSpan is one lane's presampled fault plan over an announced span
-// of multiplications, consumed row by row as the span advances.
+// laneSpan is one packed position's presampled fault plan over its
+// window of an announced span, consumed row by row as the span
+// advances.
 type laneSpan struct {
-	// entries holds one packed spanFault per presampled fault, in draw
-	// order: global mul offset within the span in the high 56 bits, the
-	// flipped product bit in the low 8 (see packFault). One word per
-	// fault keeps the presample loop's stores and the consume loop's
-	// loads to a single cache line per eight faults.
+	// entries holds one packed spanFault per presampled fault of this
+	// position's window, in draw order: the mul offset within the run
+	// of positions announced together on one unit lane in the high 56
+	// bits, the flipped product bit in the low 8 (see packFault). One
+	// word per fault keeps the presample loop's stores and the consume
+	// loop's loads to a single cache line per eight faults.
 	entries []spanFault
-	// inflTotal is Σ 2^bit over the whole span: a conservative bound on
-	// any row's bit-flip inflation, so in the common case rows prove the
-	// no-saturation bound without walking their plan entries first.
-	// (Float rounding of the sum is bounded by 2^-52 of the magnitudes
-	// involved, absorbed by fxp.NoSatBound's 2x headroom like every
-	// other bound term. A looser bound like entries × 2^maxbit is not
-	// enough here: one high-bit fault anywhere in the batch would push
-	// it past the bound and knock every lane off the blocked fast path.)
+	// inflTotal is Σ 2^bit over this position's window: a conservative
+	// bound on any row's bit-flip inflation, so in the common case rows
+	// prove the no-saturation bound without walking their plan entries
+	// first. (Float rounding of the sum is bounded by 2^-52 of the
+	// magnitudes involved, absorbed by fxp.NoSatBound's 2x headroom
+	// like every other bound term. A looser bound — the whole run's
+	// inflation, or entries × 2^maxbit — is not enough here: one
+	// high-bit fault in any window would push it past the bound and
+	// knock every position off the blocked fast path.)
 	inflTotal float64
+	lane      int   // unit lane announced for this position
 	cursor    int   // next unconsumed plan entry
-	pos       int64 // multiplications of the span already consumed
-	muls      int64 // announced span length
+	pos       int64 // run offset of the next multiplication
+	end       int64 // run offset one past this position's window
 	active    bool
 }
 
@@ -103,42 +115,72 @@ func (e spanFault) bit() uint   { return uint(e & 0xff) }
 // sharing one gap table, so Lane(i) exposes each lane for recording,
 // statistics, or scalar-path interoperation.
 func NewBatchInjector(rate float64, dist *Distribution, srcs []rand.Source64) (*BatchInjector, error) {
-	if rate < 0 || rate > 1 {
-		return nil, fmt.Errorf("faults: error rate %v outside [0,1]", rate)
-	}
-	if len(srcs) == 0 {
-		return nil, fmt.Errorf("faults: batch injector needs at least one lane source")
-	}
-	if dist == nil {
-		dist = Fig1Distribution()
-	}
-	b := newBatchInjector(make([]*Injector, len(srcs)))
-	b.configure(rate)
-	for l, src := range srcs {
-		if src == nil {
-			return nil, fmt.Errorf("faults: lane %d has no random source", l)
-		}
-		b.lanes[l] = &Injector{
-			rate:         rate,
-			dist:         dist,
-			rnd:          rand.New(src),
-			src:          src,
-			gap:          -1,
-			invLog1mRate: b.invLog1mRate,
-			gapTable:     b.table,
-		}
+	b := &BatchInjector{}
+	if err := b.Reset(rate, dist, srcs); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
 
-// newBatchInjector allocates the per-lane plan arenas around lanes;
-// the caller sets the rate state.
+// Reset re-arms the injector for a fresh pass: afterwards it draws
+// exactly what NewBatchInjector(rate, dist, srcs) would, but it keeps
+// what it already holds. A lane that already wraps srcs[l] keeps its
+// Injector (the caller re-seeded the source in place), plan arenas
+// keep their capacity, and lanes are built only when srcs is wider
+// than any earlier pass. Every lane's pending gap goes back to -1, its
+// counters are cleared and its recording stopped, and every presampled
+// span is dropped. On error the injector is unchanged.
+func (b *BatchInjector) Reset(rate float64, dist *Distribution, srcs []rand.Source64) error {
+	if rate < 0 || rate > 1 {
+		return fmt.Errorf("faults: error rate %v outside [0,1]", rate)
+	}
+	if len(srcs) == 0 {
+		return fmt.Errorf("faults: batch injector needs at least one lane source")
+	}
+	for l, src := range srcs {
+		if src == nil {
+			return fmt.Errorf("faults: lane %d has no random source", l)
+		}
+	}
+	if dist == nil {
+		dist = Fig1Distribution()
+	}
+	b.configure(rate)
+	lanes := b.lanes[:cap(b.lanes)]
+	for l, src := range srcs {
+		if l == len(lanes) {
+			lanes = append(lanes, nil)
+		}
+		in := lanes[l]
+		if in == nil || in.src != src {
+			in = &Injector{rnd: rand.New(src), src: src}
+			lanes[l] = in
+		}
+		in.rate, in.dist, in.gap = rate, dist, -1
+		in.invLog1mRate, in.gapTable = b.invLog1mRate, b.table
+		in.stats, in.rec = Counters{}, nil
+	}
+	b.lanes = lanes[:len(srcs)]
+	b.growLanes(len(srcs))
+	b.dropSpans()
+	return nil
+}
+
+// newBatchInjector wraps existing lane states; the caller sets the
+// rate state.
 func newBatchInjector(lanes []*Injector) *BatchInjector {
-	return &BatchInjector{
-		lanes: lanes,
-		sites: make([][]int32, len(lanes)),
-		bits:  make([][]uint8, len(lanes)),
-		spans: make([]laneSpan, len(lanes)),
+	b := &BatchInjector{lanes: lanes}
+	b.growLanes(len(lanes))
+	return b
+}
+
+// growLanes sizes the per-lane row-plan arenas and repeat stamps for n
+// lanes, keeping existing arenas.
+func (b *BatchInjector) growLanes(n int) {
+	for len(b.sites) < n {
+		b.sites = append(b.sites, nil)
+		b.bits = append(b.bits, nil)
+		b.seen = append(b.seen, 0)
 	}
 }
 
@@ -173,14 +215,13 @@ func (b *BatchInjector) SetRate(rate float64) error {
 		return nil
 	}
 	b.configure(rate)
-	for l, in := range b.lanes {
+	for _, in := range b.lanes {
 		in.rate = rate
 		in.gap = -1
 		in.invLog1mRate = b.invLog1mRate
 		in.gapTable = b.table
-		// Any presampled span was drawn from the old rate's gap law.
-		b.spans[l].active = false
 	}
+	b.dropSpans()
 	return nil
 }
 
@@ -244,35 +285,56 @@ func (b *BatchInjector) planRow(l, n int) (sites []int32, bits []uint8) {
 }
 
 // BeginSpan implements fxp.SpanPlanner: presample every announced
-// lane's fault plan for the next muls multiplications in one tight
-// loop per lane. Interleaving per-row draws across many lanes is what
-// makes batched planning expensive — each lane's RNG state (math/rand
-// keeps ~4.8KB per stream) falls out of L1 between its rows — so the
-// whole span is drawn while the state is hot, and DotRowBatch then
-// consumes the plan without touching the streams. Draw order and
-// values per lane are exactly the scalar order, just earlier in time,
-// so recording and bit-identity are unaffected.
+// position's fault plan for the next muls multiplications. Positions
+// that repeat a unit lane take consecutive windows of that lane's
+// stream in packed order, so a run of positions on one lane — one
+// program's windows — is drawn as one plan of count × muls
+// multiplications, in exactly the order a scalar walk over those
+// windows draws it, and each position then consumes its own window's
+// slice. Interleaving per-row draws across many lanes is what makes
+// batched planning expensive — each lane's RNG state (math/rand keeps
+// ~4.8KB per stream) falls out of L1 between its rows — so the whole
+// run is drawn while the state is hot, and DotRowBatch then consumes
+// the plan without touching the streams. Draw order and values per
+// lane are exactly the scalar order, just earlier in time, so
+// recording and bit-identity are unaffected.
 func (b *BatchInjector) BeginSpan(lanes []int, muls int) {
+	for len(b.spans) < len(lanes) {
+		b.spans = append(b.spans, laneSpan{})
+	}
+	b.dropSpans()
 	b.maxInfl = 0
-	for _, l := range lanes {
-		b.planSpan(l, muls)
-		if infl := b.spans[l].inflTotal; infl > b.maxInfl {
-			b.maxInfl = infl
+	plan := b.plan[:0]
+	for a := 0; a < len(lanes); {
+		e := a + 1
+		for e < len(lanes) && lanes[e] == lanes[a] {
+			e++
 		}
+		// Positions keep capped slices of the arena, so later appends
+		// (even a reallocating one) never disturb a split plan.
+		start := len(plan)
+		plan = b.planSpan(lanes[a], (e-a)*muls, plan)
+		b.splitSpan(lanes[a], a, e, muls, plan[start:])
+		a = e
+	}
+	b.plan = plan
+}
+
+// dropSpans deactivates every packed position's presampled span.
+func (b *BatchInjector) dropSpans() {
+	for i := range b.spans {
+		b.spans[i].active = false
 	}
 }
 
-// planSpan fills lane l's span plan: the same draw loop as planRow
-// run over the whole span, with sites kept as global mul offsets. The
+// planSpan appends lane l's fault plan for the next muls
+// multiplications to entries, with sites as offsets from the plan's
+// start: the same draw loop as planRow run over the whole span. The
 // whole span's multiplications are accounted up front (Stats observed
 // mid-span report the announced span as already executed; totals at
 // span boundaries match the scalar path exactly).
-func (b *BatchInjector) planSpan(l, muls int) {
-	sp := &b.spans[l]
+func (b *BatchInjector) planSpan(l, muls int, entries []spanFault) []spanFault {
 	in := b.lanes[l]
-	entries := sp.entries[:0]
-	sp.cursor, sp.pos, sp.muls = 0, 0, int64(muls)
-	sp.active = muls > 0
 	in.stats.Muls += uint64(muls)
 	n := int64(muls)
 	var pos, site int64
@@ -283,10 +345,10 @@ func (b *BatchInjector) planSpan(l, muls int) {
 		// Hot loop for the tabulated regime: the fused per-fault draw
 		// of drawFault hand-inlined (source read, threshold alias
 		// rows), with the gap and slice headers in locals. Counters and
-		// the inflation sum are reconstructed from the plan afterward,
-		// keeping the serial draw chain to the minimum per-fault work.
-		// The bit-identity suites hold this loop to drawFault's exact
-		// stream consumption.
+		// the inflation sums are reconstructed from the plan afterward
+		// (splitSpan), keeping the serial draw chain to the minimum
+		// per-fault work. The bit-identity suites hold this loop to
+		// drawFault's exact stream consumption.
 		src, t := in.src, in.gapTable
 		brows := &in.dist.bits32
 		gap := in.gap
@@ -346,54 +408,66 @@ func (b *BatchInjector) planSpan(l, muls int) {
 			}
 		}
 	}
-	sp.entries, sp.inflTotal = entries, b.accountSpan(in, entries)
+	return entries
 }
 
-// accountSpan reconstructs from a packed plan what the per-draw path
-// accounts as it goes — the per-bit fault counters and the span's
+// splitSpan hands the run of packed positions [a, e), announced
+// together on unit lane l, their windows of the run's plan: position
+// a+i gets the entries with sites in [i·muls, (i+1)·muls) and their
 // inflation sum Σ 2^bit (two partial sums, so the float adds overlap
-// instead of forming one serial latency chain). The hot planSpan loop
-// defers the counters so its serial draw chain carries no stores; the
-// generic loop already counted through drawFault, so for it only the
-// inflation sum runs here. The dispatch condition mirrors planSpan's
-// switch exactly.
-func (b *BatchInjector) accountSpan(in *Injector, entries []spanFault) float64 {
+// instead of forming one serial latency chain). It also reconstructs
+// what the per-draw path accounts as it goes — the fault and per-bit
+// counters — for plans drawn by planSpan's hot loop, which defers them
+// so its serial draw chain carries no stores; the generic loop already
+// counted through drawFault. The condition mirrors planSpan's switch.
+func (b *BatchInjector) splitSpan(l, a, e, muls int, plan []spanFault) {
+	in := b.lanes[l]
 	counted := !(in.gapTable != nil && in.src != nil && in.rec == nil)
-	var s0, s1 float64
-	i := 0
-	if counted {
-		for ; i+2 <= len(entries); i += 2 {
-			s0 += float64(uint64(1) << entries[i].bit())
-			s1 += float64(uint64(1) << entries[i+1].bit())
+	if !counted {
+		in.stats.Faults += uint64(len(plan))
+		for _, f := range plan {
+			in.stats.PerBit[f.bit()]++
 		}
-	} else {
-		for ; i+2 <= len(entries); i += 2 {
-			b0, b1 := entries[i].bit(), entries[i+1].bit()
-			in.stats.PerBit[b0]++
-			in.stats.PerBit[b1]++
-			s0 += float64(uint64(1) << b0)
-			s1 += float64(uint64(1) << b1)
-		}
-		in.stats.Faults += uint64(len(entries))
 	}
-	if i < len(entries) {
-		b0 := entries[i].bit()
-		if !counted {
-			in.stats.PerBit[b0]++
+	c := 0
+	for j := a; j < e; j++ {
+		base := int64(j-a) * int64(muls)
+		end := base + int64(muls)
+		pEnd := spanFault(end) << 8 // f < pEnd ⟺ f.site() < end
+		start := c
+		var s0, s1 float64
+		for ; c+1 < len(plan) && plan[c+1] < pEnd; c += 2 {
+			s0 += float64(uint64(1) << plan[c].bit())
+			s1 += float64(uint64(1) << plan[c+1].bit())
 		}
-		s0 += float64(uint64(1) << b0)
+		if c < len(plan) && plan[c] < pEnd {
+			s0 += float64(uint64(1) << plan[c].bit())
+			c++
+		}
+		infl := s0 + s1
+		b.spans[j] = laneSpan{
+			entries:   plan[start:c:c],
+			inflTotal: infl,
+			lane:      l,
+			pos:       base,
+			end:       end,
+			active:    muls > 0,
+		}
+		if infl > b.maxInfl {
+			b.maxInfl = infl
+		}
 	}
-	return s0 + s1
 }
 
-// DotRowBatch implements fxp.BatchUnit: plan each lane's faults for
-// the row (consuming a presampled span when one is active, drawing
-// live otherwise), then run the MAC. Lanes whose magnitude bound
-// (Σ|w|·max|x| plus the planned bit-flip inflation Σ2^bit) clears
-// fxp.NoSatBound take the unchecked fast path with faults applied as
-// additive corrections afterward; other lanes replay the plan through
-// the scalar saturating segment walk. Both give bit-identical results
-// to the scalar Injector on the same stream.
+// DotRowBatch implements fxp.BatchUnit: plan each packed position's
+// faults for the row (consuming its presampled span when one is
+// active, drawing live otherwise), then run the MAC. Positions whose
+// magnitude bound (Σ|w|·max|x| plus the planned bit-flip inflation
+// Σ2^bit) clears fxp.NoSatBound take the unchecked fast path with
+// faults applied as additive corrections afterward; other positions
+// replay the plan through the scalar saturating segment walk. Both
+// give bit-identical results to the scalar Injector on the same
+// stream.
 func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, out []fxp.Value) {
 	n := len(w)
 	wAbs := bt.WAbs
@@ -404,19 +478,24 @@ func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, 
 		b.dotRowSpanFast(f, w, bt, out)
 		return
 	}
+	if bt.Lanes != nil {
+		b.checkRepeats(bt, len(out))
+	}
 	for j := range out {
 		lane := bt.Lane(j)
 		x := bt.Xs[j*bt.Stride : j*bt.Stride+n]
-		if sp := &b.spans[lane]; sp.active {
+		if j < len(b.spans) && b.spans[j].active {
 			// Span path: the row's plan is the next run of presampled
 			// entries.
-			if sp.pos+int64(n) > sp.muls {
-				// A row overrunning the announced span breaks the
+			sp := &b.spans[j]
+			if sp.lane != lane || sp.pos+int64(n) > sp.end {
+				// Addressing a position as another lane than announced,
+				// or a row overrunning its window, breaks the
 				// SpanPlanner contract — the remaining plan would be
 				// misaligned against the stream — so fail loudly rather
 				// than silently diverging.
-				panic(fmt.Sprintf("faults: lane %d row of %d muls overruns announced span (%d of %d consumed)",
-					lane, n, sp.pos, sp.muls))
+				panic(fmt.Sprintf("faults: position %d (lane %d, announced lane %d) row of %d muls at offset %d overruns announced span ending at %d",
+					j, lane, sp.lane, n, sp.pos, sp.end))
 			}
 			base := sp.pos
 			end := base + int64(n)
@@ -424,7 +503,7 @@ func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, 
 			c := sp.cursor
 			pEnd := spanFault(end) << 8 // e < pEnd ⟺ e.site() < end
 			if bt.MaxAbs != nil && wAbs*float64(bt.MaxAbs[j])+sp.inflTotal < fxp.NoSatBound {
-				// The whole span's inflation clears the bound (a
+				// The whole window's inflation clears the bound (a
 				// superset of any row's), so consume and correct in one
 				// pass over this row's entries.
 				acc := fxp.DotUnchecked(w, x)
@@ -457,7 +536,7 @@ func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, 
 				}
 			}
 			sp.cursor, sp.pos = c, end
-			if end == sp.muls {
+			if end == sp.end {
 				sp.active = false
 			}
 			continue
@@ -482,32 +561,60 @@ func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, 
 	}
 }
 
-// allSpanFast reports whether every packed lane of the row can take
-// the blocked unchecked kernel: span-active, inside the announced
-// span, and with magnitude bound plus whole-span inflation clearing
-// fxp.NoSatBound. When it holds, the whole row runs one blocked MAC
-// walk with the weight loads shared across lanes.
+// checkRepeats panics when a unit lane appears at more than one packed
+// position of the row and at least one of them has no active span. A
+// live row draws straight from the lane's stream, so a repeated lane
+// would interleave its windows' rows and misorder the stream; only an
+// announced span (BeginSpan) gives repeated positions their own
+// windows.
+func (b *BatchInjector) checkRepeats(bt *fxp.Batch, k int) {
+	b.gen++
+	for j := 0; j < k; j++ {
+		lane := bt.Lanes[j]
+		live := uint64(1)
+		if j < len(b.spans) && b.spans[j].active {
+			live = 0
+		}
+		if s := b.seen[lane]; s>>1 == b.gen {
+			if live|s&1 != 0 {
+				panic(fmt.Sprintf("faults: lane %d repeats at packed position %d without an announced span", lane, j))
+			}
+			continue
+		}
+		b.seen[lane] = b.gen<<1 | live
+	}
+}
+
+// allSpanFast reports whether every packed position of the row can
+// take the blocked unchecked kernel: span-active on its announced
+// lane, inside its window, and with magnitude bound plus window
+// inflation clearing fxp.NoSatBound. When it holds, the whole row runs
+// one blocked MAC walk with the weight loads shared across positions.
 func (b *BatchInjector) allSpanFast(bt *fxp.Batch, wAbs float64, n, k int) bool {
+	if k > len(b.spans) {
+		return false
+	}
 	var maxAbs int64
 	for j := 0; j < k; j++ {
-		sp := &b.spans[bt.Lane(j)]
-		if !sp.active || sp.pos+int64(n) > sp.muls {
+		sp := &b.spans[j]
+		if !sp.active || sp.lane != bt.Lane(j) || sp.pos+int64(n) > sp.end {
 			return false
 		}
 		if m := bt.MaxAbs[j]; m > maxAbs {
 			maxAbs = m
 		}
 	}
-	// One combined test covers every lane: per-lane |x| bounds fold to
-	// their max, per-lane inflation to the span-wide max from BeginSpan.
+	// One combined test covers every position: per-position |x| bounds
+	// fold to their max, per-window inflation to the max from
+	// BeginSpan.
 	return wAbs*float64(maxAbs)+b.maxInfl < fxp.NoSatBound
 }
 
 // dotRowSpanFast is the whole-row fast path: one blocked unchecked MAC
-// over all lanes, then each lane's planned faults applied as additive
-// corrections. Per lane this computes exactly what the per-lane span
-// fast path computes; allSpanFast has already proven the bound for
-// every lane.
+// over all positions, then each position's planned faults applied as
+// additive corrections. Per position this computes exactly what the
+// per-position span fast path computes; allSpanFast has already
+// proven the bound for every position.
 func (b *BatchInjector) dotRowSpanFast(f fxp.Format, w []fxp.Value, bt *fxp.Batch, out []fxp.Value) {
 	n := len(w)
 	k := len(out)
@@ -517,7 +624,7 @@ func (b *BatchInjector) dotRowSpanFast(f fxp.Format, w []fxp.Value, bt *fxp.Batc
 	accs := b.accs[:k]
 	fxp.DotUncheckedBatch(w, bt.Xs, bt.Stride, accs)
 	for j := 0; j < k; j++ {
-		sp := &b.spans[bt.Lane(j)]
+		sp := &b.spans[j]
 		base := sp.pos
 		end := base + int64(n)
 		entries := sp.entries
@@ -533,7 +640,7 @@ func (b *BatchInjector) dotRowSpanFast(f fxp.Format, w []fxp.Value, bt *fxp.Batc
 		}
 		out[j] = f.ScaleProduct(fxp.Product(acc))
 		sp.cursor, sp.pos = c, end
-		if end == sp.muls {
+		if end == sp.end {
 			sp.active = false
 		}
 	}

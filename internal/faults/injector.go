@@ -300,7 +300,7 @@ func (in *Injector) SetRate(rate float64) error {
 	if v := in.view; v != nil {
 		v.rate, v.invLog1mRate, v.table = rate, in.invLog1mRate, in.gapTable
 		// A presampled span was drawn from the old rate's gap law.
-		v.spans[0].active = false
+		v.dropSpans()
 	}
 	return nil
 }

@@ -1,0 +1,258 @@
+package faults
+
+import (
+	"math/rand"
+	"strings"
+	"testing"
+
+	"shmd/internal/fxp"
+	"shmd/internal/rng"
+)
+
+// walkSpan announces one span of rows×len(w) multiplications over the
+// packed lane ids and walks it, returning each position's row outputs.
+func walkSpan(b *BatchInjector, ids []int, w []fxp.Value, rows int, mkX func(row, pos, i int) fxp.Value) [][]fxp.Value {
+	n, k := len(w), len(ids)
+	xs := make([]fxp.Value, k*n)
+	maxAbs := make([]int64, k)
+	out := make([][]fxp.Value, k)
+	b.BeginSpan(ids, rows*n)
+	for r := 0; r < rows; r++ {
+		for j := 0; j < k; j++ {
+			var m int64
+			for i := 0; i < n; i++ {
+				v := mkX(r, j, i)
+				xs[j*n+i] = v
+				m = max(m, int64(v), -int64(v))
+			}
+			maxAbs[j] = m
+		}
+		row := make([]fxp.Value, k)
+		b.DotRowBatch(fxp.DefaultFormat, w, &fxp.Batch{Xs: xs, Stride: n, Lanes: ids, MaxAbs: maxAbs}, row)
+		for j, v := range row {
+			out[j] = append(out[j], v)
+		}
+	}
+	return out
+}
+
+// TestRepeatedLanesTakeConsecutiveWindows pins the repeated-lane span
+// contract: positions sharing a unit lane consume consecutive windows
+// of its stream in packed order (runs may be split or interleaved with
+// other lanes), bit-identical to a scalar injector walking the windows
+// one after another, and leave the same stream state behind.
+func TestRepeatedLanesTakeConsecutiveWindows(t *testing.T) {
+	const n, rows = 29, 6
+	w := make([]fxp.Value, n)
+	for i := range w {
+		w[i] = fxp.Value(37*i - 500)
+	}
+	mkX := func(row, pos, i int) fxp.Value {
+		return fxp.Value((row+1)*(pos+3)*(5*i+2)%8191 - 4095)
+	}
+	for _, rate := range []float64{0.003, 0.1, 1} {
+		for _, ids := range [][]int{
+			{0, 0, 0, 0},
+			{0, 0, 1, 1, 1, 2},
+			{1, 0, 0, 1, 2, 2, 0},
+		} {
+			streams, refs := batchStreams(0x3A7, 3)
+			b, err := NewBatchInjector(rate, nil, streams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scalar := make([]*Injector, 3)
+			for l := range scalar {
+				if scalar[l], err = NewInjector(rate, nil, refs[l]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := walkSpan(b, ids, w, rows, mkX)
+			x := make([]fxp.Value, n)
+			for j, l := range ids {
+				for r := 0; r < rows; r++ {
+					for i := range x {
+						x[i] = mkX(r, j, i)
+					}
+					if want := scalar[l].DotRow(fxp.DefaultFormat, w, x); got[j][r] != want {
+						t.Fatalf("rate %v ids %v position %d row %d: span %d, scalar %d", rate, ids, j, r, got[j][r], want)
+					}
+				}
+			}
+			for l := range scalar {
+				if b.Lane(l).gap != scalar[l].gap || b.Lane(l).Stats() != scalar[l].Stats() {
+					t.Fatalf("rate %v ids %v lane %d: gap %d stats %+v, scalar gap %d stats %+v",
+						rate, ids, l, b.Lane(l).gap, b.Lane(l).Stats(), scalar[l].gap, scalar[l].Stats())
+				}
+			}
+		}
+	}
+}
+
+// TestWindowInflationPerPosition pins the fast-path bound input: each
+// position's inflation is Σ2^bit over its own window only, and the
+// row-wide bound is their maximum, not the run's total.
+func TestWindowInflationPerPosition(t *testing.T) {
+	streams, _ := batchStreams(0x1F1, 1)
+	b, err := NewBatchInjector(1, nil, streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const muls = 300
+	ids := []int{0, 0, 0, 0, 0}
+	b.BeginSpan(ids, muls)
+	maxInfl := 0.0
+	for j := range ids {
+		sp := &b.spans[j]
+		if len(sp.entries) != muls {
+			t.Fatalf("position %d: %d faults at rate 1, want %d", j, len(sp.entries), muls)
+		}
+		infl := 0.0
+		for _, e := range sp.entries {
+			if s := e.site(); s < int64(j*muls) || s >= int64((j+1)*muls) {
+				t.Fatalf("position %d holds site %d outside its window", j, s)
+			}
+			infl += float64(uint64(1) << e.bit())
+		}
+		if sp.inflTotal != infl {
+			t.Fatalf("position %d: inflation %v, own window sums to %v", j, sp.inflTotal, infl)
+		}
+		maxInfl = max(maxInfl, infl)
+	}
+	if b.maxInfl != maxInfl {
+		t.Fatalf("row bound inflation %v, want the per-window max %v", b.maxInfl, maxInfl)
+	}
+}
+
+// TestRepeatedLaneWithoutSpanPanics: a live row draws straight from
+// the lane's stream, so repeating a lane without an announced span
+// would misorder it — DotRowBatch must refuse, as it refuses an
+// overrun or a position addressed as another lane than announced.
+func TestRepeatedLaneWithoutSpanPanics(t *testing.T) {
+	streams, _ := batchStreams(0x9A1, 2)
+	b, err := NewBatchInjector(0.1, nil, streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]fxp.Value, 8)
+	xs := make([]fxp.Value, 3*8)
+	out := make([]fxp.Value, 3)
+	mustPanic := func(what, want string, ids []int) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil || !strings.Contains(r.(string), want) {
+				t.Fatalf("%s: recovered %v, want a panic containing %q", what, r, want)
+			}
+		}()
+		b.DotRowBatch(fxp.DefaultFormat, w, &fxp.Batch{Xs: xs[:len(ids)*8], Stride: 8, Lanes: ids}, out[:len(ids)])
+	}
+	const repeated = "without an announced span"
+	mustPanic("no span", repeated, []int{1, 0, 1})
+	// An announced run does not cover a live position on the same lane.
+	b.BeginSpan([]int{0, 0}, 8)
+	mustPanic("span and live position on one lane", repeated, []int{0, 0, 0})
+	// Nor may a position be addressed as another lane than announced.
+	b.BeginSpan([]int{0, 1}, 8)
+	mustPanic("swapped lanes", "announced lane", []int{1, 0})
+	// Distinct lanes stay legal on the live path.
+	b.dropSpans()
+	b.DotRowBatch(fxp.DefaultFormat, w, &fxp.Batch{Xs: xs[:16], Stride: 8, Lanes: []int{1, 0}}, out[:2])
+}
+
+// TestSetRateDropsEveryPackedSpan: a rate change discards the plans of
+// every packed position, through the batch injector and through an
+// injector's one-lane view alike.
+func TestSetRateDropsEveryPackedSpan(t *testing.T) {
+	streams, _ := batchStreams(0x5D5, 2)
+	b, err := NewBatchInjector(0.1, nil, streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.BeginSpan([]int{0, 0, 1, 1, 1}, 100)
+	if err := b.SetRate(0.2); err != nil {
+		t.Fatal(err)
+	}
+	for j, sp := range b.spans {
+		if sp.active {
+			t.Fatalf("batch SetRate left position %d's span active", j)
+		}
+	}
+	in, err := NewInjectorSource(0.1, nil, rng.NewSource64(0x5D6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := in.BatchView()
+	v.BeginSpan([]int{0, 0, 0, 0}, 100)
+	if err := in.SetRate(0.2); err != nil {
+		t.Fatal(err)
+	}
+	for j, sp := range v.spans {
+		if sp.active {
+			t.Fatalf("view SetRate left position %d's span active", j)
+		}
+	}
+}
+
+// TestResetMatchesFreshInjector: re-arming an injector over re-seeded
+// sources, narrower or wider than before, draws exactly what a freshly
+// built injector draws.
+func TestResetMatchesFreshInjector(t *testing.T) {
+	const n, rows = 21, 5
+	w := make([]fxp.Value, n)
+	for i := range w {
+		w[i] = fxp.Value(61*i - 700)
+	}
+	mkX := func(row, pos, i int) fxp.Value {
+		return fxp.Value((row+2)*(pos+1)*(i+7)%8191 - 4095)
+	}
+	srcs := make([]rand.Source64, 0, 5)
+	var reused *BatchInjector
+	for pass, width := range []int{3, 2, 5, 5} {
+		rate := []float64{0.1, 0.003, 0.1, 1}[pass]
+		for len(srcs) < width {
+			srcs = append(srcs, rng.NewSource64(0))
+		}
+		fresh := make([]rand.Source64, width)
+		for l := 0; l < width; l++ {
+			rng.Reseed(srcs[l], 0xEE, uint64(pass), uint64(l))
+			fresh[l] = rng.NewSource64(0xEE, uint64(pass), uint64(l))
+		}
+		ref, err := NewBatchInjector(rate, nil, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused == nil {
+			reused, err = NewBatchInjector(rate, nil, srcs[:width])
+		} else {
+			err = reused.Reset(rate, nil, srcs[:width])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused.NumLanes() != width {
+			t.Fatalf("pass %d: %d lanes after Reset, want %d", pass, reused.NumLanes(), width)
+		}
+		ids := make([]int, 0, 2*width)
+		for l := 0; l < width; l++ {
+			ids = append(ids, l, l)
+		}
+		got := walkSpan(reused, ids, w, rows, mkX)
+		want := walkSpan(ref, ids, w, rows, mkX)
+		for j := range want {
+			for r := range want[j] {
+				if got[j][r] != want[j][r] {
+					t.Fatalf("pass %d position %d row %d: reset %d, fresh %d", pass, j, r, got[j][r], want[j][r])
+				}
+			}
+		}
+		for l := 0; l < width; l++ {
+			if reused.Lane(l).gap != ref.Lane(l).gap || reused.Lane(l).Stats() != ref.Lane(l).Stats() {
+				t.Fatalf("pass %d lane %d: stream state differs from a fresh injector", pass, l)
+			}
+		}
+	}
+	if err := reused.Reset(0.1, nil, []rand.Source64{nil}); err == nil {
+		t.Fatal("nil lane source accepted")
+	}
+}

@@ -73,11 +73,19 @@ type BatchUnit interface {
 //
 // The contract is exact consumption: planning a lane draws from its
 // stream, so after BeginSpan(lanes, muls) the subsequent DotRowBatch
-// calls must walk exactly muls multiplications on each announced lane
-// — and only announced lanes — before the next BeginSpan or any scalar
-// use of a lane's stream. Callers must pass the explicit unit lane ids
-// they will address through Batch.Lanes (materializing the identity
-// list when using nil Batch.Lanes).
+// calls must address packed position j as unit lane lanes[j] (through
+// Batch.Lanes, or nil Lanes for the identity list) and walk exactly
+// muls multiplications on every announced position — and only those
+// — before the next BeginSpan or any scalar use of a lane's stream.
+//
+// A unit lane may repeat. Positions that share a lane take consecutive
+// windows of its stream in packed order: the first such position the
+// next muls multiplications, the second the muls after those, and so
+// on. That is how one program's windows run as lanes of one pass on
+// the program's one stream, drawing exactly what a window-by-window
+// walk draws. Without an announced span a repeated lane has no windows
+// to hand out, so units must refuse it (panic) rather than interleave
+// the windows' rows on one stream.
 type SpanPlanner interface {
 	BeginSpan(lanes []int, muls int)
 }

@@ -1,0 +1,233 @@
+package hmd
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"shmd/internal/fann"
+	"shmd/internal/faults"
+	"shmd/internal/features"
+	"shmd/internal/fxp"
+	"shmd/internal/rng"
+	"shmd/internal/trace"
+)
+
+// scoreWindowsLane1 is the per-window scoring loop window lanes
+// replaced: every window one lane-1 RunBatch on unit lane 0, each
+// pass announcing and consuming its own span. It is the differential
+// oracle for scoreLanes.
+func scoreWindowsLane1(h *HMD, bu fxp.BatchUnit, windows []trace.WindowCounts) []float64 {
+	vecs, err := features.Extract(windows, h.cfg.FeatureSet, h.cfg.Period)
+	if err != nil {
+		panic(err)
+	}
+	scores := make([]float64, len(vecs))
+	var lane [1][]float64
+	var out []float64
+	for i, v := range vecs {
+		lane[0] = v
+		out = h.fixed.RunBatch(bu, lane[:], nil, out)
+		scores[i] = out[0]
+	}
+	return scores
+}
+
+// windowLaneRates covers the four sampling regimes: no faults, the
+// log-inversion sampler (below the gap table's minimum rate), the
+// tabulated operating point, and every multiplication faulted.
+var windowLaneRates = []float64{0, 0.003, 0.1, 1}
+
+// laneHMDs caches one untrained detector per detection period: the
+// oracle comparison needs a network's shape, not its accuracy.
+var laneHMDs struct {
+	once sync.Once
+	h    [3]*HMD
+	err  error
+}
+
+func laneHMD(t *testing.T, period int) *HMD {
+	t.Helper()
+	laneHMDs.once.Do(func() {
+		dim, err := features.SetInstrFreq.Dim()
+		if err != nil {
+			laneHMDs.err = err
+			return
+		}
+		net, err := fann.New(fann.Config{
+			Layers: []int{dim, 32, 1},
+			Hidden: fann.SigmoidSymmetric,
+			Output: fann.Sigmoid,
+			Seed:   7,
+		})
+		if err != nil {
+			laneHMDs.err = err
+			return
+		}
+		for p := 1; p <= 2; p++ {
+			if laneHMDs.h[p], err = FromNetwork(net, Config{Period: p}); err != nil {
+				laneHMDs.err = err
+				return
+			}
+		}
+	})
+	if laneHMDs.err != nil {
+		t.Fatal(laneHMDs.err)
+	}
+	return laneHMDs.h[period].WithFreshBuffers()
+}
+
+// laneSources builds n lane sources twice over, identically seeded.
+func laneSources(seed uint64, n int) (a, b []rand.Source64) {
+	a = make([]rand.Source64, n)
+	b = make([]rand.Source64, n)
+	for l := range a {
+		a[l] = rng.NewSource64(seed, 0x1A7E, uint64(l))
+		b[l] = rng.NewSource64(seed, 0x1A7E, uint64(l))
+	}
+	return a, b
+}
+
+// sameStream requires two injectors fed by identically seeded sources
+// to be in the same state: equal draw logs, counters and pending gap,
+// and the same next 100 draws from their sources.
+func sameStream(t *testing.T, what string, got, want *faults.Injector, gotLog, wantLog *faults.DrawLog, gotSrc, wantSrc rand.Source64) {
+	t.Helper()
+	if gotLog != nil {
+		if gotLog.InitialGap != wantLog.InitialGap || !slices.Equal(gotLog.Gaps, wantLog.Gaps) || !slices.Equal(gotLog.Bits, wantLog.Bits) {
+			t.Fatalf("%s: draw log %d gaps/%d bits (initial %d), oracle %d gaps/%d bits (initial %d)",
+				what, len(gotLog.Gaps), len(gotLog.Bits), gotLog.InitialGap,
+				len(wantLog.Gaps), len(wantLog.Bits), wantLog.InitialGap)
+		}
+	}
+	if got.Stats() != want.Stats() {
+		t.Fatalf("%s: stats %+v, oracle %+v", what, got.Stats(), want.Stats())
+	}
+	var gp, wp faults.DrawLog
+	got.StartRecord(&gp)
+	got.StopRecord()
+	want.StartRecord(&wp)
+	want.StopRecord()
+	if gp.InitialGap != wp.InitialGap {
+		t.Fatalf("%s: pending gap %d, oracle %d", what, gp.InitialGap, wp.InitialGap)
+	}
+	for i := 0; i < 100; i++ {
+		if g, w := gotSrc.Uint64(), wantSrc.Uint64(); g != w {
+			t.Fatalf("%s: draw %d after the pass: %#x, oracle %#x", what, i, g, w)
+		}
+	}
+}
+
+// FuzzWindowLanes holds window lanes to the per-window lane-1 loop they
+// replaced: 1-6 programs of 1-40 decision windows (more than 64 packed
+// lanes split a program's stream across chunks), detection period 1 or
+// 2, every sampling regime, recording on and off. Batched detection
+// (DetectTracesUnit) is compared per program against the lane-1 loop
+// on the same lane's one-lane view, and scalar scoring
+// (ScoreWindowsUnit) against the lane-1 loop on an identically seeded
+// injector: scores and decisions bit for bit, then the streams
+// themselves.
+func FuzzWindowLanes(f *testing.F) {
+	f.Add(uint64(1), []byte{16}, false, uint8(2), false)
+	f.Add(uint64(2), []byte{40, 40, 3, 1, 40, 17}, false, uint8(2), true)
+	f.Add(uint64(3), []byte{39, 2, 30}, true, uint8(1), true)
+	f.Add(uint64(4), []byte{64, 5}, false, uint8(3), false)
+	f.Add(uint64(5), []byte{7, 0, 25}, true, uint8(0), true)
+	f.Add(uint64(6), []byte{22, 22, 22}, false, uint8(1), false)
+	f.Fuzz(func(t *testing.T, seed uint64, lens []byte, period2 bool, rateSel uint8, record bool) {
+		if len(lens) == 0 {
+			return
+		}
+		lens = lens[:min(len(lens), 6)]
+		period := 1
+		if period2 {
+			period = 2
+		}
+		rate := windowLaneRates[int(rateSel)%len(windowLaneRates)]
+		h := laneHMD(t, period)
+		traces := make([][]trace.WindowCounts, len(lens))
+		for j, n := range lens {
+			prog, err := trace.NewProgram(trace.MalwareFamilies()[j%trace.NumMalwareFamilies], j, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if traces[j], err = prog.Trace((int(n)%40+1)*period, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// Batched detection: every program's windows packed as lanes.
+		srcs, oracleSrcs := laneSources(seed, len(traces))
+		b, err := faults.NewBatchInjector(rate, nil, srcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ob, err := faults.NewBatchInjector(rate, nil, oracleSrcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var logs, oracleLogs []faults.DrawLog
+		if record {
+			logs = make([]faults.DrawLog, len(traces))
+			oracleLogs = make([]faults.DrawLog, len(traces))
+			for j := range traces {
+				b.Lane(j).StartRecord(&logs[j])
+				ob.Lane(j).StartRecord(&oracleLogs[j])
+			}
+		}
+		got := h.DetectTracesUnit(b, traces)
+		oh := h.WithFreshBuffers()
+		for j, w := range traces {
+			want := oh.DecideFromScores(scoreWindowsLane1(oh, ob.Lane(j).BatchView(), w))
+			if got[j].Malware != want.Malware || math.Float64bits(got[j].Score) != math.Float64bits(want.Score) {
+				t.Fatalf("rate %v program %d of %v: window lanes %+v, lane-1 loop %+v", rate, j, lens, got[j], want)
+			}
+		}
+		for j := range traces {
+			var lg, olg *faults.DrawLog
+			if record {
+				b.Lane(j).StopRecord()
+				ob.Lane(j).StopRecord()
+				lg, olg = &logs[j], &oracleLogs[j]
+			}
+			sameStream(t, "batched lane", b.Lane(j), ob.Lane(j), lg, olg, srcs[j], oracleSrcs[j])
+		}
+
+		// Scalar scoring: one program's windows on one injector.
+		for j, w := range traces {
+			src, oracleSrc := laneSources(seed^0x5CA1, 1)
+			in, err := faults.NewInjectorSource(rate, nil, src[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			oin, err := faults.NewInjectorSource(rate, nil, oracleSrc[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lg, olg faults.DrawLog
+			if record {
+				in.StartRecord(&lg)
+				oin.StartRecord(&olg)
+			}
+			scores := h.ScoreWindowsUnit(in, w)
+			want := scoreWindowsLane1(oh, oin.BatchView(), w)
+			if len(scores) != len(want) {
+				t.Fatalf("program %d: %d scores, oracle %d", j, len(scores), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(scores[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("rate %v program %d window %d: window lanes %v, lane-1 loop %v", rate, j, i, scores[i], want[i])
+				}
+			}
+			if record {
+				in.StopRecord()
+				oin.StopRecord()
+				sameStream(t, "scalar", in, oin, &lg, &olg, src[0], oracleSrc[0])
+			} else {
+				sameStream(t, "scalar", in, oin, nil, nil, src[0], oracleSrc[0])
+			}
+		}
+	})
+}
