@@ -20,10 +20,14 @@
 //	shmd route    -backends http://127.0.0.1:8801,http://127.0.0.1:8802
 //	              [-addr 127.0.0.1:8800] [-hedge-after 0] [-retries 2]
 //	              [-breaker-threshold 3] [-breaker-cooldown 1s]
-//	shmd soak     [-duration 30s] [-clients 4] [-pool 3] [-report soak_report.json]
-//	              [-fleet] [-fleet-backends 3]
-//	              [-tenants] [-slo-p99 500ms] [-min-abusive-shed 0.5]
-//	              [-rollout]
+//	shmd soak     [-duration 30s] [-pool 3] [-rate 0.1] [-seed 1] [-report soak_report.json]
+//	              [-wire] [-max-batch 0] [-max-batch-wait 0] [-hedge-after 5ms]
+//	              [-deadline 2s] [-max-5xx 0.05] [-model model.fann]
+//	              chaos (default): [-clients 4] [-journal cal.journal]
+//	                               [-storm-every 100ms] [-permanent-at 0.3]
+//	              -fleet:   [-clients 4] [-fleet-backends 3] [-kill-at 0.4] [-storm-every 100ms]
+//	              -tenants: [-slo-p99 500ms] [-min-abusive-shed 0.5] [-journal cal.journal]
+//	              -rollout: [-clients 4] [-journal cal.journal]
 //	shmd replay   -model model.fann -trace decisions.trace [-v]
 //	              [-registry models.d]
 //	shmd inspect  -model model.fann
@@ -96,7 +100,8 @@ commands:
   detect    classify a program, optionally undervolted
   serve     run the HTTP/JSON detection service off a session pool
   route     run the fleet router over multiple detection backends
-  soak      chaos-soak the full service and assert lifecycle invariants
+  soak      soak the service on real sockets and assert its invariants:
+            chaos (default), -fleet, -tenants or -rollout
   replay    re-verify a served decision trace bit-for-bit, off-hardware
   inspect   print a saved model's structure and footprint`)
 }
