@@ -3,7 +3,8 @@
 #   make build    tier-1 build
 #   make test     tier-1 tests
 #   make race     suite under the race detector
-#   make verify   vet + build + test + race, in that order
+#   make fmt      fail on any Go file gofmt would change
+#   make verify   fmt + vet + build + test + race, in that order
 #   make bench    A/B inference benchmarks -> BENCH_inference.json
 #   make loc      net non-test Go lines against LOC_BASE
 #
@@ -28,7 +29,7 @@ ROLLOUT_SOAK_FLAGS ?=
 STATICCHECK_VERSION ?= 2024.1.1
 LOC_BASE ?= origin/main
 
-.PHONY: build test race vet verify bench soak fleet-soak tenant-soak rollout-soak conform lint loc
+.PHONY: build test race vet fmt verify bench soak fleet-soak tenant-soak rollout-soak conform lint loc
 
 build:
 	$(GO) build ./...
@@ -42,7 +43,11 @@ race:
 vet:
 	$(GO) vet ./...
 
-verify: vet build test race
+# fmt lists every Go file gofmt would reformat and fails if there is any.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+verify: fmt vet build test race
 	@echo "verify: OK"
 
 # bench regenerates BENCH_inference.json: ns/op, muls/s and allocs/op

@@ -3,7 +3,8 @@
 // fault injection, sharded vs serial evaluation, JSON/HTTP vs SHMDWIRE
 // streaming over real sockets, single-pass vs encoding/json request
 // decoding, window-lane vs scalar supervised detection, idle micro-batched
-// vs scalar serving — and writes the results to a JSON file
+// vs scalar serving, one training epoch at GOMAXPROCS vs one proc — and
+// writes the results to a JSON file
 // (BENCH_inference.json by default) so the speedups are recorded
 // alongside the code that produced them.
 //
@@ -34,6 +35,7 @@ import (
 	"os"
 	"path"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,6 +43,7 @@ import (
 
 	"shmd/internal/core"
 	"shmd/internal/experiments"
+	"shmd/internal/fann"
 	"shmd/internal/faults"
 	"shmd/internal/fxp"
 	"shmd/internal/hmd"
@@ -111,6 +114,11 @@ type Speedups struct {
 	// production side scores the program's 16 windows as lanes of one
 	// planned pass, no longer as 16 lane-1 passes.
 	DetectLane1VsScalar float64 `json:"detect_lane1_vs_scalar"`
+	// TrainEpochVs1Proc is the GOMAXPROCS(1) ns/op over the GOMAXPROCS
+	// ns/op of one iRPROP− epoch on the victim-training fold. On one
+	// proc both rows run the same serial pass, so the ratio is not
+	// measured there (it reads about 1.0 and is not gated).
+	TrainEpochVs1Proc float64 `json:"train_epoch_vs_1proc"`
 }
 
 // Report is the JSON document written to -out.
@@ -125,8 +133,9 @@ type Report struct {
 	GOARCH    string `json:"goarch"`
 	NumCPU    int    `json:"num_cpu"`
 	// MaxProcs is the effective worker count of the parallel rows
-	// (sharded evaluation, concurrent serve): with one proc those
-	// rows cannot speed up, so their ratio gates are skipped.
+	// (sharded evaluation, concurrent serve, the training epoch): with
+	// one proc those rows cannot speed up, so their ratio gates are
+	// skipped.
 	MaxProcs int      `json:"gomaxprocs"`
 	Count    int      `json:"count"`
 	Results  []Result `json:"results"`
@@ -291,6 +300,12 @@ func run(scale experiments.Scale, count int) (*Report, error) {
 	}
 	rep.Results = append(rep.Results, detectLane1, detectScalar)
 
+	train, train1, err := measureTrain(env, count)
+	if err != nil {
+		return nil, err
+	}
+	rep.Results = append(rep.Results, train, train1)
+
 	rep.Speedups = speedupsOf(rep.Results)
 	return rep, nil
 }
@@ -314,6 +329,7 @@ func speedupsOf(results []Result) Speedups {
 		ServeWireVsJSON:            ns["serve_json_tcp_batched_16"] / ns["serve_wire_stream_batched_16"],
 		JSONDecodeFastVsStd:        ns["decode_json_16_std"] / ns["decode_json_16"],
 		DetectLane1VsScalar:        ns["detect_program_16_scalar"] / ns["detect_program_16"],
+		TrainEpochVs1Proc:          ns["train_rprop_epoch_1proc"] / ns["train_rprop_epoch"],
 	}
 }
 
@@ -322,8 +338,9 @@ func speedupsOf(results []Result) Speedups {
 // replaced by their fresh measurements, and the ratios recomputed
 // from the merged rows. Every other row keeps its committed value and
 // place, so a change re-measures what it moves and nothing else. A
-// pattern that matches no row is an error (a typo would otherwise
-// refresh nothing silently).
+// fresh row the committed report lacks is appended when a pattern
+// names it. A pattern that matches no row is an error (a typo would
+// otherwise refresh nothing silently).
 func refreshRows(prev, fresh *Report, patterns string) (*Report, error) {
 	byName := make(map[string]Result, len(fresh.Results))
 	for _, r := range fresh.Results {
@@ -341,6 +358,12 @@ func refreshRows(prev, fresh *Report, patterns string) (*Report, error) {
 			}
 			if f, measured := byName[r.Name]; ok && measured {
 				out.Results[i], hit = f, true
+			}
+		}
+		for _, f := range fresh.Results {
+			known := slices.ContainsFunc(out.Results, func(r Result) bool { return r.Name == f.Name })
+			if ok, _ := path.Match(p, f.Name); ok && !known {
+				out.Results, hit = append(out.Results, f), true
 			}
 		}
 		if !hit {
@@ -663,6 +686,39 @@ func measureDetect(base *hmd.HMD, count int) (Result, Result, error) {
 	return lane1Row, scalarRow, err
 }
 
+// measureTrain benchmarks one iRPROP− epoch of the victim detector on
+// the samples hmd.Train fits it on (hmd.TrainingSamples of the
+// victim-training fold) — the loop every detector, attacker proxy and
+// RHMD base detector trains with — at GOMAXPROCS workers and under GOMAXPROCS(1). Each row's trainer
+// runs an unmeasured epoch first, so the rows time the steady state
+// in which the trainer's chunk buffers already exist.
+func measureTrain(env *experiments.Env, count int) (Result, Result, error) {
+	samples, err := hmd.TrainingSamples(env.VictimTrain(), env.Base.Config())
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	row := func(name string) (Result, error) {
+		tr := fann.NewRPROPTrainer(env.Base.Network().Clone())
+		if _, err := tr.Epoch(samples); err != nil {
+			return Result{}, err
+		}
+		return measure(name, count, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := tr.Epoch(samples); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}), nil
+	}
+	par, err := row("train_rprop_epoch")
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial, err := row("train_rprop_epoch_1proc")
+	return par, serial, err
+}
+
 // write renders the report as indented JSON to path.
 func write(rep *Report, path string) error {
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -728,6 +784,7 @@ func compare(rep, base *Report, maxRegress float64) []string {
 	// machine, not a regression — skip those gates there.
 	if rep.MaxProcs > 1 {
 		ratio("evaluate_sharded_vs_serial", rep.Speedups.EvaluateShardedVsSerial, base.Speedups.EvaluateShardedVsSerial)
+		ratio("train_epoch_vs_1proc", rep.Speedups.TrainEpochVs1Proc, base.Speedups.TrainEpochVs1Proc)
 		// The serve ratio's upside depends on core count and scheduler,
 		// so its baseline is capped at 1.0: the portable invariant is
 		// that micro-batching never collapses throughput below scalar
@@ -856,6 +913,11 @@ func main() {
 	fmt.Printf("serve wire stream vs json:    %.2fx\n", rep.Speedups.ServeWireVsJSON)
 	fmt.Printf("json decode fast vs std:      %.2fx\n", rep.Speedups.JSONDecodeFastVsStd)
 	fmt.Printf("detect lanes vs scalar:       %.2fx\n", rep.Speedups.DetectLane1VsScalar)
+	if rep.MaxProcs > 1 {
+		fmt.Printf("train epoch vs 1 proc:        %.2fx (%d procs)\n", rep.Speedups.TrainEpochVs1Proc, rep.MaxProcs)
+	} else {
+		fmt.Println("train epoch vs 1 proc:        not measured on 1 proc (both rows are serial; gate skipped)")
+	}
 	fmt.Printf("wrote %s\n", *out)
 
 	if base != nil {

@@ -27,6 +27,7 @@ func TestCompareGate(t *testing.T) {
 			ServeWireVsJSON:            1.3,
 			JSONDecodeFastVsStd:        6.0,
 			DetectLane1VsScalar:        1.6,
+			TrainEpochVs1Proc:          1.8,
 		},
 		Results: []Result{
 			{Name: "inference_exact_fused", NsPerOp: 100, AllocsPerOp: 0},
@@ -136,8 +137,14 @@ func TestCompareGate(t *testing.T) {
 		r.MaxProcs = 1
 		r.Speedups.EvaluateShardedVsSerial = 1.0
 		r.Speedups.ServeBatchedVsScalar = 0.9
+		r.Speedups.TrainEpochVs1Proc = 1.0
 	}), base, 0.25); len(p) != 0 {
 		t.Errorf("1-proc parallel ratios wrongly gated: %v", p)
+	}
+	if p := compare(clone(func(r *Report) {
+		r.Speedups.TrainEpochVs1Proc = 1.0
+	}), base, 0.25); len(p) != 1 {
+		t.Errorf("multi-proc training epoch regression not flagged: %v", p)
 	}
 	if p := compare(clone(func(r *Report) {
 		r.Speedups.EvaluateShardedVsSerial = 1.0
@@ -203,8 +210,8 @@ func TestRunAndWriteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 20 {
-		t.Fatalf("got %d results, want 20", len(rep.Results))
+	if len(rep.Results) != 22 {
+		t.Fatalf("got %d results, want 22", len(rep.Results))
 	}
 	for _, r := range rep.Results {
 		if r.NsPerOp <= 0 || r.Iterations <= 0 {
@@ -213,7 +220,7 @@ func TestRunAndWriteReport(t *testing.T) {
 	}
 	if rep.Speedups.ExactFusedVsScalar <= 0 || rep.Speedups.FaultySkipAheadVsBernoulli <= 0 ||
 		rep.Speedups.JSONDecodeFastVsStd <= 0 || rep.Speedups.DetectLane1VsScalar <= 0 ||
-		rep.Speedups.ServeBatchedIdleVsScalar <= 0 {
+		rep.Speedups.ServeBatchedIdleVsScalar <= 0 || rep.Speedups.TrainEpochVs1Proc <= 0 {
 		t.Errorf("speedups not computed: %+v", rep.Speedups)
 	}
 	if rep.NumMuls <= 0 {
@@ -262,6 +269,7 @@ func TestRefreshRows(t *testing.T) {
 		"serve_detect_scalar", "serve_detect_batched_16", "serve_detect_scalar_serial",
 		"serve_detect_batched_16_serial", "serve_json_tcp_batched_16", "serve_wire_stream_batched_16",
 		"decode_json_16", "decode_json_16_std", "detect_program_16", "detect_program_16_scalar",
+		"train_rprop_epoch", "train_rprop_epoch_1proc",
 	}
 	mk := func(ns float64, allocs int64) *Report {
 		r := &Report{Scale: "quick", Count: 3}
@@ -310,5 +318,28 @@ func TestRefreshRows(t *testing.T) {
 		if _, err := refreshRows(prev, fresh, bad); err == nil {
 			t.Errorf("-rows %q accepted", bad)
 		}
+	}
+
+	// Rows the committed report does not have yet are appended when a
+	// pattern names them, and their ratio follows.
+	older := &Report{Scale: "quick", Count: 3, Results: prev.Results[:len(names)-2]}
+	got, err = refreshRows(older, fresh, "train_*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Results) != len(names) {
+		t.Fatalf("%d rows after adding the training rows, want %d", len(got.Results), len(names))
+	}
+	for i, r := range got.Results {
+		want := prev.Results[i]
+		if i >= len(names)-2 {
+			want = fresh.Results[i]
+		}
+		if r != want {
+			t.Errorf("%s: %+v, want %+v", r.Name, r, want)
+		}
+	}
+	if want := fresh.Results[21].NsPerOp / fresh.Results[20].NsPerOp; got.Speedups.TrainEpochVs1Proc != want {
+		t.Errorf("training ratio %v, want %v", got.Speedups.TrainEpochVs1Proc, want)
 	}
 }

@@ -154,11 +154,11 @@ func serveRun(ctx context.Context, args []string) error {
 
 	cfg := serve.Config{
 		Pool: serve.PoolConfig{
-			Size:        *pool,
-			ErrorRate:   *rate,
-			Seed:        *seed,
-			Chaos:       *withChaos,
-			Lifecycle:   serve.LifecycleConfig{Enabled: *lifecycle},
+			Size:         *pool,
+			ErrorRate:    *rate,
+			Seed:         *seed,
+			Chaos:        *withChaos,
+			Lifecycle:    serve.LifecycleConfig{Enabled: *lifecycle},
 			JournalPath:  *journalPath,
 			ModelVersion: modelVersion,
 			Logf:         log.Printf,

@@ -32,10 +32,10 @@ const (
 
 // wald is one one-sided SPRT of p0 against p1.
 type wald struct {
-	llr        float64
+	llr          float64
 	lSucc, lFail float64 // per-observation LLR increments
 	upper, lower float64 // accept-H1 / accept-H0 boundaries
-	done       Status
+	done         Status
 }
 
 func newWald(p0, p1, alpha, beta float64) *wald {

@@ -138,80 +138,6 @@ func (n *Network) Run(input []float64) []float64 {
 	return act
 }
 
-// forwardAll runs a forward pass keeping every layer's activations;
-// used by training.
-func (n *Network) forwardAll(input []float64) [][]float64 {
-	acts := make([][]float64, len(n.layers))
-	acts[0] = append([]float64(nil), input...)
-	for l, w := range n.weights {
-		fanIn := n.layers[l]
-		fanOut := n.layers[l+1]
-		next := make([]float64, fanOut)
-		a := n.activationAt(l)
-		for j := 0; j < fanOut; j++ {
-			row := w[j*(fanIn+1) : (j+1)*(fanIn+1)]
-			sum := row[fanIn]
-			for i := 0; i < fanIn; i++ {
-				sum += row[i] * acts[l][i]
-			}
-			next[j] = a.apply(sum)
-		}
-		acts[l+1] = next
-	}
-	return acts
-}
-
-// gradients computes per-weight MSE gradients for one sample and adds
-// them into grad (same shape as weights). It returns the sample's
-// squared error.
-func (n *Network) gradients(input, target []float64, grad [][]float64) float64 {
-	if len(target) != n.NumOutputs() {
-		panic(fmt.Sprintf("fann: target length %d, network outputs %d", len(target), n.NumOutputs()))
-	}
-	acts := n.forwardAll(input)
-	out := acts[len(acts)-1]
-
-	// Output deltas.
-	sqErr := 0.0
-	delta := make([]float64, len(out))
-	for j := range out {
-		err := out[j] - target[j]
-		sqErr += err * err
-		delta[j] = err * n.output.derivFromOutput(out[j])
-	}
-
-	for l := len(n.weights) - 1; l >= 0; l-- {
-		fanIn := n.layers[l]
-		fanOut := n.layers[l+1]
-		w := n.weights[l]
-		g := grad[l]
-		prev := acts[l]
-		// Accumulate gradient for this layer.
-		for j := 0; j < fanOut; j++ {
-			base := j * (fanIn + 1)
-			d := delta[j]
-			for i := 0; i < fanIn; i++ {
-				g[base+i] += d * prev[i]
-			}
-			g[base+fanIn] += d // bias
-		}
-		// Propagate deltas to the previous layer.
-		if l > 0 {
-			a := n.activationAt(l - 1)
-			newDelta := make([]float64, fanIn)
-			for i := 0; i < fanIn; i++ {
-				sum := 0.0
-				for j := 0; j < fanOut; j++ {
-					sum += delta[j] * w[j*(fanIn+1)+i]
-				}
-				newDelta[i] = sum * a.derivFromOutput(prev[i])
-			}
-			delta = newDelta
-		}
-	}
-	return sqErr
-}
-
 // newGradBuffer allocates a zeroed gradient accumulator matching the
 // weight layout.
 func (n *Network) newGradBuffer() [][]float64 {

@@ -24,6 +24,7 @@ type QuickpropTrainer struct {
 	Decay float64
 
 	net      *Network
+	pass     *gradPass
 	prevStep [][]float64
 	prevGrad [][]float64
 }
@@ -36,6 +37,7 @@ func NewQuickpropTrainer(net *Network) *QuickpropTrainer {
 		Mu:           1.75,
 		Decay:        1e-4,
 		net:          net,
+		pass:         newGradPass(net),
 		prevStep:     net.newGradBuffer(),
 		prevGrad:     net.newGradBuffer(),
 	}
@@ -48,16 +50,12 @@ func (t *QuickpropTrainer) Epoch(samples []TrainSample) (float64, error) {
 	if err := n.checkSamples(samples); err != nil {
 		return 0, err
 	}
-	grad := n.newGradBuffer()
-	totalSq := 0.0
-	for _, s := range samples {
-		totalSq += n.gradients(s.Input, s.Target, grad)
-	}
+	totalSq := t.pass.run(samples)
 
 	shrink := t.Mu / (1 + t.Mu)
 	for l := range n.weights {
 		w := n.weights[l]
-		g := grad[l]
+		g := t.pass.grad[l]
 		prevSlopes := t.prevGrad[l] // stores previous slopes (−gradient)
 		ps := t.prevStep[l]
 		for i := range w {

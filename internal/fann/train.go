@@ -43,18 +43,13 @@ func (n *Network) TrainIncremental(samples []TrainSample, learningRate float64) 
 	if learningRate <= 0 {
 		return 0, fmt.Errorf("fann: learning rate %v must be positive", learningRate)
 	}
-	grad := n.newGradBuffer()
+	pass := newGradPass(n)
 	totalSq := 0.0
-	for _, s := range samples {
-		for l := range grad {
-			for i := range grad[l] {
-				grad[l][i] = 0
-			}
-		}
-		totalSq += n.gradients(s.Input, s.Target, grad)
+	for k := range samples {
+		totalSq += pass.run(samples[k : k+1])
 		for l := range n.weights {
 			w := n.weights[l]
-			g := grad[l]
+			g := pass.grad[l]
 			for i := range w {
 				w[i] -= learningRate * g[i]
 			}
@@ -78,6 +73,7 @@ type RPROPTrainer struct {
 	DeltaZero float64
 
 	net      *Network
+	pass     *gradPass
 	steps    [][]float64
 	prevGrad [][]float64
 }
@@ -92,6 +88,7 @@ func NewRPROPTrainer(net *Network) *RPROPTrainer {
 		DeltaMax:  50,
 		DeltaZero: 0.1,
 		net:       net,
+		pass:      newGradPass(net),
 		steps:     net.newGradBuffer(),
 		prevGrad:  net.newGradBuffer(),
 	}
@@ -110,15 +107,11 @@ func (t *RPROPTrainer) Epoch(samples []TrainSample) (float64, error) {
 	if err := n.checkSamples(samples); err != nil {
 		return 0, err
 	}
-	grad := n.newGradBuffer()
-	totalSq := 0.0
-	for _, s := range samples {
-		totalSq += n.gradients(s.Input, s.Target, grad)
-	}
+	totalSq := t.pass.run(samples)
 
 	for l := range n.weights {
 		w := n.weights[l]
-		g := grad[l]
+		g := t.pass.grad[l]
 		pg := t.prevGrad[l]
 		st := t.steps[l]
 		for i := range w {

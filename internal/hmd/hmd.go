@@ -106,24 +106,9 @@ func Train(programs []dataset.TracedProgram, cfg Config) (*HMD, error) {
 		return nil, fmt.Errorf("hmd: threshold %v outside (0,1)", cfg.Threshold)
 	}
 
-	var samples []fann.TrainSample
-	for _, p := range programs {
-		vecs, err := features.Extract(p.Windows, cfg.FeatureSet, cfg.Period)
-		if err != nil {
-			return nil, fmt.Errorf("hmd: %s: %w", p.Program.Name, err)
-		}
-		target := []float64{0}
-		repeats := 1
-		if p.IsMalware() {
-			target = []float64{1}
-		} else {
-			repeats = cfg.BenignOversample
-		}
-		for r := 0; r < repeats; r++ {
-			for _, v := range vecs {
-				samples = append(samples, fann.TrainSample{Input: v, Target: target})
-			}
-		}
+	samples, err := TrainingSamples(programs, cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	net, err := fann.New(fann.Config{
@@ -143,6 +128,34 @@ func Train(programs []dataset.TracedProgram, cfg Config) (*HMD, error) {
 		return nil, err
 	}
 	return FromNetwork(net, cfg)
+}
+
+// TrainingSamples builds the samples Train fits the network on: every
+// window's feature vector, labelled with its program's class (1 for
+// malware, 0 for benign), benign windows repeated cfg.BenignOversample
+// times.
+func TrainingSamples(programs []dataset.TracedProgram, cfg Config) ([]fann.TrainSample, error) {
+	cfg = cfg.withDefaults()
+	var samples []fann.TrainSample
+	for _, p := range programs {
+		vecs, err := features.Extract(p.Windows, cfg.FeatureSet, cfg.Period)
+		if err != nil {
+			return nil, fmt.Errorf("hmd: %s: %w", p.Program.Name, err)
+		}
+		target := []float64{0}
+		repeats := 1
+		if p.IsMalware() {
+			target = []float64{1}
+		} else {
+			repeats = cfg.BenignOversample
+		}
+		for r := 0; r < repeats; r++ {
+			for _, v := range vecs {
+				samples = append(samples, fann.TrainSample{Input: v, Target: target})
+			}
+		}
+	}
+	return samples, nil
 }
 
 // FromNetwork wraps an already-trained network as an HMD (used by

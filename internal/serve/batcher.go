@@ -218,10 +218,18 @@ func (b *batcher) schedule() {
 // spawn starts one flusher. Flushers are tracked goroutines: a flush
 // can outlive every one of its lanes' handlers (all deadlines
 // expired), and shutdown must still wait for it to release its slot.
-// Callers hold b.mu.
+// Once the pool's drain refuses runners (closeRunners) no flusher
+// starts: the lanes no waiting flusher claims fail with errDraining
+// instead. Callers hold b.mu.
 func (b *batcher) spawn(reason string) {
+	if !b.srv.addRunner() {
+		claimed := min(b.waiting*b.max, len(b.pending))
+		deliver(b.pending[claimed:], batchRun{err: errDraining})
+		clear(b.pending[claimed:])
+		b.pending = b.pending[:claimed]
+		return
+	}
 	b.waiting++
-	b.srv.detWG.Add(1)
 	go b.flusher(reason)
 }
 
@@ -286,7 +294,7 @@ func (b *batcher) take(n int) []*lane {
 // flusher goes round again with them: completion is the batcher's
 // clock. A flusher whose lanes were all withdrawn stops waiting.
 func (b *batcher) flusher(reason string) {
-	defer b.srv.detWG.Done()
+	defer b.srv.runnerDone()
 	for {
 		b.mu.Lock()
 		if b.surplus() {
@@ -436,11 +444,17 @@ func (b *batcher) run(primary *Slot, lanes []*lane) batchRun {
 }
 
 // runDetached starts one tracked runner for the batch, so a hedged
-// loser can finish after the winner replied.
+// loser can finish after the winner replied. Once the pool's drain
+// refuses runners none starts: the slot goes back and the outcome is
+// errDraining.
 func (b *batcher) runDetached(slot *Slot, traces [][]trace.WindowCounts, tenants []string, hedge bool, outcomes chan<- batchRun) {
-	b.srv.detWG.Add(1)
+	if !b.srv.addRunner() {
+		b.srv.pool.Release(slot)
+		outcomes <- batchRun{hedge: hedge, err: errDraining}
+		return
+	}
 	go func() {
-		defer b.srv.detWG.Done()
+		defer b.srv.runnerDone()
 		outcomes <- b.detect(slot, traces, tenants, hedge)
 	}()
 }

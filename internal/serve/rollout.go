@@ -128,7 +128,7 @@ func (r *obsRing) push(malware, lowConf bool) {
 	r.n++
 }
 
-func (r *obsRing) len() int  { return len(r.malware) }
+func (r *obsRing) len() int   { return len(r.malware) }
 func (r *obsRing) full() bool { return len(r.malware) == cap(r.malware) }
 
 func rateOf(bits []bool) float64 {
@@ -183,10 +183,10 @@ func newRollout(srv *Server, reg *registry.Registry, cfg RolloutConfig) *rollout
 // RolloutStatus is the controller's observable state, reported by
 // /healthz and GET /v1/admin/models.
 type RolloutStatus struct {
-	Phase     string `json:"phase"`
-	Incumbent uint32 `json:"incumbent"`
-	Candidate uint32 `json:"candidate,omitempty"`
-	CanarySlots []int `json:"canarySlots,omitempty"`
+	Phase       string `json:"phase"`
+	Incumbent   uint32 `json:"incumbent"`
+	Candidate   uint32 `json:"candidate,omitempty"`
+	CanarySlots []int  `json:"canarySlots,omitempty"`
 	// CanaryObs / BaselineObs count windowed observations per side.
 	CanaryObs   int `json:"canaryObs"`
 	BaselineObs int `json:"baselineObs"`
@@ -265,11 +265,13 @@ func (ro *rollout) Begin(candidate uint32) error {
 	ro.canary = newObsRing(ro.cfg.Window)
 	ro.baseline = newObsRing(ro.cfg.Window)
 	ro.mu.Unlock()
+	if !ro.srv.addRunner() {
+		ro.abort()
+		return errDraining
+	}
 	ro.srv.logf("serve: rollout: canarying v%d on slots %v against incumbent v%d", candidate, ids, ro.Incumbent())
-
-	ro.srv.detWG.Add(1)
 	go func() {
-		defer ro.srv.detWG.Done()
+		defer ro.srv.runnerDone()
 		for _, id := range ids {
 			if err := pool.Roll(context.Background(), id, candidate); err != nil {
 				ro.srv.logf("serve: rollout: canary roll of slot %d failed: %v", id, err)
@@ -300,11 +302,13 @@ func (ro *rollout) ForceActivate(candidate uint32) error {
 	ro.phase = RolloutPromoting
 	ro.candidate = candidate
 	ro.mu.Unlock()
+	if !ro.srv.addRunner() {
+		ro.abort()
+		return errDraining
+	}
 	ro.srv.logf("serve: rollout: force-activating v%d on all slots", candidate)
-
-	ro.srv.detWG.Add(1)
 	go func() {
-		defer ro.srv.detWG.Done()
+		defer ro.srv.runnerDone()
 		ro.promote(candidate)
 	}()
 	return nil
@@ -439,9 +443,13 @@ func (ro *rollout) transition(to RolloutPhase) {
 	ids := append([]int(nil), ro.canaryIDs...)
 	ro.mu.Unlock()
 
-	ro.srv.detWG.Add(1)
+	if !ro.srv.addRunner() {
+		ro.srv.logf("serve: rollout: %s v%d refused, server draining", to, candidate)
+		ro.abort()
+		return
+	}
 	go func() {
-		defer ro.srv.detWG.Done()
+		defer ro.srv.runnerDone()
 		if to == RolloutPromoting {
 			ro.promote(candidate)
 		} else {

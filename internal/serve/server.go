@@ -133,11 +133,17 @@ type Server struct {
 	// Shutdown (http.Server.Shutdown already waits on connections; this
 	// guards the direct-handler path tests use).
 	inflight chan struct{}
-	// detWG tracks dispatch runner goroutines. A hedged loser can
+	// runners counts dispatch runner goroutines. A hedged loser can
 	// outlive its handler (its verdict is discarded but its batch must
-	// finish and its slot must be released), so shutdown waits here as
-	// well as on inflight.
-	detWG sync.WaitGroup
+	// finish and its slot must be released), so shutdown waits for the
+	// count to reach zero as well as on inflight. runMu guards runners,
+	// runIdle (closed each time the count falls to zero) and
+	// runnersClosed (set by the drain that closes the pool, after which
+	// no runner starts).
+	runMu         sync.Mutex
+	runners       int
+	runIdle       chan struct{}
+	runnersClosed bool
 	// jitter randomizes Retry-After hints on shed responses.
 	jitter *backoff.Jitter
 	// draining flips the moment a graceful shutdown begins, before any
@@ -522,12 +528,50 @@ func (s *Server) dispatch(ctx context.Context, class tenant.Class, tenantID stri
 	return batchOutcome{}, firstErr
 }
 
+// errDraining refuses work that needs a new runner once the drain that
+// closes the pool has begun (closeRunners). It wraps ErrPoolClosed: the
+// pool closes as soon as the running ones finish, and both transports
+// answer it so.
+var errDraining = fmt.Errorf("serve: draining: %w", ErrPoolClosed)
+
+// addRunner counts one runner goroutine, the only way a runner is
+// counted; the caller starts it and it calls runnerDone. Once the drain
+// that closes the pool has begun (closeRunners), addRunner counts
+// nothing and returns false, and the caller must not start the runner.
+func (s *Server) addRunner() bool {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if s.runnersClosed {
+		return false
+	}
+	if s.runners == 0 {
+		s.runIdle = make(chan struct{})
+	}
+	s.runners++
+	return true
+}
+
+// runnerDone uncounts a runner that addRunner counted.
+func (s *Server) runnerDone() {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if s.runners--; s.runners == 0 {
+		close(s.runIdle)
+	}
+}
+
 // runDetached starts one tracked runner goroutine that executes the
-// batch on slot and always releases the slot itself.
+// batch on slot and always releases the slot itself. Once the pool's
+// drain refuses runners none starts: the slot goes back and the
+// outcome is errDraining.
 func (s *Server) runDetached(ctx context.Context, slot *Slot, programs []DecodedProgram, tenantID string, hedge bool, outcomes chan<- batchOutcome) {
-	s.detWG.Add(1)
+	if !s.addRunner() {
+		s.pool.Release(slot)
+		outcomes <- batchOutcome{hedge: hedge, err: errDraining}
+		return
+	}
 	go func() {
-		defer s.detWG.Done()
+		defer s.runnerDone()
 		out := s.runBatch(ctx, slot, programs, tenantID)
 		out.hedge = hedge
 		s.pool.Release(slot)
@@ -594,17 +638,17 @@ func (s *Server) traceRecord(slot *Slot, windows []trace.WindowCounts, v core.Ve
 		Tenant:       tenantID,
 		ModelVersion: slot.Model,
 		Seed:         slot.Seed,
-		Slot:        slot.ID,
-		Gen:         slot.Gen,
-		Rate:        slot.Sup.TargetRate(),
-		DepthMV:     slot.Sup.Session().Depth(),
-		Threshold:   s.threshold,
-		Malware:     v.Malware,
-		Unprotected: v.Unprotected,
-		Score:       v.Score,
-		Confidence:  conf,
-		Draws:       draws,
-		Windows:     windows,
+		Slot:         slot.ID,
+		Gen:          slot.Gen,
+		Rate:         slot.Sup.TargetRate(),
+		DepthMV:      slot.Sup.Session().Depth(),
+		Threshold:    s.threshold,
+		Malware:      v.Malware,
+		Unprotected:  v.Unprotected,
+		Score:        v.Score,
+		Confidence:   conf,
+		Draws:        draws,
+		Windows:      windows,
 	})
 }
 
@@ -796,38 +840,58 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // Serve accepts connections on ln until Shutdown. It returns the
 // error from the embedded http.Server (http.ErrServerClosed after a
 // clean shutdown is filtered to nil).
+//
+// A listener that fails or is closed from outside stops the server the
+// same ordered way as ctx: connections already accepted drain, runners
+// finish, and only then does the pool roll to nominal. The listener's
+// error is returned.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	httpSrv := &http.Server{Handler: s.mux, ReadHeaderTimeout: s.cfg.ReadHeaderTimeout}
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
 	select {
 	case <-ctx.Done():
-		s.draining.Store(true) // /readyz goes 503 before the drain starts
-		shCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
-		defer cancel()
-		err := httpSrv.Shutdown(shCtx) // drains in-flight requests
-		s.waitRunners(shCtx)           // hedged losers can outlive their handlers
-		if closeErr := s.Close(); err == nil {
-			err = closeErr
-		}
-		<-done
-		return err
 	case err := <-done:
-		closeErr := s.Close()
-		if errors.Is(err, http.ErrServerClosed) || err == nil {
-			return closeErr
-		}
-		return err
+		done <- err // the listener failed: drain first, report it below
 	}
+	s.draining.Store(true) // /readyz goes 503 before the drain starts
+	shCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
+	defer cancel()
+	err := httpSrv.Shutdown(shCtx) // drains in-flight requests
+	s.closeRunners()
+	s.waitRunners(shCtx) // hedged losers can outlive their handlers
+	if closeErr := s.Close(); err == nil {
+		err = closeErr
+	}
+	if serveErr := <-done; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
+		return serveErr
+	}
+	return err
 }
 
-// waitRunners blocks until every dispatch runner goroutine has
-// finished and released its slot, or ctx expires.
+// closeRunners refuses every runner from now on (addRunner). Only a
+// drain that closes the pool calls it: Serve once its HTTP requests
+// have finished, and Drain. ServeWire does not, so the HTTP listener it
+// shares the pool with keeps serving until its own drain.
+func (s *Server) closeRunners() {
+	s.runMu.Lock()
+	s.runnersClosed = true
+	s.runMu.Unlock()
+}
+
+// waitRunners blocks until the runner count reaches zero, so every
+// runner started before the call has finished and released its slot,
+// or until ctx expires.
 func (s *Server) waitRunners(ctx context.Context) {
-	done := make(chan struct{})
-	go func() { s.detWG.Wait(); close(done) }()
+	s.runMu.Lock()
+	if s.runners == 0 {
+		s.runMu.Unlock()
+		return
+	}
+	idle := s.runIdle
+	s.runMu.Unlock()
 	select {
-	case <-done:
+	case <-idle:
 	case <-ctx.Done():
 	}
 }
@@ -851,6 +915,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	for i := 0; i < cap(s.inflight); i++ {
 		<-s.inflight
 	}
+	s.closeRunners()
 	s.waitRunners(ctx)
 	if err := ctx.Err(); err != nil {
 		return err

@@ -125,6 +125,8 @@ func (s *Server) ServeWire(ctx context.Context, ln net.Listener) error {
 		shCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
 		defer cancel()
 		s.drainWire(shCtx)
+		// Wait for the wire's runners without refusing new ones: the
+		// HTTP listener on the same pool keeps serving until its drain.
 		s.waitRunners(shCtx)
 		<-done
 		return nil
