@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,10 +29,12 @@ func TestCompareGate(t *testing.T) {
 			JSONDecodeFastVsStd:        6.0,
 			DetectLane1VsScalar:        1.6,
 			TrainEpochVs1Proc:          1.8,
+			LaneReseedVsMathRand:       5.0,
 		},
 		Results: []Result{
 			{Name: "inference_exact_fused", NsPerOp: 100, AllocsPerOp: 0},
 			{Name: "evaluate_sharded", NsPerOp: 1e6, AllocsPerOp: 40},
+			{Name: "lane_reseed", NsPerOp: 2000, AllocsPerOp: 0},
 		},
 	}
 	clone := func(mut func(*Report)) *Report {
@@ -107,6 +110,25 @@ func TestCompareGate(t *testing.T) {
 		r.Speedups.DetectLane1VsScalar = 1.1
 	}), base, 0.25); len(p) != 1 {
 		t.Errorf("detect lane-1 regression not flagged: %v", p)
+	}
+	// Lane re-seeding is single-threaded: its ratio gates on any proc
+	// count, and its row allows no allocation at all.
+	if p := compare(clone(func(r *Report) {
+		r.MaxProcs = 1
+		r.Speedups.LaneReseedVsMathRand = 4.0
+	}), base, 0.25); len(p) != 0 {
+		t.Errorf("in-margin reseed drop flagged: %v", p)
+	}
+	if p := compare(clone(func(r *Report) {
+		r.MaxProcs = 1
+		r.Speedups.LaneReseedVsMathRand = 1.2
+	}), base, 0.25); len(p) != 1 {
+		t.Errorf("reseed regression not flagged: %v", p)
+	}
+	if p := compare(clone(func(r *Report) {
+		r.Results[2].AllocsPerOp = 1
+	}), base, 0.25); len(p) != 1 {
+		t.Errorf("allocating lane reseed not flagged: %v", p)
 	}
 	// The idle-batcher ratio has one serial client, so it gates on any
 	// proc count: inside the margin passes, an idle batcher that waits
@@ -206,12 +228,21 @@ func TestRunAndWriteReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ~6 one-second benchmarks")
 	}
-	rep, err := run(experiments.Quick(1), 1)
+	rep, err := run(experiments.Quick(1), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 22 {
-		t.Fatalf("got %d results, want 22", len(rep.Results))
+	if len(rep.Results) != 24 {
+		t.Fatalf("got %d results, want 24", len(rep.Results))
+	}
+	// modelRows lists the rows that need the trained environment; the
+	// rest are the two lane re-seeding rows.
+	var names []string
+	for _, r := range rep.Results {
+		names = append(names, r.Name)
+	}
+	if want := append(append([]string(nil), modelRows...), "lane_reseed", "lane_reseed_mathrand"); !slices.Equal(names, want) {
+		t.Errorf("rows %v, want %v", names, want)
 	}
 	for _, r := range rep.Results {
 		if r.NsPerOp <= 0 || r.Iterations <= 0 {
@@ -220,7 +251,8 @@ func TestRunAndWriteReport(t *testing.T) {
 	}
 	if rep.Speedups.ExactFusedVsScalar <= 0 || rep.Speedups.FaultySkipAheadVsBernoulli <= 0 ||
 		rep.Speedups.JSONDecodeFastVsStd <= 0 || rep.Speedups.DetectLane1VsScalar <= 0 ||
-		rep.Speedups.ServeBatchedIdleVsScalar <= 0 || rep.Speedups.TrainEpochVs1Proc <= 0 {
+		rep.Speedups.ServeBatchedIdleVsScalar <= 0 || rep.Speedups.TrainEpochVs1Proc <= 0 ||
+		rep.Speedups.LaneReseedVsMathRand <= 0 {
 		t.Errorf("speedups not computed: %+v", rep.Speedups)
 	}
 	if rep.NumMuls <= 0 {
@@ -314,7 +346,7 @@ func TestRefreshRows(t *testing.T) {
 	if prev.Results[18].NsPerOp != 100*19 {
 		t.Errorf("refresh mutated the committed report")
 	}
-	for _, bad := range []string{"detect_progam_16", "serve_[", " , "} {
+	for _, bad := range []string{"detect_progam_16", "serve_[", " , ", "lane_reseed,"} {
 		if _, err := refreshRows(prev, fresh, bad); err == nil {
 			t.Errorf("-rows %q accepted", bad)
 		}
@@ -341,5 +373,38 @@ func TestRefreshRows(t *testing.T) {
 	}
 	if want := fresh.Results[21].NsPerOp / fresh.Results[20].NsPerOp; got.Speedups.TrainEpochVs1Proc != want {
 		t.Errorf("training ratio %v, want %v", got.Speedups.TrainEpochVs1Proc, want)
+	}
+
+	// A run with -rows measures only the rows it names: the lane
+	// re-seeding rows need no trained model, so none is built and no
+	// other row appears. Merged into the committed report, they are
+	// appended and their ratio follows; every other row is untouched.
+	sel, err := parseRows("lane_reseed*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := run(experiments.Quick(1), 1, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var measured []string
+	for _, r := range partial.Results {
+		measured = append(measured, r.Name)
+	}
+	if want := []string{"lane_reseed", "lane_reseed_mathrand"}; !slices.Equal(measured, want) {
+		t.Fatalf("-rows lane_reseed* measured %v, want only %v", measured, want)
+	}
+	if partial.NumMuls != 0 {
+		t.Errorf("-rows lane_reseed* built the trained environment (NumMuls %d)", partial.NumMuls)
+	}
+	got, err = refreshRows(prev, partial, "lane_reseed*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Results) != len(names)+2 || !slices.Equal(got.Results[:len(names)], prev.Results) {
+		t.Fatalf("merging the reseed rows changed the committed rows")
+	}
+	if want := partial.Results[1].NsPerOp / partial.Results[0].NsPerOp; got.Speedups.LaneReseedVsMathRand != want {
+		t.Errorf("reseed ratio %v, want %v", got.Speedups.LaneReseedVsMathRand, want)
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 
 	"shmd/internal/faults"
 	"shmd/internal/fxp"
@@ -15,6 +17,51 @@ import (
 // in one lane-batched undervolted pass, carried through the Session
 // enter/exit protocol and the Supervisor recovery machinery with the
 // same guarantees the scalar path gives each program individually.
+
+// laneKit is the reusable state of one lane-batched pass: one source
+// per lane, re-seeded for every pass, the batch injector re-armed over
+// them, and the buffer-fresh copy of the detector's base the pass
+// scores through. Re-arming a kit draws exactly what fresh sources, a
+// fresh injector and a fresh copy would draw, so kits can be pooled.
+type laneKit struct {
+	srcs []rand.Source64
+	inj  *faults.BatchInjector
+	// base is the detector base h was copied from.
+	base *hmd.HMD
+	h    *hmd.HMD
+}
+
+// laneKits pools the kits of DetectBatch calls, so an evaluation
+// allocates no lane sources, injector or network buffers per batch once
+// its workers are warm. A kit carries no detector state across calls:
+// arm re-seeds every lane, resets the rate and distribution, and copies
+// a new base when the kit last served another.
+var laneKits = sync.Pool{New: func() any { return new(laneKit) }}
+
+// arm readies the kit for an n-lane pass at rate over dist, scoring
+// through a copy of base: seed(src, j) re-seeds lane j's source.
+func (k *laneKit) arm(base *hmd.HMD, rate float64, dist *faults.Distribution, n int, seed func(src rand.Source64, j int)) error {
+	for len(k.srcs) < n {
+		k.srcs = append(k.srcs, rng.NewSource64(0))
+	}
+	srcs := k.srcs[:n]
+	for j, src := range srcs {
+		seed(src, j)
+	}
+	if k.inj == nil {
+		inj, err := faults.NewBatchInjector(rate, dist, srcs)
+		if err != nil {
+			return err
+		}
+		k.inj = inj
+	} else if err := k.inj.Reset(rate, dist, srcs); err != nil {
+		return err
+	}
+	if k.base != base {
+		k.base, k.h = base, base.WithFreshBuffers()
+	}
+	return nil
+}
 
 // batchPassLabel separates serving-batch lane streams from the
 // detector's own stream (0x5BD in New), the evaluation shard streams
@@ -67,24 +114,13 @@ func (s *StochasticHMD) DetectTracesBatch(traces [][]trace.WindowCounts, record 
 	rate := s.inj.Rate()
 	pass := s.batchPass
 	s.batchPass++
-	for len(s.laneSrcs) < len(traces) {
-		s.laneSrcs = append(s.laneSrcs, rng.NewSource64(s.seed))
-	}
-	srcs := s.laneSrcs[:len(traces)]
-	for j, src := range srcs {
+	err := s.kit.arm(s.base, rate, s.dist, len(traces), func(src rand.Source64, j int) {
 		rng.Reseed(src, s.seed, batchPassLabel, pass, math.Float64bits(rate), uint64(j))
-	}
-	binj := s.batchInj
-	var err error
-	if binj == nil {
-		binj, err = faults.NewBatchInjector(rate, s.dist, srcs)
-		s.batchInj, s.batchBase = binj, s.base.WithFreshBuffers()
-	} else {
-		err = binj.Reset(rate, s.dist, srcs)
-	}
+	})
 	if err != nil {
 		return nil, nil, false
 	}
+	binj := s.kit.inj
 	if record {
 		logs = make([]faults.DrawLog, len(traces))
 		for j := range logs {
@@ -96,7 +132,7 @@ func (s *StochasticHMD) DetectTracesBatch(traces [][]trace.WindowCounts, record 
 			}
 		}()
 	}
-	decs = s.batchBase.DetectTracesUnit(binj, traces)
+	decs = s.kit.h.DetectTracesUnit(binj, traces)
 	return decs, logs, true
 }
 

@@ -145,8 +145,8 @@ func TestDetectTracesBatchReusesSources(t *testing.T) {
 		}
 		sameDecisions(t, fmt.Sprintf("pass %d (%d lanes)", pass, n), got, want)
 	}
-	if len(s.laneSrcs) != 6 {
-		t.Errorf("pooled %d lane sources, want 6 (the widest pass)", len(s.laneSrcs))
+	if len(s.kit.srcs) != 6 {
+		t.Errorf("pooled %d lane sources, want 6 (the widest pass)", len(s.kit.srcs))
 	}
 }
 

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
+	"shmd/internal/faults"
 	"shmd/internal/hmd"
+	"shmd/internal/stats"
 	"shmd/internal/trace"
 )
 
@@ -103,5 +107,129 @@ func TestStochasticEvaluateBatchMatchesSharded(t *testing.T) {
 		if got := hmd.EvaluateBatch(s, test, batch, 2); got != ref {
 			t.Errorf("batch=%d: confusion %+v != per-program reference %+v", batch, got, ref)
 		}
+	}
+}
+
+// TestPooledKitsKeepDetectorsApart runs batched evaluation on two
+// detectors at once, from several goroutines each, while their
+// DetectBatch calls trade lane kits through one pool. The detectors
+// differ in seed, rate, fault distribution and base network (another
+// hidden width, so even the network buffers differ in shape). Each
+// must still match its own per-program DetectorForProgram path: its
+// confusion matrix through hmd.Evaluate, and every batched decision to
+// the score bit. A kit that carried a rate, distribution, stream or
+// buffer from one caller into the next would break one or the other.
+// Run it under -race as well: the pool hands a kit from one worker to
+// another.
+func TestPooledKitsKeepDetectorsApart(t *testing.T) {
+	d, base := fixtures(t)
+	split, err := d.ThreeFold(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	test := d.Select(split.Test)
+	if len(test) > 40 {
+		test = test[:40]
+	}
+	other, err := hmd.Train(d.Select(split.VictimTrain), hmd.Config{Seed: 2, Hidden: 12, Epochs: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type detector struct {
+		s    *StochasticHMD
+		conf stats.Confusion
+		want []hmd.Decision
+	}
+	var dets []detector
+	for _, c := range []struct {
+		base *hmd.HMD
+		opts Options
+	}{
+		{base, Options{ErrorRate: 0.1, Seed: 11}},
+		{other, Options{ErrorRate: 0.35, Seed: 23, Dist: faults.UniformDistribution()}},
+	} {
+		s, err := New(c.base, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]hmd.Decision, len(test))
+		for i := range test {
+			want[i] = s.DetectorForProgram(i).DetectProgram(test[i].Windows)
+		}
+		dets = append(dets, detector{s, hmd.EvaluateParallel(hideBatch{s}, test, 2), want})
+	}
+
+	const rounds = 3
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for di := range dets {
+		det := dets[di]
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					if got := hmd.EvaluateBatch(det.s, test, 7, 2); got != det.conf {
+						errs <- fmt.Sprintf("detector %d round %d: confusion %+v, per-program %+v", di, r, got, det.conf)
+					}
+					// Batches of another width and offset per goroutine, so
+					// kits change hands between widths too.
+					width := 5 + 4*g
+					for start := g; start < len(test); start += width {
+						idxs := make([]int, 0, width)
+						for i := start; i < min(start+width, len(test)); i++ {
+							idxs = append(idxs, i)
+						}
+						for j, dec := range det.s.DetectBatch(idxs, test) {
+							if w := det.want[idxs[j]]; dec.Malware != w.Malware || math.Float64bits(dec.Score) != math.Float64bits(w.Score) {
+								errs <- fmt.Sprintf("detector %d program %d: batched %+v, per-program %+v", di, idxs[j], dec, w)
+							}
+						}
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// TestWarmDetectBatchAllocatesNoLaneSource pins the pooled lane kit: a
+// warm 64-program DetectBatch re-seeds pooled sources and re-arms a
+// pooled injector, so it allocates what scoring itself needs (the
+// feature vectors, score slices and decisions) and nothing per lane.
+// Each lane built afresh costs a source, a rand.Rand and an Injector,
+// far past the bound. Under -race sync.Pool drops a share of its items
+// on purpose, so the pin holds only without it.
+func TestWarmDetectBatchAllocatesNoLaneSource(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	d, base := fixtures(t)
+	programs := d.Programs[:64]
+	s, err := New(base, Options{ErrorRate: 0.1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxs := make([]int, len(programs))
+	windows := 0
+	for i := range idxs {
+		idxs[i] = i
+		windows += len(programs[i].Windows)
+	}
+	s.DetectBatch(idxs, programs)
+	allocs := testing.AllocsPerRun(20, func() {
+		if s.DetectBatch(idxs, programs) == nil {
+			t.Fatal("DetectBatch declined")
+		}
+	})
+	// features.Extract allocates at most one vector per window plus two
+	// slices per program; scoring adds a few slices per call.
+	limit := float64(windows + 2*len(programs) + 16)
+	if allocs > limit {
+		t.Fatalf("warm 64-program DetectBatch: %.0f allocs/op, want <= %.0f (no per-lane allocation)", allocs, limit)
 	}
 }

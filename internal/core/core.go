@@ -105,14 +105,11 @@ type StochasticHMD struct {
 	// — the moving-target property across batches.
 	laneSeeded bool
 	batchPass  uint64
-	// laneSrcs are the per-lane rand sources DetectTracesBatch re-seeds
-	// on every pass instead of allocating, batchInj the batch injector
-	// it re-arms over them (Reset) and batchBase the buffer-fresh copy
-	// of base it scores through; like batchPass they belong to the one
-	// caller the detector's locking admits at a time.
-	laneSrcs  []rand.Source64
-	batchInj  *faults.BatchInjector
-	batchBase *hmd.HMD
+	// kit is the lane kit DetectTracesBatch re-arms on every pass; like
+	// batchPass it belongs to the one caller the detector's locking
+	// admits at a time. DetectBatch, which evaluation calls from many
+	// workers at once, takes its kits from laneKits instead.
+	kit laneKit
 
 	// Decision tracing (opt-in, see EnableDecisionTrace): when on,
 	// every ScoreWindows pass records its stochastic draws into
@@ -323,20 +320,22 @@ func (s *StochasticHMD) DetectorForProgram(idx int) hmd.Detector {
 // — same seed, label, rate, and program index — so the batched
 // verdicts are bit-identical to the per-program path under any batch
 // grouping. Declines (nil) exactly when DetectorForProgram declines.
+// Safe for concurrent use: each call re-arms a lane kit of its own
+// from laneKits.
 func (s *StochasticHMD) DetectBatch(idxs []int, programs []dataset.TracedProgram) []hmd.Decision {
 	if !s.shardable {
 		return nil
 	}
 	rate := s.inj.Rate()
-	srcs := make([]rand.Source64, len(idxs))
-	for j, idx := range idxs {
-		srcs[j] = rng.NewSource64(s.seed, shardStreamLabel, math.Float64bits(rate), uint64(idx))
-	}
-	binj, err := faults.NewBatchInjector(rate, s.dist, srcs)
+	kit := laneKits.Get().(*laneKit)
+	defer laneKits.Put(kit)
+	err := kit.arm(s.base, rate, s.dist, len(idxs), func(src rand.Source64, j int) {
+		rng.Reseed(src, s.seed, shardStreamLabel, math.Float64bits(rate), uint64(idxs[j]))
+	})
 	if err != nil {
 		return nil
 	}
-	return s.base.WithFreshBuffers().DetectBatchUnit(binj, idxs, programs)
+	return kit.h.DetectBatchUnit(kit.inj, idxs, programs)
 }
 
 var _ hmd.Detector = (*StochasticHMD)(nil)

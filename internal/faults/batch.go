@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"shmd/internal/fxp"
+	"shmd/internal/rng"
 )
 
 // BatchInjector is the batch-lane form of the undervolted multiplier:
@@ -109,9 +110,11 @@ func (e spanFault) bit() uint   { return uint(e & 0xff) }
 // random source. Sources must be independent (give each lane its own
 // seed derivation, e.g. rng.NewSource64); dist nil means the Fig 1
 // model. Each lane wraps its source in a *rand.Rand for the cold draw
-// paths while the fused per-fault draw reads the source directly, so a
-// lane's stream is identical to a scalar Injector built on
-// rand.New(the same source). The lane states are scalar Injectors
+// paths. On an *rng.Source the fused per-fault draw reads the source
+// directly, an inlined call on the hot path; any other Source64 draws
+// through the wrapper on the generic path. Either way a lane's stream
+// is identical to a scalar Injector built on rand.New(the same
+// source). The lane states are scalar Injectors
 // sharing one gap table, so Lane(i) exposes each lane for recording,
 // statistics, or scalar-path interoperation.
 func NewBatchInjector(rate float64, dist *Distribution, srcs []rand.Source64) (*BatchInjector, error) {
@@ -124,8 +127,9 @@ func NewBatchInjector(rate float64, dist *Distribution, srcs []rand.Source64) (*
 
 // Reset re-arms the injector for a fresh pass: afterwards it draws
 // exactly what NewBatchInjector(rate, dist, srcs) would, but it keeps
-// what it already holds. A lane that already wraps srcs[l] keeps its
-// Injector (the caller re-seeded the source in place), plan arenas
+// what it already holds. A lane that already wraps srcs[l], an
+// *rng.Source, keeps its Injector (the caller re-seeded the source in
+// place; a lane on any other source is rebuilt), plan arenas
 // keep their capacity, and lanes are built only when srcs is wider
 // than any earlier pass. Every lane's pending gap goes back to -1, its
 // counters are cleared and its recording stopped, and every presampled
@@ -152,8 +156,9 @@ func (b *BatchInjector) Reset(rate float64, dist *Distribution, srcs []rand.Sour
 			lanes = append(lanes, nil)
 		}
 		in := lanes[l]
-		if in == nil || in.src != src {
-			in = &Injector{rnd: rand.New(src), src: src}
+		fast, _ := src.(*rng.Source)
+		if in == nil || fast == nil || in.src != fast {
+			in = &Injector{rnd: rand.New(src), src: fast}
 			lanes[l] = in
 		}
 		in.rate, in.dist, in.gap = rate, dist, -1

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"shmd/internal/fxp"
+	"shmd/internal/rng"
 )
 
 // Counters accumulates fault-injection statistics. The Fig 1
@@ -63,13 +64,15 @@ type Injector struct {
 	rate float64
 	dist *Distribution
 	rnd  *rand.Rand
-	// src, when non-nil, is the Source64 behind rnd (same state, two
-	// views). The fused per-fault draw reads it directly to skip the
-	// rand.Rand call wrapper, and the span planner's hot loop requires
-	// it; NewInjectorSource and batch-injector lanes set it. Draw values
-	// are identical either way — rand.Rand.Uint64 on a Source64
-	// delegates to the source.
-	src   rand.Source64
+	// src, when non-nil, is the source behind rnd (same state, two
+	// views). The fused per-fault draw reads it directly, an inlined
+	// call instead of the rand.Rand wrapper's interface dispatch, and
+	// the span planner's hot loop requires it. NewInjectorSource and
+	// batch-injector lanes set it when their source is an *rng.Source,
+	// as every rng.NewSource64 source is; any other Source64 leaves it
+	// nil and draws through rnd. Draw values are identical either way —
+	// rand.Rand.Uint64 on a Source64 delegates to the source.
+	src   *rng.Source
 	stats Counters
 	// gap is the number of fault-free multiplications remaining before
 	// the next fault site. Negative means "not drawn yet": the gap is
@@ -244,10 +247,11 @@ func NewInjector(rate float64, dist *Distribution, rnd *rand.Rand) (*Injector, e
 
 // NewInjectorSource is NewInjector on a raw random source: the
 // injector draws exactly the stream NewInjector(rate, dist,
-// rand.New(src)) draws, but reads src directly for its fused
-// per-fault draws. Production injectors are built this way because
-// the span planner behind BatchView takes its hot loop only when the
-// source is known.
+// rand.New(src)) draws. When src is an *rng.Source it also reads src
+// directly for its fused per-fault draws. Production injectors are
+// built this way on rng.NewSource64 sources, because the span planner
+// behind BatchView takes its hot loop only on a known *rng.Source;
+// any other source takes the generic path, with the same draws.
 func NewInjectorSource(rate float64, dist *Distribution, src rand.Source64) (*Injector, error) {
 	if src == nil {
 		return nil, fmt.Errorf("faults: injector needs a random stream")
@@ -256,7 +260,7 @@ func NewInjectorSource(rate float64, dist *Distribution, src rand.Source64) (*In
 	if err != nil {
 		return nil, err
 	}
-	in.src = src
+	in.src, _ = src.(*rng.Source)
 	return in, nil
 }
 

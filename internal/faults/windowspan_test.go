@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,11 +37,30 @@ func walkSpan(b *BatchInjector, ids []int, w []fxp.Value, rows int, mkX func(row
 	return out
 }
 
+// laneSources are the two ways a lane can hold its stream. A lane on
+// rng.NewSource64's *rng.Source takes the planner's hot loop and the
+// inlined per-fault draw; a lane on math/rand's own source, seeded
+// with the same derived seed, takes the generic path through rand.Rand.
+var laneSources = []struct {
+	name string
+	mk   func(root uint64, lane int) rand.Source64
+}{
+	{"rng.Source", func(root uint64, lane int) rand.Source64 {
+		return rng.NewSource64(root, uint64(lane))
+	}},
+	{"math/rand", func(root uint64, lane int) rand.Source64 {
+		return rand.NewSource(int64(rng.DeriveSeed(root, uint64(lane)))).(rand.Source64)
+	}},
+}
+
 // TestRepeatedLanesTakeConsecutiveWindows pins the repeated-lane span
 // contract: positions sharing a unit lane consume consecutive windows
 // of its stream in packed order (runs may be split or interleaved with
 // other lanes), bit-identical to a scalar injector walking the windows
-// one after another, and leave the same stream state behind.
+// one after another, and leave the same stream state behind. Each
+// case runs on both laneSources: the hot path and the generic path
+// must also agree with each other on the span plan and, recorded, on
+// every lane's draw log.
 func TestRepeatedLanesTakeConsecutiveWindows(t *testing.T) {
 	const n, rows = 29, 6
 	w := make([]fxp.Value, n)
@@ -56,33 +76,71 @@ func TestRepeatedLanesTakeConsecutiveWindows(t *testing.T) {
 			{0, 0, 1, 1, 1, 2},
 			{1, 0, 0, 1, 2, 2, 0},
 		} {
-			streams, refs := batchStreams(0x3A7, 3)
-			b, err := NewBatchInjector(rate, nil, streams)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scalar := make([]*Injector, 3)
-			for l := range scalar {
-				if scalar[l], err = NewInjector(rate, nil, refs[l]); err != nil {
+			var firstPlan []spanFault
+			var firstLogs []DrawLog
+			for si, src := range laneSources {
+				streams := make([]rand.Source64, 3)
+				for l := range streams {
+					streams[l] = src.mk(0x3A7, l)
+				}
+				b, err := NewBatchInjector(rate, nil, streams)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			got := walkSpan(b, ids, w, rows, mkX)
-			x := make([]fxp.Value, n)
-			for j, l := range ids {
-				for r := 0; r < rows; r++ {
-					for i := range x {
-						x[i] = mkX(r, j, i)
-					}
-					if want := scalar[l].DotRow(fxp.DefaultFormat, w, x); got[j][r] != want {
-						t.Fatalf("rate %v ids %v position %d row %d: span %d, scalar %d", rate, ids, j, r, got[j][r], want)
+				if hot := b.Lane(0).src != nil; hot != (si == 0) {
+					t.Fatalf("%s lane takes the hot path: %v", src.name, hot)
+				}
+				_, refs := batchStreams(0x3A7, 3)
+				scalar := make([]*Injector, 3)
+				for l := range scalar {
+					if scalar[l], err = NewInjector(rate, nil, refs[l]); err != nil {
+						t.Fatal(err)
 					}
 				}
-			}
-			for l := range scalar {
-				if b.Lane(l).gap != scalar[l].gap || b.Lane(l).Stats() != scalar[l].Stats() {
-					t.Fatalf("rate %v ids %v lane %d: gap %d stats %+v, scalar gap %d stats %+v",
-						rate, ids, l, b.Lane(l).gap, b.Lane(l).Stats(), scalar[l].gap, scalar[l].Stats())
+				got := walkSpan(b, ids, w, rows, mkX)
+				plan := append([]spanFault(nil), b.plan...)
+				x := make([]fxp.Value, n)
+				for j, l := range ids {
+					for r := 0; r < rows; r++ {
+						for i := range x {
+							x[i] = mkX(r, j, i)
+						}
+						if want := scalar[l].DotRow(fxp.DefaultFormat, w, x); got[j][r] != want {
+							t.Fatalf("%s rate %v ids %v position %d row %d: span %d, scalar %d", src.name, rate, ids, j, r, got[j][r], want)
+						}
+					}
+				}
+				for l := range scalar {
+					if b.Lane(l).gap != scalar[l].gap || b.Lane(l).Stats() != scalar[l].Stats() {
+						t.Fatalf("%s rate %v ids %v lane %d: gap %d stats %+v, scalar gap %d stats %+v",
+							src.name, rate, ids, l, b.Lane(l).gap, b.Lane(l).Stats(), scalar[l].gap, scalar[l].Stats())
+					}
+				}
+
+				// The same walk recorded, on fresh streams.
+				for l := range streams {
+					streams[l] = src.mk(0x3A7, l)
+				}
+				if err := b.Reset(rate, nil, streams); err != nil {
+					t.Fatal(err)
+				}
+				logs := make([]DrawLog, 3)
+				for l := range logs {
+					b.Lane(l).StartRecord(&logs[l])
+				}
+				walkSpan(b, ids, w, rows, mkX)
+				if si == 0 {
+					firstPlan, firstLogs = plan, logs
+					continue
+				}
+				if !slices.Equal(plan, firstPlan) {
+					t.Fatalf("%s rate %v ids %v: span plan %v, %s plan %v", src.name, rate, ids, plan, laneSources[0].name, firstPlan)
+				}
+				for l := range logs {
+					if !slices.Equal(logs[l].Gaps, firstLogs[l].Gaps) || !slices.Equal(logs[l].Bits, firstLogs[l].Bits) ||
+						logs[l].InitialGap != firstLogs[l].InitialGap {
+						t.Fatalf("%s rate %v ids %v lane %d: draw log %+v, %s log %+v", src.name, rate, ids, l, logs[l], laneSources[0].name, firstLogs[l])
+					}
 				}
 			}
 		}

@@ -4,6 +4,8 @@
 //   - SplitMix64, a fast splittable generator used to derive independent
 //     deterministic streams for every program, fold, and repeat so that
 //     experiments are exactly reproducible;
+//   - Source, math/rand's lagged Fibonacci stream with seeding cheap
+//     enough to re-seed every fault lane of every batched pass;
 //   - the Lewis–Goodman–Miller "minimal standard" PRNG (IBM Systems
 //     Journal 1969), the PRNG the paper benchmarks against a TRNG in the
 //     Section VIII noise-injection overhead comparison;
@@ -52,23 +54,16 @@ func DeriveSeed(root uint64, labels ...uint64) uint64 {
 // simulation code receives *rand.Rand this way; nothing reads global
 // rand state, so tests and figures never interfere with each other.
 func NewRand(root uint64, labels ...uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(DeriveSeed(root, labels...))))
+	return rand.New(NewSource64(root, labels...))
 }
 
 // NewSource64 returns the raw source behind NewRand with the same
 // derivation: rand.New(NewSource64(root, labels...)) draws the stream
-// NewRand(root, labels...) would. Hot samplers (the batch fault
-// planner) take the source directly to skip the *rand.Rand call
-// wrapper on their fused per-fault draws.
+// NewRand(root, labels...) would. The source is a *Source, math/rand's
+// stream with cheap seeding; hot samplers (the batch fault planner)
+// hold it as that type so their fused per-fault draws inline.
 func NewSource64(root uint64, labels ...uint64) rand.Source64 {
-	src := rand.NewSource(int64(DeriveSeed(root, labels...)))
-	if s64, ok := src.(rand.Source64); ok {
-		return s64
-	}
-	// math/rand's source has implemented Source64 since Go 1.8; if that
-	// ever changes, fall back to the exact expansion rand.Rand.Uint64
-	// uses for non-64-bit sources so streams stay identical.
-	return int63Source{src}
+	return NewSource(int64(DeriveSeed(root, labels...)))
 }
 
 // Reseed restarts src, a source from NewSource64, on the stream
@@ -77,12 +72,4 @@ func NewSource64(root uint64, labels ...uint64) rand.Source64 {
 // ~4.9 KB of state is reused.
 func Reseed(src rand.Source64, root uint64, labels ...uint64) {
 	src.Seed(int64(DeriveSeed(root, labels...)))
-}
-
-// int63Source lifts a Source to Source64 with the same two-Int63
-// expansion math/rand uses internally.
-type int63Source struct{ rand.Source }
-
-func (s int63Source) Uint64() uint64 {
-	return uint64(s.Int63())>>31 | uint64(s.Int63())<<32
 }
