@@ -418,7 +418,11 @@ func BenchmarkEvaluateSerial(b *testing.B) {
 	test := e.Test()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hmd.EvaluateParallel(s, test, 1)
+		set, err := hmd.NewSet(s.Base(), test)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hmd.EvaluateSet([]hmd.SetDetector{s}, set, hmd.EvalOptions{Workers: 1})
 	}
 }
 

@@ -4,8 +4,8 @@
 // streaming over real sockets, single-pass vs encoding/json request
 // decoding, window-lane vs scalar supervised detection, idle micro-batched
 // vs scalar serving, one training epoch at GOMAXPROCS vs one proc, lane
-// re-seeding vs math/rand's Seed — and
-// writes the results to a JSON file
+// re-seeding vs math/rand's Seed, a sweep cell vs a standalone
+// evaluation — and writes the results to a JSON file
 // (BENCH_inference.json by default) so the speedups are recorded
 // alongside the code that produced them.
 //
@@ -126,6 +126,13 @@ type Speedups struct {
 	// on one lane source, the same seeds both ways: the per-lane cost
 	// every batched pass pays before it draws.
 	LaneReseedVsMathRand float64 `json:"lane_reseed_vs_mathrand"`
+	// SweepCellVsEvaluate is sweepCells × the 1-worker ns/op of one
+	// full test-corpus evaluation over the 1-proc ns/op of a Fig 2(a)
+	// sweep of sweepCells (rate, repeat) cells on the same corpus: how
+	// much cheaper a sweep cell is than a standalone evaluation, which
+	// extracts and quantizes the programs and computes their nominal
+	// first-layer sums for itself. Both sides are single-threaded.
+	SweepCellVsEvaluate float64 `json:"sweep_cell_vs_evaluate"`
 }
 
 // Report is the JSON document written to -out.
@@ -328,10 +335,21 @@ func measureModelRows(rep *Report, scale experiments.Scale, count int, rows rowF
 		if rows.wants("evaluate_serial_1worker") {
 			add(measure("evaluate_serial_1worker", count, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					hmd.EvaluateParallel(stoch, test, 1)
+					set, err := hmd.NewSet(stoch.Base(), test)
+					if err != nil {
+						b.Fatal(err)
+					}
+					hmd.EvaluateSet([]hmd.SetDetector{stoch}, set, hmd.EvalOptions{Workers: 1})
 				}
 			}), false)
 		}
+	}
+	if rows.wants("accuracy_sweep_1proc") {
+		res, err := measureSweep1Proc(env, count)
+		if err != nil {
+			return err
+		}
+		add(res, false)
 	}
 
 	// Batch-lane faulty passes: one RunBatch over k lanes, each lane on
@@ -423,7 +441,7 @@ func measureModelRows(rep *Report, scale experiments.Scale, count int, rows rowF
 // modelRows are the rows measureModelRows measures, in report order.
 var modelRows = []string{
 	"inference_exact_fused", "inference_exact_scalar", "inference_faulty_skipahead", "inference_faulty_bernoulli",
-	"evaluate_sharded", "evaluate_serial_1worker",
+	"evaluate_sharded", "evaluate_serial_1worker", "accuracy_sweep_1proc",
 	"batch_faulty_1", "batch_faulty_4", "batch_faulty_16", "batch_faulty_64",
 	"serve_detect_scalar", "serve_detect_batched_16", "serve_detect_scalar_serial", "serve_detect_batched_16_serial",
 	"serve_json_tcp_batched_16", "serve_wire_stream_batched_16",
@@ -461,6 +479,7 @@ func speedupsOf(results []Result) Speedups {
 		DetectLane1VsScalar:        ratio(ns["detect_program_16_scalar"], ns["detect_program_16"]),
 		TrainEpochVs1Proc:          ratio(ns["train_rprop_epoch_1proc"], ns["train_rprop_epoch"]),
 		LaneReseedVsMathRand:       ratio(ns["lane_reseed_mathrand"], ns["lane_reseed"]),
+		SweepCellVsEvaluate:        ratio(float64(sweepCells)*ns["evaluate_serial_1worker"], ns["accuracy_sweep_1proc"]),
 	}
 }
 
@@ -823,6 +842,33 @@ func measureDetect(base *hmd.HMD, count int) (Result, Result, error) {
 	return lane1Row, scalarRow, err
 }
 
+// sweepRates are the error rates of the accuracy_sweep_1proc row: the
+// rates of perfbench's sweep workload, each repeated sweepRepeats
+// times (the quick scale's Fig 2(a) repeats), sweepCells cells in all.
+var sweepRates = [...]float64{0, 0.05, 0.1, 0.2}
+
+const (
+	sweepRepeats = 5
+	sweepCells   = len(sweepRates) * sweepRepeats
+)
+
+// measureSweep1Proc benchmarks one Fig 2(a) accuracy sweep of the test
+// fold under GOMAXPROCS(1), the serial cost of sweepCells cells over
+// one extracted set.
+func measureSweep1Proc(env *experiments.Env, count int) (Result, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	test := env.Test()
+	var err error
+	res := measure("accuracy_sweep_1proc", count, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, e := core.AccuracySweep(env.Base, test, sweepRates[:], sweepRepeats, 0xF2A); e != nil {
+				err = e
+			}
+		}
+	})
+	return res, err
+}
+
 // measureTrain benchmarks one iRPROP− epoch of the victim detector on
 // the samples hmd.Train fits it on (hmd.TrainingSamples of the
 // victim-training fold) — the loop every detector, attacker proxy and
@@ -907,6 +953,7 @@ func compare(rep, base *Report, maxRegress float64) []string {
 	ratio("json_decode_fast_vs_std", rep.Speedups.JSONDecodeFastVsStd, base.Speedups.JSONDecodeFastVsStd)
 	ratio("detect_lane1_vs_scalar", rep.Speedups.DetectLane1VsScalar, base.Speedups.DetectLane1VsScalar)
 	ratio("lane_reseed_vs_mathrand", rep.Speedups.LaneReseedVsMathRand, base.Speedups.LaneReseedVsMathRand)
+	ratio("sweep_cell_vs_evaluate", rep.Speedups.SweepCellVsEvaluate, base.Speedups.SweepCellVsEvaluate)
 	// One serial client leaves nothing to overlap, so the idle-batcher
 	// ratio gates on any proc count. Its baseline is capped at 1.0 like
 	// the other serve ratios: the invariant is that an idle batcher

@@ -30,11 +30,13 @@ func TestCompareGate(t *testing.T) {
 			DetectLane1VsScalar:        1.6,
 			TrainEpochVs1Proc:          1.8,
 			LaneReseedVsMathRand:       5.0,
+			SweepCellVsEvaluate:        1.6,
 		},
 		Results: []Result{
 			{Name: "inference_exact_fused", NsPerOp: 100, AllocsPerOp: 0},
 			{Name: "evaluate_sharded", NsPerOp: 1e6, AllocsPerOp: 40},
 			{Name: "lane_reseed", NsPerOp: 2000, AllocsPerOp: 0},
+			{Name: "accuracy_sweep_1proc", NsPerOp: 4e8, AllocsPerOp: 800},
 		},
 	}
 	clone := func(mut func(*Report)) *Report {
@@ -129,6 +131,25 @@ func TestCompareGate(t *testing.T) {
 		r.Results[2].AllocsPerOp = 1
 	}), base, 0.25); len(p) != 1 {
 		t.Errorf("allocating lane reseed not flagged: %v", p)
+	}
+	// The sweep-cell ratio compares two single-threaded rows: it gates
+	// on any proc count, and the sweep row is under the allocs gate.
+	if p := compare(clone(func(r *Report) {
+		r.MaxProcs = 1
+		r.Speedups.SweepCellVsEvaluate = 1.3
+	}), base, 0.25); len(p) != 0 {
+		t.Errorf("in-margin sweep-cell drop flagged: %v", p)
+	}
+	if p := compare(clone(func(r *Report) {
+		r.MaxProcs = 1
+		r.Speedups.SweepCellVsEvaluate = 1.0
+	}), base, 0.25); len(p) != 1 {
+		t.Errorf("sweep-cell regression not flagged: %v", p)
+	}
+	if p := compare(clone(func(r *Report) {
+		r.Results[3].AllocsPerOp = 1100
+	}), base, 0.25); len(p) != 1 {
+		t.Errorf("sweep alloc regression not flagged: %v", p)
 	}
 	// The idle-batcher ratio has one serial client, so it gates on any
 	// proc count: inside the margin passes, an idle batcher that waits
@@ -232,8 +253,8 @@ func TestRunAndWriteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 24 {
-		t.Fatalf("got %d results, want 24", len(rep.Results))
+	if len(rep.Results) != 25 {
+		t.Fatalf("got %d results, want 25", len(rep.Results))
 	}
 	// modelRows lists the rows that need the trained environment; the
 	// rest are the two lane re-seeding rows.
@@ -252,7 +273,7 @@ func TestRunAndWriteReport(t *testing.T) {
 	if rep.Speedups.ExactFusedVsScalar <= 0 || rep.Speedups.FaultySkipAheadVsBernoulli <= 0 ||
 		rep.Speedups.JSONDecodeFastVsStd <= 0 || rep.Speedups.DetectLane1VsScalar <= 0 ||
 		rep.Speedups.ServeBatchedIdleVsScalar <= 0 || rep.Speedups.TrainEpochVs1Proc <= 0 ||
-		rep.Speedups.LaneReseedVsMathRand <= 0 {
+		rep.Speedups.LaneReseedVsMathRand <= 0 || rep.Speedups.SweepCellVsEvaluate <= 0 {
 		t.Errorf("speedups not computed: %+v", rep.Speedups)
 	}
 	if rep.NumMuls <= 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -31,11 +32,11 @@ type laneKit struct {
 	h    *hmd.HMD
 }
 
-// laneKits pools the kits of DetectBatch calls, so an evaluation
-// allocates no lane sources, injector or network buffers per batch once
-// its workers are warm. A kit carries no detector state across calls:
-// arm re-seeds every lane, resets the rate and distribution, and copies
-// a new base when the kit last served another.
+// laneKits pools the kits of set evaluation jobs (laneCell.DetectSet),
+// so an evaluation allocates no lane sources, injector or network
+// buffers per job once its workers are warm. A kit carries no detector
+// state across calls: arm re-seeds every lane, resets the rate and
+// distribution, and copies a new base when the kit last served another.
 var laneKits = sync.Pool{New: func() any { return new(laneKit) }}
 
 // arm readies the kit for an n-lane pass at rate over dist, scoring
@@ -61,6 +62,37 @@ func (k *laneKit) arm(base *hmd.HMD, rate float64, dist *faults.Distribution, n 
 		k.base, k.h = base, base.WithFreshBuffers()
 	}
 	return nil
+}
+
+// laneCell is one evaluation of an extracted set at one error rate:
+// program idx draws its faults from its own stream,
+// rng.NewSource64(stream[0], stream[1], stream[2], idx), whatever
+// programs share its job. StochasticHMD.DetectSet is one (the shard
+// streams of its seed and rate); the Fig 2(b) repeats are others.
+type laneCell struct {
+	base   *hmd.HMD
+	rate   float64
+	dist   *faults.Distribution
+	stream [3]uint64
+}
+
+// SetBase implements hmd.SetDetector.
+func (c laneCell) SetBase() *hmd.HMD { return c.base }
+
+// DetectSet implements hmd.SetDetector on a pooled lane kit, program
+// lo+j on lane j.
+func (c laneCell) DetectSet(set *hmd.Set, lo, hi int, out []hmd.Decision) {
+	kit := laneKits.Get().(*laneKit)
+	defer laneKits.Put(kit)
+	err := kit.arm(c.base, c.rate, c.dist, hi-lo, func(src rand.Source64, j int) {
+		rng.Reseed(src, c.stream[0], c.stream[1], c.stream[2], uint64(lo+j))
+	})
+	if err != nil {
+		// Rates are validated where cells are built, and a job has at
+		// least one program.
+		panic(fmt.Sprintf("core: %v", err))
+	}
+	kit.h.DetectSetUnit(kit.inj, set, lo, hi, out)
 }
 
 // batchPassLabel separates serving-batch lane streams from the

@@ -6,27 +6,52 @@ import (
 	"sync"
 	"testing"
 
+	"shmd/internal/dataset"
 	"shmd/internal/faults"
 	"shmd/internal/hmd"
+	"shmd/internal/rng"
 	"shmd/internal/stats"
 	"shmd/internal/trace"
 )
 
-// hideBatch masks DetectBatch so evaluation takes the per-program
-// sharded reference path.
-type hideBatch struct{ s *StochasticHMD }
-
-func (h hideBatch) ScoreWindows(w []trace.WindowCounts) []float64 { return h.s.ScoreWindows(w) }
-func (h hideBatch) DetectProgram(w []trace.WindowCounts) hmd.Decision {
-	return h.s.DetectProgram(w)
+// programDecision is the per-program path every set lane must match:
+// program idx scored alone, through a scalar injector on the stream
+// the detector derives for it (seed, shardStreamLabel, rate, idx).
+func programDecision(s *StochasticHMD, idx int, windows []trace.WindowCounts) hmd.Decision {
+	rate := s.ErrorRate()
+	inj, err := faults.NewInjectorSource(rate, s.dist,
+		rng.NewSource64(s.seed, shardStreamLabel, math.Float64bits(rate), uint64(idx)))
+	if err != nil {
+		panic(err)
+	}
+	return s.Base().WithFreshBuffers().DetectProgramUnit(inj, windows)
 }
-func (h hideBatch) DetectorForProgram(idx int) hmd.Detector { return h.s.DetectorForProgram(idx) }
+
+// programConfusion is the confusion matrix of programDecision over
+// programs.
+func programConfusion(s *StochasticHMD, programs []dataset.TracedProgram) stats.Confusion {
+	var c stats.Confusion
+	for i, p := range programs {
+		c.Record(programDecision(s, i, p.Windows).Malware, p.IsMalware())
+	}
+	return c
+}
+
+// mustSet extracts programs for base.
+func mustSet(t *testing.T, base *hmd.HMD, programs []dataset.TracedProgram) *hmd.Set {
+	t.Helper()
+	set, err := hmd.NewSet(base, programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
 
 // TestStochasticDetectBatchBitIdentity is the tentpole guarantee at
-// the detector level: batched stochastic evaluation is bit-identical
-// per program to the per-program derived path — same verdicts, same
-// score bits — for batch sizes covering single-lane, ragged, and
-// full-width groupings, and for any lane order.
+// the detector level: set evaluation is bit-identical per program to
+// the per-program derived path — same verdicts, same score bits — for
+// batch sizes covering single-lane, ragged, and full-width groupings,
+// and wherever in its batch a program lands.
 func TestStochasticDetectBatchBitIdentity(t *testing.T) {
 	d, base := fixtures(t)
 	split, err := d.ThreeFold(0)
@@ -37,60 +62,43 @@ func TestStochasticDetectBatchBitIdentity(t *testing.T) {
 	if len(test) > 48 {
 		test = test[:48]
 	}
+	set := mustSet(t, base, test)
 	for _, rate := range []float64{0.1, 0.5} {
 		s, err := New(base, Options{ErrorRate: rate, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Per-program reference decisions through DetectorForProgram —
-		// the exact contract DetectBatch lanes must reproduce.
 		want := make([]hmd.Decision, len(test))
 		for i := range test {
-			want[i] = s.DetectorForProgram(i).DetectProgram(test[i].Windows)
+			want[i] = programDecision(s, i, test[i].Windows)
+		}
+		check := func(what string, lo int, got []hmd.Decision) {
+			t.Helper()
+			for j, dec := range got {
+				if w := want[lo+j]; dec.Malware != w.Malware || math.Float64bits(dec.Score) != math.Float64bits(w.Score) {
+					t.Fatalf("rate %v %s program %d: set %+v != per-program %+v", rate, what, lo+j, dec, w)
+				}
+			}
 		}
 		for _, batch := range []int{1, 2, 7, 64} {
-			for start := 0; start < len(test); start += batch {
-				end := start + batch
-				if end > len(test) {
-					end = len(test)
-				}
-				idxs := make([]int, 0, end-start)
-				for i := start; i < end; i++ {
-					idxs = append(idxs, i)
-				}
-				got := s.DetectBatch(idxs, test)
-				for j, idx := range idxs {
-					if got[j].Malware != want[idx].Malware ||
-						math.Float64bits(got[j].Score) != math.Float64bits(want[idx].Score) {
-						t.Fatalf("rate %v batch=%d program %d: batched %+v != per-program %+v",
-							rate, batch, idx, got[j], want[idx])
-					}
-				}
+			for lo := 0; lo < len(test); lo += batch {
+				got := make([]hmd.Decision, min(lo+batch, len(test))-lo)
+				s.DetectSet(set, lo, lo+len(got), got)
+				check(fmt.Sprintf("batch=%d", batch), lo, got)
 			}
 		}
-		// Lane order must not matter: reversed batch, same decisions.
-		n := len(test)
-		if n > 16 {
-			n = 16
-		}
-		rev := make([]int, n)
-		for i := range rev {
-			rev[i] = n - 1 - i
-		}
-		got := s.DetectBatch(rev, test)
-		for j, idx := range rev {
-			if got[j].Malware != want[idx].Malware ||
-				math.Float64bits(got[j].Score) != math.Float64bits(want[idx].Score) {
-				t.Fatalf("rate %v reversed lane %d (program %d): %+v != %+v",
-					rate, j, idx, got[j], want[idx])
-			}
+		// The packed position must not matter: every suffix batch.
+		for lo := 1; lo < 16; lo++ {
+			got := make([]hmd.Decision, 16-lo)
+			s.DetectSet(set, lo, 16, got)
+			check("suffix", lo, got)
 		}
 	}
 }
 
 // TestStochasticEvaluateBatchMatchesSharded pins the evaluation-level
-// equivalence: the batched evaluator and the per-program sharded
-// reference produce the same confusion matrix at every batch size.
+// equivalence: set evaluation and the per-program reference produce
+// the same confusion matrix at every batch size.
 func TestStochasticEvaluateBatchMatchesSharded(t *testing.T) {
 	d, base := fixtures(t)
 	split, err := d.ThreeFold(0)
@@ -102,25 +110,27 @@ func TestStochasticEvaluateBatchMatchesSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := hmd.EvaluateParallel(hideBatch{s}, test, 2)
+	ref := programConfusion(s, test)
+	set := mustSet(t, base, test)
 	for _, batch := range []int{1, 7, 64} {
-		if got := hmd.EvaluateBatch(s, test, batch, 2); got != ref {
+		if got := hmd.EvaluateSet([]hmd.SetDetector{s}, set, hmd.EvalOptions{Workers: 2, Batch: batch})[0]; got != ref {
 			t.Errorf("batch=%d: confusion %+v != per-program reference %+v", batch, got, ref)
 		}
 	}
 }
 
-// TestPooledKitsKeepDetectorsApart runs batched evaluation on two
+// TestPooledKitsKeepDetectorsApart runs set evaluation on three
 // detectors at once, from several goroutines each, while their
-// DetectBatch calls trade lane kits through one pool. The detectors
+// DetectSet calls trade lane kits through one pool. The detectors
 // differ in seed, rate, fault distribution and base network (another
-// hidden width, so even the network buffers differ in shape). Each
-// must still match its own per-program DetectorForProgram path: its
-// confusion matrix through hmd.Evaluate, and every batched decision to
-// the score bit. A kit that carried a rate, distribution, stream or
-// buffer from one caller into the next would break one or the other.
-// Run it under -race as well: the pool hands a kit from one worker to
-// another.
+// hidden width, so even the network buffers differ in shape), and two
+// of them score one shared set concurrently — alone and as the two
+// cells of one evaluation. Each must still match its own per-program
+// path: its confusion matrix, and every batched decision to the score
+// bit. A kit that carried a rate, distribution, stream or buffer from
+// one caller into the next, or a pass that wrote into the shared set,
+// would break one or the other. Run it under -race as well: the pool
+// hands a kit from one worker to another, and the set is read by all.
 func TestPooledKitsKeepDetectorsApart(t *testing.T) {
 	d, base := fixtures(t)
 	split, err := d.ThreeFold(0)
@@ -135,18 +145,22 @@ func TestPooledKitsKeepDetectorsApart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shared, otherSet := mustSet(t, base, test), mustSet(t, other, test)
 	type detector struct {
 		s    *StochasticHMD
+		set  *hmd.Set
 		conf stats.Confusion
 		want []hmd.Decision
 	}
 	var dets []detector
 	for _, c := range []struct {
 		base *hmd.HMD
+		set  *hmd.Set
 		opts Options
 	}{
-		{base, Options{ErrorRate: 0.1, Seed: 11}},
-		{other, Options{ErrorRate: 0.35, Seed: 23, Dist: faults.UniformDistribution()}},
+		{base, shared, Options{ErrorRate: 0.1, Seed: 11}},
+		{other, otherSet, Options{ErrorRate: 0.35, Seed: 23, Dist: faults.UniformDistribution()}},
+		{base, shared, Options{ErrorRate: 0.2, Seed: 31, Dist: faults.UniformDistribution()}},
 	} {
 		s, err := New(c.base, c.opts)
 		if err != nil {
@@ -154,9 +168,9 @@ func TestPooledKitsKeepDetectorsApart(t *testing.T) {
 		}
 		want := make([]hmd.Decision, len(test))
 		for i := range test {
-			want[i] = s.DetectorForProgram(i).DetectProgram(test[i].Windows)
+			want[i] = programDecision(s, i, test[i].Windows)
 		}
-		dets = append(dets, detector{s, hmd.EvaluateParallel(hideBatch{s}, test, 2), want})
+		dets = append(dets, detector{s, c.set, programConfusion(s, test), want})
 	}
 
 	const rounds = 3
@@ -169,20 +183,18 @@ func TestPooledKitsKeepDetectorsApart(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
-					if got := hmd.EvaluateBatch(det.s, test, 7, 2); got != det.conf {
+					if got := hmd.EvaluateSet([]hmd.SetDetector{det.s}, det.set, hmd.EvalOptions{Workers: 2, Batch: 7})[0]; got != det.conf {
 						errs <- fmt.Sprintf("detector %d round %d: confusion %+v, per-program %+v", di, r, got, det.conf)
 					}
 					// Batches of another width and offset per goroutine, so
 					// kits change hands between widths too.
 					width := 5 + 4*g
-					for start := g; start < len(test); start += width {
-						idxs := make([]int, 0, width)
-						for i := start; i < min(start+width, len(test)); i++ {
-							idxs = append(idxs, i)
-						}
-						for j, dec := range det.s.DetectBatch(idxs, test) {
-							if w := det.want[idxs[j]]; dec.Malware != w.Malware || math.Float64bits(dec.Score) != math.Float64bits(w.Score) {
-								errs <- fmt.Sprintf("detector %d program %d: batched %+v, per-program %+v", di, idxs[j], dec, w)
+					for lo := g; lo < len(test); lo += width {
+						got := make([]hmd.Decision, min(lo+width, len(test))-lo)
+						det.s.DetectSet(det.set, lo, lo+len(got), got)
+						for j, dec := range got {
+							if w := det.want[lo+j]; dec.Malware != w.Malware || math.Float64bits(dec.Score) != math.Float64bits(w.Score) {
+								errs <- fmt.Sprintf("detector %d program %d: batched %+v, per-program %+v", di, lo+j, dec, w)
 							}
 						}
 					}
@@ -190,6 +202,18 @@ func TestPooledKitsKeepDetectorsApart(t *testing.T) {
 			}()
 		}
 	}
+	// The two detectors on the shared set, as the cells of one
+	// evaluation, concurrently with everything above.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		got := hmd.EvaluateSet([]hmd.SetDetector{dets[0].s, dets[2].s}, shared, hmd.EvalOptions{Workers: 2, Batch: 9})
+		for i, di := range []int{0, 2} {
+			if got[i] != dets[di].conf {
+				errs <- fmt.Sprintf("cell %d (detector %d): confusion %+v, per-program %+v", i, di, got[i], dets[di].conf)
+			}
+		}
+	}()
 	wg.Wait()
 	close(errs)
 	for e := range errs {
@@ -198,12 +222,12 @@ func TestPooledKitsKeepDetectorsApart(t *testing.T) {
 }
 
 // TestWarmDetectBatchAllocatesNoLaneSource pins the pooled lane kit: a
-// warm 64-program DetectBatch re-seeds pooled sources and re-arms a
-// pooled injector, so it allocates what scoring itself needs (the
-// feature vectors, score slices and decisions) and nothing per lane.
-// Each lane built afresh costs a source, a rand.Rand and an Injector,
-// far past the bound. Under -race sync.Pool drops a share of its items
-// on purpose, so the pin holds only without it.
+// warm 64-program DetectSet re-seeds pooled sources and re-arms a
+// pooled injector over a set extracted beforehand, so it allocates
+// nothing per lane or per window. Each lane built afresh costs a
+// source, a rand.Rand and an Injector, far past the bound. Under -race
+// sync.Pool drops a share of its items on purpose, so the pin holds
+// only without it.
 func TestWarmDetectBatchAllocatesNoLaneSource(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -214,22 +238,13 @@ func TestWarmDetectBatchAllocatesNoLaneSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxs := make([]int, len(programs))
-	windows := 0
-	for i := range idxs {
-		idxs[i] = i
-		windows += len(programs[i].Windows)
-	}
-	s.DetectBatch(idxs, programs)
+	set := mustSet(t, base, programs)
+	out := make([]hmd.Decision, len(programs))
+	s.DetectSet(set, 0, len(programs), out)
 	allocs := testing.AllocsPerRun(20, func() {
-		if s.DetectBatch(idxs, programs) == nil {
-			t.Fatal("DetectBatch declined")
-		}
+		s.DetectSet(set, 0, len(programs), out)
 	})
-	// features.Extract allocates at most one vector per window plus two
-	// slices per program; scoring adds a few slices per call.
-	limit := float64(windows + 2*len(programs) + 16)
-	if allocs > limit {
-		t.Fatalf("warm 64-program DetectBatch: %.0f allocs/op, want <= %.0f (no per-lane allocation)", allocs, limit)
+	if allocs > 2 {
+		t.Fatalf("warm 64-program DetectSet: %.0f allocs/op, want <= 2 (no per-lane or per-window allocation)", allocs)
 	}
 }

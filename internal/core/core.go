@@ -14,9 +14,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
-	"shmd/internal/dataset"
 	"shmd/internal/faults"
 	"shmd/internal/fxp"
 	"shmd/internal/hmd"
@@ -89,11 +87,11 @@ type StochasticHMD struct {
 	reg  Plane
 	inj  FaultUnit
 
-	// Sharded-evaluation support (hmd.ProgramSharder): the root seed
-	// and fault-location distribution from which per-program fault
-	// streams are derived. Only populated by New, where the fault unit
-	// is known to be a standard injector; detectors on caller-supplied
-	// hardware decline sharding.
+	// Set-evaluation support (hmd.SetDetector): the root seed and
+	// fault-location distribution from which per-program fault streams
+	// are derived. Only populated by New, where the fault unit is known
+	// to be a standard injector; detectors on caller-supplied hardware
+	// decline set evaluation.
 	shardable bool
 	seed      uint64
 	dist      *faults.Distribution
@@ -107,7 +105,7 @@ type StochasticHMD struct {
 	batchPass  uint64
 	// kit is the lane kit DetectTracesBatch re-arms on every pass; like
 	// batchPass it belongs to the one caller the detector's locking
-	// admits at a time. DetectBatch, which evaluation calls from many
+	// admits at a time. DetectSet, which evaluation calls from many
 	// workers at once, takes its kits from laneKits instead.
 	kit laneKit
 
@@ -270,8 +268,8 @@ func (s *StochasticHMD) EnableDecisionTrace() {
 // pass. Meaningful only after EnableDecisionTrace.
 func (s *StochasticHMD) LastDraws() faults.DrawLog { return s.lastDraws.Clone() }
 
-// DetectProgramTraced implements hmd.TracedDetector: the verdict plus
-// the draw log of its scoring pass, whether or not tracing is enabled.
+// DetectProgramTraced returns the verdict plus the draw log of its
+// scoring pass, whether or not tracing is enabled.
 func (s *StochasticHMD) DetectProgramTraced(windows []trace.WindowCounts) (hmd.Decision, faults.DrawLog) {
 	rec, ok := s.inj.(faults.Recordable)
 	if !ok {
@@ -293,52 +291,32 @@ func (s *StochasticHMD) DetectProgram(windows []trace.WindowCounts) hmd.Decision
 // the detector's own stream (label 0x5BD in New).
 const shardStreamLabel = 0x5A4D
 
-// DetectorForProgram implements hmd.ProgramSharder: an independent
-// detector for program idx whose fault stream is derived from the
-// detector's root seed, the current error rate, and idx. Evaluation
-// results are therefore a pure function of (seed, rate, programs) —
-// independent of worker count and shard order — and evaluating never
-// consumes the detector's own fault stream. Detectors built on
-// caller-supplied hardware (NewWithHardware) return nil: an arbitrary
-// FaultUnit cannot be re-derived per program.
-func (s *StochasticHMD) DetectorForProgram(idx int) hmd.Detector {
+// SetBase implements hmd.SetDetector: the base detector, whose
+// network scores the evaluation sets, or nil for a detector built on
+// caller-supplied hardware (NewWithHardware), whose FaultUnit cannot
+// be re-derived per program — evaluation then runs it program by
+// program on its own stream.
+func (s *StochasticHMD) SetBase() *hmd.HMD {
 	if !s.shardable {
 		return nil
 	}
-	rate := s.inj.Rate()
-	inj, err := faults.NewInjectorSource(rate, s.dist,
-		rng.NewSource64(s.seed, shardStreamLabel, math.Float64bits(rate), uint64(idx)))
-	if err != nil {
-		return nil
-	}
-	return s.base.WithUnit(inj)
+	return s.base
 }
 
-// DetectBatch implements hmd.BatchSharder: one lane-batched evaluation
-// pass over programs[idx], idx in idxs, where lane j's fault stream is
-// the per-program derived stream DetectorForProgram(idxs[j]) would use
-// — same seed, label, rate, and program index — so the batched
-// verdicts are bit-identical to the per-program path under any batch
-// grouping. Declines (nil) exactly when DetectorForProgram declines.
-// Safe for concurrent use: each call re-arms a lane kit of its own
-// from laneKits.
-func (s *StochasticHMD) DetectBatch(idxs []int, programs []dataset.TracedProgram) []hmd.Decision {
-	if !s.shardable {
-		return nil
-	}
+// DetectSet implements hmd.SetDetector: programs [lo, hi) of set in
+// one lane-batched pass, program idx drawing its faults from its own
+// stream derived from the detector's root seed, the current error rate
+// and idx. Evaluation results are therefore a pure function of (seed,
+// rate, programs) — independent of worker count and batching — and
+// evaluating never consumes the detector's own fault stream. Safe for
+// concurrent use: each call re-arms a lane kit of its own from
+// laneKits.
+func (s *StochasticHMD) DetectSet(set *hmd.Set, lo, hi int, out []hmd.Decision) {
 	rate := s.inj.Rate()
-	kit := laneKits.Get().(*laneKit)
-	defer laneKits.Put(kit)
-	err := kit.arm(s.base, rate, s.dist, len(idxs), func(src rand.Source64, j int) {
-		rng.Reseed(src, s.seed, shardStreamLabel, math.Float64bits(rate), uint64(idxs[j]))
-	})
-	if err != nil {
-		return nil
-	}
-	return kit.h.DetectBatchUnit(kit.inj, idxs, programs)
+	laneCell{base: s.base, rate: rate, dist: s.dist,
+		stream: [3]uint64{s.seed, shardStreamLabel, math.Float64bits(rate)},
+	}.DetectSet(set, lo, hi, out)
 }
 
 var _ hmd.Detector = (*StochasticHMD)(nil)
-var _ hmd.ProgramSharder = (*StochasticHMD)(nil)
-var _ hmd.BatchSharder = (*StochasticHMD)(nil)
-var _ hmd.TracedDetector = (*StochasticHMD)(nil)
+var _ hmd.SetDetector = (*StochasticHMD)(nil)

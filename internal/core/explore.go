@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"shmd/internal/dataset"
 	"shmd/internal/faults"
@@ -31,7 +29,11 @@ type SweepPoint struct {
 
 // AccuracySweep evaluates the protected detector at every error rate,
 // repeating each evaluation `repeats` times with independent fault
-// streams. Repeats run in parallel.
+// streams. The programs are extracted once, and every (rate, repeat)
+// cell's program batches run as one flat job list over GOMAXPROCS
+// workers. Cell (ri, rep) is the detector New(base, rate, seed
+// DeriveSeed(seed, ri+1, rep+1)) would evaluate, so every draw is the
+// one a per-cell hmd.Evaluate of that detector makes.
 func AccuracySweep(base *hmd.HMD, programs []dataset.TracedProgram, rates []float64, repeats int, seed uint64) ([]SweepPoint, error) {
 	if len(programs) == 0 {
 		return nil, fmt.Errorf("core: no evaluation programs")
@@ -39,26 +41,33 @@ func AccuracySweep(base *hmd.HMD, programs []dataset.TracedProgram, rates []floa
 	if repeats < 1 {
 		return nil, fmt.Errorf("core: repeats %d < 1", repeats)
 	}
+	set, err := hmd.NewSet(base, programs)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]hmd.SetDetector, 0, len(rates)*repeats)
+	for ri, rate := range rates {
+		for rep := 0; rep < repeats; rep++ {
+			s, err := New(base, Options{
+				ErrorRate: rate,
+				Seed:      rng.DeriveSeed(seed, uint64(ri)+1, uint64(rep)+1),
+			})
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, s)
+		}
+	}
+	conf := hmd.EvaluateSet(cells, set, hmd.EvalOptions{})
 	out := make([]SweepPoint, len(rates))
 	for ri, rate := range rates {
 		accs := make([]float64, repeats)
 		fprs := make([]float64, repeats)
 		fnrs := make([]float64, repeats)
-		if err := forEachRepeat(repeats, func(rep int) error {
-			s, err := New(base.WithFreshBuffers(), Options{
-				ErrorRate: rate,
-				Seed:      rng.DeriveSeed(seed, uint64(ri)+1, uint64(rep)+1),
-			})
-			if err != nil {
-				return err
-			}
-			c := hmd.Evaluate(s, programs)
+		for rep, c := range conf[ri*repeats : (ri+1)*repeats] {
 			accs[rep] = c.Accuracy()
 			fprs[rep] = c.FPR()
 			fnrs[rep] = c.FNR()
-			return nil
-		}); err != nil {
-			return nil, err
 		}
 		accS, _ := stats.Summarize(accs)
 		fprS, _ := stats.Summarize(fprs)
@@ -72,10 +81,10 @@ func AccuracySweep(base *hmd.HMD, programs []dataset.TracedProgram, rates []floa
 // of program-level malware-class confidence for benign samples and for
 // malware samples, at a given error rate, pooled over repeats.
 //
-// Work is sharded over every (repeat, program) cell: each cell scores
-// through its own injector on a stream derived from (seed, repeat,
-// program index), so the pooled histograms are a pure function of the
-// arguments — independent of GOMAXPROCS and of the order shards
+// The programs are extracted once and each repeat is one cell of a set
+// evaluation: program pi of repeat rep scores on its own stream derived
+// from (seed, rep, pi), so the pooled histograms are a pure function of
+// the arguments — independent of GOMAXPROCS and of the order jobs
 // complete in.
 func ConfidenceDistributions(base *hmd.HMD, programs []dataset.TracedProgram, rate float64, repeats, bins int, seed uint64) (benign, malware *stats.Histogram, err error) {
 	if len(programs) == 0 {
@@ -87,59 +96,23 @@ func ConfidenceDistributions(base *hmd.HMD, programs []dataset.TracedProgram, ra
 	if rate < 0 || rate > 1 {
 		return nil, nil, fmt.Errorf("core: error rate %v outside [0,1]", rate)
 	}
-	benign = stats.NewHistogram(0, 1, bins)
-	malware = stats.NewHistogram(0, 1, bins)
-	scores := make([]float64, repeats*len(programs))
-	if err := forEachRepeat(repeats*len(programs), func(job int) error {
-		rep, pi := job/len(programs), job%len(programs)
-		inj, err := faults.NewInjectorSource(rate, nil,
-			rng.NewSource64(seed, 0xC0F, uint64(rep)+1, uint64(pi)))
-		if err != nil {
-			return err
-		}
-		scores[job] = base.WithUnit(inj).DetectProgram(programs[pi].Windows).Score
-		return nil
-	}); err != nil {
+	set, err := hmd.NewSet(base, programs)
+	if err != nil {
 		return nil, nil, err
 	}
-	for job, score := range scores {
-		if programs[job%len(programs)].IsMalware() {
-			malware.Add(score)
+	cells := make([]hmd.SetDetector, repeats)
+	for rep := range cells {
+		cells[rep] = laneCell{base: base, rate: rate, dist: faults.Fig1Distribution(),
+			stream: [3]uint64{seed, 0xC0F, uint64(rep) + 1}}
+	}
+	benign = stats.NewHistogram(0, 1, bins)
+	malware = stats.NewHistogram(0, 1, bins)
+	hmd.EvaluateSet(cells, set, hmd.EvalOptions{Sink: func(tr hmd.DecisionTrace) {
+		if programs[tr.Program].IsMalware() {
+			malware.Add(tr.Decision.Score)
 		} else {
-			benign.Add(score)
+			benign.Add(tr.Decision.Score)
 		}
-	}
+	}})
 	return benign, malware, nil
-}
-
-// forEachRepeat runs fn(0..n-1) across GOMAXPROCS workers and collects
-// the first error.
-func forEachRepeat(n int, fn func(rep int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := range next {
-				errs[rep] = fn(rep)
-			}
-		}()
-	}
-	for rep := 0; rep < n; rep++ {
-		next <- rep
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

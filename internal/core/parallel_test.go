@@ -7,6 +7,7 @@ import (
 	"shmd/internal/faults"
 	"shmd/internal/hmd"
 	"shmd/internal/rng"
+	"shmd/internal/stats"
 	"shmd/internal/volt"
 )
 
@@ -28,9 +29,13 @@ func TestStochasticEvaluateDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := hmd.EvaluateParallel(s, test, 1)
+		set := mustSet(t, base, test)
+		evaluate := func(workers int) stats.Confusion {
+			return hmd.EvaluateSet([]hmd.SetDetector{s}, set, hmd.EvalOptions{Workers: workers})[0]
+		}
+		ref := evaluate(1)
 		for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
-			if got := hmd.EvaluateParallel(s, test, workers); got != ref {
+			if got := evaluate(workers); got != ref {
 				t.Errorf("rate %v workers=%d: confusion %+v != workers=1 %+v",
 					rate, workers, got, ref)
 			}
@@ -105,8 +110,8 @@ func TestHardwareDetectorDeclinesSharding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if det := s.DetectorForProgram(0); det != nil {
-		t.Fatal("hardware-supplied detector must decline sharding")
+	if s.SetBase() != nil {
+		t.Fatal("hardware-supplied detector must decline set evaluation")
 	}
 	c := hmd.Evaluate(s, test)
 	if c.TP+c.TN+c.FP+c.FN != len(test) {

@@ -468,8 +468,9 @@ func (b *BatchInjector) splitSpan(l, a, e, muls int, plan []spanFault) {
 // faults for the row (consuming its presampled span when one is
 // active, drawing live otherwise), then run the MAC. Positions whose
 // magnitude bound (Σ|w|·max|x| plus the planned bit-flip inflation
-// Σ2^bit) clears fxp.NoSatBound take the unchecked fast path with
-// faults applied as additive corrections afterward; other positions
+// Σ2^bit) clears fxp.NoSatBound take the unchecked fast path — the
+// batch's stored nominal sum when it carries one — with faults applied
+// as additive corrections afterward; other positions
 // replay the plan through the scalar saturating segment walk. Both
 // give bit-identical results to the scalar Injector on the same
 // stream.
@@ -511,7 +512,7 @@ func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, 
 				// The whole window's inflation clears the bound (a
 				// superset of any row's), so consume and correct in one
 				// pass over this row's entries.
-				acc := fxp.DotUnchecked(w, x)
+				acc := bt.UncheckedSum(j, w, x)
 				for c < len(entries) && entries[c] < pEnd {
 					site := int(entries[c].site() - base)
 					p := int64(w[site]) * int64(x[site])
@@ -529,7 +530,7 @@ func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, 
 					c++
 				}
 				if bt.MaxAbs != nil && wAbs*float64(bt.MaxAbs[j])+inflate < fxp.NoSatBound {
-					acc := fxp.DotUnchecked(w, x)
+					acc := bt.UncheckedSum(j, w, x)
 					for s := start; s < c; s++ {
 						site := int(entries[s].site() - base)
 						p := int64(w[site]) * int64(x[site])
@@ -553,7 +554,7 @@ func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, 
 				bound += float64(uint64(1) << bit)
 			}
 			if bound < fxp.NoSatBound {
-				acc := fxp.DotUnchecked(w, x)
+				acc := bt.UncheckedSum(j, w, x)
 				for s, site := range sites {
 					p := int64(w[site]) * int64(x[site])
 					acc += (p ^ int64(1)<<bits[s]) - p
@@ -616,8 +617,9 @@ func (b *BatchInjector) allSpanFast(bt *fxp.Batch, wAbs float64, n, k int) bool 
 }
 
 // dotRowSpanFast is the whole-row fast path: one blocked unchecked MAC
-// over all positions, then each position's planned faults applied as
-// additive corrections. Per position this computes exactly what the
+// over all positions (or the batch's stored sums, when it carries
+// them), then each position's planned faults applied as additive
+// corrections. Per position this computes exactly what the
 // per-position span fast path computes; allSpanFast has already
 // proven the bound for every position.
 func (b *BatchInjector) dotRowSpanFast(f fxp.Format, w []fxp.Value, bt *fxp.Batch, out []fxp.Value) {
@@ -626,8 +628,7 @@ func (b *BatchInjector) dotRowSpanFast(f fxp.Format, w []fxp.Value, bt *fxp.Batc
 	if cap(b.accs) < k {
 		b.accs = make([]int64, k)
 	}
-	accs := b.accs[:k]
-	fxp.DotUncheckedBatch(w, bt.Xs, bt.Stride, accs)
+	accs := bt.UncheckedSums(w, b.accs[:k])
 	for j := 0; j < k; j++ {
 		sp := &b.spans[j]
 		base := sp.pos

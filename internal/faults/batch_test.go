@@ -28,14 +28,21 @@ var batchSizes = []int{1, 2, 7, 64}
 
 // runLaneRows pushes `rows` rows of length n through every lane of a
 // batch injector using a lane-major arena, returning the per-lane
-// outputs of every row.
-func runLaneRows(t *testing.T, b *BatchInjector, f fxp.Format, w []fxp.Value, rows int, mkX func(row, lane, i int) fxp.Value) [][]fxp.Value {
+// outputs of every row. With stored set, the rows carry stored sums
+// as walkSpan's do: exact where a lane clears the weight-activation
+// bound, poisoned where it does not.
+func runLaneRows(t *testing.T, b *BatchInjector, f fxp.Format, w []fxp.Value, rows int, mkX func(row, lane, i int) fxp.Value, stored bool) [][]fxp.Value {
 	t.Helper()
 	k := b.NumLanes()
 	n := len(w)
 	stride := n
 	xs := make([]fxp.Value, k*stride)
 	maxAbs := make([]int64, k)
+	var sums []int64
+	if stored {
+		sums = make([]int64, k)
+	}
+	wAbs := float64(fxp.SumAbs(w))
 	out := make([][]fxp.Value, rows)
 	for r := 0; r < rows; r++ {
 		for l := 0; l < k; l++ {
@@ -50,8 +57,14 @@ func runLaneRows(t *testing.T, b *BatchInjector, f fxp.Format, w []fxp.Value, ro
 				}
 			}
 			maxAbs[l] = m
+			if stored {
+				sums[l] = fxp.DotUnchecked(w, xs[l*stride:l*stride+n])
+				if wAbs*float64(m) >= fxp.NoSatBound {
+					sums[l] = -0x5EED_5EED
+				}
+			}
 		}
-		bt := &fxp.Batch{Xs: xs, Stride: stride, MaxAbs: maxAbs}
+		bt := &fxp.Batch{Xs: xs, Stride: stride, MaxAbs: maxAbs, Sums: sums}
 		row := make([]fxp.Value, k)
 		b.DotRowBatch(f, w, bt, row)
 		out[r] = row
@@ -64,7 +77,7 @@ func runLaneRows(t *testing.T, b *BatchInjector, f fxp.Format, w []fxp.Value, ro
 // Injector consuming the same stream over the same multiplication
 // sequence — at every issue-pinned batch size, across rows whose gaps
 // span row boundaries, at several rates (gap-table and log-inversion
-// regimes).
+// regimes), with and without stored sums.
 func TestBatchInjectorBitIdentity(t *testing.T) {
 	f := fxp.DefaultFormat
 	const n, rows = 33, 40
@@ -75,14 +88,18 @@ func TestBatchInjectorBitIdentity(t *testing.T) {
 	mkX := func(row, lane, i int) fxp.Value {
 		return fxp.Value((row+1)*(lane+3)*(i+7)%8191 - 4096)
 	}
-	for _, rate := range []float64{0, 0.004, 0.1, 0.5} {
+	for _, c := range []struct {
+		rate   float64
+		stored bool
+	}{{0, false}, {0.004, false}, {0.1, false}, {0.5, false}, {0, true}, {0.1, true}, {0.5, true}} {
+		rate := c.rate
 		for _, k := range batchSizes {
 			streams, shadow := batchStreams(0xB17C*uint64(k)+math.Float64bits(rate), k)
 			b, err := NewBatchInjector(rate, nil, streams)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := runLaneRows(t, b, f, w, rows, mkX)
+			got := runLaneRows(t, b, f, w, rows, mkX, c.stored)
 			for l := 0; l < k; l++ {
 				ref, err := NewInjector(rate, nil, shadow[l])
 				if err != nil {
@@ -110,7 +127,8 @@ func TestBatchInjectorBitIdentity(t *testing.T) {
 // TestBatchInjectorSaturatingLanes repeats the bit-identity check with
 // full-range activations that overflow the accumulator, forcing the
 // planned scalar fallback path: saturation behavior must match the
-// scalar injector exactly.
+// scalar injector exactly, and the lanes' (poisoned) stored sums must
+// be ignored.
 func TestBatchInjectorSaturatingLanes(t *testing.T) {
 	f := fxp.DefaultFormat
 	const n, rows, k = 16, 30, 7
@@ -125,25 +143,27 @@ func TestBatchInjectorSaturatingLanes(t *testing.T) {
 		}
 		return v
 	}
-	streams, shadow := batchStreams(0x5A7, k)
-	b, err := NewBatchInjector(0.1, nil, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runLaneRows(t, b, f, w, rows, mkX)
-	for l := 0; l < k; l++ {
-		ref, err := NewInjector(0.1, nil, shadow[l])
+	for _, stored := range []bool{false, true} {
+		streams, shadow := batchStreams(0x5A7, k)
+		b, err := NewBatchInjector(0.1, nil, streams)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := make([]fxp.Value, n)
-		for r := 0; r < rows; r++ {
-			for i := range x {
-				x[i] = mkX(r, l, i)
+		got := runLaneRows(t, b, f, w, rows, mkX, stored)
+		for l := 0; l < k; l++ {
+			ref, err := NewInjector(0.1, nil, shadow[l])
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := fxp.Dot(ref, f, w, x)
-			if got[r][l] != want {
-				t.Fatalf("lane %d row %d: batch %d, scalar %d", l, r, got[r][l], want)
+			x := make([]fxp.Value, n)
+			for r := 0; r < rows; r++ {
+				for i := range x {
+					x[i] = mkX(r, l, i)
+				}
+				want := fxp.Dot(ref, f, w, x)
+				if got[r][l] != want {
+					t.Fatalf("stored=%v lane %d row %d: batch %d, scalar %d", stored, l, r, got[r][l], want)
+				}
 			}
 		}
 	}
@@ -311,7 +331,7 @@ func TestBatchInjectorRecording(t *testing.T) {
 	for l := 0; l < k; l++ {
 		b.Lane(l).StartRecord(&logs[l])
 	}
-	runLaneRows(t, b, f, w, rows, mkX)
+	runLaneRows(t, b, f, w, rows, mkX, false)
 	for l := 0; l < k; l++ {
 		if b.Lane(l).StopRecord() != &logs[l] {
 			t.Fatalf("lane %d: StopRecord returned wrong log", l)
@@ -370,7 +390,7 @@ func TestBatchInjectorStatisticalEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runLaneRows(t, b, f, w, rows, mkX)
+		runLaneRows(t, b, f, w, rows, mkX, false)
 		c := b.Stats()
 		muls := float64(uint64(n) * uint64(rows) * uint64(k))
 		if c.Muls != uint64(muls) {

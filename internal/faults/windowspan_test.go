@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -12,10 +13,19 @@ import (
 
 // walkSpan announces one span of rows×len(w) multiplications over the
 // packed lane ids and walks it, returning each position's row outputs.
-func walkSpan(b *BatchInjector, ids []int, w []fxp.Value, rows int, mkX func(row, pos, i int) fxp.Value) [][]fxp.Value {
+// With stored set, every row's batch carries each position's stored
+// sum: the unchecked MAC where the position clears the weight-activation
+// bound, a poisoned value where it does not (where reading it would
+// show in the result).
+func walkSpan(b *BatchInjector, ids []int, w []fxp.Value, rows int, mkX func(row, pos, i int) fxp.Value, stored bool) [][]fxp.Value {
 	n, k := len(w), len(ids)
 	xs := make([]fxp.Value, k*n)
 	maxAbs := make([]int64, k)
+	var sums []int64
+	if stored {
+		sums = make([]int64, k)
+	}
+	wAbs := float64(fxp.SumAbs(w))
 	out := make([][]fxp.Value, k)
 	b.BeginSpan(ids, rows*n)
 	for r := 0; r < rows; r++ {
@@ -27,9 +37,15 @@ func walkSpan(b *BatchInjector, ids []int, w []fxp.Value, rows int, mkX func(row
 				m = max(m, int64(v), -int64(v))
 			}
 			maxAbs[j] = m
+			if stored {
+				sums[j] = fxp.DotUnchecked(w, xs[j*n:(j+1)*n])
+				if wAbs*float64(m) >= fxp.NoSatBound {
+					sums[j] = -0x5EED_5EED
+				}
+			}
 		}
 		row := make([]fxp.Value, k)
-		b.DotRowBatch(fxp.DefaultFormat, w, &fxp.Batch{Xs: xs, Stride: n, Lanes: ids, MaxAbs: maxAbs}, row)
+		b.DotRowBatch(fxp.DefaultFormat, w, &fxp.Batch{Xs: xs, Stride: n, Lanes: ids, MaxAbs: maxAbs, Sums: sums}, row)
 		for j, v := range row {
 			out[j] = append(out[j], v)
 		}
@@ -60,88 +76,126 @@ var laneSources = []struct {
 // one after another, and leave the same stream state behind. Each
 // case runs on both laneSources: the hot path and the generic path
 // must also agree with each other on the span plan and, recorded, on
-// every lane's draw log.
+// every lane's draw log. Every case runs with and without stored sums,
+// on bounded inputs (every position on the fast paths) and on
+// unbounded ones, where the even positions fail fxp.NoSatBound and
+// their (poisoned) stored sums must be ignored.
 func TestRepeatedLanesTakeConsecutiveWindows(t *testing.T) {
 	const n, rows = 29, 6
-	w := make([]fxp.Value, n)
-	for i := range w {
-		w[i] = fxp.Value(37*i - 500)
+	bounded := make([]fxp.Value, n)
+	unbounded := make([]fxp.Value, n)
+	for i := range bounded {
+		bounded[i] = fxp.Value(37*i - 500)
+		unbounded[i] = fxp.Value((1<<30 - 7919*i) * (1 - 2*(i%2)))
 	}
-	mkX := func(row, pos, i int) fxp.Value {
+	small := func(row, pos, i int) fxp.Value {
 		return fxp.Value((row+1)*(pos+3)*(5*i+2)%8191 - 4095)
 	}
-	for _, rate := range []float64{0.003, 0.1, 1} {
-		for _, ids := range [][]int{
-			{0, 0, 0, 0},
-			{0, 0, 1, 1, 1, 2},
-			{1, 0, 0, 1, 2, 2, 0},
-		} {
-			var firstPlan []spanFault
-			var firstLogs []DrawLog
-			for si, src := range laneSources {
-				streams := make([]rand.Source64, 3)
-				for l := range streams {
-					streams[l] = src.mk(0x3A7, l)
+	huge := func(row, pos, i int) fxp.Value {
+		if pos%2 == 0 {
+			return fxp.Value(1<<31 - 1 - (row+1)*(pos+3)*(5*i+2))
+		}
+		return small(row, pos, i)
+	}
+	inputs := []struct {
+		name string
+		w    []fxp.Value
+		mkX  func(row, pos, i int) fxp.Value
+	}{
+		{"bounded", bounded, small},
+		{"unbounded", unbounded, huge},
+	}
+	for _, in := range inputs {
+		for _, stored := range []bool{false, true} {
+			for _, rate := range []float64{0.003, 0.1, 1} {
+				for _, ids := range [][]int{
+					{0, 0, 0, 0},
+					{0, 0, 1, 1, 1, 2},
+					{1, 0, 0, 1, 2, 2, 0},
+				} {
+					what := fmt.Sprintf("%s stored=%v rate %v ids %v", in.name, stored, rate, ids)
+					checkConsecutiveWindows(t, what, rate, ids, in.w, rows, in.mkX, stored)
 				}
-				b, err := NewBatchInjector(rate, nil, streams)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if hot := b.Lane(0).src != nil; hot != (si == 0) {
-					t.Fatalf("%s lane takes the hot path: %v", src.name, hot)
-				}
-				_, refs := batchStreams(0x3A7, 3)
-				scalar := make([]*Injector, 3)
-				for l := range scalar {
-					if scalar[l], err = NewInjector(rate, nil, refs[l]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				got := walkSpan(b, ids, w, rows, mkX)
-				plan := append([]spanFault(nil), b.plan...)
-				x := make([]fxp.Value, n)
-				for j, l := range ids {
-					for r := 0; r < rows; r++ {
-						for i := range x {
-							x[i] = mkX(r, j, i)
-						}
-						if want := scalar[l].DotRow(fxp.DefaultFormat, w, x); got[j][r] != want {
-							t.Fatalf("%s rate %v ids %v position %d row %d: span %d, scalar %d", src.name, rate, ids, j, r, got[j][r], want)
-						}
-					}
-				}
-				for l := range scalar {
-					if b.Lane(l).gap != scalar[l].gap || b.Lane(l).Stats() != scalar[l].Stats() {
-						t.Fatalf("%s rate %v ids %v lane %d: gap %d stats %+v, scalar gap %d stats %+v",
-							src.name, rate, ids, l, b.Lane(l).gap, b.Lane(l).Stats(), scalar[l].gap, scalar[l].Stats())
-					}
-				}
+			}
+		}
+	}
+}
 
-				// The same walk recorded, on fresh streams.
-				for l := range streams {
-					streams[l] = src.mk(0x3A7, l)
+// checkConsecutiveWindows is one case of
+// TestRepeatedLanesTakeConsecutiveWindows, on both laneSources.
+func checkConsecutiveWindows(t *testing.T, what string, rate float64, ids []int, w []fxp.Value, rows int, mkX func(row, pos, i int) fxp.Value, stored bool) {
+	t.Helper()
+	n := len(w)
+	var firstPlan []spanFault
+	var firstLogs []DrawLog
+	for si, src := range laneSources {
+		streams := make([]rand.Source64, 3)
+		for l := range streams {
+			streams[l] = src.mk(0x3A7, l)
+		}
+		b, err := NewBatchInjector(rate, nil, streams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hot := b.Lane(0).src != nil; hot != (si == 0) {
+			t.Fatalf("%s lane takes the hot path: %v", src.name, hot)
+		}
+		_, refs := batchStreams(0x3A7, 3)
+		scalar := make([]*Injector, 3)
+		for l := range scalar {
+			if scalar[l], err = NewInjector(rate, nil, refs[l]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := walkSpan(b, ids, w, rows, mkX, stored)
+		plan := append([]spanFault(nil), b.plan...)
+		x := make([]fxp.Value, n)
+		for j, l := range ids {
+			for r := 0; r < rows; r++ {
+				for i := range x {
+					x[i] = mkX(r, j, i)
 				}
-				if err := b.Reset(rate, nil, streams); err != nil {
-					t.Fatal(err)
+				if want := scalar[l].DotRow(fxp.DefaultFormat, w, x); got[j][r] != want {
+					t.Fatalf("%s %s position %d row %d: span %d, scalar %d", src.name, what, j, r, got[j][r], want)
 				}
-				logs := make([]DrawLog, 3)
-				for l := range logs {
-					b.Lane(l).StartRecord(&logs[l])
-				}
-				walkSpan(b, ids, w, rows, mkX)
-				if si == 0 {
-					firstPlan, firstLogs = plan, logs
-					continue
-				}
-				if !slices.Equal(plan, firstPlan) {
-					t.Fatalf("%s rate %v ids %v: span plan %v, %s plan %v", src.name, rate, ids, plan, laneSources[0].name, firstPlan)
-				}
-				for l := range logs {
-					if !slices.Equal(logs[l].Gaps, firstLogs[l].Gaps) || !slices.Equal(logs[l].Bits, firstLogs[l].Bits) ||
-						logs[l].InitialGap != firstLogs[l].InitialGap {
-						t.Fatalf("%s rate %v ids %v lane %d: draw log %+v, %s log %+v", src.name, rate, ids, l, logs[l], laneSources[0].name, firstLogs[l])
-					}
-				}
+			}
+		}
+		for l := range scalar {
+			if b.Lane(l).gap != scalar[l].gap || b.Lane(l).Stats() != scalar[l].Stats() {
+				t.Fatalf("%s %s lane %d: gap %d stats %+v, scalar gap %d stats %+v",
+					src.name, what, l, b.Lane(l).gap, b.Lane(l).Stats(), scalar[l].gap, scalar[l].Stats())
+			}
+		}
+
+		// The same walk recorded, on fresh streams: recording lanes
+		// take the generic path, and must still match the scalar walk.
+		for l := range streams {
+			streams[l] = src.mk(0x3A7, l)
+		}
+		if err := b.Reset(rate, nil, streams); err != nil {
+			t.Fatal(err)
+		}
+		logs := make([]DrawLog, 3)
+		for l := range logs {
+			b.Lane(l).StartRecord(&logs[l])
+		}
+		recorded := walkSpan(b, ids, w, rows, mkX, stored)
+		for j := range got {
+			if !slices.Equal(recorded[j], got[j]) {
+				t.Fatalf("%s %s position %d: recorded walk %v, unrecorded %v", src.name, what, j, recorded[j], got[j])
+			}
+		}
+		if si == 0 {
+			firstPlan, firstLogs = plan, logs
+			continue
+		}
+		if !slices.Equal(plan, firstPlan) {
+			t.Fatalf("%s %s: span plan %v, %s plan %v", src.name, what, plan, laneSources[0].name, firstPlan)
+		}
+		for l := range logs {
+			if !slices.Equal(logs[l].Gaps, firstLogs[l].Gaps) || !slices.Equal(logs[l].Bits, firstLogs[l].Bits) ||
+				logs[l].InitialGap != firstLogs[l].InitialGap {
+				t.Fatalf("%s %s lane %d: draw log %+v, %s log %+v", src.name, what, l, logs[l], laneSources[0].name, firstLogs[l])
 			}
 		}
 	}
@@ -295,8 +349,8 @@ func TestResetMatchesFreshInjector(t *testing.T) {
 		for l := 0; l < width; l++ {
 			ids = append(ids, l, l)
 		}
-		got := walkSpan(reused, ids, w, rows, mkX)
-		want := walkSpan(ref, ids, w, rows, mkX)
+		got := walkSpan(reused, ids, w, rows, mkX, pass%2 == 1)
+		want := walkSpan(ref, ids, w, rows, mkX, false)
 		for j := range want {
 			for r := range want[j] {
 				if got[j][r] != want[j][r] {

@@ -93,40 +93,56 @@ func Aggregate(windows []trace.WindowCounts, period int) ([]trace.WindowCounts, 
 	if period == 1 {
 		return append([]trace.WindowCounts(nil), windows...), nil
 	}
-	n := len(windows) / period
-	out := make([]trace.WindowCounts, n)
-	for g := 0; g < n; g++ {
-		agg := trace.WindowCounts{}
-		for k := 0; k < period; k++ {
-			w := windows[g*period+k]
-			for op := range agg.Opcode {
-				agg.Opcode[op] += w.Opcode[op]
-			}
-			agg.Taken += w.Taken
-			for b := range agg.Stride {
-				agg.Stride[b] += w.Stride[b]
-			}
-		}
-		out[g] = agg
+	out := make([]trace.WindowCounts, len(windows)/period)
+	for g := range out {
+		aggregate(&out[g], windows[g*period:(g+1)*period])
 	}
 	return out, nil
 }
 
-// Extract computes one feature vector per aggregated window.
-func Extract(windows []trace.WindowCounts, s Set, period int) ([][]float64, error) {
-	if _, err := s.Dim(); err != nil {
-		return nil, err
+// aggregate sets *agg to the sum of group's windows.
+func aggregate(agg *trace.WindowCounts, group []trace.WindowCounts) {
+	*agg = trace.WindowCounts{}
+	for k := range group {
+		w := &group[k]
+		for op := range agg.Opcode {
+			agg.Opcode[op] += w.Opcode[op]
+		}
+		agg.Taken += w.Taken
+		for b := range agg.Stride {
+			agg.Stride[b] += w.Stride[b]
+		}
 	}
-	agg, err := Aggregate(windows, period)
+}
+
+// Extract computes one feature vector per aggregated window. At period
+// 1 the windows are read in place; longer periods aggregate one group
+// at a time. All vectors share one backing array (each capped at its
+// own length, so appending to one never reaches the next).
+func Extract(windows []trace.WindowCounts, s Set, period int) ([][]float64, error) {
+	dim, err := s.Dim()
 	if err != nil {
 		return nil, err
 	}
-	if len(agg) == 0 {
+	if period < 1 {
+		return nil, fmt.Errorf("features: period %d < 1", period)
+	}
+	n := len(windows) / period
+	if n == 0 {
 		return nil, fmt.Errorf("features: no complete windows at period %d", period)
 	}
-	out := make([][]float64, len(agg))
-	for i, w := range agg {
-		out[i] = FromWindow(w, s)
+	backing := make([]float64, n*dim)
+	out := make([][]float64, n)
+	var agg trace.WindowCounts
+	for i := range out {
+		w := &windows[i]
+		if period > 1 {
+			aggregate(&agg, windows[i*period:(i+1)*period])
+			w = &agg
+		}
+		v := backing[i*dim : (i+1)*dim : (i+1)*dim]
+		fill(v, w, s)
+		out[i] = v
 	}
 	return out, nil
 }
@@ -134,37 +150,52 @@ func Extract(windows []trace.WindowCounts, s Set, period int) ([][]float64, erro
 // FromWindow computes the feature vector of a single (possibly
 // aggregated) window.
 func FromWindow(w trace.WindowCounts, s Set) []float64 {
+	dim, err := s.Dim()
+	if err != nil {
+		panic(fmt.Sprintf("features: unknown set %d", int(s)))
+	}
+	out := make([]float64, dim)
+	fill(out, &w, s)
+	return out
+}
+
+// fill writes w's feature vector of family s into the zeroed out.
+func fill(out []float64, w *trace.WindowCounts, s Set) {
 	switch s {
 	case SetInstrFreq:
-		return instrFreq(w)
+		instrFreq(out, w)
 	case SetMemory:
-		return memoryFeatures(w)
+		memoryFeatures(out, w)
 	case SetArchEvents:
-		return archFeatures(w)
-	default:
-		panic(fmt.Sprintf("features: unknown set %d", int(s)))
+		archFeatures(out, w)
 	}
 }
 
+// windowTotal is w.Total without copying the window.
+func windowTotal(w *trace.WindowCounts) float64 {
+	total := 0
+	for _, n := range w.Opcode {
+		total += n
+	}
+	return float64(total)
+}
+
 // instrFreq is F1: normalized per-opcode frequencies.
-func instrFreq(w trace.WindowCounts) []float64 {
-	total := float64(w.Total())
-	out := make([]float64, DimInstrFreq)
+func instrFreq(out []float64, w *trace.WindowCounts) {
+	total := windowTotal(w)
 	if total == 0 {
-		return out
+		return
 	}
 	for op, n := range w.Opcode {
 		out[op] = float64(n) / total
 	}
-	return out
 }
 
 // memoryFeatures is F2.
-func memoryFeatures(w trace.WindowCounts) []float64 {
-	total := float64(w.Total())
-	out := make([]float64, DimMemory)
+func memoryFeatures(out []float64, w *trace.WindowCounts) {
+	total := windowTotal(w)
 	if total == 0 {
-		return out
+		return
 	}
 	loads, stores, memOps, stringOps, stackOps := 0, 0, 0, 0, 0
 	for _, ins := range isa.Catalog() {
@@ -216,15 +247,13 @@ func memoryFeatures(w trace.WindowCounts) []float64 {
 	out[13] = meanBucket / float64(trace.StrideBuckets-1)
 	out[14] = float64(stringOps) / total
 	out[15] = float64(stackOps) / total
-	return out
 }
 
 // archFeatures is F3.
-func archFeatures(w trace.WindowCounts) []float64 {
-	total := float64(w.Total())
-	out := make([]float64, DimArchEvents)
+func archFeatures(out []float64, w *trace.WindowCounts) {
+	total := windowTotal(w)
 	if total == 0 {
-		return out
+		return
 	}
 	var branches, cond, calls, rets, muls int
 	var byCat [isa.NumCategories]int
@@ -267,7 +296,6 @@ func archFeatures(w trace.WindowCounts) []float64 {
 	out[13] = float64(byCat[isa.CatShiftRotate]) / total
 	out[14] = float64(byCat[isa.CatBitByte]+byCat[isa.CatFlagControl]) / total
 	out[15] = float64(byCat[isa.CatMisc]+byCat[isa.CatSegmentRegister]+byCat[isa.CatDecimalArith]+byCat[isa.CatRandomNumber]) / total
-	return out
 }
 
 // Concat extracts several feature sets and concatenates them per

@@ -41,6 +41,37 @@ type Batch struct {
 	// typically precomputes it once per model). Zero means unknown; the
 	// unit computes it on the fly if it wants the fast path.
 	WAbs float64
+	// Sums, when non-nil, holds each packed lane's unchecked MAC of the
+	// current row, DotUnchecked(w, lane j's activations), computed
+	// ahead of time. A unit that has proven a lane's no-saturation
+	// bound reads Sums[j] instead of recomputing it (see UncheckedSum);
+	// the checked kernels ignore it. Outside the bound a stored sum may
+	// have wrapped, so it must never be read there.
+	Sums []int64
+}
+
+// UncheckedSum returns packed lane j's unchecked MAC of w over the
+// lane's activations x: the stored sum when the batch carries one,
+// DotUnchecked(w, x) otherwise. The caller must have proven the lane's
+// no-saturation bound.
+func (b *Batch) UncheckedSum(j int, w, x []Value) int64 {
+	if b.Sums != nil {
+		return b.Sums[j]
+	}
+	return DotUnchecked(w, x)
+}
+
+// UncheckedSums is UncheckedSum for packed lanes [0, len(accs)): the
+// stored sums when the batch carries them, one blocked
+// DotUncheckedBatch walk into accs otherwise. The caller must have
+// proven every lane's bound; the returned slice may alias b.Sums and
+// must not be written.
+func (b *Batch) UncheckedSums(w []Value, accs []int64) []int64 {
+	if b.Sums != nil {
+		return b.Sums[:len(accs)]
+	}
+	DotUncheckedBatch(w, b.Xs, b.Stride, accs)
+	return accs
 }
 
 // Lane returns the unit lane identity of packed position j.
@@ -263,9 +294,10 @@ func BatchDot(f Format, w, xs []Value, stride int, out []Value) {
 
 // DotRowBatch implements BatchUnit for the exact multiplier. Lanes
 // whose magnitude bound clears noSatBound take the unchecked fast
-// path; the rest (or all lanes, when no bounds are known) run the
-// checked kernel. Either way each lane's result is bit-identical to
-// the scalar exact dot product.
+// path, reading the batch's stored sums when it carries them; the rest
+// (or all lanes, when no bounds are known) run the checked kernel.
+// Either way each lane's result is bit-identical to the scalar exact
+// dot product.
 func (Exact) DotRowBatch(f Format, w []Value, b *Batch, out []Value) {
 	if b.MaxAbs == nil {
 		BatchDot(f, w, b.Xs, b.Stride, out)
@@ -286,8 +318,7 @@ func (Exact) DotRowBatch(f Format, w []Value, b *Batch, out []Value) {
 		// Every lane clears the bound: one blocked walk over the row,
 		// weight loads shared across lanes.
 		var accArr [64]int64
-		accs := accArr[:len(out)]
-		DotUncheckedBatch(w, b.Xs, b.Stride, accs)
+		accs := b.UncheckedSums(w, accArr[:len(out)])
 		for j := range out {
 			out[j] = f.ScaleProduct(Product(accs[j]))
 		}
@@ -296,7 +327,7 @@ func (Exact) DotRowBatch(f Format, w []Value, b *Batch, out []Value) {
 	for j := range out {
 		x := b.Xs[j*b.Stride : j*b.Stride+n]
 		if wAbs*float64(b.MaxAbs[j]) < noSatBound {
-			out[j] = f.ScaleProduct(Product(DotUnchecked(w, x)))
+			out[j] = f.ScaleProduct(Product(b.UncheckedSum(j, w, x)))
 		} else {
 			out[j] = f.ScaleProduct(AccumExact(0, w, x))
 		}

@@ -106,9 +106,24 @@ func TestDotUncheckedExactUnderBound(t *testing.T) {
 	}
 }
 
+// storedSums returns each lane's stored sum as a batch carries it: the
+// unchecked MAC for lanes that clear the no-saturation bound, and a
+// poisoned value for lanes that do not, which a unit must never read.
+func storedSums(w, xs []Value, stride int, maxAbs []int64) []int64 {
+	wAbs := float64(SumAbs(w))
+	sums := make([]int64, len(maxAbs))
+	for j := range sums {
+		sums[j] = DotUnchecked(w, xs[j*stride:j*stride+len(w)])
+		if wAbs*float64(maxAbs[j]) >= noSatBound {
+			sums[j] = -0x5EED_5EED
+		}
+	}
+	return sums
+}
+
 // TestExactDotRowBatch covers both unit paths: bounded lanes (fast
 // path) and unbounded/adversarial lanes (checked path), with a lane
-// map that permutes packed positions.
+// map that permutes packed positions, with and without stored sums.
 func TestExactDotRowBatch(t *testing.T) {
 	f := DefaultFormat
 	rnd := rand.New(rand.NewSource(4))
@@ -129,18 +144,21 @@ func TestExactDotRowBatch(t *testing.T) {
 		}
 	}
 	lanes := []int{6, 0, 3, 1, 5, 2, 4}
-	for _, withBounds := range []bool{true, false} {
+	for _, c := range []struct{ bounds, sums bool }{{true, false}, {true, true}, {false, false}, {false, true}} {
 		b := &Batch{Xs: xs, Stride: stride, Lanes: lanes}
-		if withBounds {
+		if c.bounds {
 			b.MaxAbs = maxAbs
 			b.WAbs = float64(SumAbs(w))
+		}
+		if c.sums {
+			b.Sums = storedSums(w, xs, stride, maxAbs)
 		}
 		out := make([]Value, k)
 		Exact{}.DotRowBatch(f, w, b, out)
 		for j := 0; j < k; j++ {
 			want := Dot(Exact{}, f, w, xs[j*stride:j*stride+n])
 			if out[j] != want {
-				t.Fatalf("bounds=%v lane %d: batch %d, scalar %d", withBounds, j, out[j], want)
+				t.Fatalf("%+v lane %d: batch %d, scalar %d", c, j, out[j], want)
 			}
 		}
 	}
@@ -149,7 +167,8 @@ func TestExactDotRowBatch(t *testing.T) {
 // TestExactDotRowBatchSaturatingLane forces one lane over the bound so
 // the unit must fall back to the checked kernel for it while the other
 // lanes stay on the fast path — all lanes must still match the scalar
-// reference exactly.
+// reference exactly, with and without stored sums (the over-bound
+// lane's stored sum is poisoned, so reading it would show).
 func TestExactDotRowBatchSaturatingLane(t *testing.T) {
 	f := DefaultFormat
 	const n, k = 48, 5
@@ -177,15 +196,18 @@ func TestExactDotRowBatchSaturatingLane(t *testing.T) {
 			}
 		}
 	}
-	b := &Batch{Xs: xs, Stride: stride, MaxAbs: maxAbs, WAbs: float64(SumAbs(w))}
-	out := make([]Value, k)
-	Exact{}.DotRowBatch(f, w, b, out)
-	for j := 0; j < k; j++ {
-		want := Dot(Exact{}, f, w, xs[j*stride:j*stride+n])
-		if out[j] != want {
-			t.Fatalf("lane %d: batch %d, scalar %d", j, out[j], want)
+	for _, sums := range [][]int64{nil, storedSums(w, xs, stride, maxAbs)} {
+		b := &Batch{Xs: xs, Stride: stride, MaxAbs: maxAbs, WAbs: float64(SumAbs(w)), Sums: sums}
+		out := make([]Value, k)
+		Exact{}.DotRowBatch(f, w, b, out)
+		for j := 0; j < k; j++ {
+			want := Dot(Exact{}, f, w, xs[j*stride:j*stride+n])
+			if out[j] != want {
+				t.Fatalf("stored sums %v lane %d: batch %d, scalar %d", sums != nil, j, out[j], want)
+			}
 		}
 	}
+	b := &Batch{WAbs: float64(SumAbs(w))}
 	if float64(maxAbs[2])*b.WAbs < noSatBound {
 		t.Fatal("test construction broken: lane 2 should exceed the fast-path bound")
 	}

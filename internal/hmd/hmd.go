@@ -7,8 +7,6 @@ package hmd
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"shmd/internal/dataset"
 	"shmd/internal/fann"
@@ -227,17 +225,19 @@ func (h *HMD) ScoreWindowsUnit(u fxp.Unit, windows []trace.WindowCounts) []float
 	return h.scoreLanes(bu, [][][]float64{vecs})
 }
 
-// laneScratch is the reusable packing state of scoreLanes.
+// laneScratch is the reusable packing state of scoreLanes and
+// DetectSetUnit.
 type laneScratch struct {
 	inputs [][]float64
 	ids    []int
 	out    []float64
+	scores []float64 // DetectSetUnit's window scores
 }
 
-// laneChunk is the most window lanes one fann.RunBatch call packs: 64
-// matches the widest blocked-kernel arena (fxp.DotUncheckedBatch's
-// stack arena in Exact.DotRowBatch) and is where the per-lane cost
-// bottoms out on the inference bench.
+// laneChunk is the most window lanes one fann.RunBatch (or RunInputs)
+// call packs: 64 matches the widest blocked-kernel arena
+// (fxp.DotUncheckedBatch's stack arena in Exact.DotRowBatch) and is
+// where the per-lane cost bottoms out on the inference bench.
 const laneChunk = 64
 
 // scoreLanes scores every window of every program in one planned pass
@@ -314,108 +314,3 @@ func (h *HMD) DetectProgramUnit(u fxp.Unit, windows []trace.WindowCounts) Decisi
 }
 
 var _ Detector = (*HMD)(nil)
-
-// UnitDetector is a Detector view of an HMD through a fixed multiplier
-// unit: fxp.Exact for the nominal path, a faults.Injector for an
-// undervolted one. Each UnitDetector owns its scratch buffers, so one
-// per goroutine is safe.
-type UnitDetector struct {
-	h *HMD
-	u fxp.Unit
-}
-
-// WithUnit pairs a buffer-fresh copy of the detector with u.
-func (h *HMD) WithUnit(u fxp.Unit) *UnitDetector {
-	return &UnitDetector{h: h.WithFreshBuffers(), u: u}
-}
-
-// ScoreWindows implements Detector through the bound unit.
-func (d *UnitDetector) ScoreWindows(windows []trace.WindowCounts) []float64 {
-	return d.h.ScoreWindowsUnit(d.u, windows)
-}
-
-// DetectProgram implements Detector through the bound unit.
-func (d *UnitDetector) DetectProgram(windows []trace.WindowCounts) Decision {
-	return d.h.DetectProgramUnit(d.u, windows)
-}
-
-var _ Detector = (*UnitDetector)(nil)
-
-// ProgramSharder is the optional interface a Detector implements to
-// opt into program-sharded evaluation. DetectorForProgram returns an
-// independent detector for evaluating program index idx, whose
-// stochastic stream (if any) is derived deterministically from the
-// parent's seed and idx — never from shared mutable RNG state — so a
-// sharded evaluation's result depends only on the seed, not on worker
-// count or shard order. Returning nil declines sharding for this call
-// (evaluation falls back to the serial path).
-type ProgramSharder interface {
-	Detector
-	DetectorForProgram(idx int) Detector
-}
-
-// DetectorForProgram implements ProgramSharder for the deterministic
-// baseline: every program gets a buffer-fresh copy of the same
-// detector.
-func (h *HMD) DetectorForProgram(idx int) Detector {
-	return h.WithFreshBuffers()
-}
-
-var _ ProgramSharder = (*HMD)(nil)
-
-// Evaluate runs a detector over labelled programs and returns the
-// confusion matrix of program-level decisions. Detectors implementing
-// BatchSharder are evaluated in lane-batched groups fanned out over
-// workers (every window of a batch one lane of a planned pass); detectors
-// implementing only ProgramSharder are evaluated in parallel across
-// single programs with per-program derived detectors. The result is
-// identical for any worker count, including 1.
-func Evaluate(d Detector, programs []dataset.TracedProgram) stats.Confusion {
-	return EvaluateParallel(d, programs, 0)
-}
-
-// EvaluateParallel is Evaluate with an explicit worker count
-// (workers <= 0 means GOMAXPROCS). Worker count affects wall-clock
-// only, never the result.
-func EvaluateParallel(d Detector, programs []dataset.TracedProgram, workers int) stats.Confusion {
-	return EvaluateBatch(d, programs, DefaultEvalBatch, workers)
-}
-
-// defaultWorkers is the worker count used when callers pass <= 0.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// evaluateSharded fans program indices out over workers. Each program
-// is scored by its own derived detector, so the verdicts — and hence
-// the confusion matrix, whose accumulation is commutative — are a pure
-// function of the parent detector's seed.
-func evaluateSharded(sharder ProgramSharder, first Detector, programs []dataset.TracedProgram, workers int) stats.Confusion {
-	if workers > len(programs) {
-		workers = len(programs)
-	}
-	verdicts := make([]bool, len(programs))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				det := first
-				if idx != 0 {
-					det = sharder.DetectorForProgram(idx)
-				}
-				verdicts[idx] = det.DetectProgram(programs[idx].Windows).Malware
-			}
-		}()
-	}
-	for idx := range programs {
-		next <- idx
-	}
-	close(next)
-	wg.Wait()
-	var c stats.Confusion
-	for i, p := range programs {
-		c.Record(verdicts[i], p.IsMalware())
-	}
-	return c
-}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"shmd/internal/dataset"
 	"shmd/internal/fann"
 	"shmd/internal/faults"
 	"shmd/internal/features"
@@ -123,10 +124,12 @@ func sameStream(t *testing.T, what string, got, want *faults.Injector, gotLog, w
 // FuzzWindowLanes holds window lanes to the per-window lane-1 loop they
 // replaced: 1-6 programs of 1-40 decision windows (more than 64 packed
 // lanes split a program's stream across chunks), detection period 1 or
-// 2, every sampling regime, recording on and off. Batched detection
-// (DetectTracesUnit) is compared per program against the lane-1 loop
-// on the same lane's one-lane view, and scalar scoring
-// (ScoreWindowsUnit) against the lane-1 loop on an identically seeded
+// 2, every sampling regime, recording on and off. Batched detection is
+// compared per program against the lane-1 loop on the same lane's
+// one-lane view, both without stored sums (DetectTracesUnit, which
+// quantizes each chunk) and with them (DetectSetUnit over an extracted
+// Set), and so is the exact unit; scalar scoring (ScoreWindowsUnit)
+// is compared against the lane-1 loop on an identically seeded
 // injector: scores and decisions bit for bit, then the streams
 // themselves.
 func FuzzWindowLanes(f *testing.F) {
@@ -193,6 +196,56 @@ func FuzzWindowLanes(f *testing.F) {
 				lg, olg = &logs[j], &oracleLogs[j]
 			}
 			sameStream(t, "batched lane", b.Lane(j), ob.Lane(j), lg, olg, srcs[j], oracleSrcs[j])
+		}
+
+		// The same programs over an extracted set: stored sums.
+		programs := make([]dataset.TracedProgram, len(traces))
+		for j, w := range traces {
+			programs[j] = dataset.TracedProgram{Windows: w}
+		}
+		set, err := NewSet(h, programs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		setSrcs, setOracleSrcs := laneSources(seed, len(traces))
+		sb, err := faults.NewBatchInjector(rate, nil, setSrcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sob, err := faults.NewBatchInjector(rate, nil, setOracleSrcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if record {
+			for j := range traces {
+				sb.Lane(j).StartRecord(&logs[j])
+				sob.Lane(j).StartRecord(&oracleLogs[j])
+			}
+		}
+		// Programs [1, n) first, on lanes 0..n-2, then program 0 alone:
+		// a batch need not start at the set's first program.
+		setGot := make([]Decision, len(traces))
+		h.DetectSetUnit(sb, set, 1, len(traces), setGot[1:])
+		for j := 1; j < len(traces); j++ {
+			want := oh.DecideFromScores(scoreWindowsLane1(oh, sob.Lane(j-1).BatchView(), traces[j]))
+			if setGot[j] != want {
+				t.Fatalf("rate %v program %d of %v: set lanes %+v, lane-1 loop %+v", rate, j, lens, setGot[j], want)
+			}
+		}
+		if record {
+			for j := 1; j < len(traces); j++ {
+				sb.Lane(j - 1).StopRecord()
+				sob.Lane(j - 1).StopRecord()
+				sameStream(t, "set lane", sb.Lane(j-1), sob.Lane(j-1), &logs[j], &oracleLogs[j], setSrcs[j-1], setOracleSrcs[j-1])
+			}
+		}
+		exact := make([]Decision, len(traces))
+		h.DetectSetUnit(fxp.Exact{}, set, 0, len(traces), exact)
+		for j, dec := range h.DetectTracesUnit(fxp.Exact{}, traces) {
+			want := oh.DecideFromScores(scoreWindowsLane1(oh, fxp.Exact{}, traces[j]))
+			if dec != want || exact[j] != want {
+				t.Fatalf("exact program %d of %v: window lanes %+v, set lanes %+v, lane-1 loop %+v", j, lens, dec, exact[j], want)
+			}
 		}
 
 		// Scalar scoring: one program's windows on one injector.

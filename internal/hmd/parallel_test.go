@@ -9,18 +9,18 @@ import (
 	"shmd/internal/trace"
 )
 
-// hideSharder masks a detector's ProgramSharder implementation so
+// hideSharder masks a detector's SetDetector implementation so
 // Evaluate takes the serial reference path.
 type hideSharder struct{ d Detector }
 
 func (h hideSharder) ScoreWindows(w []trace.WindowCounts) []float64 { return h.d.ScoreWindows(w) }
 func (h hideSharder) DetectProgram(w []trace.WindowCounts) Decision { return h.d.DetectProgram(w) }
 
-// decliningSharder implements ProgramSharder but declines every call,
+// decliningSharder implements SetDetector but declines set evaluation,
 // exercising the nil-fallback contract.
-type decliningSharder struct{ Detector }
+type decliningSharder struct{ *HMD }
 
-func (decliningSharder) DetectorForProgram(int) Detector { return nil }
+func (decliningSharder) SetBase() *HMD { return nil }
 
 func evalPrograms(t *testing.T) ([]dataset.TracedProgram, *HMD) {
 	t.Helper()
@@ -37,11 +37,11 @@ func evalPrograms(t *testing.T) ([]dataset.TracedProgram, *HMD) {
 // and all of them equal to the serial reference path.
 func TestEvaluateParallelDeterministic(t *testing.T) {
 	programs, h := evalPrograms(t)
-	serial := EvaluateParallel(hideSharder{h}, programs, 1)
+	serial := Evaluate(hideSharder{h}, programs)
 	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	results := make([]stats.Confusion, len(counts))
 	for i, workers := range counts {
-		results[i] = EvaluateParallel(h, programs, workers)
+		results[i] = evaluateWith(t, h, programs, EvalOptions{Workers: workers})
 	}
 	for i, workers := range counts {
 		if results[i] != serial {
@@ -59,7 +59,10 @@ func TestEvaluateParallelDeterministic(t *testing.T) {
 // through the serial path.
 func TestEvaluateFallsBackWithoutSharder(t *testing.T) {
 	programs, h := evalPrograms(t)
-	want := EvaluateParallel(hideSharder{h}, programs, 1)
+	var want stats.Confusion
+	for _, p := range programs {
+		want.Record(h.DetectProgram(p.Windows).Malware, p.IsMalware())
+	}
 	if got := Evaluate(hideSharder{h}, programs); got != want {
 		t.Errorf("non-sharder Evaluate %+v != serial %+v", got, want)
 	}
@@ -75,7 +78,10 @@ func TestEvaluateEmptyPrograms(t *testing.T) {
 	if got := Evaluate(h, nil); got != (stats.Confusion{}) {
 		t.Errorf("empty evaluation = %+v, want zero confusion", got)
 	}
-	if got := EvaluateParallel(h, nil, 8); got != (stats.Confusion{}) {
+	if got := evaluateWith(t, h, nil, EvalOptions{Workers: 8}); got != (stats.Confusion{}) {
 		t.Errorf("empty parallel evaluation = %+v, want zero confusion", got)
+	}
+	if _, err := NewSet(h, []dataset.TracedProgram{{Windows: nil}}); err == nil {
+		t.Error("a program with no complete window was extracted")
 	}
 }

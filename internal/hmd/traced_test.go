@@ -2,27 +2,70 @@ package hmd
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"shmd/internal/dataset"
 	"shmd/internal/faults"
 	"shmd/internal/rng"
+	"shmd/internal/stats"
+	"shmd/internal/trace"
 )
 
-// tracedSharder is a stochastic ProgramSharder for tests: each program
-// gets an injector on a seed-derived stream, mirroring how
-// core.StochasticHMD shards evaluation.
+// tracedSharder is a stochastic SetDetector for tests: program idx
+// scores on an injector over its own seed-derived stream, mirroring
+// how core.StochasticHMD evaluates sets. When logs is non-nil, program
+// idx's draw log is recorded into logs[idx] (jobs cover disjoint
+// programs, so concurrent jobs write disjoint entries).
 type tracedSharder struct {
 	*HMD
 	rate float64
 	seed uint64
+	logs []faults.DrawLog
 }
 
-func (s *tracedSharder) DetectorForProgram(idx int) Detector {
-	inj, err := faults.NewInjector(s.rate, nil, rng.NewRand(s.seed, uint64(idx)))
-	if err != nil {
-		return nil
+func (s *tracedSharder) stream(idx int) rand.Source64 { return rng.NewSource64(s.seed, uint64(idx)) }
+
+func (s *tracedSharder) DetectSet(set *Set, lo, hi int, out []Decision) {
+	srcs := make([]rand.Source64, hi-lo)
+	for j := range srcs {
+		srcs[j] = s.stream(lo + j)
 	}
-	return s.HMD.WithUnit(inj)
+	inj, err := faults.NewBatchInjector(s.rate, nil, srcs)
+	if err != nil {
+		panic(err)
+	}
+	var logs []faults.DrawLog
+	if s.logs != nil {
+		logs = s.logs[lo:hi]
+	}
+	for j := range logs {
+		inj.Lane(j).StartRecord(&logs[j])
+	}
+	s.HMD.WithFreshBuffers().DetectSetUnit(inj, set, lo, hi, out)
+	for j := range logs {
+		inj.Lane(j).StopRecord()
+	}
+}
+
+// programDecision is program idx scored alone, window by window,
+// through a scalar injector on its stream.
+func (s *tracedSharder) programDecision(idx int, windows []trace.WindowCounts) Decision {
+	inj, err := faults.NewInjectorSource(s.rate, nil, s.stream(idx))
+	if err != nil {
+		panic(err)
+	}
+	return s.HMD.WithFreshBuffers().DetectProgramUnit(inj, windows)
+}
+
+// evaluateTraced is EvaluateSet with a sink, collecting the traces.
+func evaluateTraced(t *testing.T, d SetDetector, programs []dataset.TracedProgram, workers int) (stats.Confusion, []DecisionTrace) {
+	t.Helper()
+	var traces []DecisionTrace
+	c := evaluateWith(t, d, programs, EvalOptions{Workers: workers,
+		Sink: func(tr DecisionTrace) { traces = append(traces, tr) }})
+	return c, traces
 }
 
 // TestEvaluateTracedMatchesEvaluate pins that the traced evaluation
@@ -37,36 +80,36 @@ func TestEvaluateTracedMatchesEvaluate(t *testing.T) {
 	}
 	test := d.Select(split.Test)
 
-	next := 0
-	c := EvaluateTraced(h, test, 0, func(tr DecisionTrace) {
-		if tr.Program != next {
-			t.Fatalf("sink got program %d, want %d (must be in order)", tr.Program, next)
+	c, traces := evaluateTraced(t, h, test, 0)
+	if len(traces) != len(test) {
+		t.Fatalf("sink saw %d programs of %d", len(traces), len(test))
+	}
+	for i, tr := range traces {
+		if tr.Program != i {
+			t.Fatalf("sink got program %d, want %d (must be in order)", tr.Program, i)
 		}
-		next++
-		if tr.Draws.Faults() != 0 {
-			t.Fatalf("deterministic detector recorded %d faults", tr.Draws.Faults())
-		}
-	})
-	if next != len(test) {
-		t.Fatalf("sink saw %d programs of %d", next, len(test))
 	}
 	if want := Evaluate(h, test); c != want {
 		t.Fatalf("traced confusion %+v != plain %+v", c, want)
 	}
 
-	sharder := &tracedSharder{HMD: h, rate: 0.5, seed: 77}
-	var traces []DecisionTrace
-	ct := EvaluateTraced(sharder, test, 0, func(tr DecisionTrace) { traces = append(traces, tr) })
+	logs := make([]faults.DrawLog, len(test))
+	sharder := &tracedSharder{HMD: h, rate: 0.5, seed: 77, logs: logs}
+	ct, traces := evaluateTraced(t, sharder, test, 0)
 	if ct == c {
 		t.Log("stochastic confusion equals deterministic one (possible, but worth noting)")
 	}
+	sharder.logs = nil
 	if want := Evaluate(sharder, test); ct != want {
 		t.Fatalf("traced stochastic confusion %+v != plain %+v", ct, want)
 	}
 	faulted := 0
-	for _, tr := range traces {
-		if tr.Draws.Faults() > 0 {
+	for i, tr := range traces {
+		if logs[i].Faults() > 0 {
 			faulted++
+		}
+		if want := sharder.programDecision(i, test[i].Windows); tr.Decision != want {
+			t.Fatalf("program %d: set decision %+v, alone %+v", i, tr.Decision, want)
 		}
 	}
 	if faulted == 0 {
@@ -88,11 +131,10 @@ func TestTracedDrawsReplayBitIdentically(t *testing.T) {
 		test = test[:40]
 	}
 
-	sharder := &tracedSharder{HMD: h, rate: 0.3, seed: 101}
-	var traces []DecisionTrace
-	EvaluateTraced(sharder, test, 0, func(tr DecisionTrace) { traces = append(traces, tr) })
+	sharder := &tracedSharder{HMD: h, rate: 0.3, seed: 101, logs: make([]faults.DrawLog, len(test))}
+	_, traces := evaluateTraced(t, sharder, test, 0)
 	for _, tr := range traces {
-		rep := faults.NewReplayer(tr.Draws)
+		rep := faults.NewReplayer(sharder.logs[tr.Program])
 		dec := h.DetectProgramUnit(rep, tr.Windows)
 		if err := rep.Done(); err != nil {
 			t.Fatalf("program %d: %v", tr.Program, err)
@@ -104,33 +146,26 @@ func TestTracedDrawsReplayBitIdentically(t *testing.T) {
 	}
 }
 
-// TestEvaluateTracedWorkerInvariance pins that traces (not just the
-// confusion matrix) are identical for any worker count.
+// TestEvaluateTracedWorkerInvariance pins that traces and draw logs
+// (not just the confusion matrix) are identical for any worker count
+// and batch size.
 func TestEvaluateTracedWorkerInvariance(t *testing.T) {
 	d, h := fixtures(t)
 	test := d.Programs[:24]
-	collect := func(workers int) []DecisionTrace {
-		sharder := &tracedSharder{HMD: h, rate: 0.4, seed: 13}
+	collect := func(workers, batch int) ([]DecisionTrace, []faults.DrawLog) {
+		sharder := &tracedSharder{HMD: h, rate: 0.4, seed: 13, logs: make([]faults.DrawLog, len(test))}
 		var traces []DecisionTrace
-		EvaluateTraced(sharder, test, workers, func(tr DecisionTrace) { traces = append(traces, tr) })
-		return traces
+		evaluateWith(t, sharder, test, EvalOptions{Workers: workers, Batch: batch,
+			Sink: func(tr DecisionTrace) { traces = append(traces, tr) }})
+		return traces, sharder.logs
 	}
-	one, many := collect(1), collect(8)
+	one, oneLogs := collect(1, 0)
+	many, manyLogs := collect(8, 5)
 	for i := range one {
-		a, b := one[i], many[i]
-		if a.Decision != b.Decision || a.Draws.InitialGap != b.Draws.InitialGap ||
-			len(a.Draws.Gaps) != len(b.Draws.Gaps) || len(a.Draws.Bits) != len(b.Draws.Bits) {
+		a, b := oneLogs[i], manyLogs[i]
+		if one[i].Decision != many[i].Decision || a.InitialGap != b.InitialGap ||
+			!slices.Equal(a.Gaps, b.Gaps) || !slices.Equal(a.Bits, b.Bits) {
 			t.Fatalf("program %d: traces differ across worker counts", i)
-		}
-		for j := range a.Draws.Gaps {
-			if a.Draws.Gaps[j] != b.Draws.Gaps[j] {
-				t.Fatalf("program %d gap %d differs", i, j)
-			}
-		}
-		for j := range a.Draws.Bits {
-			if a.Draws.Bits[j] != b.Draws.Bits[j] {
-				t.Fatalf("program %d bit %d differs", i, j)
-			}
 		}
 	}
 }

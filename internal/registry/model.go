@@ -21,7 +21,7 @@ type Model interface {
 	Fingerprint() string
 	// Detector returns the runnable detector: scalar
 	// (DetectProgram/ScoreWindows) and batch (DetectTracesUnit /
-	// EvaluateBatch) forward passes both hang off it.
+	// EvaluateSet) forward passes both hang off it.
 	Detector() *hmd.HMD
 }
 

@@ -122,6 +122,9 @@ type Client struct {
 	addr   string
 	opts   Options
 	jitter *backoff.Jitter
+	// meta is the HELLO metadata (tenant, class) Dial validated, nil
+	// when there is none to announce.
+	meta map[string]string
 	// corr issues client-wide monotonic correlation ids, never reused
 	// across requests or reconnects.
 	corr atomic.Uint64
@@ -161,11 +164,24 @@ func Dial(addr string, opts Options) (*Client, error) {
 			return nil, fmt.Errorf("sdk: %w", err)
 		}
 	}
+	var meta map[string]string
+	if opts.Tenant != "" || opts.Class != "" {
+		meta = make(map[string]string, 2)
+		if opts.Tenant != "" {
+			meta[wire.MetaTenant] = opts.Tenant
+		}
+		if opts.Class != "" {
+			meta[wire.MetaClass] = opts.Class
+		}
+		if err := wire.ValidHelloMeta(meta); err != nil {
+			return nil, fmt.Errorf("sdk: %w", err)
+		}
+	}
 	seed := opts.JitterSeed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	cl := &Client{addr: addr, opts: opts, jitter: backoff.New(seed)}
+	cl := &Client{addr: addr, opts: opts, jitter: backoff.New(seed), meta: meta}
 	cc, err := cl.connect()
 	if err != nil {
 		return nil, err
@@ -183,18 +199,11 @@ func (cl *Client) connect() (*clientConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cl.opts.Tenant != "" || cl.opts.Class != "" {
-		meta := make(map[string]string, 2)
-		if cl.opts.Tenant != "" {
-			meta[wire.MetaTenant] = cl.opts.Tenant
-		}
-		if cl.opts.Class != "" {
-			meta[wire.MetaClass] = cl.opts.Class
-		}
+	if cl.meta != nil {
 		hello := wire.AppendHello(nil, wire.Hello{
 			Version:  wire.ProtoVersion,
 			MaxFrame: uint32(cl.opts.MaxFramePayload),
-			Meta:     meta,
+			Meta:     cl.meta,
 		})
 		if err := c.WriteFrame(wire.Frame{Type: wire.FrameHello, Payload: hello}); err != nil {
 			c.Close()

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,6 +101,28 @@ func TestClientTenantIdentity(t *testing.T) {
 func TestDialRejectsBadClass(t *testing.T) {
 	if _, err := sdk.Dial("127.0.0.1:1", sdk.Options{Class: "platinum"}); err == nil {
 		t.Fatal("bad class accepted")
+	}
+}
+
+// TestDialRejectsOversizedTenant pins the HELLO guard: a tenant longer
+// than the wire's id limit is refused by Dial as a validation error,
+// before any connection is opened, instead of reaching the server as a
+// corrupt frame.
+func TestDialRejectsOversizedTenant(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	tenantID := strings.Repeat("t", wire.MaxIDLen+1)
+	_, err = sdk.Dial(ln.Addr().String(), sdk.Options{Tenant: tenantID})
+	if err == nil || !strings.HasPrefix(err.Error(), "sdk: ") || !strings.Contains(err.Error(), "over 255 bytes") {
+		t.Fatalf("Dial error = %v, want the sdk-wrapped metadata validation error", err)
+	}
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(50 * time.Millisecond))
+	if c, err := ln.Accept(); err == nil {
+		c.Close()
+		t.Fatal("Dial connected although the HELLO metadata was invalid")
 	}
 }
 
