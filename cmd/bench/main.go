@@ -2,8 +2,8 @@
 // exact kernels, geometric skip-ahead vs per-multiplication Bernoulli
 // fault injection, sharded vs serial evaluation, JSON/HTTP vs SHMDWIRE
 // streaming over real sockets, single-pass vs encoding/json request
-// decoding, window-lane vs scalar supervised detection, idle micro-batched
-// vs scalar serving, one training epoch at GOMAXPROCS vs one proc, lane
+// decoding, window-lane vs scalar supervised detection, served batches of
+// 16 vs batches of one, one training epoch at GOMAXPROCS vs one proc, lane
 // re-seeding vs math/rand's Seed, a sweep cell vs a standalone
 // evaluation — and writes the results to a JSON file
 // (BENCH_inference.json by default) so the speedups are recorded
@@ -93,15 +93,15 @@ type Speedups struct {
 	// >= 1 means a batched UNDERVOLTED lane is no slower than an exact
 	// nominal-voltage pass.
 	BatchLane64VsExactFused float64 `json:"batch_lane64_vs_exact_fused"`
-	// ServeBatchedVsScalar is scalar-dispatch ns/request over
-	// micro-batched ns/request for the in-process /v1/detect server
-	// under concurrent load.
-	ServeBatchedVsScalar float64 `json:"serve_batched_vs_scalar"`
-	// ServeBatchedIdleVsScalar is scalar-dispatch ns/request over
-	// micro-batched ns/request with one client sending requests one
-	// after another, so the batcher is idle on every request: the cost
-	// of the batched path when there is nothing to coalesce.
-	ServeBatchedIdleVsScalar float64 `json:"serve_batched_idle_vs_scalar"`
+	// ServeBatch16VsBatch1 is batch-of-one (MaxBatch 0) ns/request over
+	// MaxBatch 16 ns/request for the in-process /v1/detect server under
+	// concurrent load: what coalescing earns.
+	ServeBatch16VsBatch1 float64 `json:"serve_batch16_vs_batch1"`
+	// ServeBatch16IdleVsBatch1 is the same ratio with one client
+	// sending requests one after another, so the batcher is idle on
+	// every request: the cost of the MaxBatch 16 path when there is
+	// nothing to coalesce.
+	ServeBatch16IdleVsBatch1 float64 `json:"serve_batch16_idle_vs_batch1"`
 	// ServeWireVsJSON is JSON-over-TCP ns/request over SHMDWIRE
 	// streaming ns/request: the same single-program request mix through
 	// real sockets both ways, keep-alive HTTP clients vs the SDK's
@@ -384,7 +384,7 @@ func measureModelRows(rep *Report, scale experiments.Scale, count int, rows rowF
 		rep.Results = append(rep.Results, res)
 	}
 
-	// In-process /v1/detect throughput, scalar dispatch vs micro-batched:
+	// In-process /v1/detect throughput, batches of one vs of up to 16:
 	// same model, same pool shape, concurrent clients through the handler
 	// (no sockets), then one serial client. One op = one single-program
 	// request.
@@ -443,7 +443,7 @@ var modelRows = []string{
 	"inference_exact_fused", "inference_exact_scalar", "inference_faulty_skipahead", "inference_faulty_bernoulli",
 	"evaluate_sharded", "evaluate_serial_1worker", "accuracy_sweep_1proc",
 	"batch_faulty_1", "batch_faulty_4", "batch_faulty_16", "batch_faulty_64",
-	"serve_detect_scalar", "serve_detect_batched_16", "serve_detect_scalar_serial", "serve_detect_batched_16_serial",
+	"serve_detect_batch1", "serve_detect_batched_16", "serve_detect_batch1_serial", "serve_detect_batched_16_serial",
 	"serve_json_tcp_batched_16", "serve_wire_stream_batched_16",
 	"decode_json_16", "decode_json_16_std",
 	"detect_program_16", "detect_program_16_scalar",
@@ -472,8 +472,8 @@ func speedupsOf(results []Result) Speedups {
 		EvaluateShardedVsSerial:    ratio(ns["evaluate_serial_1worker"], ns["evaluate_sharded"]),
 		BatchLane64VsScalarFaulty:  ratio(ns["inference_faulty_skipahead"], ns["batch_faulty_64"]/64),
 		BatchLane64VsExactFused:    ratio(ns["inference_exact_fused"], ns["batch_faulty_64"]/64),
-		ServeBatchedVsScalar:       ratio(ns["serve_detect_scalar"], ns["serve_detect_batched_16"]),
-		ServeBatchedIdleVsScalar:   ratio(ns["serve_detect_scalar_serial"], ns["serve_detect_batched_16_serial"]),
+		ServeBatch16VsBatch1:       ratio(ns["serve_detect_batch1"], ns["serve_detect_batched_16"]),
+		ServeBatch16IdleVsBatch1:   ratio(ns["serve_detect_batch1_serial"], ns["serve_detect_batched_16_serial"]),
 		ServeWireVsJSON:            ratio(ns["serve_json_tcp_batched_16"], ns["serve_wire_stream_batched_16"]),
 		JSONDecodeFastVsStd:        ratio(ns["decode_json_16_std"], ns["decode_json_16"]),
 		DetectLane1VsScalar:        ratio(ns["detect_program_16_scalar"], ns["detect_program_16"]),
@@ -527,8 +527,8 @@ func refreshRows(prev, fresh *Report, patterns string) (*Report, error) {
 // a real serve.Server (pool of 4 undervolted sessions at the operating
 // rate), clients calling the handler directly — concurrent ones, or
 // with serial set one client sending its requests one after another.
-// maxBatch 0 measures the scalar per-request dispatch; > 1 the
-// micro-batching dispatcher with that lane limit.
+// maxBatch 0 measures batches of one; > 1 batches of up to that many
+// lanes. Both run the one micro-batching dispatcher.
 func measureServe(base *hmd.HMD, count, maxBatch int, serial bool) (Result, error) {
 	name := serveRowName(maxBatch, serial)
 	win := 4
@@ -606,9 +606,9 @@ func measureServe(base *hmd.HMD, count, maxBatch int, serial bool) (Result, erro
 }
 
 // serveRowName names the in-process serve row for maxBatch (0 for
-// scalar dispatch) and serial.
+// batches of one) and serial.
 func serveRowName(maxBatch int, serial bool) string {
-	name := "serve_detect_scalar"
+	name := "serve_detect_batch1"
 	if maxBatch > 1 {
 		name = fmt.Sprintf("serve_detect_batched_%d", maxBatch)
 	}
@@ -957,13 +957,13 @@ func compare(rep, base *Report, maxRegress float64) []string {
 	// One serial client leaves nothing to overlap, so the idle-batcher
 	// ratio gates on any proc count. Its baseline is capped at 1.0 like
 	// the other serve ratios: the invariant is that an idle batcher
-	// dispatches at once, as fast as scalar dispatch, whatever this
+	// dispatches at once, as fast as a batch of one, whatever this
 	// machine's exact ratio.
-	wantIdle := base.Speedups.ServeBatchedIdleVsScalar
+	wantIdle := base.Speedups.ServeBatch16IdleVsBatch1
 	if wantIdle > 1 {
 		wantIdle = 1
 	}
-	ratio("serve_batched_idle_vs_scalar", rep.Speedups.ServeBatchedIdleVsScalar, wantIdle)
+	ratio("serve_batch16_idle_vs_batch1", rep.Speedups.ServeBatch16IdleVsBatch1, wantIdle)
 	// The parallel rows cannot speed up on one proc: a 1-core runner
 	// reporting a ~1.0x ratio against a multi-core baseline is the
 	// machine, not a regression — skip those gates there.
@@ -972,13 +972,13 @@ func compare(rep, base *Report, maxRegress float64) []string {
 		ratio("train_epoch_vs_1proc", rep.Speedups.TrainEpochVs1Proc, base.Speedups.TrainEpochVs1Proc)
 		// The serve ratio's upside depends on core count and scheduler,
 		// so its baseline is capped at 1.0: the portable invariant is
-		// that micro-batching never collapses throughput below scalar
-		// dispatch, not the exact speedup this machine happened to see.
-		want := base.Speedups.ServeBatchedVsScalar
+		// that batches of 16 never collapse throughput below batches of
+		// one, not the exact speedup this machine happened to see.
+		want := base.Speedups.ServeBatch16VsBatch1
 		if want > 1 {
 			want = 1
 		}
-		ratio("serve_batched_vs_scalar", rep.Speedups.ServeBatchedVsScalar, want)
+		ratio("serve_batch16_vs_batch1", rep.Speedups.ServeBatch16VsBatch1, want)
 		// Same cap for the transport ratio: the portable invariant is
 		// that SHMDWIRE streaming never falls below JSON req/s, not the
 		// exact advantage this machine happened to see.
@@ -1103,8 +1103,8 @@ func main() {
 	fmt.Printf("evaluate sharded vs serial:   %.2fx (%d procs)\n", rep.Speedups.EvaluateShardedVsSerial, rep.MaxProcs)
 	fmt.Printf("batch lane64 vs scalar faulty: %.2fx\n", rep.Speedups.BatchLane64VsScalarFaulty)
 	fmt.Printf("batch lane64 vs exact fused:  %.2fx\n", rep.Speedups.BatchLane64VsExactFused)
-	fmt.Printf("serve batched vs scalar:      %.2fx\n", rep.Speedups.ServeBatchedVsScalar)
-	fmt.Printf("serve batched idle vs scalar: %.2fx\n", rep.Speedups.ServeBatchedIdleVsScalar)
+	fmt.Printf("serve batch16 vs batch1:      %.2fx\n", rep.Speedups.ServeBatch16VsBatch1)
+	fmt.Printf("serve batch16 idle vs batch1: %.2fx\n", rep.Speedups.ServeBatch16IdleVsBatch1)
 	fmt.Printf("serve wire stream vs json:    %.2fx\n", rep.Speedups.ServeWireVsJSON)
 	fmt.Printf("json decode fast vs std:      %.2fx\n", rep.Speedups.JSONDecodeFastVsStd)
 	fmt.Printf("detect lanes vs scalar:       %.2fx\n", rep.Speedups.DetectLane1VsScalar)

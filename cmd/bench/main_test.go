@@ -23,8 +23,8 @@ func TestCompareGate(t *testing.T) {
 			EvaluateShardedVsSerial:    3.0,
 			BatchLane64VsScalarFaulty:  5.0,
 			BatchLane64VsExactFused:    1.1,
-			ServeBatchedVsScalar:       1.8,
-			ServeBatchedIdleVsScalar:   0.9,
+			ServeBatch16VsBatch1:       1.8,
+			ServeBatch16IdleVsBatch1:   0.9,
 			ServeWireVsJSON:            1.3,
 			JSONDecodeFastVsStd:        6.0,
 			DetectLane1VsScalar:        1.6,
@@ -156,21 +156,21 @@ func TestCompareGate(t *testing.T) {
 	// for a timer again fails.
 	if p := compare(clone(func(r *Report) {
 		r.MaxProcs = 1
-		r.Speedups.ServeBatchedIdleVsScalar = 0.7
+		r.Speedups.ServeBatch16IdleVsBatch1 = 0.7
 	}), base, 0.25); len(p) != 0 {
 		t.Errorf("in-margin idle batcher drop flagged: %v", p)
 	}
 	if p := compare(clone(func(r *Report) {
 		r.MaxProcs = 1
-		r.Speedups.ServeBatchedIdleVsScalar = 0.05
+		r.Speedups.ServeBatch16IdleVsBatch1 = 0.05
 	}), base, 0.25); len(p) != 1 {
 		t.Errorf("idle batcher regression not flagged: %v", p)
 	}
 	// Its baseline is capped at 1.0: losing a 1.3x upside passes.
 	if p := compare(clone(func(r *Report) {
-		r.Speedups.ServeBatchedIdleVsScalar = 0.8
+		r.Speedups.ServeBatch16IdleVsBatch1 = 0.8
 	}), clone(func(r *Report) {
-		r.Speedups.ServeBatchedIdleVsScalar = 1.3
+		r.Speedups.ServeBatch16IdleVsBatch1 = 1.3
 	}), 0.25); len(p) != 0 {
 		t.Errorf("idle batcher upside wrongly gated: %v", p)
 	}
@@ -179,7 +179,7 @@ func TestCompareGate(t *testing.T) {
 	if p := compare(clone(func(r *Report) {
 		r.MaxProcs = 1
 		r.Speedups.EvaluateShardedVsSerial = 1.0
-		r.Speedups.ServeBatchedVsScalar = 0.9
+		r.Speedups.ServeBatch16VsBatch1 = 0.9
 		r.Speedups.TrainEpochVs1Proc = 1.0
 	}), base, 0.25); len(p) != 0 {
 		t.Errorf("1-proc parallel ratios wrongly gated: %v", p)
@@ -195,14 +195,14 @@ func TestCompareGate(t *testing.T) {
 		t.Errorf("multi-proc sharding regression not flagged: %v", p)
 	}
 	// The serve baseline is capped at 1.0: losing this machine's 1.8x
-	// upside passes, dropping well below scalar throughput fails.
+	// upside passes, dropping well below batch-of-one throughput fails.
 	if p := compare(clone(func(r *Report) {
-		r.Speedups.ServeBatchedVsScalar = 1.05
+		r.Speedups.ServeBatch16VsBatch1 = 1.05
 	}), base, 0.25); len(p) != 0 {
 		t.Errorf("serve upside wrongly gated: %v", p)
 	}
 	if p := compare(clone(func(r *Report) {
-		r.Speedups.ServeBatchedVsScalar = 0.5
+		r.Speedups.ServeBatch16VsBatch1 = 0.5
 	}), base, 0.25); len(p) != 1 {
 		t.Errorf("serve throughput collapse not flagged: %v", p)
 	}
@@ -272,7 +272,7 @@ func TestRunAndWriteReport(t *testing.T) {
 	}
 	if rep.Speedups.ExactFusedVsScalar <= 0 || rep.Speedups.FaultySkipAheadVsBernoulli <= 0 ||
 		rep.Speedups.JSONDecodeFastVsStd <= 0 || rep.Speedups.DetectLane1VsScalar <= 0 ||
-		rep.Speedups.ServeBatchedIdleVsScalar <= 0 || rep.Speedups.TrainEpochVs1Proc <= 0 ||
+		rep.Speedups.ServeBatch16IdleVsBatch1 <= 0 || rep.Speedups.TrainEpochVs1Proc <= 0 ||
 		rep.Speedups.LaneReseedVsMathRand <= 0 || rep.Speedups.SweepCellVsEvaluate <= 0 {
 		t.Errorf("speedups not computed: %+v", rep.Speedups)
 	}
@@ -319,7 +319,7 @@ func TestRefreshRows(t *testing.T) {
 		"inference_exact_fused", "inference_exact_scalar", "inference_faulty_skipahead",
 		"inference_faulty_bernoulli", "evaluate_sharded", "evaluate_serial_1worker",
 		"batch_faulty_1", "batch_faulty_4", "batch_faulty_16", "batch_faulty_64",
-		"serve_detect_scalar", "serve_detect_batched_16", "serve_detect_scalar_serial",
+		"serve_detect_batch1", "serve_detect_batched_16", "serve_detect_batch1_serial",
 		"serve_detect_batched_16_serial", "serve_json_tcp_batched_16", "serve_wire_stream_batched_16",
 		"decode_json_16", "decode_json_16_std", "detect_program_16", "detect_program_16_scalar",
 		"train_rprop_epoch", "train_rprop_epoch_1proc",

@@ -159,6 +159,10 @@ func run(scale experiments.Scale, rotation int, outDir string, selected func(str
 				_, t, err := experiments.AblationEvasionMargin(env)
 				return t, err
 			}},
+			{"adaptive-attacker", func() (*experiments.Table, error) {
+				_, t, err := experiments.AblationAdaptiveAttacker(env)
+				return t, err
+			}},
 		}
 		for _, a := range ablations {
 			start := time.Now()

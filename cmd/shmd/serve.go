@@ -73,7 +73,7 @@ func serveRun(ctx context.Context, args []string) error {
 	lifecycle := fs.Bool("lifecycle", true, "quarantine and respawn terminally degraded sessions")
 	journalPath := fs.String("journal", "", "calibration journal path (empty = journaling off)")
 	hedgeAfter := fs.Duration("hedge-after", 0, "re-dispatch a slow batch to a second slot after this budget (0 = off)")
-	maxBatch := fs.Int("max-batch", 0, "coalesce concurrent programs into micro-batches of up to this many lanes (0 or 1 = scalar dispatch)")
+	maxBatch := fs.Int("max-batch", 0, "coalesce concurrent programs into micro-batches of up to this many lanes (0 or 1 = a batch of one)")
 	maxBatchWait := fs.Duration("max-batch-wait", 0, "cap on a partial micro-batch's wait behind a busy batcher; an idle one dispatches at once (0 = 2ms default when -max-batch enables batching)")
 	deadline := fs.Duration("deadline", 0, "default per-request detection deadline (0 = unbounded)")
 	registryDir := fs.String("registry", "", "model registry directory (empty = registry off; bootstraps from -model when empty)")

@@ -180,7 +180,7 @@ func parseSoak(args []string) (scenario, soakOptions, error) {
 	fs.Float64Var(&o.rate, "rate", 0.1, "target multiplier error rate")
 	fs.Uint64Var(&o.seed, "seed", 1, "root seed (fault streams, storm schedule)")
 	fs.DurationVar(&o.hedgeAfter, "hedge-after", 5*time.Millisecond, "hedged re-dispatch budget at the front door: the backend, or the router with -fleet (0 = off)")
-	fs.IntVar(&o.maxBatch, "max-batch", 0, "micro-batch lane limit (0 or 1 = scalar dispatch)")
+	fs.IntVar(&o.maxBatch, "max-batch", 0, "micro-batch lane limit (0 or 1 = a batch of one)")
 	fs.DurationVar(&o.maxBatchWait, "max-batch-wait", 0, "cap on a partial micro-batch's wait behind a busy batcher (0 = serve default)")
 	fs.DurationVar(&o.deadline, "deadline", 2*time.Second, "server-side default detection deadline")
 	fs.StringVar(&o.journal, "journal", "", "calibration journal path (empty = journaling off; not with -fleet)")

@@ -135,13 +135,6 @@ func (e *Env) Crashed() bool {
 	return e.crashLeft > 0
 }
 
-// DriftC returns the active thermal-excursion offset in °C.
-func (e *Env) DriftC() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.driftC
-}
-
 // DroopMV returns the active uncommanded supply sag in mV.
 func (e *Env) DroopMV() float64 {
 	e.mu.Lock()

@@ -108,14 +108,6 @@ type StochasticHMD struct {
 	// admits at a time. DetectSet, which evaluation calls from many
 	// workers at once, takes its kits from laneKits instead.
 	kit laneKit
-
-	// Decision tracing (opt-in, see EnableDecisionTrace): when on,
-	// every ScoreWindows pass records its stochastic draws into
-	// lastDraws so the serving layer can attach provenance to the
-	// verdict it just produced. Purely observational — the injector's
-	// RNG stream is untouched.
-	traceOn   bool
-	lastDraws faults.DrawLog
 }
 
 // New builds a Stochastic-HMD around base on ideal hardware: a fresh
@@ -244,32 +236,14 @@ func (s *StochasticHMD) SetTemperature(tempC float64) error {
 // undervolted multiplier. Every call re-rolls the stochastic faults —
 // the moving-target property.
 func (s *StochasticHMD) ScoreWindows(windows []trace.WindowCounts) []float64 {
-	if s.traceOn {
-		if rec, ok := s.inj.(faults.Recordable); ok {
-			rec.StartRecord(&s.lastDraws)
-			defer rec.StopRecord()
-		}
-	}
 	return s.base.ScoreWindowsUnit(s.inj, windows)
 }
 
-// EnableDecisionTrace turns on draw recording: after each ScoreWindows
-// (or DetectProgram) call, LastDraws returns the stochastic draw log
-// of that pass. Recording is observational — scores and the fault
-// stream are bit-identical to an untraced run. No-op tracing (a fault
-// unit that is not faults.Recordable) yields empty logs, which replay
-// as the exact unit.
-func (s *StochasticHMD) EnableDecisionTrace() {
-	s.traceOn = true
-	s.lastDraws = faults.DrawLog{InitialGap: -1}
-}
-
-// LastDraws returns a copy of the draw log of the most recent scoring
-// pass. Meaningful only after EnableDecisionTrace.
-func (s *StochasticHMD) LastDraws() faults.DrawLog { return s.lastDraws.Clone() }
-
 // DetectProgramTraced returns the verdict plus the draw log of its
-// scoring pass, whether or not tracing is enabled.
+// scoring pass. Recording is observational — the score and the fault
+// stream are bit-identical to DetectProgram's. A fault unit that is
+// not faults.Recordable yields an empty log, which replays as the
+// exact unit.
 func (s *StochasticHMD) DetectProgramTraced(windows []trace.WindowCounts) (hmd.Decision, faults.DrawLog) {
 	rec, ok := s.inj.(faults.Recordable)
 	if !ok {

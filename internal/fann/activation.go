@@ -1,8 +1,8 @@
 // Package fann is a from-scratch reimplementation of the subset of the
 // Fast Artificial Neural Network Library (FANN) that the Stochastic-HMD
 // paper relies on: fully-connected multi-layer perceptrons with
-// sigmoid-family activations, gradient training (incremental backprop
-// and iRPROP−), serialization, and — crucially — a fixed-point
+// sigmoid-family activations, iRPROP− gradient training,
+// serialization, and — crucially — a fixed-point
 // execution mode whose every multiplication goes through an fxp.Unit.
 // The paper integrated its stochastic fault-injection tool into FANN at
 // exactly that point ("we integrated our tool to the Fast Artificial

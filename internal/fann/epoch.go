@@ -17,7 +17,7 @@ const epochChunk = 512
 const sampleGrain = 16
 
 // gradPass computes the summed squared-error gradient of a sample set,
-// the quantity the batch trainers step on. It works through the
+// the quantity the iRPROP− trainer steps on. It works through the
 // samples a chunk at a time, in two phases per chunk, and keeps every
 // floating-point addition in the order of the serial per-sample loop,
 // so gradients, squared errors and therefore trained weights are

@@ -86,28 +86,6 @@ func (n *Network) gradients(input, target []float64, grad [][]float64) float64 {
 	return sqErr
 }
 
-// oracleIncremental is TrainIncremental's serial per-sample loop.
-func oracleIncremental(n *Network, samples []TrainSample, learningRate float64) float64 {
-	grad := n.newGradBuffer()
-	totalSq := 0.0
-	for _, s := range samples {
-		for l := range grad {
-			for i := range grad[l] {
-				grad[l][i] = 0
-			}
-		}
-		totalSq += n.gradients(s.Input, s.Target, grad)
-		for l := range n.weights {
-			w := n.weights[l]
-			g := grad[l]
-			for i := range w {
-				w[i] -= learningRate * g[i]
-			}
-		}
-	}
-	return totalSq / float64(len(samples)*n.NumOutputs())
-}
-
 // oracleRPROPEpoch is RPROPTrainer.Epoch's serial loop.
 func oracleRPROPEpoch(t *RPROPTrainer, samples []TrainSample) float64 {
 	n := t.net
@@ -145,71 +123,6 @@ func oracleRPROPEpoch(t *RPROPTrainer, samples []TrainSample) float64 {
 	return totalSq / float64(len(samples)*n.NumOutputs())
 }
 
-// oracleQuickpropEpoch is QuickpropTrainer.Epoch's serial loop.
-func oracleQuickpropEpoch(t *QuickpropTrainer, samples []TrainSample) float64 {
-	n := t.net
-	grad := n.newGradBuffer()
-	totalSq := 0.0
-	for _, s := range samples {
-		totalSq += n.gradients(s.Input, s.Target, grad)
-	}
-
-	shrink := t.Mu / (1 + t.Mu)
-	for l := range n.weights {
-		w := n.weights[l]
-		g := grad[l]
-		prevSlopes := t.prevGrad[l] // stores previous slopes (−gradient)
-		ps := t.prevStep[l]
-		for i := range w {
-			// Slope is the downhill direction; weight decay keeps the
-			// quadratic model bounded.
-			slope := -(g[i] + t.Decay*w[i])
-			prevSlope := prevSlopes[i]
-
-			step := 0.0
-			switch {
-			case ps[i] > 1e-12: // previous step moved up
-				if slope > 0 {
-					step += t.LearningRate * slope
-				}
-				if slope > shrink*prevSlope {
-					step += t.Mu * ps[i] // quadratic would overshoot: cap growth
-				} else {
-					step += ps[i] * slope / (prevSlope - slope)
-				}
-			case ps[i] < -1e-12: // previous step moved down
-				if slope < 0 {
-					step += t.LearningRate * slope
-				}
-				if slope < shrink*prevSlope {
-					step += t.Mu * ps[i]
-				} else {
-					step += ps[i] * slope / (prevSlope - slope)
-				}
-			default:
-				// No usable history: plain gradient descent.
-				step = t.LearningRate * slope
-			}
-
-			// Clamp pathological secant steps.
-			if math.IsNaN(step) || math.IsInf(step, 0) {
-				step = t.LearningRate * slope
-			}
-			if step > 1000 {
-				step = 1000
-			}
-			if step < -1000 {
-				step = -1000
-			}
-
-			w[i] += step
-			ps[i] = step
-			prevSlopes[i] = slope
-		}
-	}
-	return totalSq / float64(len(samples)*n.NumOutputs())
-}
-
 // oracleAlgo is one training algorithm under comparison: start binds a
 // fresh epoch function to a network, through the production trainer or
 // the oracle loop.
@@ -225,19 +138,6 @@ var oracleAlgos = []oracleAlgo{
 			return func(s []TrainSample) (float64, error) { return oracleRPROPEpoch(t, s), nil }
 		}
 		return t.Epoch
-	}},
-	{"quickprop", func(n *Network, oracle bool) func([]TrainSample) (float64, error) {
-		t := NewQuickpropTrainer(n)
-		if oracle {
-			return func(s []TrainSample) (float64, error) { return oracleQuickpropEpoch(t, s), nil }
-		}
-		return t.Epoch
-	}},
-	{"incremental", func(n *Network, oracle bool) func([]TrainSample) (float64, error) {
-		if oracle {
-			return func(s []TrainSample) (float64, error) { return oracleIncremental(n, s, 0.3), nil }
-		}
-		return func(s []TrainSample) (float64, error) { return n.TrainIncremental(s, 0.3) }
 	}},
 }
 
@@ -286,7 +186,7 @@ func trainTrajectory(t *testing.T, cfg Config, algo oracleAlgo, samples []TrainS
 	return tr
 }
 
-// TestEpochMatchesSerialOracle trains every algorithm through the
+// TestEpochMatchesSerialOracle trains iRPROP− through the
 // two-phase pass and through the serial loop it replaced, and requires
 // bit-identical per-epoch MSE and final weights at 1, 2 and 3 workers
 // and at the machine's GOMAXPROCS, for sample counts around the chunk
@@ -344,13 +244,10 @@ func TestEpochAllocatesNothing(t *testing.T) {
 	n := mustNew(t, Config{Layers: []int{8, 6, 1}, Hidden: SigmoidSymmetric, Output: Sigmoid, Seed: 3})
 	samples := oracleSamples(2*epochChunk+3, 8, 1, 3)
 	rp := NewRPROPTrainer(n)
-	qp := NewQuickpropTrainer(n.Clone())
-	for name, epoch := range map[string]func([]TrainSample) (float64, error){"rprop": rp.Epoch, "quickprop": qp.Epoch} {
-		if _, err := epoch(samples); err != nil {
-			t.Fatal(err)
-		}
-		if allocs := testing.AllocsPerRun(5, func() { epoch(samples) }); allocs != 0 {
-			t.Errorf("%s epoch allocates %v times, want 0", name, allocs)
-		}
+	if _, err := rp.Epoch(samples); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { rp.Epoch(samples) }); allocs != 0 {
+		t.Errorf("rprop epoch allocates %v times, want 0", allocs)
 	}
 }

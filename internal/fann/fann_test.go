@@ -120,43 +120,17 @@ func TestXORConvergesWithRPROP(t *testing.T) {
 	}
 }
 
-func TestTrainIncrementalReducesError(t *testing.T) {
-	n := mustNew(t, Config{Layers: []int{2, 3, 1}, Hidden: Sigmoid, Output: Sigmoid, Seed: 5})
-	samples := []TrainSample{
-		{Input: []float64{0.1, 0.9}, Target: []float64{1}},
-		{Input: []float64{0.9, 0.1}, Target: []float64{0}},
-	}
-	before, err := n.MSE(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if _, err := n.TrainIncremental(samples, 0.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after, err := n.MSE(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after >= before {
-		t.Errorf("incremental training did not reduce error: %v -> %v", before, after)
-	}
-}
-
 func TestTrainValidation(t *testing.T) {
 	n := mustNew(t, Config{Layers: []int{2, 1}, Hidden: Sigmoid, Output: Sigmoid})
-	if _, err := n.TrainIncremental(nil, 0.5); err != ErrNoSamples {
+	opts := TrainOptions{MaxEpochs: 1}
+	if _, _, err := n.Train(nil, opts); err != ErrNoSamples {
 		t.Errorf("empty set err = %v", err)
 	}
-	if _, err := n.TrainIncremental([]TrainSample{{Input: []float64{1}, Target: []float64{0}}}, 0.5); err == nil {
+	if _, _, err := n.Train([]TrainSample{{Input: []float64{1}, Target: []float64{0}}}, opts); err == nil {
 		t.Error("bad input shape must error")
 	}
-	if _, err := n.TrainIncremental([]TrainSample{{Input: []float64{1, 2}, Target: []float64{0, 1}}}, 0.5); err == nil {
+	if _, _, err := n.Train([]TrainSample{{Input: []float64{1, 2}, Target: []float64{0, 1}}}, opts); err == nil {
 		t.Error("bad target shape must error")
-	}
-	if _, err := n.TrainIncremental([]TrainSample{{Input: []float64{1, 2}, Target: []float64{0}}}, -1); err == nil {
-		t.Error("negative learning rate must error")
 	}
 }
 
@@ -187,7 +161,7 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	// Train the clone; the original must not move.
 	before := n.Run(in)[0]
-	if _, err := c.TrainIncremental([]TrainSample{{Input: in, Target: []float64{0}}}, 1.0); err != nil {
+	if _, _, err := c.Train([]TrainSample{{Input: in, Target: []float64{0}}}, TrainOptions{MaxEpochs: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if n.Run(in)[0] != before {

@@ -33,31 +33,6 @@ func (n *Network) checkSamples(samples []TrainSample) error {
 	return nil
 }
 
-// TrainIncremental runs one epoch of per-sample gradient descent
-// (FANN_TRAIN_INCREMENTAL) with the given learning rate and returns the
-// epoch mean squared error.
-func (n *Network) TrainIncremental(samples []TrainSample, learningRate float64) (float64, error) {
-	if err := n.checkSamples(samples); err != nil {
-		return 0, err
-	}
-	if learningRate <= 0 {
-		return 0, fmt.Errorf("fann: learning rate %v must be positive", learningRate)
-	}
-	pass := newGradPass(n)
-	totalSq := 0.0
-	for k := range samples {
-		totalSq += pass.run(samples[k : k+1])
-		for l := range n.weights {
-			w := n.weights[l]
-			g := pass.grad[l]
-			for i := range w {
-				w[i] -= learningRate * g[i]
-			}
-		}
-	}
-	return totalSq / float64(len(samples)*n.NumOutputs()), nil
-}
-
 // RPROPTrainer implements iRPROP− (FANN_TRAIN_RPROP, FANN's default
 // training algorithm), the batch method the paper's HMDs are trained
 // with. Per-weight step sizes adapt by the sign of successive

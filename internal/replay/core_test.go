@@ -18,11 +18,10 @@ func TestVerifyStochasticHMDDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableDecisionTrace()
 	r := rng.NewRand(41)
 	for i := 0; i < 10; i++ {
 		windows := synthWindows(r, 1+i%4)
-		dec := s.DetectProgram(windows)
+		dec, log := s.DetectProgramTraced(windows)
 		rec := Record{
 			Seed:       5,
 			Rate:       s.ErrorRate(),
@@ -31,24 +30,11 @@ func TestVerifyStochasticHMDDecision(t *testing.T) {
 			Malware:    dec.Malware,
 			Score:      dec.Score,
 			Confidence: testConfidence(dec.Score, h.Config().Threshold, dec.Malware),
-			Draws:      s.LastDraws(),
+			Draws:      log,
 			Windows:    windows,
 		}
 		if err := Verify(h, rec, testConfidence); err != nil {
 			t.Fatalf("decision %d: %v", i, err)
 		}
-	}
-
-	// DetectProgramTraced must agree with the LastDraws capture path.
-	windows := synthWindows(r, 3)
-	dec, log := s.DetectProgramTraced(windows)
-	rec := Record{
-		Rate: s.ErrorRate(), DepthMV: 130, Threshold: h.Config().Threshold,
-		Malware: dec.Malware, Score: dec.Score,
-		Confidence: testConfidence(dec.Score, h.Config().Threshold, dec.Malware),
-		Draws:      log, Windows: windows,
-	}
-	if err := Verify(h, rec, testConfidence); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -9,14 +9,16 @@ import (
 
 	"shmd/internal/core"
 	"shmd/internal/faults"
+	"shmd/internal/tenant"
 	"shmd/internal/trace"
 )
 
-// The micro-batching serve path: concurrent /v1/detect programs
-// coalesce into lane batches, each served by ONE pool-slot checkout
-// and ONE batched undervolted pass (core.Supervisor.DetectBatch feeding
-// the batch-lane kernels) instead of a slot checkout and a scalar pass
-// per program.
+// The serve dispatcher: concurrent /v1/detect programs (and SHMDWIRE
+// DETECT and STREAM programs) coalesce into lane batches of up to
+// MaxBatch, each served by ONE pool-slot checkout and ONE batched
+// undervolted pass (core.Supervisor.DetectBatch feeding the batch-lane
+// kernels). MaxBatch 0 or 1 is a batch of one: every program gets its
+// own slot checkout and its own freshly seeded lane fault stream.
 //
 // Flushing is self-clocked, like Nagle's algorithm:
 //
@@ -29,8 +31,12 @@ import (
 //     slot, so a flusher blocked in Pool.Acquire picks up every lane
 //     that arrived while it waited.
 //
+// Pending lanes bind in priority-class order (realtime, then
+// standard, then batch; first-in first-out within a class), so under
+// saturation a realtime tenant's lanes take the next free slot.
+//
 // Admission control, per-request deadlines, hedged dispatch, and
-// decision tracing all survive unchanged:
+// decision tracing:
 //
 //   - the admission queue token is held by each request's handler for
 //     its whole life, batching wait included;
@@ -38,17 +44,18 @@ import (
 //     shed when it binds (its handler has already replied 503) and
 //     never occupies a kernel lane;
 //   - a batch past the hedge budget re-dispatches onto a second idle
-//     slot, first outcome winning, exactly like scalar dispatch;
+//     slot, first outcome winning;
 //   - with a trace sink attached, every lane's verdict records its own
-//     per-lane draw log, replayable through the unchanged scalar
-//     replay path (batched lane scores are bit-identical to scalar).
+//     per-lane draw log, replayable through the scalar replay path
+//     (batched lane scores are bit-identical to scalar).
 type batcher struct {
 	srv  *Server
 	max  int
 	wait time.Duration
 
 	mu sync.Mutex
-	// pending holds the lanes not yet bound to a batch, oldest first.
+	// pending holds the lanes not yet bound to a batch in bind order:
+	// higher priority classes first, oldest first within a class.
 	pending []*lane
 	// waiting counts flushers blocked on a pool slot; each binds up to
 	// max lanes from the front of pending when its slot is granted, so
@@ -58,8 +65,9 @@ type batcher struct {
 	running int
 	// wake is the context flushers wait for a slot under. When a
 	// withdrawal leaves more flushers waiting than the pending lanes
-	// need, rouse cancels it (a fresh one takes its place) and every
-	// waiter rechecks, so the surplus stops waiting.
+	// need, or the drain refuses runners, rouse cancels it (a fresh one
+	// takes its place) and every waiter rechecks, so the surplus stops
+	// waiting.
 	wake  context.Context
 	rouse context.CancelFunc
 	// timer is the MaxBatchWait cap on the oldest unclaimed lane
@@ -69,6 +77,9 @@ type batcher struct {
 	timer *time.Timer
 	timed *lane
 	gen   uint64
+	// refused latches once the drain that closes the pool refuses
+	// runners: no waiting flusher binds lanes after it.
+	refused bool
 }
 
 // lane is one program awaiting batched detection.
@@ -76,8 +87,10 @@ type lane struct {
 	windows []trace.WindowCounts
 	// tenant is the accounting identity the lane's request was
 	// admitted under (trace provenance; lanes from different tenants
-	// share batches freely).
+	// share batches freely), and class its priority class, which
+	// orders binding.
 	tenant string
+	class  tenant.Class
 	ctx    context.Context
 	enq    time.Time
 	// done receives the lane's outcome; buffered so a flusher delivering
@@ -97,29 +110,35 @@ type laneOutcome struct {
 }
 
 // newBatcher wires the dispatcher to the server's pool and metrics.
+// MaxBatch 0 or 1 binds one lane per batch.
 func newBatcher(srv *Server) *batcher {
-	b := &batcher{srv: srv, max: srv.cfg.MaxBatch, wait: srv.cfg.MaxBatchWait}
+	b := &batcher{srv: srv, max: max(srv.cfg.MaxBatch, 1), wait: srv.cfg.MaxBatchWait}
 	b.wake, b.rouse = context.WithCancel(context.Background())
 	return b
 }
 
 // dispatch submits every program as a lane and assembles the request's
 // results as lanes complete.
-func (b *batcher) dispatch(ctx context.Context, tenantID string, programs []DecodedProgram) (batchOutcome, error) {
-	return b.collect(ctx, programs, b.submit(ctx, tenantID, programs))
+func (b *batcher) dispatch(ctx context.Context, class tenant.Class, tenantID string, programs []DecodedProgram) (batchOutcome, error) {
+	return b.collect(ctx, programs, b.submit(ctx, class, tenantID, programs))
 }
 
 // submit enqueues every program of one request as a lane under one
 // lock, so no flush can bind part of a request while the rest is still
-// arriving: an idle batcher dispatches the whole request at once.
-func (b *batcher) submit(ctx context.Context, tenantID string, programs []DecodedProgram) []*lane {
+// arriving: an idle batcher dispatches the whole request at once. The
+// lanes join pending behind every lane of their class or a higher one.
+func (b *batcher) submit(ctx context.Context, class tenant.Class, tenantID string, programs []DecodedProgram) []*lane {
 	lanes := make([]*lane, len(programs))
 	now := time.Now()
 	for i, p := range programs {
-		lanes[i] = &lane{windows: p.Windows, tenant: tenantID, ctx: ctx, enq: now, done: make(chan laneOutcome, 1)}
+		lanes[i] = &lane{windows: p.Windows, tenant: tenantID, class: class, ctx: ctx, enq: now, done: make(chan laneOutcome, 1)}
 	}
 	b.mu.Lock()
-	b.pending = append(b.pending, lanes...)
+	at := len(b.pending)
+	for at > 0 && b.pending[at-1].class < class {
+		at--
+	}
+	b.pending = slices.Insert(b.pending, at, lanes...)
 	b.schedule()
 	b.mu.Unlock()
 	return lanes
@@ -181,10 +200,28 @@ func (b *batcher) withdraw(lanes []*lane) {
 		return
 	}
 	if b.waiting > 0 && b.surplus() {
-		b.rouse()
-		b.wake, b.rouse = context.WithCancel(context.Background())
+		b.rouseWaiting()
 	}
 	b.schedule()
+}
+
+// refuse fails every lane not yet bound from now on: the drain that
+// closes the pool calls it once it refuses runners, and every flusher
+// still waiting for a slot is roused to fail its claim with
+// errDraining.
+func (b *batcher) refuse() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.refused = true
+	b.rouseWaiting()
+}
+
+// rouseWaiting wakes every flusher waiting for a slot to recheck its
+// claim, and gives the next waiters a fresh wake context. Callers hold
+// b.mu.
+func (b *batcher) rouseWaiting() {
+	b.rouse()
+	b.wake, b.rouse = context.WithCancel(context.Background())
 }
 
 // surplus reports whether the other waiting flushers already claim
@@ -233,7 +270,8 @@ func (b *batcher) spawn(reason string) {
 	go b.flusher(reason)
 }
 
-// arm keeps the MaxBatchWait cap pointed at the oldest unclaimed lane.
+// arm keeps the MaxBatchWait cap pointed at the first unclaimed lane
+// in bind order (the oldest one when every lane shares a class).
 // Callers hold b.mu.
 func (b *batcher) arm() {
 	first := b.pending[b.waiting*b.max]
@@ -273,8 +311,9 @@ func (b *batcher) onTimer(gen uint64) {
 	b.schedule()
 }
 
-// take unbinds up to n lanes from the front of pending. Callers hold
-// b.mu.
+// take unbinds up to n lanes from the front of pending, which keeps
+// them in bind order: realtime, then standard, then batch, first-in
+// first-out within a class. Callers hold b.mu.
 func (b *batcher) take(n int) []*lane {
 	if n > len(b.pending) {
 		n = len(b.pending)
@@ -292,7 +331,9 @@ func (b *batcher) take(n int) []*lane {
 // before its verdicts fan out, so a client's follow-up request finds
 // the batcher idle. When lanes coalesced while the batch ran, the
 // flusher goes round again with them: completion is the batcher's
-// clock. A flusher whose lanes were all withdrawn stops waiting.
+// clock. A flusher whose lanes were all withdrawn stops waiting, and
+// once the pool's drain refuses runners it fails its claim with
+// errDraining instead of binding it.
 func (b *batcher) flusher(reason string) {
 	defer b.srv.runnerDone()
 	for {
@@ -302,13 +343,22 @@ func (b *batcher) flusher(reason string) {
 			b.mu.Unlock()
 			return
 		}
+		if b.refused {
+			b.waiting--
+			lanes := b.take(b.max)
+			b.schedule()
+			b.mu.Unlock()
+			deliver(lanes, batchRun{err: errDraining})
+			return
+		}
 		wake := b.wake
 		b.mu.Unlock()
 		slot, err := b.srv.pool.Acquire(wake)
 		closed := errors.Is(err, ErrPoolClosed)
 		if err != nil && !closed {
-			// Roused to recheck the claim, or refused a busy slot (the
-			// pool counts the breach): no lane is bound, wait again.
+			// Roused to recheck the claim or the drain, or refused a busy
+			// slot (the pool counts the breach): no lane is bound, wait
+			// again.
 			continue
 		}
 		b.mu.Lock()
@@ -351,7 +401,8 @@ func (b *batcher) flusher(reason string) {
 
 // flush sheds expired lanes and runs the survivors as one batch on the
 // granted slot, which it always gives back. It returns the survivors
-// with their outcome, for the caller to deliver.
+// with their outcome, for the caller to deliver. Each lane's wait from
+// enqueue to bind is recorded, per class too when tenancy is on.
 func (b *batcher) flush(slot *Slot, lanes []*lane, reason string) ([]*lane, batchRun) {
 	m := b.srv.metrics
 	m.BatchFlushes.With(reason).Inc()
@@ -359,7 +410,11 @@ func (b *batcher) flush(slot *Slot, lanes []*lane, reason string) ([]*lane, batc
 	now := time.Now()
 	live := lanes[:0]
 	for _, ln := range lanes {
-		m.BatchWait.Observe(int64(now.Sub(ln.enq)))
+		wait := int64(now.Sub(ln.enq))
+		m.BatchWait.Observe(wait)
+		if b.srv.tenants != nil {
+			m.ClassWait[ln.class].Observe(wait)
+		}
 		if err := ln.ctx.Err(); err != nil {
 			// The handler already replied (503 on deadline, 499 on a gone
 			// client); the buffered send is bookkeeping for a listener
@@ -397,9 +452,9 @@ type batchRun struct {
 }
 
 // run executes the batch on the acquired slot, hedging onto a second
-// idle slot past the configured budget exactly like scalar dispatch,
-// and returns the first successful outcome (or the first failure when
-// every runner failed).
+// idle slot past the configured budget, and returns the first
+// successful outcome (or the first failure when every runner failed).
+// Without hedging the flusher runs the batch itself.
 func (b *batcher) run(primary *Slot, lanes []*lane) batchRun {
 	traces := make([][]trace.WindowCounts, len(lanes))
 	tenants := make([]string, len(lanes))
@@ -407,16 +462,16 @@ func (b *batcher) run(primary *Slot, lanes []*lane) batchRun {
 		traces[i] = ln.windows
 		tenants[i] = ln.tenant
 	}
+	if b.srv.cfg.HedgeAfter <= 0 {
+		return b.detect(primary, traces, tenants, false)
+	}
 	// Buffered for every possible runner so a loser's send never blocks.
 	outcomes := make(chan batchRun, 2)
 	b.runDetached(primary, traces, tenants, false, outcomes)
 
-	var hedgeC <-chan time.Time
-	if b.srv.cfg.HedgeAfter > 0 {
-		tm := time.NewTimer(b.srv.cfg.HedgeAfter)
-		defer tm.Stop()
-		hedgeC = tm.C
-	}
+	tm := time.NewTimer(b.srv.cfg.HedgeAfter)
+	defer tm.Stop()
+	hedgeC := tm.C
 	pending := 1
 	var firstErr error
 	for pending > 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"testing"
@@ -171,25 +172,20 @@ func TestDrainRefusesRunnersOnceWaiting(t *testing.T) {
 	}
 }
 
-// TestDispatchRefusedOnceDrainWaits pins both dispatchers once the
-// drain that closes the pool refuses runners: a request fails at once with
-// errDraining instead of starting a runner or a flusher, its slot goes
-// back, and no lane is left pending.
+// TestDispatchRefusedOnceDrainWaits pins the dispatcher once the drain
+// that closes the pool refuses runners: a request fails at once with
+// errDraining instead of starting a flusher, its slot goes back, and no
+// lane is left pending, at a batch of one and at a wider batch.
 func TestDispatchRefusedOnceDrainWaits(t *testing.T) {
 	for _, maxBatch := range []int{0, 8} {
 		srv := newTestServer(t, Config{MaxBatch: maxBatch, MaxBatchWait: time.Millisecond})
 		srv.closeRunners()
-		var err error
-		if srv.batcher != nil {
-			_, err = srv.batcher.dispatch(boundedCtx(t), "", programs(t, "a", 3))
-			srv.batcher.mu.Lock()
-			if n, w := len(srv.batcher.pending), srv.batcher.waiting; n != 0 || w != 0 {
-				t.Errorf("MaxBatch %d: %d lanes pending, %d flushers waiting after the refusal", maxBatch, n, w)
-			}
-			srv.batcher.mu.Unlock()
-		} else {
-			_, err = srv.dispatch(boundedCtx(t), 0, "", programs(t, "a", 3))
+		_, err := srv.batcher.dispatch(boundedCtx(t), 0, "", programs(t, "a", 3))
+		srv.batcher.mu.Lock()
+		if n, w := len(srv.batcher.pending), srv.batcher.waiting; n != 0 || w != 0 {
+			t.Errorf("MaxBatch %d: %d lanes pending, %d flushers waiting after the refusal", maxBatch, n, w)
 		}
+		srv.batcher.mu.Unlock()
 		if !errors.Is(err, errDraining) || !errors.Is(err, ErrPoolClosed) {
 			t.Errorf("MaxBatch %d: dispatch during a drain = %v, want errDraining", maxBatch, err)
 		}
@@ -202,11 +198,24 @@ func TestDispatchRefusedOnceDrainWaits(t *testing.T) {
 
 // TestWireDrainLeavesHTTPServing pins the order shmd serve -wire shuts
 // down in: the wire context ends first, and the HTTP one only once
-// ServeWire has returned. The wire drain must not refuse runners, so an
-// HTTP request already admitted and waiting for a slot is still served
-// (200), and the HTTP drain then closes the pool.
+// ServeWire has returned. The wire drain waits only for its own
+// connections' detects and must not refuse runners, so it returns while
+// an HTTP request already admitted waits for a slot (its flusher is a
+// tracked runner), that request is still served (200), and the HTTP
+// drain then closes the pool. It runs at a batch of one and at a wider
+// batch.
 func TestWireDrainLeavesHTTPServing(t *testing.T) {
-	srv, slots := chaosBatchServer(t, 1, 0, 0, func(time.Duration) {})
+	for _, maxBatch := range []int{0, 4} {
+		t.Run(fmt.Sprintf("maxBatch=%d", maxBatch), func(t *testing.T) {
+			srv, slots := chaosBatchServer(t, 1, maxBatch, time.Millisecond, func(time.Duration) {})
+			wireDrainLeavesHTTPServing(t, srv, slots[0])
+		})
+	}
+}
+
+// wireDrainLeavesHTTPServing drives one TestWireDrainLeavesHTTPServing
+// case on a one-slot server whose slot the test holds.
+func wireDrainLeavesHTTPServing(t *testing.T, srv *Server, held *Slot) {
 	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +258,7 @@ func TestWireDrainLeavesHTTPServing(t *testing.T) {
 	}
 	// The slot frees only after the wire drain ended: the waiting
 	// request starts its runner now.
-	srv.Pool().Release(slots[0])
+	srv.Pool().Release(held)
 	select {
 	case code := <-status:
 		if code != http.StatusOK {

@@ -254,10 +254,10 @@ func TestGoldenExposition(t *testing.T) {
 	t.Run("hedged", goldenHedged)
 }
 
-// goldenScalar covers the scalar dispatch path with tenancy on: every
-// status code family, the tenant cap, each shed reason, the per-class
-// gate wait, SHMDWIRE traffic, two served model versions, each
-// rollout outcome, and the trace counters.
+// goldenScalar covers batches of one (MaxBatch 0) with tenancy on:
+// every status code family, the tenant cap, each shed reason, the
+// per-class wait from enqueue to bind, SHMDWIRE traffic, two served
+// model versions, each rollout outcome, and the trace counters.
 func goldenScalar(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1700000000, 0)}
 	sink, err := replay.OpenSink(filepath.Join(t.TempDir(), "decisions.trace"), 256)
@@ -306,6 +306,11 @@ func goldenScalar(t *testing.T) {
 		}
 		held = append(held, slot)
 	}
+	// The deadline expires while no other lane is pending, so its
+	// flusher stops unused; were the capped lane pending too, which of
+	// the two flushers serves it, and so its flush reason, would be a
+	// race.
+	postExpect(t, ts, "vip", "20", body, http.StatusServiceUnavailable)
 	first := make(chan struct{})
 	go func() {
 		defer close(first)
@@ -313,7 +318,6 @@ func goldenScalar(t *testing.T) {
 	}()
 	waitFor(t, 5*time.Second, "capped tenant in flight", func() bool { return srv.tenants.InFlight("capped") == 1 })
 	postExpect(t, ts, "capped", "", body, http.StatusTooManyRequests)
-	postExpect(t, ts, "vip", "20", body, http.StatusServiceUnavailable)
 	for _, slot := range held {
 		srv.Pool().Release(slot)
 	}

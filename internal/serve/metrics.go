@@ -71,7 +71,9 @@ type Metrics struct {
 	TenantAccepted *prom.CounterVec // tenant, class
 	TenantShed     *prom.CounterVec // tenant, class, reason
 	TenantOverflow *prom.Counter
-	// ClassWait is the admission-gate wait, indexed by tenant.Class.
+	// ClassWait is each lane's wait from enqueue to bind with tenancy
+	// on, indexed by tenant.Class. Its HELP text is the one the golden
+	// expositions pin.
 	ClassWait [tenant.NumClasses]*prom.Histogram
 }
 

@@ -56,10 +56,6 @@ type PoolConfig struct {
 	JournalMaxAge time.Duration
 	// Logf receives lifecycle and journal log lines (nil = silent).
 	Logf func(format string, args ...any)
-	// TraceDraws enables per-decision draw recording on every slot's
-	// detector (set by the server when a trace sink is configured).
-	// Recording is observational: verdicts are bit-identical either way.
-	TraceDraws bool
 	// ModelVersion is the registry version of the base detector (0 for
 	// a compiled-in model outside a registry deployment). Slots carry
 	// their model version for metrics, traces, and canary rollout.
@@ -292,9 +288,6 @@ func (p *Pool) buildSlot(i, gen int, version uint32) (*Slot, error) {
 	sup, err := core.NewSupervisor(det, cfg.Supervisor)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.TraceDraws {
-		det.EnableDecisionTrace()
 	}
 	slot := &Slot{ID: i, Gen: gen, Sup: sup, Det: det, Seed: opts.Seed, Model: version}
 	if p.journal != nil && cfg.ErrorRate > 0 {

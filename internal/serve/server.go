@@ -47,19 +47,19 @@ type Config struct {
 	// stall a batch for many retry cycles while an idle neighbour would
 	// answer immediately.
 	HedgeAfter time.Duration
-	// MaxBatch enables dynamic micro-batching: programs from concurrent
-	// /v1/detect requests coalesce into lane batches of up to MaxBatch,
-	// each served by ONE slot checkout and ONE batched undervolted pass
+	// MaxBatch bounds the micro-batcher's lane batches: programs from
+	// concurrent requests coalesce into batches of up to MaxBatch, each
+	// served by ONE slot checkout and ONE batched undervolted pass
 	// through the batch-lane kernels, with per-program verdicts fanned
-	// back out to their requests. 0 or 1 leaves the scalar per-request
-	// dispatch path in place.
+	// back out to their requests. 0 or 1 means a batch of one: every
+	// program takes its own slot checkout.
 	MaxBatch int
 	// MaxBatchWait bounds how long a partial batch waits behind a busy
-	// batcher (default 2ms when MaxBatch enables batching). The batcher
-	// is self-clocked: with nothing in flight a request's lanes
-	// dispatch at once, and while a batch is in flight new lanes
-	// coalesce until it completes or they fill MaxBatch. The wait only
-	// caps that coalescing when the in-flight batch stalls.
+	// batcher (default 2ms when MaxBatch > 1). The batcher is
+	// self-clocked: with nothing in flight a request's lanes dispatch
+	// at once, and while a batch is in flight new lanes coalesce until
+	// it completes or they fill MaxBatch. The wait only caps that
+	// coalescing when the in-flight batch stalls.
 	MaxBatchWait time.Duration
 	// ReadHeaderTimeout bounds how long Serve waits for request headers
 	// (default 10s).
@@ -70,8 +70,8 @@ type Config struct {
 	// Trace, when non-nil, receives a replay.Record for every decision
 	// served (opt-in auditing). The sink is lossy by design: a full ring
 	// drops the record and bumps a counter rather than stalling
-	// detection. The server enables per-slot draw recording when set;
-	// the caller owns the sink's lifetime (Close after Serve returns).
+	// detection. Each record carries its lane's draw log; the caller
+	// owns the sink's lifetime (Close after Serve returns).
 	Trace *replay.Sink
 	// JitterSeed seeds the Retry-After jitter so shed clients do not
 	// retry in lockstep (0 = seed from the clock at startup; tests pin
@@ -81,7 +81,7 @@ type Config struct {
 	// request resolves a tenant (X-Tenant header, wire tag, or
 	// connection HELLO metadata) whose token bucket, concurrency cap,
 	// and shaping rules gate admission, and whose priority class
-	// orders dequeue at the slot pool under saturation. Nil serves
+	// orders lane binding at the slot pool under saturation. Nil serves
 	// every request untagged through the flat admission queue.
 	Tenancy *tenant.Config
 	// TraceTenants restricts the trace sink to decisions served for
@@ -133,8 +133,9 @@ type Server struct {
 	// Shutdown (http.Server.Shutdown already waits on connections; this
 	// guards the direct-handler path tests use).
 	inflight chan struct{}
-	// runners counts dispatch runner goroutines. A hedged loser can
-	// outlive its handler (its verdict is discarded but its batch must
+	// runners counts the batcher's flusher and hedge runner goroutines.
+	// A runner can outlive its handler (a hedged loser, or a batch whose
+	// lanes all expired: its verdicts are discarded but the batch must
 	// finish and its slot must be released), so shutdown waits for the
 	// count to reach zero as well as on inflight. runMu guards runners,
 	// runIdle (closed each time the count falls to zero) and
@@ -151,18 +152,15 @@ type Server struct {
 	// balancers stop routing here while the drain completes, even
 	// though /healthz (liveness) keeps answering for the pool.
 	draining atomic.Bool
-	// batcher coalesces concurrent programs into lane batches when
-	// Config.MaxBatch enables micro-batching (nil = scalar dispatch).
+	// batcher dispatches every detection: it coalesces concurrent
+	// programs into lane batches of up to Config.MaxBatch (one lane per
+	// batch at MaxBatch 0 or 1).
 	batcher *batcher
 	// wire tracks live SHMDWIRE connections so a graceful drain can
 	// broadcast GOAWAY and wait for their in-flight detects.
 	wire wireState
 	// tenants answers per-tenant admission (nil = tenancy off).
 	tenants *tenant.Registry
-	// gate orders dequeue by priority class in front of the pool on
-	// the scalar dispatch path (nil = tenancy off; the micro-batcher
-	// keeps FIFO lanes — batching already amortizes the slot).
-	gate *tenant.Gate
 	// traceTenants filters the trace sink by tenant ID (nil = all).
 	traceTenants map[string]bool
 	// rollout is the canary rollout controller. Always constructed
@@ -180,7 +178,6 @@ func New(base *hmd.HMD, cfg Config) (*Server, error) {
 	if cfg.QueueDepth < 0 {
 		return nil, fmt.Errorf("serve: negative queue depth %d", cfg.QueueDepth)
 	}
-	cfg.Pool.TraceDraws = cfg.Trace != nil
 	pool, err := NewPool(base, cfg.Pool)
 	if err != nil {
 		return nil, err
@@ -203,18 +200,12 @@ func New(base *hmd.HMD, cfg Config) (*Server, error) {
 		inflight:  make(chan struct{}, pool.Size()+cfg.QueueDepth),
 		jitter:    backoff.New(seed),
 	}
-	if cfg.MaxBatch > 1 {
-		s.batcher = newBatcher(s)
-	}
+	s.batcher = newBatcher(s)
 	if cfg.Tenancy != nil {
 		if s.tenants, err = tenant.NewRegistry(*cfg.Tenancy); err != nil {
 			pool.Close()
 			return nil, err
 		}
-		// Gate capacity mirrors the pool so free slots grant instantly;
-		// the flat queue already bounds waiters, so the gate itself is
-		// unbounded.
-		s.gate = tenant.NewGate(pool.Size(), 0)
 	}
 	if len(cfg.TraceTenants) > 0 {
 		s.traceTenants = make(map[string]bool, len(cfg.TraceTenants))
@@ -258,10 +249,9 @@ func (s *Server) Rollout() *rollout { return s.rollout }
 // logf forwards to the pool's configured logger.
 func (s *Server) logf(format string, args ...any) { s.pool.logf(format, args...) }
 
-// observeOutcome records per-model decision metrics for a winning
+// observeDecision records per-model decision metrics for a winning
 // outcome and feeds the rollout controller's drift comparison. Both
-// dispatch paths (scalar and micro-batched) and both transports (HTTP
-// and SHMDWIRE route through the same dispatchers) land here, winner
+// transports (HTTP and SHMDWIRE) land here through the batcher, winner
 // outcomes only — hedge losers are discarded before observation.
 func (s *Server) observeDecision(model uint32, malware bool, confidence float64) {
 	s.metrics.ModelDecision(model, malware)
@@ -374,12 +364,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	var out batchOutcome
-	if s.batcher != nil {
-		out, err = s.batcher.dispatch(ctx, tenantID, programs)
-	} else {
-		out, err = s.dispatch(ctx, class, tenantID, programs)
-	}
+	out, err := s.batcher.dispatch(ctx, class, tenantID, programs)
 	if err != nil {
 		s.failDetect(w, r, err)
 		return
@@ -429,10 +414,6 @@ func (s *Server) failDetect(w http.ResponseWriter, r *http.Request, err error) {
 		s.metrics.DeadlineExpired.Inc()
 		s.shedHint(w)
 		s.status(w, http.StatusServiceUnavailable, "detection deadline exceeded")
-	case errors.Is(err, tenant.ErrQueueFull):
-		s.metrics.QueueRejects.Inc()
-		s.shedHint(w)
-		s.status(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrPoolClosed):
 		s.status(w, http.StatusServiceUnavailable, err.Error())
 	default:
@@ -446,86 +427,13 @@ func (s *Server) failDetect(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
-// batchOutcome is one runner's verdict set for a batch.
+// batchOutcome is one request's verdict set, assembled from its lanes.
 type batchOutcome struct {
 	results []DetectResult
+	// session is the slot that served the request's first lane.
 	session int
-	// model is the model version of the slot that produced the outcome
-	// (scalar path; batched lanes observe per-lane instead).
-	model uint32
-	// hedge marks the outcome as produced by the hedge runner.
+	// hedge marks an outcome any of whose lanes the hedge runner won.
 	hedge bool
-	err   error
-}
-
-// dispatch runs the batch on an acquired slot, optionally hedging onto
-// a second idle slot after the configured latency budget. The first
-// successful outcome wins; every runner releases its own slot, so a
-// losing runner can finish after the handler has replied without
-// violating the exclusivity invariant. Decision metrics are recorded
-// by the caller for the winner only.
-//
-// With tenancy on, the class-aware gate fronts the pool: free
-// capacity grants immediately, and under saturation realtime lanes
-// dequeue ahead of standard ahead of batch.
-func (s *Server) dispatch(ctx context.Context, class tenant.Class, tenantID string, programs []DecodedProgram) (batchOutcome, error) {
-	if s.gate != nil {
-		wait := time.Now()
-		if err := s.gate.Acquire(ctx, class); err != nil {
-			return batchOutcome{}, err
-		}
-		defer s.gate.Release()
-		if int(class) < len(s.metrics.ClassWait) {
-			s.metrics.ClassWait[class].Observe(int64(time.Since(wait)))
-		}
-	}
-	slot, err := s.pool.Acquire(ctx)
-	if err != nil {
-		return batchOutcome{}, err
-	}
-	// Buffered for every possible runner: a loser's send never blocks,
-	// even when the handler has already returned.
-	outcomes := make(chan batchOutcome, 2)
-	s.runDetached(ctx, slot, programs, tenantID, false, outcomes)
-
-	var hedgeC <-chan time.Time
-	if s.cfg.HedgeAfter > 0 {
-		t := time.NewTimer(s.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	pending := 1
-	var firstErr error
-	for pending > 0 {
-		select {
-		case out := <-outcomes:
-			pending--
-			if out.err == nil {
-				for _, res := range out.results {
-					s.observeDecision(out.model, res.Malware, res.Confidence)
-				}
-				return out, nil
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			// Never wait for a hedge slot: hedging spends only capacity
-			// that is idle right now.
-			if hslot, ok := s.pool.TryAcquire(); ok {
-				s.metrics.Hedges.Inc()
-				pending++
-				s.runDetached(ctx, hslot, programs, tenantID, true, outcomes)
-			}
-		case <-ctx.Done():
-			// Deadline or client cancellation. Runners poll ctx between
-			// programs, finish their current one, and release their own
-			// slots; nothing here leaks.
-			return batchOutcome{}, ctx.Err()
-		}
-	}
-	return batchOutcome{}, firstErr
 }
 
 // errDraining refuses work that needs a new runner once the drain that
@@ -560,75 +468,10 @@ func (s *Server) runnerDone() {
 	}
 }
 
-// runDetached starts one tracked runner goroutine that executes the
-// batch on slot and always releases the slot itself. Once the pool's
-// drain refuses runners none starts: the slot goes back and the
-// outcome is errDraining.
-func (s *Server) runDetached(ctx context.Context, slot *Slot, programs []DecodedProgram, tenantID string, hedge bool, outcomes chan<- batchOutcome) {
-	if !s.addRunner() {
-		s.pool.Release(slot)
-		outcomes <- batchOutcome{hedge: hedge, err: errDraining}
-		return
-	}
-	go func() {
-		defer s.runnerDone()
-		out := s.runBatch(ctx, slot, programs, tenantID)
-		out.hedge = hedge
-		s.pool.Release(slot)
-		outcomes <- out
-	}()
-}
-
-// runBatch scores every program in the batch on one slot, checking the
-// request context between programs (DetectProgram itself is the unit
-// of non-cancellable work).
-func (s *Server) runBatch(ctx context.Context, slot *Slot, programs []DecodedProgram, tenantID string) batchOutcome {
-	out := batchOutcome{session: slot.ID, model: slot.Model, results: make([]DetectResult, len(programs))}
-	for i, p := range programs {
-		if err := ctx.Err(); err != nil {
-			out.err = err
-			return out
-		}
-		v, err := slot.Sup.DetectProgram(p.Windows)
-		if err != nil {
-			out.err = fmt.Errorf("program %d: %v", i, err)
-			return out
-		}
-		conf := Confidence(v.Score, s.threshold, v.Malware)
-		out.results[i] = DetectResult{
-			ID:          p.ID,
-			Malware:     v.Malware,
-			Score:       v.Score,
-			Confidence:  conf,
-			Unprotected: v.Unprotected,
-			Attempts:    v.Attempts,
-			Windows:     len(p.Windows),
-		}
-		if s.cfg.Trace != nil {
-			s.traceDecision(slot, p, v, conf, tenantID)
-		}
-	}
-	return out
-}
-
-// traceDecision offers one decision's provenance to the trace sink.
-// A protected verdict carries the draw log of its final scoring pass
-// (earlier retries were overwritten by the attempt that produced the
-// verdict); a degraded verdict ran on the exact unit and records an
-// empty log, which replays as exact arithmetic.
-func (s *Server) traceDecision(slot *Slot, p DecodedProgram, v core.Verdict, conf float64, tenantID string) {
-	draws := faults.DrawLog{InitialGap: -1}
-	if !v.Unprotected {
-		draws = slot.Det.LastDraws()
-	}
-	s.traceRecord(slot, p.Windows, v, conf, draws, tenantID)
-}
-
-// traceRecord offers one decision's provenance to the trace sink with
-// an explicit draw log — the shared tail of the scalar path (which
-// reads the slot detector's last recorded pass) and the batched path
-// (which carries each lane's own log from the batched pass). With a
-// TraceTenants filter configured, only the listed tenants' decisions
+// traceRecord offers one lane's decision provenance to the trace sink
+// with the draw log the batched pass recorded for that lane (an empty
+// log for a degraded verdict, which replays as exact arithmetic). With
+// a TraceTenants filter configured, only the listed tenants' decisions
 // reach the sink.
 func (s *Server) traceRecord(slot *Slot, windows []trace.WindowCounts, v core.Verdict, conf float64, draws faults.DrawLog, tenantID string) {
 	if s.traceTenants != nil && !s.traceTenants[tenantID] {
@@ -869,14 +712,17 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return err
 }
 
-// closeRunners refuses every runner from now on (addRunner). Only a
-// drain that closes the pool calls it: Serve once its HTTP requests
-// have finished, and Drain. ServeWire does not, so the HTTP listener it
-// shares the pool with keeps serving until its own drain.
+// closeRunners refuses every runner from now on (addRunner), and the
+// batcher's flushers still waiting for a slot fail their lanes with
+// errDraining. Only a drain that closes the pool calls it: Serve once
+// its HTTP requests have finished, and Drain. ServeWire does not, so
+// the HTTP listener it shares the pool with keeps serving until its
+// own drain.
 func (s *Server) closeRunners() {
 	s.runMu.Lock()
 	s.runnersClosed = true
 	s.runMu.Unlock()
+	s.batcher.refuse()
 }
 
 // waitRunners blocks until the runner count reaches zero, so every

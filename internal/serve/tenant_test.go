@@ -5,12 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"shmd/internal/replay"
 	"shmd/internal/tenant"
 	"shmd/internal/trace"
 	"shmd/internal/wire"
@@ -476,4 +481,113 @@ func TestTenantTraceFilter(t *testing.T) {
 		t.Fatal("trace filter not built from TraceTenants")
 	}
 	close(records)
+}
+
+// TestClassOrderAtBind pins the priority contract without a clock:
+// while the pool's only slot is held, lanes arrive from a batch, a
+// standard and two realtime tenants, in that order. Once the slot is
+// released they bind realtime (first-in first-out), then standard,
+// then batch, whether they leave one per batch or together in one
+// batch. The trace sink
+// records lanes in the order they were scored, and each lane's wait
+// from enqueue to bind lands in its class's histogram.
+func TestClassOrderAtBind(t *testing.T) {
+	for _, maxBatch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("maxBatch=%d", maxBatch), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bind.trace")
+			sink, err := replay.OpenSink(path, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := newTestServer(t, Config{
+				Pool:         PoolConfig{Size: 1},
+				QueueDepth:   4,
+				MaxBatch:     maxBatch,
+				MaxBatchWait: time.Hour,
+				Trace:        sink,
+				Tenancy: &tenant.Config{
+					Tenants: []tenant.Spec{
+						{ID: "bulk", Class: tenant.Batch},
+						{ID: "std", Class: tenant.Standard},
+						{ID: "rt", Class: tenant.Realtime},
+						{ID: "rt2", Class: tenant.Realtime},
+					},
+					Now: frozenClock(),
+				},
+			})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			held, err := srv.Pool().Acquire(boundedCtx(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			arrivals := []string{"bulk", "std", "rt", "rt2"}
+			codes := make(chan int, len(arrivals))
+			for i, id := range arrivals {
+				body := detectBody(t, testWindows(t, trace.Trojan, i, 4))
+				go func() {
+					req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/detect", bytes.NewReader(body))
+					if err != nil {
+						codes <- 0
+						return
+					}
+					req.Header.Set(tenantHeader, id)
+					resp, err := ts.Client().Do(req)
+					if err != nil {
+						codes <- 0
+						return
+					}
+					resp.Body.Close()
+					codes <- resp.StatusCode
+				}()
+				waitUntil(t, id+"'s lane to be pending", func() bool {
+					srv.batcher.mu.Lock()
+					defer srv.batcher.mu.Unlock()
+					return len(srv.batcher.pending) == i+1
+				})
+			}
+			srv.Pool().Release(held)
+			for range arrivals {
+				if code := <-codes; code != http.StatusOK {
+					t.Errorf("detect answered %d, want 200", code)
+				}
+			}
+			ts.Close()
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			rd, err := replay.NewReader(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bound []string
+			for {
+				rec, err := rd.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound = append(bound, rec.Tenant)
+			}
+			if want := []string{"rt", "rt2", "std", "bulk"}; !slices.Equal(bound, want) {
+				t.Errorf("lanes bound in order %v, want %v", bound, want)
+			}
+			for c, want := range [tenant.NumClasses]uint64{tenant.Batch: 1, tenant.Standard: 1, tenant.Realtime: 2} {
+				if n := srv.Metrics().ClassWait[c].Count(); n != want {
+					t.Errorf("class %v: %d bind waits recorded, want %d", tenant.Class(c), n, want)
+				}
+			}
+		})
+	}
 }

@@ -44,6 +44,8 @@ type wireConn struct {
 	// cancel ends the connection's context, unblocking any dispatch
 	// still waiting when the connection is force-closed.
 	cancel context.CancelFunc
+	// done closes once the connection's handler has released it.
+	done chan struct{}
 	// extended latches when the client sends its own HELLO (the v1.1
 	// opt-in); only extended peers receive ERROR retry-after tails.
 	// Atomic because detect goroutines read it while the read loop may
@@ -112,9 +114,12 @@ func (ws *wireState) snapshot() []*wireConn {
 // ServeWire accepts SHMDWIRE connections on ln until ctx is cancelled,
 // then drains gracefully: GOAWAY to every connection, in-flight
 // detects finish (bounded by ShutdownTimeout), stragglers are cut.
-// It serves the same pool as the HTTP listener and does not close it —
-// the caller owns the pool's lifetime (Serve's shutdown path, or an
-// explicit Close when running wire-only).
+// It waits only for its own connections' detects: the drain that
+// closes the pool (Serve or Drain) waits for the runners, those serving
+// HTTP lanes and those a wire detect left behind (a hedged loser). It
+// serves the same pool as the HTTP listener and does not close it —
+// the caller owns the pool's lifetime (Serve's shutdown path, or Drain
+// when running wire-only).
 func (s *Server) ServeWire(ctx context.Context, ln net.Listener) error {
 	done := make(chan error, 1)
 	go func() { done <- s.acceptWire(ln) }()
@@ -125,9 +130,6 @@ func (s *Server) ServeWire(ctx context.Context, ln net.Listener) error {
 		shCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
 		defer cancel()
 		s.drainWire(shCtx)
-		// Wait for the wire's runners without refusing new ones: the
-		// HTTP listener on the same pool keeps serving until its drain.
-		s.waitRunners(shCtx)
 		<-done
 		return nil
 	case err := <-done:
@@ -150,7 +152,8 @@ func (s *Server) acceptWire(ln net.Listener) error {
 }
 
 // drainWire broadcasts GOAWAY, waits for every connection's in-flight
-// detects (bounded by ctx), then closes whatever remains.
+// detects (bounded by ctx), then closes whatever remains and waits for
+// the connections' handlers to release them (bounded by ctx too).
 func (s *Server) drainWire(ctx context.Context) {
 	conns := s.wire.snapshot()
 	goaway := wire.AppendGoAway(nil, wire.GoAway{Code: 0, Msg: "draining"})
@@ -173,6 +176,13 @@ func (s *Server) drainWire(ctx context.Context) {
 		wc.cancel()
 		wc.c.Close()
 	}
+	for _, wc := range conns {
+		select {
+		case <-wc.done:
+		case <-ctx.Done():
+			return
+		}
+	}
 }
 
 // handleWireConn owns one connection: handshake, HELLO, then the frame
@@ -187,8 +197,6 @@ func (s *Server) handleWireConn(nc net.Conn) {
 		return
 	}
 	s.metrics.WireConns.Inc()
-	s.metrics.WireActive.Inc()
-	defer s.metrics.WireActive.Dec()
 	if v != wire.ProtoVersion {
 		// Answer skew with a typed error, not a silent hangup, so the
 		// client can report something actionable.
@@ -205,8 +213,9 @@ func (s *Server) handleWireConn(nc net.Conn) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	wc := &wireConn{c: c, cancel: cancel}
+	wc := &wireConn{c: c, cancel: cancel, done: make(chan struct{})}
 	s.wire.register(wc)
+	s.metrics.WireActive.Inc()
 	defer func() {
 		s.wire.unregister(wc)
 		cancel()
@@ -214,6 +223,8 @@ func (s *Server) handleWireConn(nc net.Conn) {
 		// writes fail fast once the conn closes) before releasing the conn.
 		wc.wg.Wait()
 		c.Close()
+		s.metrics.WireActive.Dec()
+		close(wc.done)
 	}()
 	if s.draining.Load() {
 		s.metrics.WireGoAways.Inc()
@@ -408,13 +419,7 @@ func (s *Server) wireDetect(ctx context.Context, wc *wireConn, f wire.Frame) {
 			dctx, cancel = context.WithTimeout(dctx, deadline)
 			defer cancel()
 		}
-		var out batchOutcome
-		var err error
-		if s.batcher != nil {
-			out, err = s.batcher.dispatch(dctx, tenantID, programs)
-		} else {
-			out, err = s.dispatch(dctx, class, tenantID, programs)
-		}
+		out, err := s.batcher.dispatch(dctx, class, tenantID, programs)
 		if err != nil {
 			s.failWireDetect(ctx, wc, f.Corr, err)
 			return
@@ -613,13 +618,7 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 			dctx, cancel = context.WithTimeout(dctx, s.cfg.DefaultDeadline)
 			defer cancel()
 		}
-		var out batchOutcome
-		var err error
-		if s.batcher != nil {
-			out, err = s.batcher.dispatch(dctx, tenantID, programs)
-		} else {
-			out, err = s.dispatch(dctx, class, tenantID, programs)
-		}
+		out, err := s.batcher.dispatch(dctx, class, tenantID, programs)
 		if err != nil {
 			s.failWireDetect(ctx, wc, f.Corr, err)
 			return
@@ -668,11 +667,6 @@ func (s *Server) failWireDetect(connCtx context.Context, wc *wireConn, corr uint
 		s.metrics.DeadlineExpired.Inc()
 		s.metrics.Request(int(wire.CodeUnavailable))
 		c.WriteError(corr, wire.CodeUnavailable, "detection deadline exceeded")
-	case errors.Is(err, tenant.ErrQueueFull):
-		s.metrics.QueueRejects.Inc()
-		s.metrics.Request(int(wire.CodeOverloaded))
-		hint := s.jitter.RetryAfter()
-		s.writeWireError(wc, corr, wire.CodeOverloaded, err.Error(), hint)
 	case errors.Is(err, ErrPoolClosed):
 		s.metrics.Request(int(wire.CodeUnavailable))
 		c.WriteError(corr, wire.CodeUnavailable, err.Error())

@@ -75,7 +75,7 @@ func wireDial(t *testing.T, addr string) *wire.Conn {
 // TestWireCrossTransportBitIdentical is the transport conformance
 // pin: the same seeded detect program served over HTTP/JSON and over
 // SHMDWIRE produces bit-identical verdicts, scores, and confidences —
-// at scalar dispatch and through the micro-batcher. Two fresh servers
+// in batches of one and of up to 16 lanes. Two fresh servers
 // share a pool seed; each transport consumes its server's fault
 // streams in the same order, so any divergence is a transport bug.
 func TestWireCrossTransportBitIdentical(t *testing.T) {

@@ -97,22 +97,3 @@ func (s *Shaper) Shape(c Class, load float64) Action {
 	}
 	return out
 }
-
-// Engaged reports how many rules are currently latched (for health
-// reports and soak assertions).
-func (s *Shaper) Engaged() int {
-	n := 0
-	for _, e := range s.engaged {
-		if e {
-			n++
-		}
-	}
-	return n
-}
-
-// ShaperState exposes the registry's shaper for introspection.
-func (r *Registry) ShaperState() (engaged int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.shaper.Engaged()
-}

@@ -1,19 +1,16 @@
 // Package tenant is the multi-tenant QoS layer for the serving tier:
 // a registry of tenants with priority classes, deterministic token
-// buckets, per-tenant concurrency caps, rule-matched progressive
-// degradation under load, and a priority-aware admission gate.
+// buckets, per-tenant concurrency caps, and rule-matched progressive
+// degradation under load.
 //
-// The design splits admission into two questions asked in order:
-//
-//  1. May this tenant send this request now? The Registry answers
-//     with a token-bucket draw (sustained Rate, capacity Burst),
-//     a concurrency cap, and the load-shaping rules — all
-//     deterministic given an injected clock, so isolation properties
-//     are assertable in tests without sleeping.
-//  2. When may the request run? The Gate answers: a class-aware
-//     semaphore in front of the slot pool that always grants free
-//     capacity immediately but, under saturation, wakes waiters
-//     highest-priority-first (realtime before standard before batch).
+// The Registry answers whether this tenant may send this request now,
+// with a token-bucket draw (sustained Rate, capacity Burst), a
+// concurrency cap, and the load-shaping rules — all deterministic
+// given an injected clock, so isolation properties are assertable in
+// tests without sleeping. When an admitted request runs is the serving
+// layer's business: its dispatcher binds pending work to pool slots by
+// Class, highest priority first (realtime before standard before
+// batch).
 //
 // Degradation is progressive, borrowing the chaos package's
 // rule-matched injector idiom: shaping Rules fire by priority class
@@ -33,8 +30,8 @@ import (
 	"time"
 )
 
-// Class is a tenant's priority class. Higher values dequeue first at
-// the Gate; the zero value is the lowest priority so an unspecified
+// Class is a tenant's priority class. Higher values take a pool slot
+// first under saturation; the zero value is the lowest priority so an unspecified
 // class never outranks a configured one.
 type Class uint8
 
@@ -197,7 +194,7 @@ const AnonymousID = "anonymous"
 type Outcome uint8
 
 const (
-	// Admitted: the request may proceed to the Gate.
+	// Admitted: the request may proceed to dispatch.
 	Admitted Outcome = iota
 	// ShedRate: the tenant's token bucket is empty (429).
 	ShedRate

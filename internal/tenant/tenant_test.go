@@ -1,8 +1,6 @@
 package tenant
 
 import (
-	"context"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -179,111 +177,6 @@ func TestThrottleDoublesCost(t *testing.T) {
 	}
 	if a := r.Admit("b", 0.80); a.Outcome != ShedRate {
 		t.Fatalf("throttled bucket should be dry: %v", a.Outcome)
-	}
-}
-
-// TestGatePriorityFairness is the deterministic no-clock fairness
-// proof (same idiom as the batcher shed test: the test owns every
-// unit, nothing sleeps): under saturation, a realtime waiter enqueued
-// AFTER a batch waiter still dequeues first, and FIFO order holds
-// within a class.
-func TestGatePriorityFairness(t *testing.T) {
-	g := NewGate(2, 0)
-	// Saturate the gate: the test owns both units.
-	if !g.TryAcquire() || !g.TryAcquire() {
-		t.Fatal("could not saturate gate")
-	}
-	if g.TryAcquire() {
-		t.Fatal("saturated gate granted a third unit")
-	}
-
-	order := make(chan string, 4)
-	wait := func(name string, c Class) {
-		go func() {
-			if err := g.Acquire(context.Background(), c); err != nil {
-				t.Errorf("%s: %v", name, err)
-				return
-			}
-			order <- name
-		}()
-	}
-	await := func(c Class, n int) {
-		deadline := time.Now().Add(5 * time.Second)
-		for g.Waiting(c) != n && time.Now().Before(deadline) {
-			runtime.Gosched()
-		}
-		if got := g.Waiting(c); got != n {
-			t.Fatalf("class %v waiting = %d, want %d", c, got, n)
-		}
-	}
-
-	// Enqueue batch first, then standard, then two realtime waiters —
-	// strictly sequenced via Waiting so arrival order is fixed.
-	wait("batch-0", Batch)
-	await(Batch, 1)
-	wait("standard-0", Standard)
-	await(Standard, 1)
-	wait("realtime-0", Realtime)
-	await(Realtime, 1)
-	wait("realtime-1", Realtime)
-	await(Realtime, 2)
-
-	// Each release must wake exactly the highest-priority head:
-	// realtime FIFO first, then standard, then batch.
-	want := []string{"realtime-0", "realtime-1", "standard-0", "batch-0"}
-	for _, name := range want {
-		g.Release()
-		if got := <-order; got != name {
-			t.Fatalf("dequeue order: got %s, want %s", got, name)
-		}
-	}
-	select {
-	case extra := <-order:
-		t.Fatalf("unexpected extra grant: %s", extra)
-	default:
-	}
-}
-
-func TestGateBoundsAndCancel(t *testing.T) {
-	g := NewGate(1, 1)
-	if !g.TryAcquire() {
-		t.Fatal("fresh gate refused")
-	}
-	// One waiter fits.
-	done := make(chan error, 1)
-	go func() { done <- g.Acquire(context.Background(), Standard) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for g.Waiting(Standard) != 1 && time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
-	// The second exceeds maxWait and sheds immediately.
-	if err := g.Acquire(context.Background(), Batch); err != ErrQueueFull {
-		t.Fatalf("over-bound acquire: %v, want ErrQueueFull", err)
-	}
-	// A cancelled waiter leaves the queue (unbounded gate, so the
-	// wait-queue bound cannot mask the context error).
-	g2 := NewGate(1, 0)
-	if !g2.TryAcquire() {
-		t.Fatal("fresh gate refused")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := g2.Acquire(ctx, Realtime); err != context.Canceled {
-		t.Fatalf("cancelled acquire: %v", err)
-	}
-	if got := g2.Waiting(Realtime); got != 0 {
-		t.Fatalf("cancelled waiter still queued: %d", got)
-	}
-	g.Release()
-	if err := <-done; err != nil {
-		t.Fatalf("queued acquire: %v", err)
-	}
-	g.Release()
-	if got := g.InUse(); got != 0 {
-		t.Fatalf("in-use after drain = %d", got)
-	}
-	if got := g.Load(); got != 0 {
-		t.Fatalf("load after drain = %v", got)
 	}
 }
 
