@@ -2,7 +2,7 @@
 // exact kernels, geometric skip-ahead vs per-multiplication Bernoulli
 // fault injection, sharded vs serial evaluation, JSON/HTTP vs SHMDWIRE
 // streaming over real sockets, single-pass vs encoding/json request
-// decoding, window-lane vs scalar supervised detection, served batches of
+// decoding, the in-process SHMDWIRE DETECT ingest path, window-lane vs scalar supervised detection, served batches of
 // 16 vs batches of one, one training epoch at GOMAXPROCS vs one proc, lane
 // re-seeding vs math/rand's Seed, a sweep cell vs a standalone
 // evaluation — and writes the results to a JSON file
@@ -48,6 +48,7 @@ import (
 	"shmd/internal/experiments"
 	"shmd/internal/fann"
 	"shmd/internal/faults"
+	"shmd/internal/features"
 	"shmd/internal/fxp"
 	"shmd/internal/hmd"
 	"shmd/internal/rng"
@@ -264,9 +265,101 @@ func run(scale experiments.Scale, count int, rows rowFilter) (*Report, error) {
 			}
 		}))
 	}
+	if rows.wants(codecRow) {
+		op, err := codecPipeline(codecPrograms, codecWindows)
+		if err != nil {
+			return nil, err
+		}
+		rep.Results = append(rep.Results, measure(codecRow, count, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
+	}
 	rep.Speedups = speedupsOf(rep.Results)
 	return rep, nil
 }
+
+// codecRow is the in-process SHMDWIRE DETECT ingest row: one op is one
+// request of codecPrograms programs of codecWindows windows through
+// codecPipeline. It needs no model.
+const (
+	codecRow      = "wire_detect_codec_16"
+	codecPrograms = 16
+	codecWindows  = 16
+)
+
+// codecPipeline returns one op of the SHMDWIRE DETECT ingest path, its
+// buffers reused across ops as the served path reuses them: the SDK's
+// encode into a reused buffer, the frame write and read over an
+// in-memory connection, the server's decode into a warm arena,
+// ValidatePrograms, and feature extraction into a reused arena (the
+// body hmd.DetectTracesUnit extracts with). Every program carries the
+// same trace of windows windows x 4096 instructions.
+func codecPipeline(programs, windows int) (func() error, error) {
+	prog, err := trace.NewProgram(trace.Trojan, 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	ws, err := prog.Trace(windows, 4096)
+	if err != nil {
+		return nil, err
+	}
+	req := wire.DetectRequest{Tenant: "bench"}
+	for i := 0; i < programs; i++ {
+		req.Programs = append(req.Programs, wire.DetectProgram{ID: fmt.Sprintf("p%02d", i), Windows: ws})
+	}
+	dim, err := features.SetInstrFreq.Dim()
+	if err != nil {
+		return nil, err
+	}
+	var (
+		enc   []byte
+		arena wire.Arena
+		vecs  [][]float64
+		feat  = make([]float64, programs*windows*dim)
+		conn  = wire.NewConn(new(memConn), 0)
+	)
+	return func() error {
+		var err error
+		if enc, err = wire.AppendDetectRequest(enc[:0], req); err != nil {
+			return err
+		}
+		if err := conn.WriteFrame(wire.Frame{Type: wire.FrameDetect, Corr: 1, Payload: enc}); err != nil {
+			return err
+		}
+		f, err := conn.ReadFrame()
+		if err != nil {
+			return err
+		}
+		got, err := arena.DecodeDetect(f.Payload)
+		if err != nil {
+			return err
+		}
+		if err := serve.ValidatePrograms(got.Programs, serve.Limits{}); err != nil {
+			return err
+		}
+		vecs = vecs[:0]
+		for _, p := range got.Programs {
+			if vecs, err = features.ExtractTo(vecs, feat[len(vecs)*dim:], p.Windows, features.SetInstrFreq, features.Period1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, nil
+}
+
+// memConn is an in-memory net.Conn: what is written is read back.
+type memConn struct{ bytes.Buffer }
+
+func (*memConn) Close() error                     { return nil }
+func (*memConn) LocalAddr() net.Addr              { return nil }
+func (*memConn) RemoteAddr() net.Addr             { return nil }
+func (*memConn) SetDeadline(time.Time) error      { return nil }
+func (*memConn) SetReadDeadline(time.Time) error  { return nil }
+func (*memConn) SetWriteDeadline(time.Time) error { return nil }
 
 // measureModelRows measures the selected rows that need the trained
 // environment — every row but lane re-seeding — into rep.

@@ -253,16 +253,16 @@ func TestRunAndWriteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 25 {
-		t.Fatalf("got %d results, want 25", len(rep.Results))
+	if len(rep.Results) != 26 {
+		t.Fatalf("got %d results, want 26", len(rep.Results))
 	}
 	// modelRows lists the rows that need the trained environment; the
-	// rest are the two lane re-seeding rows.
+	// rest are the two lane re-seeding rows and the wire codec row.
 	var names []string
 	for _, r := range rep.Results {
 		names = append(names, r.Name)
 	}
-	if want := append(append([]string(nil), modelRows...), "lane_reseed", "lane_reseed_mathrand"); !slices.Equal(names, want) {
+	if want := append(append([]string(nil), modelRows...), "lane_reseed", "lane_reseed_mathrand", codecRow); !slices.Equal(names, want) {
 		t.Errorf("rows %v, want %v", names, want)
 	}
 	for _, r := range rep.Results {
@@ -427,5 +427,33 @@ func TestRefreshRows(t *testing.T) {
 	}
 	if want := partial.Results[1].NsPerOp / partial.Results[0].NsPerOp; got.Speedups.LaneReseedVsMathRand != want {
 		t.Errorf("reseed ratio %v, want %v", got.Speedups.LaneReseedVsMathRand, want)
+	}
+}
+
+// TestCodecPipelineAllocsFlat pins the SHMDWIRE DETECT ingest path to
+// per-request allocations: once its buffers are warm, a request of
+// many windows per program allocates no more than one of few.
+func TestCodecPipelineAllocsFlat(t *testing.T) {
+	allocs := func(windows int) float64 {
+		op, err := codecPipeline(codecPrograms, windows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(2), allocs(codecWindows*4)
+	if many > few {
+		t.Errorf("%d windows per program allocate %v times per request, 2 windows %v", codecWindows*4, many, few)
+	}
+	// The frame read's payload, the program ids and the tenant tag.
+	if want := float64(1 + codecPrograms + 1); few > want {
+		t.Errorf("codec op allocates %v times, want <= %v", few, want)
 	}
 }

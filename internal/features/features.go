@@ -120,6 +120,15 @@ func aggregate(agg *trace.WindowCounts, group []trace.WindowCounts) {
 // at a time. All vectors share one backing array (each capped at its
 // own length, so appending to one never reaches the next).
 func Extract(windows []trace.WindowCounts, s Set, period int) ([][]float64, error) {
+	return ExtractTo(nil, nil, windows, s, period)
+}
+
+// ExtractTo is Extract into caller-owned storage: it appends the
+// vectors to out, carving them in order from the front of backing
+// (allocated afresh when it holds fewer than len(windows)/period
+// vectors), and returns the extended out. Reusing out and backing
+// across calls extracts without allocating.
+func ExtractTo(out [][]float64, backing []float64, windows []trace.WindowCounts, s Set, period int) ([][]float64, error) {
 	dim, err := s.Dim()
 	if err != nil {
 		return nil, err
@@ -131,18 +140,23 @@ func Extract(windows []trace.WindowCounts, s Set, period int) ([][]float64, erro
 	if n == 0 {
 		return nil, fmt.Errorf("features: no complete windows at period %d", period)
 	}
-	backing := make([]float64, n*dim)
-	out := make([][]float64, n)
+	if len(backing) < n*dim {
+		backing = make([]float64, n*dim)
+	}
+	if cap(out)-len(out) < n {
+		out = append(make([][]float64, 0, len(out)+n), out...)
+	}
 	var agg trace.WindowCounts
-	for i := range out {
+	for i := 0; i < n; i++ {
 		w := &windows[i]
 		if period > 1 {
 			aggregate(&agg, windows[i*period:(i+1)*period])
 			w = &agg
 		}
 		v := backing[i*dim : (i+1)*dim : (i+1)*dim]
+		clear(v)
 		fill(v, w, s)
-		out[i] = v
+		out = append(out, v)
 	}
 	return out, nil
 }
@@ -171,18 +185,9 @@ func fill(out []float64, w *trace.WindowCounts, s Set) {
 	}
 }
 
-// windowTotal is w.Total without copying the window.
-func windowTotal(w *trace.WindowCounts) float64 {
-	total := 0
-	for _, n := range w.Opcode {
-		total += n
-	}
-	return float64(total)
-}
-
 // instrFreq is F1: normalized per-opcode frequencies.
 func instrFreq(out []float64, w *trace.WindowCounts) {
-	total := windowTotal(w)
+	total := float64(w.Total())
 	if total == 0 {
 		return
 	}
@@ -193,7 +198,7 @@ func instrFreq(out []float64, w *trace.WindowCounts) {
 
 // memoryFeatures is F2.
 func memoryFeatures(out []float64, w *trace.WindowCounts) {
-	total := windowTotal(w)
+	total := float64(w.Total())
 	if total == 0 {
 		return
 	}
@@ -251,7 +256,7 @@ func memoryFeatures(out []float64, w *trace.WindowCounts) {
 
 // archFeatures is F3.
 func archFeatures(out []float64, w *trace.WindowCounts) {
-	total := windowTotal(w)
+	total := float64(w.Total())
 	if total == 0 {
 		return
 	}

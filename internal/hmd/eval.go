@@ -46,20 +46,12 @@ func (h *HMD) DetectTracesUnit(u fxp.BatchUnit, traces [][]trace.WindowCounts) [
 	if len(traces) == 0 {
 		return out
 	}
-	vecs := make([][][]float64, len(traces))
+	scores := h.scoreLanes(nil, u, h.lanes.scores[:0], traces...)
+	h.lanes.scores = scores
 	for j, windows := range traces {
-		v, err := features.Extract(windows, h.cfg.FeatureSet, h.cfg.Period)
-		if err != nil {
-			// A trace too short for the detection period is a caller
-			// bug, as in ScoreWindowsUnit.
-			panic(fmt.Sprintf("hmd: %v", err))
-		}
-		vecs[j] = v
-	}
-	scores := h.scoreLanes(u, vecs)
-	for j, v := range vecs {
-		out[j] = h.DecideFromScores(scores[:len(v)])
-		scores = scores[len(v):]
+		n := len(windows) / h.cfg.Period
+		out[j] = h.DecideFromScores(scores[:n])
+		scores = scores[n:]
 	}
 	return out
 }

@@ -209,29 +209,22 @@ func (h *HMD) Fixed() *fann.FixedNetwork { return h.fixed }
 // per window would, so scores, fault streams and draw logs are
 // bit-identical either way. Other units run through fann.Run.
 func (h *HMD) ScoreWindowsUnit(u fxp.Unit, windows []trace.WindowCounts) []float64 {
-	vecs, err := features.Extract(windows, h.cfg.FeatureSet, h.cfg.Period)
-	if err != nil {
-		// A trace too short for the detection period is a caller bug.
-		panic(fmt.Sprintf("hmd: %v", err))
-	}
-	bu := batchForm(u)
-	if bu == nil {
-		scores := make([]float64, len(vecs))
-		for i, v := range vecs {
-			scores[i] = h.fixed.Run(u, v)[0]
-		}
-		return scores
-	}
-	return h.scoreLanes(bu, [][][]float64{vecs})
+	return h.scoreLanes(u, batchForm(u), make([]float64, 0, len(windows)/h.cfg.Period), windows)
 }
 
-// laneScratch is the reusable packing state of scoreLanes and
-// DetectSetUnit.
+// laneScratch is the reusable state of the detector's lane passes:
+// scoreLanes' feature arena and packing, and DetectSetUnit's lane ids
+// and window scores. Each detector copy owns its scratch
+// (WithFreshBuffers), so a serving slot extracts and scores without
+// allocating once its buffers have grown.
 type laneScratch struct {
-	inputs [][]float64
+	// feat backs one chunk's feature vectors; vecs are their headers
+	// in lane order, ids each vector's unit lane.
+	feat   []float64
+	vecs   [][]float64
 	ids    []int
 	out    []float64
-	scores []float64 // DetectSetUnit's window scores
+	scores []float64
 }
 
 // laneChunk is the most window lanes one fann.RunBatch (or RunInputs)
@@ -240,40 +233,58 @@ type laneScratch struct {
 // where the per-lane cost bottoms out on the inference bench.
 const laneChunk = 64
 
-// scoreLanes scores every window of every program in one planned pass
-// per chunk: each (program j, window i) pair is its own packed lane,
-// in program-major order, chunks of at most laneChunk lanes, on unit
-// lane j. A program's windows therefore repeat its unit lane, so a
-// span-planning unit draws the program's whole fault stream at once, in
-// window order, and hands each window its own slice; a program split
-// across chunks continues its stream in the next chunk. The returned
-// scores are program-major, vecs[0]'s windows first.
-func (h *HMD) scoreLanes(u fxp.BatchUnit, vecs [][][]float64) []float64 {
-	total := 0
-	for _, v := range vecs {
-		total += len(v)
-	}
-	scores := make([]float64, 0, total)
+// scoreLanes scores every decision window of every trace and appends
+// the scores to dst, trace-major: each (trace j, window i) pair is one
+// packed lane on unit lane j. Lanes are extracted into the scratch
+// feature arena and scored laneChunk at a time, one planned pass of bu
+// per chunk. A trace's windows repeat its unit lane, so a
+// span-planning unit draws the trace's whole fault stream at once, in
+// window order, and hands each window its own slice; a trace split
+// across chunks continues its stream in the next chunk. Without a
+// batch form (bu nil) every lane runs fann.Run through u instead.
+func (h *HMD) scoreLanes(u fxp.Unit, bu fxp.BatchUnit, dst []float64, traces ...[]trace.WindowCounts) []float64 {
 	s := &h.lanes
-	inputs, ids := s.inputs[:0], s.ids[:0]
-	for j, v := range vecs {
-		for _, x := range v {
-			inputs = append(inputs, x)
-			ids = append(ids, j)
-			if len(inputs) == laneChunk {
-				s.out = h.fixed.RunBatch(u, inputs, ids, s.out)
-				scores = append(scores, s.out...)
-				inputs, ids = inputs[:0], ids[:0]
+	period, dim := h.cfg.Period, h.fixed.NumInputs()
+	if len(s.feat) < laneChunk*dim {
+		s.feat = make([]float64, laneChunk*dim)
+	}
+	s.vecs, s.ids = s.vecs[:0], s.ids[:0]
+	score := func() {
+		if bu == nil {
+			for _, v := range s.vecs {
+				dst = append(dst, h.fixed.Run(u, v)[0])
+			}
+		} else {
+			s.out = h.fixed.RunBatch(bu, s.vecs, s.ids, s.out)
+			dst = append(dst, s.out...)
+		}
+		s.vecs, s.ids = s.vecs[:0], s.ids[:0]
+	}
+	for j, windows := range traces {
+		n := len(windows) / period
+		if n == 0 {
+			// A trace too short for the detection period is a caller bug.
+			panic(fmt.Sprintf("hmd: trace %d: %d windows, no complete window at period %d", j, len(windows), period))
+		}
+		for g := 0; g < n; {
+			k := min(n-g, laneChunk-len(s.vecs))
+			vecs, err := features.ExtractTo(s.vecs, s.feat[len(s.vecs)*dim:], windows[g*period:(g+k)*period], h.cfg.FeatureSet, period)
+			if err != nil {
+				panic(fmt.Sprintf("hmd: %v", err))
+			}
+			s.vecs = vecs
+			for range k {
+				s.ids = append(s.ids, j)
+			}
+			if g += k; len(s.vecs) == laneChunk {
+				score()
 			}
 		}
 	}
-	if len(inputs) > 0 {
-		s.out = h.fixed.RunBatch(u, inputs, ids, s.out)
-		scores = append(scores, s.out...)
+	if len(s.vecs) > 0 {
+		score()
 	}
-	clear(inputs[:cap(inputs)]) // drop the callers' feature vectors
-	s.inputs, s.ids = inputs[:0], ids[:0]
-	return scores
+	return dst
 }
 
 // batchForm returns the lane-1 batch form of u, or nil when it has

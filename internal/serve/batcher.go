@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"shmd/internal/core"
@@ -85,6 +86,10 @@ type batcher struct {
 // lane is one program awaiting batched detection.
 type lane struct {
 	windows []trace.WindowCounts
+	// arena is the pooled arena windows were decoded into (SHMDWIRE
+	// DETECT), nil when they are the request's own memory. A batch
+	// binding the lane takes a reference on it.
+	arena *reqArena
 	// tenant is the accounting identity the lane's request was
 	// admitted under (trace provenance; lanes from different tenants
 	// share batches freely), and class its priority class, which
@@ -96,6 +101,8 @@ type lane struct {
 	// done receives the lane's outcome; buffered so a flusher delivering
 	// to an abandoned lane (deadline already expired) never blocks.
 	done chan laneOutcome
+	// req is the pooled request the lane belongs to.
+	req *request
 }
 
 // laneOutcome is one lane's verdict (or failure) as delivered to its
@@ -109,6 +116,45 @@ type laneOutcome struct {
 	err    error
 }
 
+// request is one dispatched request's lanes and results. Requests are
+// pooled: one goes back only once its handler has received every
+// lane's outcome, when no flusher can send on a lane's done channel or
+// read its fields any more. A request that failed (deadline, drain)
+// may still have lanes bound to a running batch and is left to the GC.
+type request struct {
+	lanes   []lane
+	ptrs    []*lane
+	results []DetectResult
+}
+
+var requests = sync.Pool{New: func() any { return new(request) }}
+
+// grow readies the request for n lanes, each with its own buffered
+// done channel, and returns the lane pointers.
+func (rq *request) grow(n int) []*lane {
+	if cap(rq.lanes) < n {
+		rq.lanes, rq.ptrs = make([]lane, n), make([]*lane, n)
+		for i := range rq.lanes {
+			rq.lanes[i].done = make(chan laneOutcome, 1)
+			rq.lanes[i].req = rq
+			rq.ptrs[i] = &rq.lanes[i]
+		}
+		rq.results = make([]DetectResult, n)
+	}
+	return rq.ptrs[:n]
+}
+
+// release recycles a request whose every lane outcome was received,
+// dropping what its lanes referenced.
+func (rq *request) release() {
+	for i := range rq.lanes {
+		ln := &rq.lanes[i]
+		ln.windows, ln.arena, ln.ctx, ln.tenant = nil, nil, nil, ""
+	}
+	clear(rq.results)
+	requests.Put(rq)
+}
+
 // newBatcher wires the dispatcher to the server's pool and metrics.
 // MaxBatch 0 or 1 binds one lane per batch.
 func newBatcher(srv *Server) *batcher {
@@ -118,20 +164,24 @@ func newBatcher(srv *Server) *batcher {
 }
 
 // dispatch submits every program as a lane and assembles the request's
-// results as lanes complete.
-func (b *batcher) dispatch(ctx context.Context, class tenant.Class, tenantID string, programs []DecodedProgram) (batchOutcome, error) {
-	return b.collect(ctx, programs, b.submit(ctx, class, tenantID, programs))
+// results as lanes complete. arena, when set, holds the programs'
+// windows; the caller keeps its own reference until dispatch returns.
+// A successful outcome's results are pooled: the caller calls its
+// release once done with them.
+func (b *batcher) dispatch(ctx context.Context, class tenant.Class, tenantID string, programs []DecodedProgram, arena *reqArena) (batchOutcome, error) {
+	return b.collect(ctx, programs, b.submit(ctx, class, tenantID, programs, arena))
 }
 
 // submit enqueues every program of one request as a lane under one
 // lock, so no flush can bind part of a request while the rest is still
 // arriving: an idle batcher dispatches the whole request at once. The
 // lanes join pending behind every lane of their class or a higher one.
-func (b *batcher) submit(ctx context.Context, class tenant.Class, tenantID string, programs []DecodedProgram) []*lane {
-	lanes := make([]*lane, len(programs))
+func (b *batcher) submit(ctx context.Context, class tenant.Class, tenantID string, programs []DecodedProgram, arena *reqArena) []*lane {
+	lanes := requests.Get().(*request).grow(len(programs))
 	now := time.Now()
-	for i, p := range programs {
-		lanes[i] = &lane{windows: p.Windows, tenant: tenantID, class: class, ctx: ctx, enq: now, done: make(chan laneOutcome, 1)}
+	for i, ln := range lanes {
+		ln.windows, ln.arena = programs[i].Windows, arena
+		ln.tenant, ln.class, ln.ctx, ln.enq = tenantID, class, ctx, now
 	}
 	b.mu.Lock()
 	at := len(b.pending)
@@ -149,9 +199,14 @@ func (b *batcher) submit(ctx context.Context, class tenant.Class, tenantID strin
 // outgrows MaxBatch or arrives behind a filling batch; the reported
 // session is the first lane's. A request error (deadline, pool closed)
 // aborts the request and withdraws its unbound lanes; verdict-level
-// degradation does not.
+// degradation does not. A successful outcome carries the lanes'
+// request, whose results it reports.
 func (b *batcher) collect(ctx context.Context, programs []DecodedProgram, lanes []*lane) (batchOutcome, error) {
-	out := batchOutcome{results: make([]DetectResult, len(programs)), session: -1}
+	out := batchOutcome{session: -1}
+	if len(lanes) > 0 {
+		out.req = lanes[0].req
+		out.results = out.req.results[:len(lanes)]
+	}
 	for i, ln := range lanes {
 		select {
 		case lo := <-ln.done:
@@ -261,6 +316,7 @@ func (b *batcher) schedule() {
 func (b *batcher) spawn(reason string) {
 	if !b.srv.addRunner() {
 		claimed := min(b.waiting*b.max, len(b.pending))
+		// These lanes were never bound: no batch holds their arenas.
 		deliver(b.pending[claimed:], batchRun{err: errDraining})
 		clear(b.pending[claimed:])
 		b.pending = b.pending[:claimed]
@@ -311,19 +367,59 @@ func (b *batcher) onTimer(gen uint64) {
 	b.schedule()
 }
 
-// take unbinds up to n lanes from the front of pending, which keeps
+// take binds up to n lanes from the front of pending, which keeps
 // them in bind order: realtime, then standard, then batch, first-in
-// first-out within a class. Callers hold b.mu.
-func (b *batcher) take(n int) []*lane {
-	if n > len(b.pending) {
-		n = len(b.pending)
+// first-out within a class. The batch takes a reference on each lane's
+// arena while its handler, which has not yet withdrawn the lane, still
+// holds its own. Callers hold b.mu.
+func (b *batcher) take(n int) *batch {
+	n = min(n, len(b.pending))
+	bt := batches.Get().(*batch)
+	bt.refs.Store(1)
+	bt.lanes = append(bt.lanes, b.pending[:n]...)
+	for _, ln := range bt.lanes {
+		if ln.arena != nil {
+			ln.arena.retain()
+			bt.arenas = append(bt.arenas, ln.arena)
+		}
 	}
-	lanes := make([]*lane, n)
-	copy(lanes, b.pending)
 	rest := copy(b.pending, b.pending[n:])
 	clear(b.pending[rest:])
 	b.pending = b.pending[:rest]
-	return lanes
+	return bt
+}
+
+// batch is one bound batch: its lanes in bind order and, once expired
+// lanes are shed, the live lanes' windows and tenants, which every
+// runner of the batch reads. refs counts the flusher and its detached
+// runners. The batch holds one reference per arena-backed lane from
+// bind until the last of them — a hedged loser still scoring after the
+// winner's verdict went out, say — is done; that one releases the
+// arenas and recycles the batch.
+type batch struct {
+	lanes   []*lane
+	traces  [][]trace.WindowCounts
+	tenants []string
+	arenas  []*reqArena
+	refs    atomic.Int32
+}
+
+var batches = sync.Pool{New: func() any { return new(batch) }}
+
+// done drops one holder's claim on the batch.
+func (bt *batch) done() {
+	if bt.refs.Add(-1) > 0 {
+		return
+	}
+	for _, a := range bt.arenas {
+		a.release()
+	}
+	clear(bt.lanes)
+	clear(bt.traces)
+	clear(bt.tenants)
+	clear(bt.arenas)
+	bt.lanes, bt.traces, bt.tenants, bt.arenas = bt.lanes[:0], bt.traces[:0], bt.tenants[:0], bt.arenas[:0]
+	batches.Put(bt)
 }
 
 // flusher waits for a pool slot, binds the lanes pending at that
@@ -345,10 +441,11 @@ func (b *batcher) flusher(reason string) {
 		}
 		if b.refused {
 			b.waiting--
-			lanes := b.take(b.max)
+			bt := b.take(b.max)
 			b.schedule()
 			b.mu.Unlock()
-			deliver(lanes, batchRun{err: errDraining})
+			deliver(bt.lanes, batchRun{err: errDraining})
+			bt.done()
 			return
 		}
 		wake := b.wake
@@ -363,25 +460,27 @@ func (b *batcher) flusher(reason string) {
 		}
 		b.mu.Lock()
 		b.waiting--
-		var lanes []*lane
+		var bt *batch
 		if closed {
 			// Nothing pending can be served any more.
-			lanes = b.take(len(b.pending))
-		} else if lanes = b.take(b.max); len(lanes) > 0 {
+			bt = b.take(len(b.pending))
+		} else if bt = b.take(b.max); len(bt.lanes) > 0 {
 			b.running++
 		}
 		b.schedule()
 		b.mu.Unlock()
 		if closed {
-			deliver(lanes, batchRun{err: err})
+			deliver(bt.lanes, batchRun{err: err})
+			bt.done()
 			return
 		}
-		if len(lanes) == 0 {
+		if len(bt.lanes) == 0 {
 			// Withdrawals emptied pending while the slot was granted.
 			b.srv.pool.Release(slot)
+			bt.done()
 			return
 		}
-		live, out := b.flush(slot, lanes, reason)
+		live, out := b.flush(slot, bt, reason)
 
 		b.mu.Lock()
 		b.running--
@@ -393,6 +492,7 @@ func (b *batcher) flusher(reason string) {
 		b.schedule()
 		b.mu.Unlock()
 		deliver(live, out)
+		bt.done()
 		if !more {
 			return
 		}
@@ -403,13 +503,13 @@ func (b *batcher) flusher(reason string) {
 // granted slot, which it always gives back. It returns the survivors
 // with their outcome, for the caller to deliver. Each lane's wait from
 // enqueue to bind is recorded, per class too when tenancy is on.
-func (b *batcher) flush(slot *Slot, lanes []*lane, reason string) ([]*lane, batchRun) {
+func (b *batcher) flush(slot *Slot, bt *batch, reason string) ([]*lane, batchRun) {
 	m := b.srv.metrics
 	m.BatchFlushes.With(reason).Inc()
-	m.BatchSize.Observe(int64(len(lanes)))
+	m.BatchSize.Observe(int64(len(bt.lanes)))
 	now := time.Now()
-	live := lanes[:0]
-	for _, ln := range lanes {
+	live := bt.lanes[:0]
+	for _, ln := range bt.lanes {
 		wait := int64(now.Sub(ln.enq))
 		m.BatchWait.Observe(wait)
 		if b.srv.tenants != nil {
@@ -428,7 +528,11 @@ func (b *batcher) flush(slot *Slot, lanes []*lane, reason string) ([]*lane, batc
 		b.srv.pool.Release(slot)
 		return nil, batchRun{}
 	}
-	return live, b.run(slot, live)
+	for _, ln := range live {
+		bt.traces = append(bt.traces, ln.windows)
+		bt.tenants = append(bt.tenants, ln.tenant)
+	}
+	return live, b.run(slot, bt)
 }
 
 // deliver fans one batch outcome out to its lanes.
@@ -455,19 +559,13 @@ type batchRun struct {
 // idle slot past the configured budget, and returns the first
 // successful outcome (or the first failure when every runner failed).
 // Without hedging the flusher runs the batch itself.
-func (b *batcher) run(primary *Slot, lanes []*lane) batchRun {
-	traces := make([][]trace.WindowCounts, len(lanes))
-	tenants := make([]string, len(lanes))
-	for i, ln := range lanes {
-		traces[i] = ln.windows
-		tenants[i] = ln.tenant
-	}
+func (b *batcher) run(primary *Slot, bt *batch) batchRun {
 	if b.srv.cfg.HedgeAfter <= 0 {
-		return b.detect(primary, traces, tenants, false)
+		return b.detect(primary, bt, false)
 	}
 	// Buffered for every possible runner so a loser's send never blocks.
 	outcomes := make(chan batchRun, 2)
-	b.runDetached(primary, traces, tenants, false, outcomes)
+	b.runDetached(primary, bt, false, outcomes)
 
 	tm := time.NewTimer(b.srv.cfg.HedgeAfter)
 	defer tm.Stop()
@@ -491,35 +589,38 @@ func (b *batcher) run(primary *Slot, lanes []*lane) batchRun {
 			if hslot, ok := b.srv.pool.TryAcquire(); ok {
 				b.srv.metrics.Hedges.Inc()
 				pending++
-				b.runDetached(hslot, traces, tenants, true, outcomes)
+				b.runDetached(hslot, bt, true, outcomes)
 			}
 		}
 	}
 	return batchRun{err: firstErr}
 }
 
-// runDetached starts one tracked runner for the batch, so a hedged
-// loser can finish after the winner replied. Once the pool's drain
-// refuses runners none starts: the slot goes back and the outcome is
-// errDraining.
-func (b *batcher) runDetached(slot *Slot, traces [][]trace.WindowCounts, tenants []string, hedge bool, outcomes chan<- batchRun) {
+// runDetached starts one tracked runner for the batch, holding the
+// batch until it is done, so a hedged loser can finish after the
+// winner replied. Once the pool's drain refuses runners none starts:
+// the slot goes back and the outcome is errDraining.
+func (b *batcher) runDetached(slot *Slot, bt *batch, hedge bool, outcomes chan<- batchRun) {
 	if !b.srv.addRunner() {
 		b.srv.pool.Release(slot)
 		outcomes <- batchRun{hedge: hedge, err: errDraining}
 		return
 	}
+	bt.refs.Add(1)
 	go func() {
 		defer b.srv.runnerDone()
-		outcomes <- b.detect(slot, traces, tenants, hedge)
+		defer bt.done()
+		outcomes <- b.detect(slot, bt, hedge)
 	}()
 }
 
 // detect serves the whole batch through the slot's supervisor in a
 // single batched detection, records each lane's provenance when
 // tracing is on, and always releases the slot.
-func (b *batcher) detect(slot *Slot, traces [][]trace.WindowCounts, tenants []string, hedge bool) batchRun {
+func (b *batcher) detect(slot *Slot, bt *batch, hedge bool) batchRun {
 	s := b.srv
 	record := s.cfg.Trace != nil
+	traces, tenants := bt.traces, bt.tenants
 	verdicts, logs, err := slot.Sup.DetectBatch(traces, record)
 	if err == nil && record {
 		for j, v := range verdicts {

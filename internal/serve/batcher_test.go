@@ -174,7 +174,7 @@ func TestBatchedIdleNeverSplitsRequest(t *testing.T) {
 	const rounds = 8
 	for i := 0; i < rounds; i++ {
 		progs := programs(t, fmt.Sprintf("r%d", i), 3)
-		out, err := srv.batcher.dispatch(ctx, 0, "", progs)
+		out, err := srv.batcher.dispatch(ctx, 0, "", progs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestBatchedIdleNeverSplitsRequest(t *testing.T) {
 	// Six programs at MaxBatch 4: both pieces go out idle, neither
 	// waits for the other or for the cap.
 	progs := programs(t, "wide", 6)
-	out, err := srv.batcher.dispatch(ctx, 0, "", progs)
+	out, err := srv.batcher.dispatch(ctx, 0, "", progs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestBatchedLateBinding(t *testing.T) {
 	for i, n := range []int{1, 2, 1} {
 		p := programs(t, fmt.Sprintf("q%d", i), n)
 		progs = append(progs, p)
-		done = append(done, collectAsync(srv.batcher, ctx, p, srv.batcher.submit(ctx, 0, "", p)))
+		done = append(done, collectAsync(srv.batcher, ctx, p, srv.batcher.submit(ctx, 0, "", p, nil)))
 	}
 	release()
 	session := -1
@@ -251,8 +251,8 @@ func TestBatchedDetectFullFlush(t *testing.T) {
 
 	ctx := boundedCtx(t)
 	a, b := programs(t, "a", 4), programs(t, "b", 4)
-	aDone := collectAsync(srv.batcher, ctx, a, srv.batcher.submit(ctx, 0, "", a))
-	bDone := collectAsync(srv.batcher, ctx, b, srv.batcher.submit(ctx, 0, "", b))
+	aDone := collectAsync(srv.batcher, ctx, a, srv.batcher.submit(ctx, 0, "", a, nil))
+	bDone := collectAsync(srv.batcher, ctx, b, srv.batcher.submit(ctx, 0, "", b, nil))
 	release()
 	for _, c := range []struct {
 		progs []DecodedProgram
@@ -363,7 +363,7 @@ func newStalledBatch(t *testing.T, wait time.Duration) *stalledBatch {
 
 	ctx := boundedCtx(t)
 	a := programs(t, "a", 2)
-	aDone := collectAsync(srv.batcher, ctx, a, srv.batcher.submit(ctx, 0, "", a))
+	aDone := collectAsync(srv.batcher, ctx, a, srv.batcher.submit(ctx, 0, "", a, nil))
 	awaitStall(t, stalled[0])
 	srv.Pool().Release(good)
 	return &stalledBatch{srv: srv, bad: bad, good: good, a: a, aDone: aDone, unstall: resume[0]}
@@ -396,7 +396,7 @@ func (sb *stalledBatch) finish(t *testing.T) {
 func TestBatchedDetectTimerFlush(t *testing.T) {
 	sb := newStalledBatch(t, time.Millisecond)
 	b := programs(t, "b", 2)
-	out, err := sb.srv.batcher.dispatch(boundedCtx(t), 0, "", b)
+	out, err := sb.srv.batcher.dispatch(boundedCtx(t), 0, "", b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestBatchedCompletionFlush(t *testing.T) {
 	sb := newStalledBatch(t, time.Hour)
 	ctx := boundedCtx(t)
 	b := programs(t, "b", 2)
-	bLanes := sb.srv.batcher.submit(ctx, 0, "", b)
+	bLanes := sb.srv.batcher.submit(ctx, 0, "", b, nil)
 	sb.srv.batcher.mu.Lock()
 	coalesced := len(sb.srv.batcher.pending)
 	sb.srv.batcher.mu.Unlock()
@@ -446,20 +446,20 @@ func TestBatchedCompletionFlushUnderLoad(t *testing.T) {
 	faultNext(t, slots[0])
 	p.Release(slots[0])
 	a := programs(t, "a", 1)
-	aDone := collectAsync(srv.batcher, ctx, a, srv.batcher.submit(ctx, 0, "", a))
+	aDone := collectAsync(srv.batcher, ctx, a, srv.batcher.submit(ctx, 0, "", a, nil))
 	awaitStall(t, stalled[0])
 
 	// C fills a batch behind A, goes out full onto slot 1, and stalls.
 	faultNext(t, slots[1])
 	p.Release(slots[1])
 	c := programs(t, "c", 2)
-	cDone := collectAsync(srv.batcher, ctx, c, srv.batcher.submit(ctx, 0, "", c))
+	cDone := collectAsync(srv.batcher, ctx, c, srv.batcher.submit(ctx, 0, "", c, nil))
 	awaitStall(t, stalled[1])
 
 	// B coalesces behind both; only a completion can send it out.
 	p.Release(slots[2])
 	b := programs(t, "b", 1)
-	bDone := collectAsync(srv.batcher, ctx, b, srv.batcher.submit(ctx, 0, "", b))
+	bDone := collectAsync(srv.batcher, ctx, b, srv.batcher.submit(ctx, 0, "", b, nil))
 	resume[0]()
 	for _, r := range []<-chan laneResult{aDone, bDone} {
 		if res := <-r; res.err != nil {
@@ -590,13 +590,13 @@ func TestBatchedShedSkipsDetection(t *testing.T) {
 	// lanes; TestBatchedOutageWithdrawsLanes covers that side).
 	dead, cancel := context.WithCancel(context.Background())
 	for i := 0; i < 2; i++ {
-		srv.batcher.submit(dead, 0, "", progs)
+		srv.batcher.submit(dead, 0, "", progs, nil)
 	}
 	cancel()
 	// The live lane joins the same batch and must be the only one
 	// detected.
 	live := boundedCtx(t)
-	done := collectAsync(srv.batcher, live, progs, srv.batcher.submit(live, 0, "", progs))
+	done := collectAsync(srv.batcher, live, progs, srv.batcher.submit(live, 0, "", progs, nil))
 	release()
 	res := <-done
 	if res.err != nil {
@@ -651,7 +651,7 @@ func TestBatchedOutageWithdrawsLanes(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()
-			if _, err := srv.batcher.dispatch(ctx, 0, "", progs); !errors.Is(err, context.DeadlineExceeded) {
+			if _, err := srv.batcher.dispatch(ctx, 0, "", progs, nil); !errors.Is(err, context.DeadlineExceeded) {
 				errc <- fmt.Errorf("request %d: err = %v, want DeadlineExceeded", r, err)
 			}
 		}(r)
@@ -705,7 +705,7 @@ func TestBatchedBusySlotRetries(t *testing.T) {
 
 	ctx := boundedCtx(t)
 	progs := programs(t, "p", 2)
-	done := collectAsync(srv.batcher, ctx, progs, srv.batcher.submit(ctx, 0, "", progs))
+	done := collectAsync(srv.batcher, ctx, progs, srv.batcher.submit(ctx, 0, "", progs, nil))
 	deadline := time.Now().Add(10 * time.Second)
 	for p.DoubleCheckouts() == 0 {
 		if time.Now().After(deadline) {

@@ -22,6 +22,7 @@ import (
 
 	"shmd/internal/isa"
 	"shmd/internal/trace"
+	"shmd/internal/wire"
 )
 
 // Decode limits. The defaults bound worst-case request cost: a full
@@ -131,11 +132,10 @@ type DetectResponse struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// DecodedProgram is a validated program ready for detection.
-type DecodedProgram struct {
-	ID      string
-	Windows []trace.WindowCounts
-}
+// DecodedProgram is a validated program ready for detection. It is
+// the SHMDWIRE DETECT program, so a decoded frame's programs dispatch
+// as they are.
+type DecodedProgram = wire.DetectProgram
 
 // RequestError is a client-side decode/validation failure carrying the
 // HTTP status it maps to.
@@ -262,7 +262,7 @@ func decodeWindow(win WindowJSON, prog, idx int) (trace.WindowCounts, error) {
 			prog, idx, len(win.Stride), trace.StrideBuckets)
 	}
 	copy(wc.Stride[:], win.Stride)
-	if err := validateWindowCounts(wc, prog, idx); err != nil {
+	if err := validateWindowCounts(&wc, prog, idx); err != nil {
 		return trace.WindowCounts{}, err
 	}
 	return wc, nil
@@ -273,7 +273,7 @@ func decodeWindow(win WindowJSON, prog, idx int) (trace.WindowCounts, error) {
 // path on already-structured measurements. Both transports therefore
 // accept and reject exactly the same windows, which the cross-transport
 // equivalence suite depends on.
-func validateWindowCounts(wc trace.WindowCounts, prog, idx int) error {
+func validateWindowCounts(wc *trace.WindowCounts, prog, idx int) error {
 	total := 0
 	for op, n := range wc.Opcode {
 		if n < 0 || n > maxCount {
@@ -316,7 +316,8 @@ func ValidatePrograms(programs []DecodedProgram, lim Limits) error {
 	if len(programs) > lim.MaxPrograms {
 		return badRequest("batch of %d programs exceeds limit %d", len(programs), lim.MaxPrograms)
 	}
-	for i, p := range programs {
+	for i := range programs {
+		p := &programs[i]
 		if len(p.Windows) < lim.MinWindows {
 			return badRequest("program %d: %d windows, need at least %d for one detection period",
 				i, len(p.Windows), lim.MinWindows)
@@ -324,8 +325,8 @@ func ValidatePrograms(programs []DecodedProgram, lim Limits) error {
 		if len(p.Windows) > lim.MaxWindows {
 			return badRequest("program %d: %d windows exceeds limit %d", i, len(p.Windows), lim.MaxWindows)
 		}
-		for w, win := range p.Windows {
-			if err := validateWindowCounts(win, i, w); err != nil {
+		for w := range p.Windows {
+			if err := validateWindowCounts(&p.Windows[w], i, w); err != nil {
 				return err
 			}
 		}

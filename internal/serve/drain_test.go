@@ -180,7 +180,7 @@ func TestDispatchRefusedOnceDrainWaits(t *testing.T) {
 	for _, maxBatch := range []int{0, 8} {
 		srv := newTestServer(t, Config{MaxBatch: maxBatch, MaxBatchWait: time.Millisecond})
 		srv.closeRunners()
-		_, err := srv.batcher.dispatch(boundedCtx(t), 0, "", programs(t, "a", 3))
+		_, err := srv.batcher.dispatch(boundedCtx(t), 0, "", programs(t, "a", 3), nil)
 		srv.batcher.mu.Lock()
 		if n, w := len(srv.batcher.pending), srv.batcher.waiting; n != 0 || w != 0 {
 			t.Errorf("MaxBatch %d: %d lanes pending, %d flushers waiting after the refusal", maxBatch, n, w)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -364,11 +365,12 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	out, err := s.batcher.dispatch(ctx, class, tenantID, programs)
+	out, err := s.batcher.dispatch(ctx, class, tenantID, programs, nil)
 	if err != nil {
 		s.failDetect(w, r, err)
 		return
 	}
+	defer out.release()
 	if out.hedge {
 		s.metrics.HedgeWins.Inc()
 	}
@@ -434,6 +436,16 @@ type batchOutcome struct {
 	session int
 	// hedge marks an outcome any of whose lanes the hedge runner won.
 	hedge bool
+	// req is the pooled request results belongs to.
+	req *request
+}
+
+// release recycles the outcome's pooled results once the caller has
+// replied with them.
+func (o batchOutcome) release() {
+	if o.req != nil {
+		o.req.release()
+	}
 }
 
 // errDraining refuses work that needs a new runner once the drain that
@@ -491,7 +503,9 @@ func (s *Server) traceRecord(slot *Slot, windows []trace.WindowCounts, v core.Ve
 		Score:        v.Score,
 		Confidence:   conf,
 		Draws:        draws,
-		Windows:      windows,
+		// The sink writes records later, and windows may be a pooled
+		// request arena by then.
+		Windows: slices.Clone(windows),
 	})
 }
 

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -59,6 +60,9 @@ type wireConn struct {
 	// streams, keyed by client-chosen stream id. Touched only on the
 	// read loop, so no lock.
 	streams map[uint32]*windowStream
+	// arena holds the windows of the STREAM append being read. Touched
+	// only on the read loop.
+	arena wire.Arena
 }
 
 // maxWireStreams bounds the live sliding-window streams one
@@ -363,8 +367,13 @@ func (s *Server) wireDetect(ctx context.Context, wc *wireConn, f wire.Frame) {
 	s.inflight <- struct{}{}
 	release := func() { <-s.inflight; <-s.queue }
 
-	req, err := wire.DecodeDetectRequest(f.Payload)
+	// The windows decode into a pooled arena the handler holds one
+	// reference on; every batch that binds one of its lanes takes its
+	// own, so the arena outlives a hedged loser still scoring it.
+	arena := newReqArena(len(f.Payload))
+	req, err := arena.DecodeDetect(f.Payload)
 	if err != nil {
+		arena.release()
 		release()
 		s.metrics.Request(int(wire.CodeBadRequest))
 		c.WriteError(f.Corr, wire.CodeBadRequest, err.Error())
@@ -382,17 +391,15 @@ func (s *Server) wireDetect(ctx context.Context, wc *wireConn, f wire.Frame) {
 		adm = s.tenants.Admit(id, s.admissionLoad())
 		tenantID, class = adm.Tenant, adm.Class
 		if !adm.OK() {
+			arena.release()
 			release()
 			s.rejectWireTenant(wc, f.Corr, adm)
 			return
 		}
 		s.metrics.TenantAccepted.With(tenantID, class.String()).Inc()
 	}
-	programs := make([]DecodedProgram, len(req.Programs))
-	for i, p := range req.Programs {
-		programs[i] = DecodedProgram{ID: p.ID, Windows: p.Windows}
-	}
-	if err := ValidatePrograms(programs, s.cfg.Limits); err != nil {
+	if err := ValidatePrograms(req.Programs, s.cfg.Limits); err != nil {
+		arena.release()
 		release()
 		if adm != nil {
 			adm.Release()
@@ -405,7 +412,16 @@ func (s *Server) wireDetect(ctx context.Context, wc *wireConn, f wire.Frame) {
 	if deadline == 0 {
 		deadline = s.cfg.DefaultDeadline
 	}
+	s.goWireDispatch(ctx, wc, f.Corr, start, deadline, class, tenantID, req.Programs, arena, adm, release)
+}
 
+// goWireDispatch runs one admitted DETECT or STREAM request in a
+// tracked goroutine, so the connection keeps multiplexing, and answers
+// its VERDICT (or typed ERROR) under corr. The goroutine owns the
+// request's admission — the queue and inflight tokens (release) and
+// the tenant admission — and the handler's reference on arena (nil
+// when the programs' windows are not arena-backed).
+func (s *Server) goWireDispatch(ctx context.Context, wc *wireConn, corr uint64, start time.Time, deadline time.Duration, class tenant.Class, tenantID string, programs []DecodedProgram, arena *reqArena, adm *tenant.Admission, release func()) {
 	wc.wg.Add(1)
 	go func() {
 		defer wc.wg.Done()
@@ -413,42 +429,94 @@ func (s *Server) wireDetect(ctx context.Context, wc *wireConn, f wire.Frame) {
 		if adm != nil {
 			defer adm.Release()
 		}
+		defer arena.release()
 		dctx := ctx
 		if deadline > 0 {
 			var cancel context.CancelFunc
 			dctx, cancel = context.WithTimeout(dctx, deadline)
 			defer cancel()
 		}
-		out, err := s.batcher.dispatch(dctx, class, tenantID, programs)
+		out, err := s.batcher.dispatch(dctx, class, tenantID, programs, arena)
 		if err != nil {
-			s.failWireDetect(ctx, wc, f.Corr, err)
+			s.failWireDetect(ctx, wc, corr, err)
 			return
 		}
+		defer out.release()
 		if out.hedge {
 			s.metrics.HedgeWins.Inc()
 		}
 		for _, res := range out.results {
 			s.metrics.Decision(res.Malware, res.Unprotected)
 		}
-		payload, encErr := s.encodeVerdict(out, tenantID)
-		if encErr != nil {
-			s.metrics.Request(int(wire.CodeInternal))
-			c.WriteError(f.Corr, wire.CodeInternal, encErr.Error())
-			return
-		}
-		s.metrics.Request(200)
-		s.metrics.DetectLatency.Observe(int64(time.Since(start)))
-		c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: f.Corr, Payload: payload})
+		s.writeVerdict(wc.c, corr, out, tenantID, start)
 	}()
 }
 
-// encodeVerdict builds the VERDICT payload for a finished batch,
-// tagging it with the serving tenant so identity round-trips
-// bit-identically across transports.
-func (s *Server) encodeVerdict(out batchOutcome, tenantID string) ([]byte, error) {
-	results := make([]wire.VerdictResult, len(out.results))
-	for i, res := range out.results {
-		results[i] = wire.VerdictResult{
+// reqArena is one SHMDWIRE DETECT request's decoded programs and
+// windows, shared by reference count: the request's handler holds one
+// reference, and every batch that binds one of its lanes holds one
+// per lane until the batch's last runner is done with it. The last
+// release recycles the arena, so a decision trace record copies the
+// windows it keeps.
+type reqArena struct {
+	wire.Arena
+	refs atomic.Int32
+	// class is the arena's pool: it decodes payloads shorter than
+	// 1<<class bytes.
+	class int
+}
+
+// reqArenas pools request arenas by payload size class, so an arena
+// grown for the largest request does not serve every small one: class
+// c holds arenas that decode payloads shorter than 1<<c bytes. Larger
+// payloads decode into an arena that is not pooled.
+var reqArenas [21]sync.Pool
+
+// newReqArena returns an arena for a payload of n bytes, holding the
+// caller's reference.
+func newReqArena(n int) *reqArena {
+	c := bits.Len(uint(n))
+	var a *reqArena
+	if c < len(reqArenas) {
+		a, _ = reqArenas[c].Get().(*reqArena)
+	}
+	if a == nil {
+		a = &reqArena{class: c}
+	}
+	a.refs.Store(1)
+	return a
+}
+
+// retain adds a reference; the caller already holds one.
+func (a *reqArena) retain() { a.refs.Add(1) }
+
+// release drops a reference and, with the last one, clears and
+// recycles the arena. A nil arena is a no-op.
+func (a *reqArena) release() {
+	if a != nil && a.refs.Add(-1) == 0 && a.class < len(reqArenas) {
+		a.Clear()
+		reqArenas[a.class].Put(a)
+	}
+}
+
+// verdictBuf is a pooled VERDICT encoding. Conn.WriteFrame copies the
+// payload, so the buffer goes back once the frame is written.
+type verdictBuf struct {
+	results []wire.VerdictResult
+	payload []byte
+}
+
+var verdictBufs = sync.Pool{New: func() any { return new(verdictBuf) }}
+
+// writeVerdict answers a finished request with its VERDICT, tagged
+// with the serving tenant so identity round-trips bit-identically
+// across transports.
+func (s *Server) writeVerdict(c *wire.Conn, corr uint64, out batchOutcome, tenantID string, start time.Time) {
+	vb := verdictBufs.Get().(*verdictBuf)
+	defer verdictBufs.Put(vb)
+	results := vb.results[:0]
+	for _, res := range out.results {
+		results = append(results, wire.VerdictResult{
 			ID:          res.ID,
 			Malware:     res.Malware,
 			Unprotected: res.Unprotected,
@@ -456,14 +524,25 @@ func (s *Server) encodeVerdict(out batchOutcome, tenantID string) ([]byte, error
 			Confidence:  res.Confidence,
 			Attempts:    uint32(res.Attempts),
 			Windows:     uint32(res.Windows),
-		}
+		})
 	}
-	return wire.AppendVerdict(nil, wire.Verdict{
+	payload, err := wire.AppendVerdict(vb.payload[:0], wire.Verdict{
 		Session: int32(out.session),
 		Hedged:  out.hedge,
 		Results: results,
 		Tenant:  tenantID,
 	})
+	clear(results)
+	vb.results = results[:0]
+	if err != nil {
+		s.metrics.Request(int(wire.CodeInternal))
+		c.WriteError(corr, wire.CodeInternal, err.Error())
+		return
+	}
+	vb.payload = payload
+	s.metrics.Request(200)
+	s.metrics.DetectLatency.Observe(int64(time.Since(start)))
+	c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: corr, Payload: payload})
 }
 
 // wireStream handles one STREAM frame: an append to (or open/close
@@ -488,7 +567,10 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 		c.WriteError(f.Corr, wire.CodeUnavailable, "draining")
 		return
 	}
-	req, err := wire.DecodeStreamRequest(f.Payload)
+	// The appended windows are copied into the stream's buffer before
+	// the read loop moves on, so they decode into the connection's own
+	// arena.
+	req, err := wc.arena.DecodeStream(f.Payload)
 	if err != nil {
 		s.metrics.Request(int(wire.CodeBadRequest))
 		c.WriteError(f.Corr, wire.CodeBadRequest, err.Error())
@@ -578,8 +660,8 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 
 	// Slide the buffer and collect the spans due for re-scoring.
 	var programs []DecodedProgram
-	for _, w := range req.Windows {
-		st.buf = append(st.buf, w)
+	for i := range req.Windows {
+		st.buf = append(st.buf, req.Windows[i])
 		if len(st.buf) > st.period {
 			st.buf = st.buf[len(st.buf)-st.period:]
 		}
@@ -604,41 +686,7 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 		return
 	}
 
-	tenantID, class := st.tenant, st.class
-	wc.wg.Add(1)
-	go func() {
-		defer wc.wg.Done()
-		defer release()
-		if adm != nil {
-			defer adm.Release()
-		}
-		dctx := ctx
-		if s.cfg.DefaultDeadline > 0 {
-			var cancel context.CancelFunc
-			dctx, cancel = context.WithTimeout(dctx, s.cfg.DefaultDeadline)
-			defer cancel()
-		}
-		out, err := s.batcher.dispatch(dctx, class, tenantID, programs)
-		if err != nil {
-			s.failWireDetect(ctx, wc, f.Corr, err)
-			return
-		}
-		if out.hedge {
-			s.metrics.HedgeWins.Inc()
-		}
-		for _, res := range out.results {
-			s.metrics.Decision(res.Malware, res.Unprotected)
-		}
-		payload, encErr := s.encodeVerdict(out, tenantID)
-		if encErr != nil {
-			s.metrics.Request(int(wire.CodeInternal))
-			c.WriteError(f.Corr, wire.CodeInternal, encErr.Error())
-			return
-		}
-		s.metrics.Request(200)
-		s.metrics.DetectLatency.Observe(int64(time.Since(start)))
-		c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: f.Corr, Payload: payload})
-	}()
+	s.goWireDispatch(ctx, wc, f.Corr, start, s.cfg.DefaultDeadline, st.class, st.tenant, programs, nil, adm, release)
 }
 
 // ackStream answers a STREAM append that triggered no re-scoring with

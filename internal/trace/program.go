@@ -68,7 +68,7 @@ type WindowCounts struct {
 }
 
 // Total returns the instruction count of the window.
-func (w WindowCounts) Total() int {
+func (w *WindowCounts) Total() int {
 	total := 0
 	for _, n := range w.Opcode {
 		total += n
@@ -77,7 +77,7 @@ func (w WindowCounts) Total() int {
 }
 
 // Branches returns the number of branch instructions in the window.
-func (w WindowCounts) Branches() int {
+func (w *WindowCounts) Branches() int {
 	total := 0
 	for _, ins := range isa.Catalog() {
 		if ins.Branch {
@@ -88,7 +88,7 @@ func (w WindowCounts) Branches() int {
 }
 
 // MemOps returns the number of load/store instructions in the window.
-func (w WindowCounts) MemOps() int {
+func (w *WindowCounts) MemOps() int {
 	total := 0
 	for _, ins := range isa.Catalog() {
 		if ins.Load || ins.Store {

@@ -13,7 +13,9 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"sync"
 	"time"
@@ -24,11 +26,11 @@ import (
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
+	// rhdr is the frame header ReadFrame reads into.
+	rhdr [FrameHeaderLen]byte
 
 	wmu sync.Mutex
 	bw  *bufio.Writer
-	// encBuf is the reusable frame-encoding buffer (guarded by wmu).
-	encBuf []byte
 
 	maxPayload  int
 	peerVersion uint8
@@ -89,7 +91,7 @@ func (c *Conn) MaxPayload() int { return c.maxPayload }
 // and the stream is still synchronized; everything else wraps
 // ErrCorrupt or is a transport error.
 func (c *Conn) ReadFrame() (Frame, error) {
-	return ReadWireFrame(c.br, c.maxPayload)
+	return readWireFrame(c.br, c.maxPayload, &c.rhdr)
 }
 
 // SetReadDeadline bounds the next ReadFrame (zero clears it).
@@ -97,14 +99,22 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(
 
 // WriteFrame encodes and sends one frame. Safe for concurrent use;
 // each frame is flushed whole, so frames from concurrent writers
-// never interleave.
+// never interleave. The header, the payload and the CRC trailer go
+// straight into the connection's buffered writer (the CRC runs over
+// the header, then the payload), so the bytes are AppendFrame's
+// without staging a copy of the frame. The payload is copied out
+// before WriteFrame returns: the caller may reuse it at once.
 func (c *Conn) WriteFrame(f Frame) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.encBuf = AppendFrame(c.encBuf[:0], f)
-	if _, err := c.bw.Write(c.encBuf); err != nil {
-		return err
-	}
+	// AvailableBuffer appends into the writer's free space, so the
+	// header and trailer are not staged anywhere else.
+	hdr := appendFrameHeader(c.bw.AvailableBuffer(), f)
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, f.Payload)
+	c.bw.Write(hdr)
+	c.bw.Write(f.Payload)
+	c.bw.Write(binary.BigEndian.AppendUint32(c.bw.AvailableBuffer(), crc))
+	// The writer latches its first error and Flush reports it.
 	return c.bw.Flush()
 }
 

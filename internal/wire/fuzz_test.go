@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"shmd/internal/trace"
@@ -209,7 +210,8 @@ func FuzzDetectFrameRoundTrip(f *testing.F) {
 	trunc := detect[:len(detect)-5]
 	f.Add(trunc)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if req, err := DecodeDetectRequest(data); err == nil {
+		req, err := DecodeDetectRequest(data)
+		if err == nil {
 			enc, encErr := AppendDetectRequest(nil, req)
 			if encErr != nil {
 				t.Fatalf("decoded request failed to re-encode: %v", encErr)
@@ -219,6 +221,16 @@ func FuzzDetectFrameRoundTrip(f *testing.F) {
 			}
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("untyped detect decode error: %v", err)
+		}
+		// Back to back through one arena, after and before the seed
+		// payload, each decode must match a fresh one.
+		var a Arena
+		for _, p := range [][]byte{detect, data, detect} {
+			got, gotErr := a.DecodeDetect(p)
+			want, wantErr := DecodeDetectRequest(p)
+			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("arena decode = %+v (%v), fresh decode %+v (%v)", got, gotErr, want, wantErr)
+			}
 		}
 		if v, err := DecodeVerdict(data); err == nil {
 			enc, encErr := AppendVerdict(nil, v)

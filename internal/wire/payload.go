@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -84,46 +85,67 @@ func (r DetectRequest) Deadline() time.Duration {
 	return time.Duration(r.DeadlineMs) * time.Millisecond
 }
 
-// AppendDetectRequest appends the canonical encoding of req. Encoding
-// fails only on values the wire cannot carry (oversized ids or
-// counts, too many programs or windows, negative counts).
+// AppendDetectRequest appends the canonical encoding of req. It sizes
+// the payload first and grows dst at most once. Encoding fails only on
+// values the wire cannot carry (oversized ids or counts, too many
+// programs or windows, negative counts).
 func AppendDetectRequest(dst []byte, req DetectRequest) ([]byte, error) {
 	if len(req.Programs) > MaxPrograms {
 		return nil, fmt.Errorf("wire: %d programs exceeds %d", len(req.Programs), MaxPrograms)
 	}
-	dst = binary.BigEndian.AppendUint32(dst, req.DeadlineMs)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Programs)))
-	for i, p := range req.Programs {
+	size := 4 + 2
+	for i := range req.Programs {
+		p := &req.Programs[i]
 		if len(p.ID) > MaxIDLen {
 			return nil, fmt.Errorf("wire: program %d id is %d bytes, limit %d", i, len(p.ID), MaxIDLen)
 		}
 		if len(p.Windows) > MaxWindows {
 			return nil, fmt.Errorf("wire: program %d has %d windows, limit %d", i, len(p.Windows), MaxWindows)
 		}
+		size += 1 + len(p.ID) + 2 + len(p.Windows)*windowWireLen
+	}
+	tail, err := tenantTailLen(req.Tenant)
+	if err != nil {
+		return nil, err
+	}
+	dst = slices.Grow(dst, size+tail)
+	dst = binary.BigEndian.AppendUint32(dst, req.DeadlineMs)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Programs)))
+	for i := range req.Programs {
+		p := &req.Programs[i]
 		dst = append(dst, byte(len(p.ID)))
 		dst = append(dst, p.ID...)
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Windows)))
-		for w, win := range p.Windows {
-			var err error
-			if dst, err = appendWindow(dst, win, i, w); err != nil {
+		for w := range p.Windows {
+			if dst, err = appendWindow(dst, &p.Windows[w], i, w); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return appendTenantTail(dst, req.Tenant)
+	return appendTenantTail(dst, req.Tenant), nil
 }
 
-// appendTenantTail appends the optional tenant tag tail: omitted
-// entirely when empty (canonical form), a str8 otherwise.
-func appendTenantTail(dst []byte, tenant string) ([]byte, error) {
+// tenantTailLen validates the optional tenant tag tail and returns its
+// encoded length: 0 when the tag is empty (the tail is omitted).
+func tenantTailLen(tenant string) (int, error) {
 	if tenant == "" {
-		return dst, nil
+		return 0, nil
 	}
 	if len(tenant) > MaxIDLen {
-		return nil, fmt.Errorf("wire: tenant tag is %d bytes, limit %d", len(tenant), MaxIDLen)
+		return 0, fmt.Errorf("wire: tenant tag is %d bytes, limit %d", len(tenant), MaxIDLen)
+	}
+	return 1 + len(tenant), nil
+}
+
+// appendTenantTail appends the optional tenant tag tail, validated by
+// tenantTailLen: omitted entirely when empty (canonical form), a str8
+// otherwise.
+func appendTenantTail(dst []byte, tenant string) []byte {
+	if tenant == "" {
+		return dst
 	}
 	dst = append(dst, byte(len(tenant)))
-	return append(dst, tenant...), nil
+	return append(dst, tenant...)
 }
 
 // tenantTail decodes the optional tenant tag tail if any payload
@@ -139,38 +161,95 @@ func (d *decoder) tenantTail() string {
 	return tenant
 }
 
-// appendWindow appends one window's fixed-size encoding.
-func appendWindow(dst []byte, w trace.WindowCounts, prog, idx int) ([]byte, error) {
-	count := func(n int) (uint32, error) {
-		if n < 0 || n > maxWireCount {
-			return 0, fmt.Errorf("wire: program %d window %d: count %d outside [0, %d]", prog, idx, n, int64(maxWireCount))
-		}
-		return uint32(n), nil
-	}
-	c, err := count(w.Taken)
-	if err != nil {
+// appendWindow appends one window's fixed-size encoding into capacity
+// the caller already reserved.
+func appendWindow(dst []byte, w *trace.WindowCounts, prog, idx int) ([]byte, error) {
+	if err := checkCount(w.Taken, prog, idx); err != nil {
 		return nil, err
 	}
-	dst = binary.BigEndian.AppendUint32(dst, c)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(w.Taken))
 	for _, n := range w.Opcode {
-		if c, err = count(n); err != nil {
+		if err := checkCount(n, prog, idx); err != nil {
 			return nil, err
 		}
-		dst = binary.BigEndian.AppendUint32(dst, c)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(n))
 	}
 	for _, n := range w.Stride {
-		if c, err = count(n); err != nil {
+		if err := checkCount(n, prog, idx); err != nil {
 			return nil, err
 		}
-		dst = binary.BigEndian.AppendUint32(dst, c)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(n))
 	}
 	return dst, nil
 }
 
-// DecodeDetectRequest decodes a DETECT payload. Every failure wraps
-// ErrCorrupt; the decoder never allocates more than the payload's own
-// length implies and never panics.
+// checkCount refuses a window count the wire's u32 cannot carry.
+func checkCount(n, prog, idx int) error {
+	if n < 0 || n > maxWireCount {
+		return fmt.Errorf("wire: program %d window %d: count %d outside [0, %d]", prog, idx, n, int64(maxWireCount))
+	}
+	return nil
+}
+
+// Arena is reusable decode storage for DETECT and STREAM payloads.
+// A decode carves every window of the payload, in order, from one
+// backing array, which the arena keeps for the next decode, and
+// reuses the arena's program list; once grown to the largest payload
+// it has seen, an arena decodes without allocating anything but
+// program ids and tenant tags. What a decode returns aliases the arena
+// and is valid until its next decode. The zero value is ready to use;
+// an Arena is not safe for concurrent use.
+type Arena struct {
+	windows  []trace.WindowCounts
+	programs []DetectProgram
+	// used counts the windows carved by the current decode.
+	used int
+}
+
+// reset starts a decode of p, reserving room for as many windows as
+// p's length could carry (each is windowWireLen bytes on the wire).
+func (a *Arena) reset(p []byte) {
+	if bound := len(p) / windowWireLen; cap(a.windows) < bound {
+		a.windows = make([]trace.WindowCounts, bound)
+	}
+	a.windows = a.windows[:cap(a.windows)]
+	a.used = 0
+}
+
+// Clear zeroes what the last decode carved — its windows and program
+// list — so none of one request's measurements survive into the
+// arena's next use, and a reader that outlived its request reads empty
+// windows, not another request's.
+func (a *Arena) Clear() {
+	clear(a.windows[:a.used])
+	clear(a.programs[:cap(a.programs)])
+	a.used = 0
+}
+
+// carve decodes the next n windows into the arena and returns them,
+// capped so that appending to one program's windows never reaches the
+// next. The caller checked that n windows' bytes remain.
+func (a *Arena) carve(d *decoder, n int) []trace.WindowCounts {
+	ws := a.windows[a.used : a.used+n : a.used+n]
+	a.used += n
+	for i := range ws {
+		d.window(&ws[i])
+	}
+	return ws
+}
+
+// DecodeDetectRequest decodes a DETECT payload into fresh storage.
+// Every failure wraps ErrCorrupt; the decoder never allocates more
+// than the payload's own length implies and never panics.
 func DecodeDetectRequest(p []byte) (DetectRequest, error) {
+	var a Arena
+	return a.DecodeDetect(p)
+}
+
+// DecodeDetect decodes a DETECT payload as DecodeDetectRequest does,
+// into the arena: the request's program list and windows alias it.
+func (a *Arena) DecodeDetect(p []byte) (DetectRequest, error) {
+	a.reset(p)
 	d := decoder{buf: p}
 	req := DetectRequest{DeadlineMs: d.u32("deadline")}
 	n := int(d.u16("program count"))
@@ -178,7 +257,10 @@ func DecodeDetectRequest(p []byte) (DetectRequest, error) {
 		return DetectRequest{}, corrupt("%d programs exceeds %d", n, MaxPrograms)
 	}
 	if d.err == nil && n > 0 {
-		req.Programs = make([]DetectProgram, 0, min(n, len(p)/windowWireLen+1))
+		if bound := min(n, len(p)/windowWireLen+1); cap(a.programs) < bound {
+			a.programs = make([]DetectProgram, 0, bound)
+		}
+		req.Programs = a.programs[:0]
 	}
 	for i := 0; i < n && d.err == nil; i++ {
 		prog := DetectProgram{ID: d.str8("program id")}
@@ -190,12 +272,12 @@ func DecodeDetectRequest(p []byte) (DetectRequest, error) {
 			if rem := len(d.buf) - d.off; rem < w*windowWireLen {
 				return DetectRequest{}, corrupt("program %d claims %d windows, %d bytes remain", i, w, rem)
 			}
-			prog.Windows = make([]trace.WindowCounts, w)
-			for j := range prog.Windows {
-				prog.Windows[j] = d.window()
-			}
+			prog.Windows = a.carve(&d, w)
 		}
 		req.Programs = append(req.Programs, prog)
+	}
+	if cap(req.Programs) > cap(a.programs) {
+		a.programs = req.Programs
 	}
 	req.Tenant = d.tenantTail()
 	d.done()
@@ -265,7 +347,10 @@ func AppendVerdict(dst []byte, v Verdict) ([]byte, error) {
 		dst = binary.BigEndian.AppendUint32(dst, r.Attempts)
 		dst = binary.BigEndian.AppendUint32(dst, r.Windows)
 	}
-	return appendTenantTail(dst, v.Tenant)
+	if _, err := tenantTailLen(v.Tenant); err != nil {
+		return nil, err
+	}
+	return appendTenantTail(dst, v.Tenant), nil
 }
 
 // DecodeVerdict decodes a VERDICT payload.
@@ -516,7 +601,8 @@ type StreamRequest struct {
 // streamClose is the STREAM payload flag bit for Close.
 const streamClose = 1 << 0
 
-// AppendStreamRequest appends the canonical encoding of req.
+// AppendStreamRequest appends the canonical encoding of req, sizing
+// the payload first and growing dst at most once.
 func AppendStreamRequest(dst []byte, req StreamRequest) ([]byte, error) {
 	if len(req.ID) > MaxIDLen {
 		return nil, fmt.Errorf("wire: stream id label is %d bytes, limit %d", len(req.ID), MaxIDLen)
@@ -524,6 +610,11 @@ func AppendStreamRequest(dst []byte, req StreamRequest) ([]byte, error) {
 	if len(req.Windows) > MaxWindows {
 		return nil, fmt.Errorf("wire: stream append has %d windows, limit %d", len(req.Windows), MaxWindows)
 	}
+	tail, err := tenantTailLen(req.Tenant)
+	if err != nil {
+		return nil, err
+	}
+	dst = slices.Grow(dst, 4+1+2+1+len(req.ID)+2+len(req.Windows)*windowWireLen+tail)
 	dst = binary.BigEndian.AppendUint32(dst, req.StreamID)
 	var flags byte
 	if req.Close {
@@ -534,17 +625,24 @@ func AppendStreamRequest(dst []byte, req StreamRequest) ([]byte, error) {
 	dst = append(dst, byte(len(req.ID)))
 	dst = append(dst, req.ID...)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Windows)))
-	for w, win := range req.Windows {
-		var err error
-		if dst, err = appendWindow(dst, win, 0, w); err != nil {
+	for w := range req.Windows {
+		if dst, err = appendWindow(dst, &req.Windows[w], 0, w); err != nil {
 			return nil, err
 		}
 	}
-	return appendTenantTail(dst, req.Tenant)
+	return appendTenantTail(dst, req.Tenant), nil
 }
 
-// DecodeStreamRequest decodes a STREAM payload.
+// DecodeStreamRequest decodes a STREAM payload into fresh storage.
 func DecodeStreamRequest(p []byte) (StreamRequest, error) {
+	var a Arena
+	return a.DecodeStream(p)
+}
+
+// DecodeStream decodes a STREAM payload as DecodeStreamRequest does,
+// into the arena: the request's windows alias it.
+func (a *Arena) DecodeStream(p []byte) (StreamRequest, error) {
+	a.reset(p)
 	d := decoder{buf: p}
 	req := StreamRequest{StreamID: d.u32("stream id")}
 	flags := d.u8("stream flags")
@@ -562,10 +660,7 @@ func DecodeStreamRequest(p []byte) (StreamRequest, error) {
 		if rem := len(d.buf) - d.off; rem < w*windowWireLen {
 			return StreamRequest{}, corrupt("stream append claims %d windows, %d bytes remain", w, rem)
 		}
-		req.Windows = make([]trace.WindowCounts, w)
-		for j := range req.Windows {
-			req.Windows[j] = d.window()
-		}
+		req.Windows = a.carve(&d, w)
 	}
 	req.Tenant = d.tenantTail()
 	d.done()
@@ -655,23 +750,20 @@ func (d *decoder) str16(what string) string {
 	return s
 }
 
-// window reads one fixed-size window encoding.
-func (d *decoder) window() trace.WindowCounts {
-	var w trace.WindowCounts
-	if !d.need(windowWireLen, "window") {
-		return w
-	}
-	w.Taken = int(binary.BigEndian.Uint32(d.buf[d.off:]))
-	d.off += 4
+// window reads one fixed-size window encoding into *w, overwriting
+// every field. The caller checked that its bytes remain.
+func (d *decoder) window(w *trace.WindowCounts) {
+	b := d.buf[d.off : d.off+windowWireLen]
+	d.off += windowWireLen
+	w.Taken = int(binary.BigEndian.Uint32(b))
+	b = b[4:]
 	for i := range w.Opcode {
-		w.Opcode[i] = int(binary.BigEndian.Uint32(d.buf[d.off:]))
-		d.off += 4
+		w.Opcode[i] = int(binary.BigEndian.Uint32(b[4*i:]))
 	}
+	b = b[4*len(w.Opcode):]
 	for i := range w.Stride {
-		w.Stride[i] = int(binary.BigEndian.Uint32(d.buf[d.off:]))
-		d.off += 4
+		w.Stride[i] = int(binary.BigEndian.Uint32(b[4*i:]))
 	}
-	return w
 }
 
 // done asserts the payload was consumed exactly: trailing garbage is

@@ -195,11 +195,17 @@ func ReadPreamble(r io.Reader) (uint8, error) {
 // AppendFrame appends the encoded frame to dst and returns it.
 func AppendFrame(dst []byte, f Frame) []byte {
 	start := len(dst)
-	dst = append(dst, byte(f.Type), f.Flags)
-	dst = binary.BigEndian.AppendUint64(dst, f.Corr)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Payload)))
+	dst = appendFrameHeader(dst, f)
 	dst = append(dst, f.Payload...)
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// appendFrameHeader appends f's type, flags, correlation id and
+// payload length.
+func appendFrameHeader(dst []byte, f Frame) []byte {
+	dst = append(dst, byte(f.Type), f.Flags)
+	dst = binary.BigEndian.AppendUint64(dst, f.Corr)
+	return binary.BigEndian.AppendUint32(dst, uint32(len(f.Payload)))
 }
 
 // EncodeFrame encodes one frame.
@@ -249,7 +255,12 @@ func DecodeFrame(raw []byte, maxPayload int) (Frame, int, error) {
 // stream synchronized on the next frame boundary; every other failure
 // wraps ErrCorrupt except a clean io.EOF at a frame boundary.
 func ReadWireFrame(r io.Reader, maxPayload int) (Frame, error) {
-	var hdr [FrameHeaderLen]byte
+	return readWireFrame(r, maxPayload, new([FrameHeaderLen]byte))
+}
+
+// readWireFrame is ReadWireFrame reading the header into hdr, which a
+// connection's single reader reuses for every frame.
+func readWireFrame(r io.Reader, maxPayload int, hdr *[FrameHeaderLen]byte) (Frame, error) {
 	if n, err := io.ReadFull(r, hdr[:]); err != nil {
 		if n == 0 {
 			// Nothing of the frame arrived: a clean close (io.EOF) or a

@@ -365,21 +365,22 @@ func (cc *clientConn) closeWhenIdle() {
 	}
 }
 
-// roundTrip sends one frame and waits for its correlated response.
-func (cl *Client) roundTrip(ctx context.Context, t wire.FrameType, payload []byte) (wire.Frame, error) {
-	cc, err := cl.getConn(ctx)
+// encodeBufs recycles request payload buffers. Conn.WriteFrame copies
+// a payload into the connection's writer, so a buffer goes back as
+// soon as its frame is written.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// roundTrip sends one frame and waits for its correlated response. A
+// non-nil buf is the pooled encode buffer holding the payload; it goes
+// back to encodeBufs once the frame is written or the send has failed.
+func (cl *Client) roundTrip(ctx context.Context, t wire.FrameType, payload []byte, buf *[]byte) (wire.Frame, error) {
+	cc, corr, ch, err := cl.send(ctx, t, payload)
+	if buf != nil {
+		*buf = payload[:0]
+		encodeBufs.Put(buf)
+	}
 	if err != nil {
 		return wire.Frame{}, err
-	}
-	corr := cl.corr.Add(1)
-	ch := make(chan wire.Frame, 1)
-	if err := cc.register(corr, ch); err != nil {
-		return wire.Frame{}, err
-	}
-	if err := cc.c.WriteFrame(wire.Frame{Type: t, Corr: corr, Payload: payload}); err != nil {
-		cc.unregister(corr)
-		cc.fail(err)
-		return wire.Frame{}, fmt.Errorf("%w: %v", ErrConnLost, err)
 	}
 	select {
 	case f, ok := <-ch:
@@ -395,6 +396,25 @@ func (cl *Client) roundTrip(ctx context.Context, t wire.FrameType, payload []byt
 	}
 }
 
+// send writes one frame on a boardable connection under a fresh
+// correlation id, registered for the response that ch receives.
+func (cl *Client) send(ctx context.Context, t wire.FrameType, payload []byte) (cc *clientConn, corr uint64, ch chan wire.Frame, err error) {
+	if cc, err = cl.getConn(ctx); err != nil {
+		return nil, 0, nil, err
+	}
+	corr = cl.corr.Add(1)
+	ch = make(chan wire.Frame, 1)
+	if err := cc.register(corr, ch); err != nil {
+		return nil, 0, nil, err
+	}
+	if err := cc.c.WriteFrame(wire.Frame{Type: t, Corr: corr, Payload: payload}); err != nil {
+		cc.unregister(corr)
+		cc.fail(err)
+		return nil, 0, nil, fmt.Errorf("%w: %v", ErrConnLost, err)
+	}
+	return cc, corr, ch, nil
+}
+
 // Detect runs one detect request and returns the verdict. A request
 // without its own tenant tag inherits the client's Options.Tenant. A
 // server-side rejection (validation, overload, drain) comes back as a
@@ -404,11 +424,13 @@ func (cl *Client) Detect(ctx context.Context, req wire.DetectRequest) (wire.Verd
 	if req.Tenant == "" {
 		req.Tenant = cl.opts.Tenant
 	}
-	payload, err := wire.AppendDetectRequest(nil, req)
+	buf := encodeBufs.Get().(*[]byte)
+	payload, err := wire.AppendDetectRequest((*buf)[:0], req)
 	if err != nil {
+		encodeBufs.Put(buf)
 		return wire.Verdict{}, err
 	}
-	f, err := cl.roundTrip(ctx, wire.FrameDetect, payload)
+	f, err := cl.roundTrip(ctx, wire.FrameDetect, payload, buf)
 	if err != nil {
 		return wire.Verdict{}, err
 	}
@@ -428,7 +450,7 @@ func (cl *Client) Detect(ctx context.Context, req wire.DetectRequest) (wire.Verd
 
 // Ping round-trips a liveness probe.
 func (cl *Client) Ping(ctx context.Context) error {
-	f, err := cl.roundTrip(ctx, wire.FramePing, nil)
+	f, err := cl.roundTrip(ctx, wire.FramePing, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -441,7 +463,7 @@ func (cl *Client) Ping(ctx context.Context) error {
 // Health fetches the server's health report (the same JSON body
 // /healthz serves, decoded into the caller's structure of choice).
 func (cl *Client) Health(ctx context.Context) (json.RawMessage, error) {
-	f, err := cl.roundTrip(ctx, wire.FrameHealthReq, nil)
+	f, err := cl.roundTrip(ctx, wire.FrameHealthReq, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -135,11 +135,13 @@ func (cl *Client) OpenWindowStream(label string, stride int) *WindowStream {
 
 // push round-trips one STREAM frame and maps the reply.
 func (ws *WindowStream) push(ctx context.Context, req wire.StreamRequest) ([]wire.VerdictResult, error) {
-	payload, err := wire.AppendStreamRequest(nil, req)
+	buf := encodeBufs.Get().(*[]byte)
+	payload, err := wire.AppendStreamRequest((*buf)[:0], req)
 	if err != nil {
+		encodeBufs.Put(buf)
 		return nil, err
 	}
-	f, err := ws.cl.roundTrip(ctx, wire.FrameStream, payload)
+	f, err := ws.cl.roundTrip(ctx, wire.FrameStream, payload, buf)
 	if err != nil {
 		return nil, err
 	}
