@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"shmd/internal/core"
+	"shmd/internal/tenant"
 )
 
 // errBrownout marks a dispatch that found no routable backend: every
@@ -23,37 +24,81 @@ type proxyResult struct {
 	ctype   string
 	body    []byte
 	backend string
-	hedged  bool
 }
 
-// attemptOutcome is one forwarding attempt's result.
-type attemptOutcome struct {
-	res   *proxyResult
-	hedge bool
-	err   error
+// failure is a refused or failed detect request's reply, the same on
+// both transports: a status code, a message, and whether a jittered
+// backoff hint rides along. failHTTP and failWire write it.
+type failure struct {
+	code  int
+	msg   string
+	retry bool
+}
+
+// admit is the router's admission step for one detect request whose
+// client advises priority class c, the same on both transports: a
+// draining router sheds 503, and a partial brownout sheds c's class
+// 429 — cheap, before the request body is even read, so the surviving
+// backends' capacity goes to interactive traffic. ok is false when the
+// request is refused with f.
+func (rt *Router) admit(c tenant.Class) (f failure, ok bool) {
+	switch {
+	case rt.draining.Load():
+		f = failure{http.StatusServiceUnavailable, "router draining", true}
+	case rt.shedClass(c):
+		f = failure{http.StatusTooManyRequests, fmt.Sprintf("fleet brownout: %s traffic shed", c), true}
+	default:
+		return failure{}, true
+	}
+	rt.metrics.Sheds.Inc()
+	return f, false
+}
+
+// failed maps a dispatch failure to its reply. ctx is the request's
+// own context: a client that went away is recorded under the de-facto
+// 499 and answered nothing.
+func (rt *Router) failed(ctx context.Context, err error) failure {
+	switch {
+	case ctx.Err() != nil:
+		return failure{code: statusClientClosedRequest}
+	case errors.Is(err, errBrownout):
+		rt.metrics.Sheds.Inc()
+		return failure{http.StatusServiceUnavailable, err.Error(), true}
+	default:
+		// Every backend tried answered badly; the fleet is reachable but
+		// misbehaving. 502 tells the client the router itself is fine.
+		return failure{http.StatusBadGateway, err.Error(), true}
+	}
+}
+
+// statusClientClosedRequest is nginx's de-facto 499, used only as a
+// metrics label for requests abandoned mid-dispatch.
+const statusClientClosedRequest = 499
+
+// failHTTP writes a failure as an HTTP error reply, with a jittered
+// Retry-After when it carries a hint, and records it in the request
+// counters (observe endpoints write plain http.Error instead, keeping
+// scrapes and health probes out of the metric).
+func (rt *Router) failHTTP(w http.ResponseWriter, f failure) {
+	rt.metrics.Request(f.code)
+	if f.code == statusClientClosedRequest {
+		return
+	}
+	if f.retry {
+		rt.shedHint(w)
+	}
+	http.Error(w, f.msg, f.code)
 }
 
 // handleDetect proxies POST /v1/detect onto the fleet.
 func (rt *Router) handleDetect(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		rt.status(w, http.StatusMethodNotAllowed, "POST only")
+		rt.failHTTP(w, failure{code: http.StatusMethodNotAllowed, msg: "POST only"})
 		return
 	}
-	if rt.draining.Load() {
-		rt.metrics.Sheds.Inc()
-		rt.shedHint(w)
-		rt.status(w, http.StatusServiceUnavailable, "router draining")
-		return
-	}
-	// Partial brownout: with part of the fleet unroutable, best-effort
-	// classes are shed here — cheap, before the body is even read — so
-	// the surviving backends' capacity goes to interactive traffic.
-	if class := classFor(r.Header.Get("X-Tenant-Class")); rt.shedClass(class) {
-		rt.metrics.Sheds.Inc()
-		rt.shedHint(w)
-		rt.status(w, http.StatusTooManyRequests,
-			fmt.Sprintf("fleet brownout: %s traffic shed", class))
+	if f, ok := rt.admit(classFor(r.Header.Get("X-Tenant-Class"))); !ok {
+		rt.failHTTP(w, f)
 		return
 	}
 	// The body is buffered whole so it can be re-sent verbatim to a
@@ -61,22 +106,21 @@ func (rt *Router) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// ballooning router memory.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {
+		f := failure{code: http.StatusBadRequest, msg: "reading request body: " + err.Error()}
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			rt.status(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return
+			f = failure{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("body exceeds %d bytes", tooBig.Limit)}
 		}
-		rt.status(w, http.StatusBadRequest, "reading request body: "+err.Error())
+		rt.failHTTP(w, f)
 		return
 	}
 
-	res, err := rt.dispatch(r.Context(), body, r.Header)
+	res, err := dispatch(r.Context(), rt, nil, func(ctx context.Context, b *backend, probe bool) (*proxyResult, error) {
+		return rt.forward(ctx, b, body, r.Header, probe)
+	})
 	if err != nil {
-		rt.failDetect(w, r, err)
+		rt.failHTTP(w, rt.failed(r.Context(), err))
 		return
-	}
-	if res.hedged {
-		rt.metrics.HedgeWins.Inc()
 	}
 	w.Header().Set("X-Shmd-Backend", res.backend)
 	if res.ctype != "" {
@@ -87,46 +131,28 @@ func (rt *Router) handleDetect(w http.ResponseWriter, r *http.Request) {
 	w.Write(res.body)
 }
 
-// failDetect maps a dispatch failure to its HTTP reply.
-func (rt *Router) failDetect(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case r.Context().Err() != nil:
-		// Client gone; nobody is listening. Metrics label only.
-		rt.metrics.Request(statusClientClosedRequest)
-	case errors.Is(err, errBrownout):
-		rt.metrics.Sheds.Inc()
-		rt.shedHint(w)
-		rt.status(w, http.StatusServiceUnavailable, err.Error())
-	default:
-		// Every backend tried answered badly; the fleet is reachable but
-		// misbehaving. 502 tells the client the router itself is fine.
-		rt.shedHint(w)
-		rt.status(w, http.StatusBadGateway, err.Error())
-	}
+// attempt is one forwarding attempt's outcome.
+type attempt[R any] struct {
+	res   R
+	hedge bool
+	err   error
 }
 
-// statusClientClosedRequest is nginx's de-facto 499, used only as a
-// metrics label for requests abandoned mid-dispatch.
-const statusClientClosedRequest = 499
-
-// status writes an error reply on the detect path and records it in
-// the request counters (observe endpoints write plain http.Error
-// instead, keeping scrapes and health probes out of the metric).
-func (rt *Router) status(w http.ResponseWriter, code int, msg string) {
-	rt.metrics.Request(code)
-	http.Error(w, msg, code)
-}
-
-// dispatch runs the retry loop: each round makes one (possibly hedged)
-// attempt on backends not yet tried, and a connect error or 5xx earns
-// another round after an equal-jitter backoff, up to MaxRetries. The
-// tried set persists across rounds so a retry always lands on a fresh
-// backend while one exists.
-func (rt *Router) dispatch(ctx context.Context, body []byte, hdr http.Header) (*proxyResult, error) {
+// dispatch is the retry-and-hedge loop both transports share. send
+// forwards the request to one backend (forward over HTTP, wireForward
+// over SHMDWIRE) and must resolve the backend's half-open probe when
+// probe is set; eligible, when non-nil, limits the backends send can
+// reach. Each round makes one (possibly hedged) attempt on eligible
+// backends not yet tried, and a failed attempt (connect error, 5xx)
+// earns another round after an equal-jitter backoff, up to MaxRetries.
+// The tried set persists across rounds so a retry always lands on a
+// fresh backend while one exists.
+func dispatch[R any](ctx context.Context, rt *Router, eligible func(*backend) bool, send func(ctx context.Context, b *backend, probe bool) (R, error)) (R, error) {
 	tried := make(map[*backend]bool, len(rt.backends))
+	var zero R
 	var lastErr error
-	for attempt := 0; ; attempt++ {
-		res, err := rt.race(ctx, body, hdr, tried)
+	for round := 0; ; round++ {
+		res, err := race(ctx, rt, tried, eligible, send)
 		if err == nil {
 			return res, nil
 		}
@@ -134,38 +160,50 @@ func (rt *Router) dispatch(ctx context.Context, body []byte, hdr http.Header) (*
 			if lastErr != nil {
 				// Fresh backends ran out mid-retry; report the real
 				// failure, not the exhaustion.
-				return nil, lastErr
+				return zero, lastErr
 			}
 			// Nothing was ever routable: a brownout shed, not a failed
 			// dispatch.
-			return nil, err
+			return zero, err
 		}
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return zero, ctx.Err()
 		}
 		lastErr = err
-		if attempt >= rt.cfg.MaxRetries {
-			return nil, lastErr
+		if round >= rt.cfg.MaxRetries {
+			return zero, lastErr
 		}
 		rt.metrics.Retries.Inc()
-		rt.cfg.Sleep(rt.jitter.Backoff(rt.cfg.RetryBackoff, rt.cfg.MaxRetryBackoff, attempt))
+		rt.cfg.Sleep(rt.jitter.Backoff(rt.cfg.RetryBackoff, rt.cfg.MaxRetryBackoff, round))
 	}
 }
 
-// race makes one dispatch attempt: forward to the picked backend and,
-// if the reply outlives HedgeAfter, re-dispatch to a second backend —
-// the first verdict wins and the loser's attempt finishes detached
-// (its breaker feedback still lands). Every backend used is added to
-// tried.
-func (rt *Router) race(ctx context.Context, body []byte, hdr http.Header, tried map[*backend]bool) (*proxyResult, error) {
-	primary, probe := rt.pick(tried)
-	if primary == nil {
-		return nil, errBrownout
-	}
-	tried[primary] = true
+// race makes one dispatch attempt: send to the picked backend and, if
+// the reply outlives HedgeAfter, re-send to a second backend — the
+// first reply wins (a hedge win is counted) and the loser's attempt
+// finishes detached, its breaker feedback still landing. Every backend
+// used is added to tried.
+func race[R any](ctx context.Context, rt *Router, tried map[*backend]bool, eligible func(*backend) bool, send func(context.Context, *backend, bool) (R, error)) (R, error) {
+	var zero R
 	// Buffered for every possible runner so a loser's send never blocks.
-	outcomes := make(chan attemptOutcome, 2)
-	rt.forwardAsync(ctx, primary, body, hdr, false, probe, outcomes)
+	outcomes := make(chan attempt[R], 2)
+	start := func(hedge bool) bool {
+		b, probe := rt.pick(tried, eligible)
+		if b == nil {
+			return false
+		}
+		tried[b] = true
+		rt.reqWG.Add(1)
+		go func() {
+			defer rt.reqWG.Done()
+			res, err := send(ctx, b, probe)
+			outcomes <- attempt[R]{res: res, hedge: hedge, err: err}
+		}()
+		return true
+	}
+	if !start(false) {
+		return zero, errBrownout
+	}
 
 	var hedgeC <-chan time.Time
 	if rt.cfg.HedgeAfter > 0 {
@@ -180,7 +218,9 @@ func (rt *Router) race(ctx context.Context, body []byte, hdr http.Header, tried 
 		case out := <-outcomes:
 			pending--
 			if out.err == nil {
-				out.res.hedged = out.hedge
+				if out.hedge {
+					rt.metrics.HedgeWins.Inc()
+				}
 				return out.res, nil
 			}
 			if firstErr == nil {
@@ -190,41 +230,41 @@ func (rt *Router) race(ctx context.Context, body []byte, hdr http.Header, tried 
 			hedgeC = nil
 			// Hedging spends only capacity that is routable right now;
 			// no second backend → the primary simply keeps running.
-			if h, hprobe := rt.pick(tried); h != nil {
-				tried[h] = true
+			if start(true) {
 				rt.metrics.Hedges.Inc()
 				pending++
-				rt.forwardAsync(ctx, h, body, hdr, true, hprobe, outcomes)
 			}
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return zero, ctx.Err()
 		}
 	}
-	return nil, firstErr
+	return zero, firstErr
 }
 
-// pick selects the next backend. Half-open probes come first: a ready
-// backend whose breaker cooldown has elapsed claims this request as
-// its single live probe — exactly as the Supervisor probes a degraded
-// slot with a real detection — so a tripped backend re-earns traffic
-// even while healthy peers could absorb everything (and at most one
-// request per cooldown is risked; a failed probe retries elsewhere).
-// Otherwise: power-of-two-choices on in-flight count among ready
-// backends with closed breakers. The second return is true when the
-// pick claimed a half-open probe — the forward MUST then resolve the
-// breaker (Success, Failure, or Release). Returns nil when nothing is
-// routable (brownout).
-func (rt *Router) pick(tried map[*backend]bool) (*backend, bool) {
+// pick selects the next backend among those eligible (nil = every
+// backend), ready, and not yet tried; eligibility is settled before a
+// breaker is asked, so a pick never claims a probe it cannot use.
+// Half-open probes come first: a backend whose breaker cooldown has
+// elapsed claims this request as its single live probe — exactly as
+// the Supervisor probes a degraded slot with a real detection — so a
+// tripped backend re-earns traffic even while healthy peers could
+// absorb everything (and at most one request per cooldown is risked; a
+// failed probe retries elsewhere). Otherwise: power-of-two-choices on
+// in-flight count among backends with closed breakers. The second
+// return is true when the pick claimed a half-open probe — the send
+// MUST then resolve the breaker (Success, Failure, or Release).
+// Returns nil when nothing is routable (brownout).
+func (rt *Router) pick(tried map[*backend]bool, eligible func(*backend) bool) (*backend, bool) {
 	var avail []*backend
 	for _, b := range rt.backends {
-		if tried[b] || !b.ready.Load() {
+		if tried[b] || !b.ready.Load() || (eligible != nil && !eligible(b)) {
 			continue
 		}
 		if b.breaker.State() == core.BreakerClosed {
 			avail = append(avail, b)
 			continue
 		}
-		// Allow claims the single half-open probe; the forward's outcome
+		// Allow claims the single half-open probe; the send's outcome
 		// closes the breaker, re-opens it with doubled cooldown, or hands
 		// the probe back if the attempt is abandoned.
 		if b.breaker.Allow() {
@@ -252,16 +292,6 @@ func (rt *Router) pick(tried map[*backend]bool) (*backend, bool) {
 		}
 		return avail[i], false
 	}
-}
-
-// forwardAsync starts one tracked attempt goroutine.
-func (rt *Router) forwardAsync(ctx context.Context, b *backend, body []byte, hdr http.Header, hedge, probe bool, out chan<- attemptOutcome) {
-	rt.reqWG.Add(1)
-	go func() {
-		defer rt.reqWG.Done()
-		res, err := rt.forward(ctx, b, body, hdr, probe)
-		out <- attemptOutcome{res: res, hedge: hedge, err: err}
-	}()
 }
 
 // forwardHeaders are the request headers the router relays to the

@@ -165,14 +165,14 @@ func TestPickLoadAware(t *testing.T) {
 	rt := newTestRouter(t, Config{}, b0, b1)
 	rt.backends[0].inflight.Store(5)
 	for i := 0; i < 10; i++ {
-		if got, _ := rt.pick(map[*backend]bool{}); got != rt.backends[1] {
+		if got, _ := rt.pick(map[*backend]bool{}, nil); got != rt.backends[1] {
 			t.Fatalf("pick chose the loaded backend (inflight 5 vs 0)")
 		}
 	}
 	rt.backends[0].inflight.Store(0)
 	rt.backends[1].inflight.Store(3)
 	for i := 0; i < 10; i++ {
-		if got, _ := rt.pick(map[*backend]bool{}); got != rt.backends[0] {
+		if got, _ := rt.pick(map[*backend]bool{}, nil); got != rt.backends[0] {
 			t.Fatalf("pick chose the loaded backend (inflight 0 vs 3)")
 		}
 	}
@@ -187,7 +187,7 @@ func TestPickPowerOfTwo(t *testing.T) {
 	rt.backends[0].inflight.Store(100)
 	picks := map[string]int{}
 	for i := 0; i < 300; i++ {
-		b, _ := rt.pick(map[*backend]bool{})
+		b, _ := rt.pick(map[*backend]bool{}, nil)
 		picks[b.name]++
 	}
 	// The loaded backend can only win when sampled against itself —
@@ -207,12 +207,12 @@ func TestPickExcludesTried(t *testing.T) {
 	rt := newTestRouter(t, Config{}, b0, b1)
 	tried := map[*backend]bool{rt.backends[0]: true}
 	for i := 0; i < 10; i++ {
-		if got, _ := rt.pick(tried); got != rt.backends[1] {
+		if got, _ := rt.pick(tried, nil); got != rt.backends[1] {
 			t.Fatal("pick returned a tried backend")
 		}
 	}
 	tried[rt.backends[1]] = true
-	if got, _ := rt.pick(tried); got != nil {
+	if got, _ := rt.pick(tried, nil); got != nil {
 		t.Error("pick invented a backend with all tried")
 	}
 }
@@ -473,7 +473,7 @@ func TestHalfOpenProbeReleasedOnCancel(t *testing.T) {
 	b.breaker.Failure() // threshold 1: trips open
 	clock = clock.Add(time.Minute)
 
-	picked, probe := rt.pick(map[*backend]bool{})
+	picked, probe := rt.pick(map[*backend]bool{}, nil)
 	if picked != b || !probe {
 		t.Fatalf("pick = %v probe=%v, want the half-open probe claimed", picked, probe)
 	}

@@ -4,13 +4,18 @@ package route
 // clients connect here exactly as they would to a backend) and pooled
 // persistent upstream connections to each backend's wire listener.
 //
+// This file is the binary codec of the router's one request path
+// (dispatch.go): a DETECT frame passes the same admission step as an
+// HTTP request (drain, then class brownout, the class advisory read
+// from the client HELLO), runs through the same retry-and-hedge loop
+// with wireForward as its send and SHMDWIRE-speaking backends as the
+// only eligible ones, and fails through the same mapping, written as
+// a typed ERROR frame. Both transports feed one view of each backend's
+// health: the prober's rotation flag, in-flight counts and breakers.
+//
 // DETECT and VERDICT payloads are relayed verbatim — the router
 // re-correlates frames but never re-encodes them, so the binary path
-// through the fleet costs zero marshalling at the middle hop. Backend
-// choice reuses the exact machinery of the HTTP path: the prober's
-// rotation flag, power-of-two-choices on in-flight, per-backend
-// breakers with half-open probe claims, hedging, and bounded retry —
-// both transports feed one view of each backend's health.
+// through the fleet costs zero marshalling at the middle hop.
 //
 // Upstream connections are pooled with exclusive checkout: one relay
 // owns one connection for the life of one request. That keeps the
@@ -105,120 +110,26 @@ type wireReply struct {
 	frameType wire.FrameType
 	payload   []byte
 	backend   string
-	hedged    bool
 }
 
-// wireAttempt is one upstream attempt's result.
-type wireAttempt struct {
-	res   *wireReply
-	hedge bool
-	err   error
-}
+// speaksWire reports whether the backend has a SHMDWIRE listener: the
+// eligibility predicate of a binary relay's dispatch.
+func (b *backend) speaksWire() bool { return b.wire != nil }
 
-// dispatchWire runs the retry loop for one relayed DETECT payload,
-// mirroring the HTTP dispatch: each round makes one (possibly hedged)
-// attempt on backends not yet tried; connect errors and 5xx-class
-// ERROR frames earn another round after equal-jitter backoff.
-func (rt *Router) dispatchWire(ctx context.Context, payload []byte) (*wireReply, error) {
-	tried := make(map[*backend]bool, len(rt.backends))
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		res, err := rt.raceWire(ctx, payload, tried)
-		if err == nil {
-			return res, nil
-		}
-		if errors.Is(err, errBrownout) {
-			if lastErr != nil {
-				return nil, lastErr
-			}
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		lastErr = err
-		if attempt >= rt.cfg.MaxRetries {
-			return nil, lastErr
-		}
-		rt.metrics.Retries.Inc()
-		rt.cfg.Sleep(rt.jitter.Backoff(rt.cfg.RetryBackoff, rt.cfg.MaxRetryBackoff, attempt))
+// failWire writes a failure as a typed ERROR frame under corr. A
+// backoff hint rides in the message text: the router relays upstream
+// frames verbatim and keeps no per-client opt-in state for the
+// machine-readable tail.
+func (rt *Router) failWire(c *wire.Conn, corr uint64, f failure) {
+	rt.metrics.Request(f.code)
+	if f.code == statusClientClosedRequest {
+		return
 	}
-}
-
-// raceWire makes one dispatch attempt with optional hedging, exactly
-// like the HTTP race. Only backends with a wire address participate.
-func (rt *Router) raceWire(ctx context.Context, payload []byte, tried map[*backend]bool) (*wireReply, error) {
-	primary, probe := rt.pickWire(tried)
-	if primary == nil {
-		return nil, errBrownout
+	msg := f.msg
+	if f.retry {
+		msg = fmt.Sprintf("%s; retry in %ds", msg, rt.jitter.RetryAfter())
 	}
-	tried[primary] = true
-	outcomes := make(chan wireAttempt, 2)
-	rt.wireForwardAsync(ctx, primary, payload, false, probe, outcomes)
-
-	var hedgeC <-chan time.Time
-	if rt.cfg.HedgeAfter > 0 {
-		t := time.NewTimer(rt.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	pending := 1
-	var firstErr error
-	for pending > 0 {
-		select {
-		case out := <-outcomes:
-			pending--
-			if out.err == nil {
-				out.res.hedged = out.hedge
-				return out.res, nil
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if h, hprobe := rt.pickWire(tried); h != nil {
-				tried[h] = true
-				rt.metrics.Hedges.Inc()
-				pending++
-				rt.wireForwardAsync(ctx, h, payload, true, hprobe, outcomes)
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return nil, firstErr
-}
-
-// pickWire is pick restricted to backends that speak SHMDWIRE.
-func (rt *Router) pickWire(tried map[*backend]bool) (*backend, bool) {
-	wireless := make(map[*backend]bool, len(rt.backends))
-	for _, b := range rt.backends {
-		if b.wire == nil {
-			wireless[b] = true
-		}
-	}
-	if len(wireless) == 0 {
-		return rt.pick(tried)
-	}
-	merged := make(map[*backend]bool, len(tried)+len(wireless))
-	for b := range tried {
-		merged[b] = true
-	}
-	for b := range wireless {
-		merged[b] = true
-	}
-	return rt.pick(merged)
-}
-
-// wireForwardAsync starts one tracked upstream attempt.
-func (rt *Router) wireForwardAsync(ctx context.Context, b *backend, payload []byte, hedge, probe bool, out chan<- wireAttempt) {
-	rt.reqWG.Add(1)
-	go func() {
-		defer rt.reqWG.Done()
-		res, err := rt.wireForward(ctx, b, payload, probe)
-		out <- wireAttempt{res: res, hedge: hedge, err: err}
-	}()
+	c.WriteError(corr, wire.ErrorCode(f.code), msg)
 }
 
 // wireForward relays one DETECT payload to one backend over a pooled
@@ -478,8 +389,7 @@ func (rt *Router) handleWireClient(nc net.Conn) {
 		if err != nil {
 			var tooBig *wire.TooLargeError
 			if errors.As(err, &tooBig) {
-				rt.metrics.Request(int(wire.CodeTooLarge))
-				c.WriteError(tooBig.Corr, wire.CodeTooLarge, err.Error())
+				rt.failWire(c, tooBig.Corr, failure{code: int(wire.CodeTooLarge), msg: err.Error()})
 				continue
 			}
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
@@ -489,17 +399,8 @@ func (rt *Router) handleWireClient(nc net.Conn) {
 		}
 		switch f.Type {
 		case wire.FrameDetect:
-			if rt.draining.Load() {
-				rt.metrics.Sheds.Inc()
-				rt.metrics.Request(int(wire.CodeUnavailable))
-				c.WriteError(f.Corr, wire.CodeUnavailable, "router draining")
-				continue
-			}
-			if class := tenant.Class(wc.class.Load()); rt.shedClass(class) {
-				rt.metrics.Sheds.Inc()
-				rt.metrics.Request(int(wire.CodeOverloaded))
-				c.WriteError(f.Corr, wire.CodeOverloaded,
-					fmt.Sprintf("fleet brownout: %s traffic shed; retry in %ds", class, rt.jitter.RetryAfter()))
+			if fl, ok := rt.admit(tenant.Class(wc.class.Load())); !ok {
+				rt.failWire(c, f.Corr, fl)
 				continue
 			}
 			wc.wg.Add(1)
@@ -513,8 +414,7 @@ func (rt *Router) handleWireClient(nc net.Conn) {
 			// does not latch here).
 			h, derr := wire.DecodeHello(f.Payload)
 			if derr != nil {
-				rt.metrics.Request(int(wire.CodeBadRequest))
-				c.WriteError(f.Corr, wire.CodeBadRequest, "bad HELLO: "+derr.Error())
+				rt.failWire(c, f.Corr, failure{code: int(wire.CodeBadRequest), msg: "bad HELLO: " + derr.Error()})
 				continue
 			}
 			wc.class.Store(int32(classFor(h.Meta[wire.MetaClass])))
@@ -522,9 +422,8 @@ func (rt *Router) handleWireClient(nc net.Conn) {
 			// Sliding-window streams are stateful per connection; the
 			// router's pooled exclusive-checkout relay has no home for
 			// that state, so streams go directly to a backend.
-			rt.metrics.Request(int(wire.CodeBadRequest))
-			c.WriteError(f.Corr, wire.CodeBadRequest,
-				"STREAM is not relayed; open window streams directly against a backend wire listener")
+			rt.failWire(c, f.Corr, failure{code: int(wire.CodeBadRequest),
+				msg: "STREAM is not relayed; open window streams directly against a backend wire listener"})
 		case wire.FramePing:
 			c.WriteFrame(wire.Frame{Type: wire.FramePong, Corr: f.Corr})
 		case wire.FrameHealthReq:
@@ -542,34 +441,21 @@ func (rt *Router) handleWireClient(nc net.Conn) {
 				log.Printf("route: wire: skipping unknown frame type 0x%02x from %s", uint8(f.Type), c.RemoteAddr())
 				continue
 			}
-			rt.metrics.Request(int(wire.CodeBadRequest))
-			c.WriteError(f.Corr, wire.CodeBadRequest, fmt.Sprintf("unexpected %v frame", f.Type))
+			rt.failWire(c, f.Corr, failure{code: int(wire.CodeBadRequest), msg: fmt.Sprintf("unexpected %v frame", f.Type)})
 		}
 	}
 }
 
 // relayWireDetect dispatches one client DETECT payload through the
 // fleet and writes the winning reply back under the client's
-// correlation id. Failure mapping mirrors the HTTP failDetect.
+// correlation id.
 func (rt *Router) relayWireDetect(ctx context.Context, wc *routerWireConn, f wire.Frame) {
-	res, err := rt.dispatchWire(ctx, f.Payload)
+	res, err := dispatch(ctx, rt, (*backend).speaksWire, func(ctx context.Context, b *backend, probe bool) (*wireReply, error) {
+		return rt.wireForward(ctx, b, f.Payload, probe)
+	})
 	if err != nil {
-		switch {
-		case ctx.Err() != nil:
-			rt.metrics.Request(statusClientClosedRequest)
-		case errors.Is(err, errBrownout):
-			rt.metrics.Sheds.Inc()
-			rt.metrics.Request(int(wire.CodeUnavailable))
-			wc.c.WriteError(f.Corr, wire.CodeUnavailable,
-				fmt.Sprintf("%s; retry in %ds", err.Error(), rt.jitter.RetryAfter()))
-		default:
-			rt.metrics.Request(int(wire.CodeBadGateway))
-			wc.c.WriteError(f.Corr, wire.CodeBadGateway, err.Error())
-		}
+		rt.failWire(wc.c, f.Corr, rt.failed(ctx, err))
 		return
-	}
-	if res.hedged {
-		rt.metrics.HedgeWins.Inc()
 	}
 	if res.frameType == wire.FrameVerdict {
 		rt.metrics.Request(200)

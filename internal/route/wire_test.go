@@ -9,12 +9,14 @@ import (
 	"errors"
 	"math"
 	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"shmd/internal/core"
 	"shmd/internal/trace"
 	"shmd/internal/wire"
 	"shmd/pkg/sdk"
@@ -401,5 +403,55 @@ func TestWireSkipsHTTPOnlyBackends(t *testing.T) {
 	}
 	if hits := httpOnly.hits.Load(); hits != 0 {
 		t.Errorf("HTTP-only backend saw %d binary relays, want 0", hits)
+	}
+}
+
+// TestWirePickLeavesHTTPOnlyProbe: an HTTP-only backend whose breaker
+// cooldown has elapsed is never picked for a wire relay — its
+// eligibility is settled before its breaker is asked, so no wire relay
+// claims the half-open probe and leaves it unresolved — and the probe
+// is still there for the next HTTP request, which heals the breaker.
+func TestWirePickLeavesHTTPOnlyProbe(t *testing.T) {
+	fw := newFakeWireBackend(t, "a")
+	httpOnly := newFakeBackend(t, "b")
+	clock := time.Unix(0, 0)
+	rt := newWireRouter(t, Config{
+		Backends:     []string{fw.ts.URL, httpOnly.ts.URL},
+		WireBackends: []string{fw.wireAddr(), ""},
+		Breaker: core.BreakerConfig{
+			Threshold: 1,
+			Cooldown:  time.Minute,
+			Now:       func() time.Time { return clock },
+		},
+	})
+	b := rt.backends[1]
+	b.breaker.Failure() // threshold 1: trips open
+	clock = clock.Add(time.Minute)
+
+	for i := 0; i < 4; i++ {
+		picked, probe := rt.pick(map[*backend]bool{}, (*backend).speaksWire)
+		if picked != rt.backends[0] || probe {
+			t.Fatalf("wire pick %d = %v probe=%v, want the wire backend, no probe", i, picked, probe)
+		}
+	}
+	addr, _ := startRouterWire(t, rt)
+	cl := dialRouter(t, addr)
+	for i := 0; i < 4; i++ {
+		if _, err := cl.Detect(context.Background(), routeWireRequest(t)); err != nil {
+			t.Fatalf("wire detect %d: %v", i, err)
+		}
+	}
+	if st := b.breaker.State(); st != core.BreakerOpen {
+		t.Fatalf("HTTP-only breaker = %v after wire relays, want open with its probe unclaimed", st)
+	}
+
+	if rec := postDetect(t, rt, `{}`); rec.Code != http.StatusOK {
+		t.Fatalf("HTTP detect = %d %s", rec.Code, rec.Body)
+	}
+	if hits := httpOnly.hits.Load(); hits != 1 {
+		t.Errorf("HTTP-only backend answered %d requests, want the 1 probe", hits)
+	}
+	if st := b.breaker.State(); st != core.BreakerClosed {
+		t.Errorf("HTTP-only breaker = %v after the HTTP probe, want closed", st)
 	}
 }

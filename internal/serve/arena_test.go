@@ -188,6 +188,12 @@ func TestWireArenaOutlivesHedgedLoser(t *testing.T) {
 		t.Fatalf("trace holds %d records, want 4 (two lanes, winner and loser)", len(recs))
 	}
 	checkRecords(t, recs, a, b)
+	// Both hedge counters count batches: the one hedged batch, won by
+	// its hedge.
+	m := srv.Metrics()
+	if wins, hedges := m.HedgeWins.Value(), m.Hedges.Value(); wins > hedges || wins != 1 {
+		t.Errorf("hedge wins %d, hedges %d: want one batch won by its hedge, wins <= hedges", wins, hedges)
+	}
 }
 
 // TestWireArenaOutlivesExpiredRequest: a request's deadline expires

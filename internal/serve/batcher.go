@@ -577,6 +577,9 @@ func (b *batcher) run(primary *Slot, bt *batch) batchRun {
 		case out := <-outcomes:
 			pending--
 			if out.err == nil {
+				if out.hedge {
+					b.srv.metrics.HedgeWins.Inc()
+				}
 				return out
 			}
 			if firstErr == nil {

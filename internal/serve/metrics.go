@@ -87,7 +87,7 @@ func NewMetrics() *Metrics {
 	m.Unprotected = r.Counter("shmd_unprotected_decisions_total", "Verdicts served degraded at nominal voltage.")
 	m.QueueRejects = r.Counter("shmd_queue_rejects_total", "Requests shed with 429 at the backpressure limit.")
 	m.Hedges = r.Counter("shmd_hedged_dispatches_total", "Batches re-dispatched onto a second slot past the hedge budget.")
-	m.HedgeWins = r.Counter("shmd_hedge_wins_total", "Replies won by the hedge runner.")
+	m.HedgeWins = r.Counter("shmd_hedge_wins_total", "Batches won by the hedge runner.")
 	m.DeadlineExpired = r.Counter("shmd_deadline_expirations_total", "Requests shed at their detection deadline.")
 	m.DetectLatency = r.Histogram("shmd_detect_duration_seconds", "/v1/detect handling latency.", seconds, latencyBuckets...)
 	m.BatchFlushes = r.CounterVec("shmd_batch_flush_total", "Micro-batch flushes, by trigger.", "reason")

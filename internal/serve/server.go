@@ -282,108 +282,6 @@ func (s *Server) admissionLoad() float64 {
 	return float64(len(s.queue)) / float64(cap(s.queue))
 }
 
-// admitTenant runs the tenant-QoS decision for one request carrying
-// identity id. Nil when tenancy is off.
-func (s *Server) admitTenant(id string) *tenant.Admission {
-	if s.tenants == nil {
-		return nil
-	}
-	return s.tenants.Admit(id, s.admissionLoad())
-}
-
-// rejectTenant writes the HTTP reply for a refused admission: 403 for
-// an unknown tenant, 429 with a jittered Retry-After for quota and
-// pressure sheds.
-func (s *Server) rejectTenant(w http.ResponseWriter, adm *tenant.Admission) {
-	s.metrics.shedTenant(adm.Tenant, adm.Class.String(), adm.Outcome.String())
-	if adm.Outcome == tenant.Unknown {
-		s.status(w, http.StatusForbidden, fmt.Sprintf("unknown tenant %q", adm.Tenant))
-		return
-	}
-	s.shedHint(w)
-	s.status(w, http.StatusTooManyRequests, fmt.Sprintf("tenant %s over %s limit", adm.Tenant, adm.Outcome))
-}
-
-// handleDetect serves POST /v1/detect.
-func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.status(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-
-	// Tenant QoS first: quota, concurrency, and load shaping decide
-	// whether this tenant may submit at all, before the flat queue
-	// decides whether the server has room.
-	var tenantID string
-	var class tenant.Class
-	if adm := s.admitTenant(r.Header.Get(tenantHeader)); adm != nil {
-		defer adm.Release()
-		if !adm.OK() {
-			s.rejectTenant(w, adm)
-			return
-		}
-		tenantID, class = adm.Tenant, adm.Class
-		s.metrics.TenantAccepted.With(adm.Tenant, adm.Class.String()).Inc()
-		w.Header().Set(tenantHeader, adm.Tenant)
-	}
-
-	// Admission control before any decode work: shed at the
-	// backpressure limit so overload costs the caller one channel probe.
-	select {
-	case s.queue <- struct{}{}:
-		defer func() { <-s.queue }()
-	default:
-		s.metrics.QueueRejects.Inc()
-		if s.tenants != nil {
-			s.metrics.shedTenant(tenantID, class.String(), "queue")
-		}
-		s.shedHint(w)
-		s.status(w, http.StatusTooManyRequests, "detection queue full")
-		return
-	}
-	s.inflight <- struct{}{}
-	defer func() { <-s.inflight }()
-
-	body := http.MaxBytesReader(w, r.Body, s.cfg.Limits.MaxBodyBytes)
-	programs, err := DecodeDetectRequest(body, s.cfg.Limits)
-	if err != nil {
-		s.status(w, StatusOf(err), err.Error())
-		return
-	}
-
-	deadline, err := requestDeadline(r, s.cfg.DefaultDeadline)
-	if err != nil {
-		s.status(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ctx := r.Context()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-
-	out, err := s.batcher.dispatch(ctx, class, tenantID, programs, nil)
-	if err != nil {
-		s.failDetect(w, r, err)
-		return
-	}
-	defer out.release()
-	if out.hedge {
-		s.metrics.HedgeWins.Inc()
-	}
-	for _, res := range out.results {
-		s.metrics.Decision(res.Malware, res.Unprotected)
-	}
-	resp := DetectResponse{Results: out.results, Session: out.session, Hedged: out.hedge, Tenant: tenantID}
-	s.metrics.Request(http.StatusOK)
-	s.metrics.DetectLatency.Observe(int64(time.Since(start)))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-}
-
 // deadlineHeader carries a per-request detection deadline in integer
 // milliseconds; it overrides Config.DefaultDeadline for one request.
 const deadlineHeader = "X-Detect-Deadline-Ms"
@@ -401,32 +299,6 @@ func requestDeadline(r *http.Request, def time.Duration) (time.Duration, error) 
 		return 0, fmt.Errorf("%s: %q is not a positive integer millisecond count", deadlineHeader, raw)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
-}
-
-// failDetect maps a dispatch failure to its HTTP reply. Deadline
-// expiry is the server shedding load, not an internal fault: it maps
-// to a 503 with Retry-After, never a 500. A client that went away is
-// recorded under the de-facto 499 with nothing written.
-func (s *Server) failDetect(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case r.Context().Err() != nil:
-		// The client disconnected or cancelled; nobody is listening.
-		s.metrics.Request(statusClientClosedRequest)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.DeadlineExpired.Inc()
-		s.shedHint(w)
-		s.status(w, http.StatusServiceUnavailable, "detection deadline exceeded")
-	case errors.Is(err, ErrPoolClosed):
-		s.status(w, http.StatusServiceUnavailable, err.Error())
-	default:
-		var ae *AcquireError
-		if errors.As(err, &ae) {
-			s.shedHint(w)
-			s.status(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		s.status(w, http.StatusInternalServerError, err.Error())
-	}
 }
 
 // batchOutcome is one request's verdict set, assembled from its lanes.
@@ -508,10 +380,6 @@ func (s *Server) traceRecord(slot *Slot, windows []trace.WindowCounts, v core.Ve
 		Windows: slices.Clone(windows),
 	})
 }
-
-// statusClientClosedRequest is the de-facto code (nginx's 499) used
-// only as a metrics label for requests abandoned while queued.
-const statusClientClosedRequest = 499
 
 // Confidence normalizes the decision margin into [0, 1]: the distance
 // between the mean window score and the threshold, relative to the

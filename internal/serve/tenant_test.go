@@ -591,3 +591,134 @@ func TestClassOrderAtBind(t *testing.T) {
 		})
 	}
 }
+
+// TestTenantAdmissionOrder pins the detect core's admission order on
+// both transports: tenant admission, then the flat queue token, then
+// decode. A request its tenant refuses takes no queue token and has
+// nothing decoded — an unknown tenant's invalid request is a 403, not
+// a 400, and a tenant shed never counts as a queue reject — while a
+// request its tenant admits that finds the queue full is shed 429 and
+// recorded under reason="queue".
+func TestTenantAdmissionOrder(t *testing.T) {
+	valid := testWindows(t, trace.Trojan, 0, 4)
+	for _, transport := range []string{"http", "wire"} {
+		t.Run(transport, func(t *testing.T) {
+			srv := newTestServer(t, Config{
+				Pool:       PoolConfig{Size: 1},
+				QueueDepth: 1,
+				JitterSeed: 1,
+				Tenancy: &tenant.Config{
+					Tenants: []tenant.Spec{
+						// Realtime is never load-shed, so a full queue
+						// reaches these tenants as a queue shed.
+						{ID: "acme", Class: tenant.Realtime},
+						{ID: "tight", Class: tenant.Realtime, Rate: 1, Burst: 1},
+					},
+					Now: frozenClock(),
+				},
+			})
+			defer srv.Close()
+
+			// detect sends one request with the given windows (nil: an
+			// empty program, which fails validation) and returns its
+			// status code.
+			var detect func(tenantID string, windows []trace.WindowCounts) int
+			strangers := 2
+			if transport == "http" {
+				ts := httptest.NewServer(srv.Handler())
+				defer ts.Close()
+				detect = func(tenantID string, windows []trace.WindowCounts) int {
+					resp, _ := postTenantDetect(t, ts, tenantID, detectBody(t, windows))
+					return resp.StatusCode
+				}
+				// A body that is not even JSON is never read for a
+				// stranger.
+				if resp, raw := postTenantDetect(t, ts, "stranger", []byte(`{"programs":[`)); resp.StatusCode != http.StatusForbidden {
+					t.Fatalf("stranger's malformed body = %d %s, want 403", resp.StatusCode, raw)
+				}
+				strangers++
+			} else {
+				addr, stop := startWireServer(t, srv)
+				defer stop()
+				c := wireDial(t, addr)
+				var corr uint64
+				detect = func(tenantID string, windows []trace.WindowCounts) int {
+					corr++
+					req := wireDetectRequest(windows)
+					req.Tenant = tenantID
+					payload, err := wire.AppendDetectRequest(nil, req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := c.WriteFrame(wire.Frame{Type: wire.FrameDetect, Corr: corr, Payload: payload}); err != nil {
+						t.Fatal(err)
+					}
+					f, err := c.ReadFrame()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if f.Corr != corr {
+						t.Fatalf("reply corr %d, want %d", f.Corr, corr)
+					}
+					if f.Type == wire.FrameVerdict {
+						return http.StatusOK
+					}
+					e, err := wire.DecodeErrorFrame(f.Payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return int(e.Code)
+				}
+			}
+
+			if code := detect("stranger", nil); code != http.StatusForbidden {
+				t.Errorf("stranger's invalid windows = %d, want 403", code)
+			}
+			if code := detect("acme", nil); code != http.StatusBadRequest {
+				t.Errorf("acme's invalid windows = %d, want 400", code)
+			}
+
+			// Fill the flat queue. Tenant refusals still answer for the
+			// tenant; only an admitted request finds the queue full.
+			for range cap(srv.queue) {
+				srv.queue <- struct{}{}
+			}
+			if code := detect("stranger", valid); code != http.StatusForbidden {
+				t.Errorf("stranger with the queue full = %d, want 403", code)
+			}
+			for i, want := range []int{http.StatusTooManyRequests, http.StatusTooManyRequests} {
+				// tight's one token is spent by the first request, which
+				// then finds the queue full; the second is rate-shed.
+				if code := detect("tight", valid); code != want {
+					t.Errorf("tight request %d with the queue full = %d, want %d", i, code, want)
+				}
+			}
+			if code := detect("acme", valid); code != http.StatusTooManyRequests {
+				t.Errorf("acme with the queue full = %d, want 429", code)
+			}
+			if n := srv.Metrics().QueueRejects.Value(); n != 2 {
+				t.Errorf("queue rejects = %d, want 2 (tight's first and acme's)", n)
+			}
+			for range cap(srv.queue) {
+				<-srv.queue
+			}
+			if code := detect("acme", valid); code != http.StatusOK {
+				t.Errorf("acme with the queue drained = %d, want 200", code)
+			}
+
+			var buf bytes.Buffer
+			srv.Metrics().Write(&buf)
+			out := buf.String()
+			for _, want := range []string{
+				fmt.Sprintf(`shmd_tenant_shed_total{tenant="stranger",class="batch",reason="unknown"} %d`, strangers),
+				`shmd_tenant_shed_total{tenant="tight",class="realtime",reason="queue"} 1`,
+				`shmd_tenant_shed_total{tenant="tight",class="realtime",reason="rate"} 1`,
+				`shmd_tenant_shed_total{tenant="acme",class="realtime",reason="queue"} 1`,
+			} {
+				if !strings.Contains(out, want) {
+					t.Errorf("metrics missing %q", want)
+				}
+			}
+		})
+	}
+}

@@ -1,16 +1,20 @@
 package serve
 
 // The SHMDWIRE streaming listener: persistent binary connections
-// multiplexing detect streams into the same admission queue, deadline
-// plumbing, micro-batcher, hedged dispatch, tracing, and metrics as
-// the HTTP transport. One connection carries many concurrent DETECT
-// frames; each frame becomes one tracked detection whose VERDICT (or
-// typed ERROR) is written back under the frame's correlation id, so
-// windows from a Pin-style collector stream without per-request
-// connection or JSON re-encoding cost.
+// carrying detect requests into the detect core (detect.go) that HTTP
+// requests take too — one admission order, deadline plumbing,
+// micro-batcher, hedged dispatch, tracing and metrics. This file is
+// the core's binary codec: wireCodec reads a DETECT frame and
+// streamCodec a STREAM append; both answer a VERDICT (or typed ERROR)
+// under the frame's correlation id. One connection carries many
+// concurrent requests: admission and decode run on the connection's
+// read loop, so typed rejections keep frame order, and each admitted
+// request dispatches in its own tracked goroutine, so windows from a
+// Pin-style collector stream without per-request connection or JSON
+// re-encoding cost.
 //
 // Graceful drain mirrors the HTTP path: the server broadcasts a
-// GOAWAY frame to every live connection, stops admitting new DETECTs
+// GOAWAY frame to every live connection, stops admitting new requests
 // (typed 503), finishes in-flight ones, and only then closes.
 
 import (
@@ -22,9 +26,10 @@ import (
 	"log"
 	"math/bits"
 	"net"
+	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"shmd/internal/tenant"
 	"shmd/internal/trace"
@@ -42,8 +47,10 @@ type wireConn struct {
 	c *wire.Conn
 	// wg counts in-flight detect goroutines on this connection.
 	wg sync.WaitGroup
-	// cancel ends the connection's context, unblocking any dispatch
-	// still waiting when the connection is force-closed.
+	// ctx is the connection's context, which every request on it
+	// dispatches under; cancel ends it, unblocking any dispatch still
+	// waiting when the connection is force-closed.
+	ctx    context.Context
 	cancel context.CancelFunc
 	// done closes once the connection's handler has released it.
 	done chan struct{}
@@ -217,7 +224,7 @@ func (s *Server) handleWireConn(nc net.Conn) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	wc := &wireConn{c: c, cancel: cancel, done: make(chan struct{})}
+	wc := &wireConn{c: c, ctx: ctx, cancel: cancel, done: make(chan struct{})}
 	s.wire.register(wc)
 	s.metrics.WireActive.Inc()
 	defer func() {
@@ -242,8 +249,7 @@ func (s *Server) handleWireConn(nc net.Conn) {
 			if errors.As(err, &tooBig) {
 				// The stream is still synchronized: reject this frame and
 				// keep the connection.
-				s.metrics.Request(int(wire.CodeTooLarge))
-				c.WriteError(tooBig.Corr, wire.CodeTooLarge, err.Error())
+				s.failWire(wc, tooBig.Corr, failure{code: int(wire.CodeTooLarge), msg: err.Error()})
 				continue
 			}
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
@@ -254,9 +260,15 @@ func (s *Server) handleWireConn(nc net.Conn) {
 		s.metrics.WireFrames.Inc()
 		switch f.Type {
 		case wire.FrameDetect:
-			s.wireDetect(ctx, wc, f)
+			// Only this listener's drain refuses here: the core is shared
+			// with HTTP, which keeps serving through a wire-only drain.
+			if s.draining.Load() {
+				s.failWire(wc, f.Corr, failure{code: int(wire.CodeUnavailable), msg: "draining"})
+				continue
+			}
+			detach(s, wc, wireCodec{s, wc, f.Corr, f.Payload})
 		case wire.FrameStream:
-			s.wireStream(ctx, wc, f)
+			s.wireStream(wc, f)
 		case wire.FrameHello:
 			s.wireHello(wc, f)
 		case wire.FramePing:
@@ -274,8 +286,7 @@ func (s *Server) handleWireConn(nc net.Conn) {
 				log.Printf("serve: wire: skipping unknown frame type 0x%02x from %s", uint8(f.Type), c.RemoteAddr())
 				continue
 			}
-			s.metrics.Request(int(wire.CodeBadRequest))
-			c.WriteError(f.Corr, wire.CodeBadRequest, fmt.Sprintf("unexpected %v frame", f.Type))
+			s.failWire(wc, f.Corr, failure{code: int(wire.CodeBadRequest), msg: fmt.Sprintf("unexpected %v frame", f.Type)})
 		}
 	}
 }
@@ -289,8 +300,7 @@ func (s *Server) handleWireConn(nc net.Conn) {
 func (s *Server) wireHello(wc *wireConn, f wire.Frame) {
 	h, err := wire.DecodeHello(f.Payload)
 	if err != nil {
-		s.metrics.Request(int(wire.CodeBadRequest))
-		wc.c.WriteError(f.Corr, wire.CodeBadRequest, err.Error())
+		s.failWire(wc, f.Corr, failure{code: int(wire.CodeBadRequest), msg: err.Error()})
 		return
 	}
 	wc.extended.Store(true)
@@ -299,30 +309,24 @@ func (s *Server) wireHello(wc *wireConn, f wire.Frame) {
 	}
 }
 
-// writeWireError sends a typed ERROR with an optional backoff hint:
-// extended (v1.1) peers get the machine-readable RetryAfterSec tail;
-// legacy peers get only the message, whose text carries the hint.
-func (s *Server) writeWireError(wc *wireConn, corr uint64, code wire.ErrorCode, msg string, retryAfter int) {
-	e := wire.ErrorFrame{Code: code, Msg: msg}
-	if retryAfter > 0 && retryAfter <= int(^uint16(0)) && wc.extended.Load() {
-		e.RetryAfterSec = uint16(retryAfter)
-	}
-	wc.c.WriteFrame(wire.Frame{Type: wire.FrameError, Corr: corr, Payload: wire.AppendErrorFrame(nil, e)})
-}
-
-// rejectWireTenant writes the wire twin of rejectTenant: 403 for an
-// unknown tenant, 429 with a jittered backoff hint for quota and
-// pressure sheds.
-func (s *Server) rejectWireTenant(wc *wireConn, corr uint64, adm *tenant.Admission) {
-	s.metrics.shedTenant(adm.Tenant, adm.Class.String(), adm.Outcome.String())
-	if adm.Outcome == tenant.Unknown {
-		s.metrics.Request(int(wire.CodeForbidden))
-		wc.c.WriteError(corr, wire.CodeForbidden, fmt.Sprintf("unknown tenant %q", adm.Tenant))
+// failWire writes a failure as a typed ERROR frame under corr. A
+// 429's backoff hint rides in the message text, and as the
+// machine-readable retry-after tail for peers that opted in with a
+// client HELLO (PROTOCOL.md §11.2); other hints are HTTP's alone.
+func (s *Server) failWire(wc *wireConn, corr uint64, f failure) {
+	s.metrics.Request(f.code)
+	if f.code == statusClientClosedRequest {
 		return
 	}
-	s.metrics.Request(int(wire.CodeOverloaded))
-	hint := s.jitter.RetryAfter()
-	s.writeWireError(wc, corr, wire.CodeOverloaded, fmt.Sprintf("tenant %s over %s limit; retry in %ds", adm.Tenant, adm.Outcome, hint), hint)
+	e := wire.ErrorFrame{Code: wire.ErrorCode(f.code), Msg: f.msg}
+	if f.retry && f.code == http.StatusTooManyRequests {
+		hint := s.jitter.RetryAfter()
+		e.Msg = fmt.Sprintf("%s; retry in %ds", f.msg, hint)
+		if wc.extended.Load() {
+			e.RetryAfterSec = uint16(hint)
+		}
+	}
+	wc.c.WriteFrame(wire.Frame{Type: wire.FrameError, Corr: corr, Payload: wire.AppendErrorFrame(nil, e)})
 }
 
 // wireHealth answers a HEALTH_REQ with the same JSON report /healthz
@@ -338,119 +342,66 @@ func (s *Server) wireHealth(c *wire.Conn, corr uint64) {
 	c.WriteFrame(wire.Frame{Type: wire.FrameHealth, Corr: corr, Payload: payload})
 }
 
-// wireDetect admits, decodes, and launches one DETECT frame. The flat
-// queue probe and decode happen on the read loop (both are cheap and
-// their typed rejections must preserve frame order); tenant QoS runs
-// after decode — unlike the HTTP path, the per-frame tenant tag lives
-// in the payload — and the dispatch itself runs in a tracked
-// goroutine so the connection keeps multiplexing.
-func (s *Server) wireDetect(ctx context.Context, wc *wireConn, f wire.Frame) {
-	start := time.Now()
-	c := wc.c
-	if s.draining.Load() {
-		s.metrics.Request(int(wire.CodeUnavailable))
-		c.WriteError(f.Corr, wire.CodeUnavailable, "draining")
+// detach runs one wire request through the detect core: admission
+// and decode on the read loop, so typed rejections keep frame order,
+// and the dispatch in a tracked goroutine, so the connection keeps
+// multiplexing.
+func detach[C codec](s *Server, wc *wireConn, c C) {
+	j, ok := admit(s, c)
+	if !ok {
 		return
 	}
-	// Admission control before any decode work, exactly like the HTTP
-	// path: shed at the backpressure limit with a typed 429.
-	select {
-	case s.queue <- struct{}{}:
-	default:
-		s.metrics.QueueRejects.Inc()
-		s.metrics.Request(int(wire.CodeOverloaded))
-		hint := s.jitter.RetryAfter()
-		s.writeWireError(wc, f.Corr, wire.CodeOverloaded, fmt.Sprintf("detection queue full; retry in %ds", hint), hint)
-		return
-	}
-	// Holding a queue token guarantees inflight capacity (same sizes).
-	s.inflight <- struct{}{}
-	release := func() { <-s.inflight; <-s.queue }
-
-	// The windows decode into a pooled arena the handler holds one
-	// reference on; every batch that binds one of its lanes takes its
-	// own, so the arena outlives a hedged loser still scoring it.
-	arena := newReqArena(len(f.Payload))
-	req, err := arena.DecodeDetect(f.Payload)
-	if err != nil {
-		arena.release()
-		release()
-		s.metrics.Request(int(wire.CodeBadRequest))
-		c.WriteError(f.Corr, wire.CodeBadRequest, err.Error())
-		return
-	}
-	// Tenant QoS: the frame tag outranks the connection HELLO binding.
-	var tenantID string
-	var class tenant.Class
-	var adm *tenant.Admission
-	if s.tenants != nil {
-		id := req.Tenant
-		if id == "" {
-			id = wc.tenantID
-		}
-		adm = s.tenants.Admit(id, s.admissionLoad())
-		tenantID, class = adm.Tenant, adm.Class
-		if !adm.OK() {
-			arena.release()
-			release()
-			s.rejectWireTenant(wc, f.Corr, adm)
-			return
-		}
-		s.metrics.TenantAccepted.With(tenantID, class.String()).Inc()
-	}
-	if err := ValidatePrograms(req.Programs, s.cfg.Limits); err != nil {
-		arena.release()
-		release()
-		if adm != nil {
-			adm.Release()
-		}
-		s.metrics.Request(StatusOf(err))
-		c.WriteError(f.Corr, wire.ErrorCode(StatusOf(err)), err.Error())
-		return
-	}
-	deadline := req.Deadline()
-	if deadline == 0 {
-		deadline = s.cfg.DefaultDeadline
-	}
-	s.goWireDispatch(ctx, wc, f.Corr, start, deadline, class, tenantID, req.Programs, arena, adm, release)
-}
-
-// goWireDispatch runs one admitted DETECT or STREAM request in a
-// tracked goroutine, so the connection keeps multiplexing, and answers
-// its VERDICT (or typed ERROR) under corr. The goroutine owns the
-// request's admission — the queue and inflight tokens (release) and
-// the tenant admission — and the handler's reference on arena (nil
-// when the programs' windows are not arena-backed).
-func (s *Server) goWireDispatch(ctx context.Context, wc *wireConn, corr uint64, start time.Time, deadline time.Duration, class tenant.Class, tenantID string, programs []DecodedProgram, arena *reqArena, adm *tenant.Admission, release func()) {
 	wc.wg.Add(1)
 	go func() {
 		defer wc.wg.Done()
-		defer release()
-		if adm != nil {
-			defer adm.Release()
-		}
-		defer arena.release()
-		dctx := ctx
-		if deadline > 0 {
-			var cancel context.CancelFunc
-			dctx, cancel = context.WithTimeout(dctx, deadline)
-			defer cancel()
-		}
-		out, err := s.batcher.dispatch(dctx, class, tenantID, programs, arena)
-		if err != nil {
-			s.failWireDetect(ctx, wc, corr, err)
-			return
-		}
-		defer out.release()
-		if out.hedge {
-			s.metrics.HedgeWins.Inc()
-		}
-		for _, res := range out.results {
-			s.metrics.Decision(res.Malware, res.Unprotected)
-		}
-		s.writeVerdict(wc.c, corr, out, tenantID, start)
+		serve(s, c, j)
 	}()
 }
+
+// wireCodec is the detect core's SHMDWIRE transport for one DETECT
+// frame: the tenant is the payload's tag, or the connection's HELLO
+// identity for an untagged frame; the programs and deadline are the
+// payload's. The reply is a VERDICT, a failure a typed ERROR (failWire).
+type wireCodec struct {
+	s       *Server
+	wc      *wireConn
+	corr    uint64
+	payload []byte
+}
+
+func (c wireCodec) context() context.Context { return c.wc.ctx }
+
+// tenant reads the payload's tenant tag without decoding any windows.
+func (c wireCodec) tenant() (string, error) {
+	id, err := wire.DetectTenant(c.payload)
+	if id == "" {
+		id = c.wc.tenantID
+	}
+	return id, err
+}
+
+// decode decodes the payload into a pooled request arena.
+func (c wireCodec) decode() (work, error) {
+	w := work{arena: newReqArena(len(c.payload))}
+	req, err := w.arena.DecodeDetect(c.payload)
+	if err == nil {
+		err = ValidatePrograms(req.Programs, c.s.cfg.Limits)
+	}
+	if err != nil {
+		return w, err
+	}
+	w.programs = req.Programs
+	if w.deadline = req.Deadline(); w.deadline == 0 {
+		w.deadline = c.s.cfg.DefaultDeadline
+	}
+	return w, nil
+}
+
+func (c wireCodec) reply(out batchOutcome, tenantID string) {
+	c.s.writeVerdict(c.wc.c, c.corr, out, tenantID)
+}
+
+func (c wireCodec) fail(f failure, _ string) { c.s.failWire(c.wc, c.corr, f) }
 
 // reqArena is one SHMDWIRE DETECT request's decoded programs and
 // windows, shared by reference count: the request's handler holds one
@@ -511,7 +462,7 @@ var verdictBufs = sync.Pool{New: func() any { return new(verdictBuf) }}
 // writeVerdict answers a finished request with its VERDICT, tagged
 // with the serving tenant so identity round-trips bit-identically
 // across transports.
-func (s *Server) writeVerdict(c *wire.Conn, corr uint64, out batchOutcome, tenantID string, start time.Time) {
+func (s *Server) writeVerdict(c *wire.Conn, corr uint64, out batchOutcome, tenantID string) {
 	vb := verdictBufs.Get().(*verdictBuf)
 	defer verdictBufs.Put(vb)
 	results := vb.results[:0]
@@ -541,7 +492,6 @@ func (s *Server) writeVerdict(c *wire.Conn, corr uint64, out batchOutcome, tenan
 	}
 	vb.payload = payload
 	s.metrics.Request(200)
-	s.metrics.DetectLatency.Observe(int64(time.Since(start)))
 	c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: corr, Payload: payload})
 }
 
@@ -550,21 +500,18 @@ func (s *Server) writeVerdict(c *wire.Conn, corr uint64, out batchOutcome, tenan
 // the trailing detection-period windows buffered server-side and
 // re-scores them every stride appended windows, so a Pin-style
 // collector ships each window once and still gets overlapping
-// verdicts. Buffer bookkeeping runs on the read loop (appends must
-// stay ordered); any triggered re-scorings dispatch in a tracked
-// goroutine exactly like a DETECT, answering a VERDICT under the
-// append's correlation id (zero results = ack, windows buffered but
-// no re-scoring due).
+// verdicts. Opening and closing run on the read loop; an append with
+// windows goes through the detect core as a streamCodec request,
+// answering a VERDICT under the append's correlation id (zero results
+// = ack, windows buffered but no re-scoring due).
 //
 // Tenant QoS is applied per append, not just at open: every
-// window-carrying append charges the stream tenant's bucket, so a
-// stream cannot smuggle unmetered load past admission.
-func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
-	start := time.Now()
-	c := wc.c
+// window-carrying append is admitted by the stream tenant's bucket, so
+// a stream cannot smuggle unmetered load past admission.
+func (s *Server) wireStream(wc *wireConn, f wire.Frame) {
+	c := wireCodec{s, wc, f.Corr, f.Payload}
 	if s.draining.Load() {
-		s.metrics.Request(int(wire.CodeUnavailable))
-		c.WriteError(f.Corr, wire.CodeUnavailable, "draining")
+		c.fail(failure{code: int(wire.CodeUnavailable), msg: "draining"}, "")
 		return
 	}
 	// The appended windows are copied into the stream's buffer before
@@ -572,8 +519,7 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 	// arena.
 	req, err := wc.arena.DecodeStream(f.Payload)
 	if err != nil {
-		s.metrics.Request(int(wire.CodeBadRequest))
-		c.WriteError(f.Corr, wire.CodeBadRequest, err.Error())
+		c.fail(failure{code: int(wire.CodeBadRequest), msg: err.Error()}, "")
 		return
 	}
 	if wc.streams == nil {
@@ -583,13 +529,11 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 	if !open {
 		if req.Close {
 			// Closing a stream that is not open is idempotent: ack.
-			s.ackStream(c, f.Corr, "")
+			c.reply(batchOutcome{session: -1}, "")
 			return
 		}
 		if len(wc.streams) >= maxWireStreams {
-			s.metrics.Request(int(wire.CodeOverloaded))
-			hint := s.jitter.RetryAfter()
-			s.writeWireError(wc, f.Corr, wire.CodeOverloaded, fmt.Sprintf("connection holds %d streams, limit %d", len(wc.streams), maxWireStreams), hint)
+			c.fail(failure{http.StatusTooManyRequests, fmt.Sprintf("connection holds %d streams, limit %d", len(wc.streams), maxWireStreams), true}, "")
 			return
 		}
 		st = &windowStream{
@@ -604,7 +548,7 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 			}
 			look := s.tenants.Lookup(id)
 			if !look.OK() {
-				s.rejectWireTenant(wc, f.Corr, look)
+				c.fail(s.rejectTenant(look), "")
 				return
 			}
 			st.tenant, st.class = look.Tenant, look.Class
@@ -618,114 +562,51 @@ func (s *Server) wireStream(ctx context.Context, wc *wireConn, f wire.Frame) {
 		wc.streams[req.StreamID] = st
 	} else if req.Tenant != "" && req.Tenant != st.tenant {
 		// An append cannot re-bill an open stream to another tenant.
-		s.metrics.Request(int(wire.CodeBadRequest))
-		c.WriteError(f.Corr, wire.CodeBadRequest, fmt.Sprintf("stream %d is bound to tenant %q, append tagged %q", req.StreamID, st.tenant, req.Tenant))
+		c.fail(failure{code: int(wire.CodeBadRequest), msg: fmt.Sprintf("stream %d is bound to tenant %q, append tagged %q", req.StreamID, st.tenant, req.Tenant)}, "")
 		return
 	}
 	if req.Close {
 		defer delete(wc.streams, req.StreamID)
 	}
 	if len(req.Windows) == 0 {
-		s.ackStream(c, f.Corr, st.tenant)
+		c.reply(batchOutcome{session: -1}, st.tenant)
 		return
 	}
+	// A shed append buffers nothing — the client retries the same
+	// windows after the hint: the windows slide into the buffer only
+	// once the append is admitted.
+	detach(s, wc, streamCodec{c, st, req.Windows})
+}
 
-	// Per-append admission: tenant QoS first, then the flat queue,
-	// mirroring the HTTP ordering. A shed append buffers nothing — the
-	// client retries the same windows after the hint.
-	var adm *tenant.Admission
-	if s.tenants != nil {
-		adm = s.tenants.Admit(st.tenant, s.admissionLoad())
-		if !adm.OK() {
-			s.rejectWireTenant(wc, f.Corr, adm)
-			return
-		}
-		s.metrics.TenantAccepted.With(adm.Tenant, adm.Class.String()).Inc()
-	}
-	select {
-	case s.queue <- struct{}{}:
-	default:
-		s.metrics.QueueRejects.Inc()
-		if adm != nil {
-			s.metrics.shedTenant(adm.Tenant, adm.Class.String(), "queue")
-			adm.Release()
-		}
-		s.metrics.Request(int(wire.CodeOverloaded))
-		hint := s.jitter.RetryAfter()
-		s.writeWireError(wc, f.Corr, wire.CodeOverloaded, fmt.Sprintf("detection queue full; retry in %ds", hint), hint)
-		return
-	}
-	s.inflight <- struct{}{}
-	release := func() { <-s.inflight; <-s.queue }
+// streamCodec is the detect core's transport for one STREAM append:
+// the tenant is the one the stream is bound to, and decoding slides
+// the appended windows into the stream's buffer, collecting one
+// re-scoring per completed stride. Replies are wireCodec's.
+type streamCodec struct {
+	wireCodec
+	st      *windowStream
+	windows []trace.WindowCounts
+}
 
-	// Slide the buffer and collect the spans due for re-scoring.
-	var programs []DecodedProgram
-	for i := range req.Windows {
-		st.buf = append(st.buf, req.Windows[i])
+func (c streamCodec) tenant() (string, error) { return c.st.tenant, nil }
+
+func (c streamCodec) decode() (work, error) {
+	w := work{deadline: c.s.cfg.DefaultDeadline}
+	st := c.st
+	for i := range c.windows {
+		st.buf = append(st.buf, c.windows[i])
 		if len(st.buf) > st.period {
 			st.buf = st.buf[len(st.buf)-st.period:]
 		}
 		st.total++
 		st.sinceScore++
 		if len(st.buf) == st.period && st.sinceScore >= st.stride {
-			span := make([]trace.WindowCounts, st.period)
-			copy(span, st.buf)
-			programs = append(programs, DecodedProgram{
+			w.programs = append(w.programs, DecodedProgram{
 				ID:      fmt.Sprintf("%s#%d", st.label, st.total),
-				Windows: span,
+				Windows: slices.Clone(st.buf),
 			})
 			st.sinceScore = 0
 		}
 	}
-	if len(programs) == 0 {
-		release()
-		if adm != nil {
-			adm.Release()
-		}
-		s.ackStream(c, f.Corr, st.tenant)
-		return
-	}
-
-	s.goWireDispatch(ctx, wc, f.Corr, start, s.cfg.DefaultDeadline, st.class, st.tenant, programs, nil, adm, release)
-}
-
-// ackStream answers a STREAM append that triggered no re-scoring with
-// an empty VERDICT under the append's correlation id.
-func (s *Server) ackStream(c *wire.Conn, corr uint64, tenantID string) {
-	payload, err := wire.AppendVerdict(nil, wire.Verdict{Session: -1, Tenant: tenantID})
-	if err != nil {
-		s.metrics.Request(int(wire.CodeInternal))
-		c.WriteError(corr, wire.CodeInternal, err.Error())
-		return
-	}
-	s.metrics.Request(200)
-	c.WriteFrame(wire.Frame{Type: wire.FrameVerdict, Corr: corr, Payload: payload})
-}
-
-// failWireDetect maps a dispatch failure to its typed ERROR frame,
-// mirroring the HTTP transport's failDetect status mapping so the two
-// transports shed and fail with the same vocabulary.
-func (s *Server) failWireDetect(connCtx context.Context, wc *wireConn, corr uint64, err error) {
-	c := wc.c
-	switch {
-	case connCtx.Err() != nil:
-		// The connection is gone; nobody is listening.
-		s.metrics.Request(statusClientClosedRequest)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.DeadlineExpired.Inc()
-		s.metrics.Request(int(wire.CodeUnavailable))
-		c.WriteError(corr, wire.CodeUnavailable, "detection deadline exceeded")
-	case errors.Is(err, ErrPoolClosed):
-		s.metrics.Request(int(wire.CodeUnavailable))
-		c.WriteError(corr, wire.CodeUnavailable, err.Error())
-	default:
-		var ae *AcquireError
-		if errors.As(err, &ae) {
-			s.metrics.Request(int(wire.CodeUnavailable))
-			c.WriteError(corr, wire.CodeUnavailable, err.Error())
-			return
-		}
-		s.metrics.Request(int(wire.CodeInternal))
-		c.WriteError(corr, wire.CodeInternal, err.Error())
-	}
+	return w, nil
 }

@@ -245,3 +245,42 @@ func FuzzDetectFrameRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDetectTenant holds the tenant-tail reader to the full decoder:
+// on any payload DetectTenant and Arena.DecodeDetect accept and reject
+// alike, and an accepted payload's tenant is the same from both.
+func FuzzDetectTenant(f *testing.F) {
+	windows := []trace.WindowCounts{goldenWindow(2), goldenWindow(3)}
+	for _, req := range []DetectRequest{
+		{DeadlineMs: 250, Programs: []DetectProgram{{ID: "prog-0", Windows: windows}, {Windows: windows[:1]}}},
+		{Programs: []DetectProgram{{ID: "p", Windows: windows}}, Tenant: "acme"},
+		{Programs: []DetectProgram{{}, {ID: "empty"}}, Tenant: "t"},
+		{Tenant: "no-programs"},
+	} {
+		p, err := AppendDetectRequest(nil, req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p)
+		f.Add(p[:len(p)-1])
+		f.Add(append(p[:len(p):len(p)], 0))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tenant, err := DetectTenant(data)
+		var a Arena
+		req, decErr := a.DecodeDetect(data)
+		if (err == nil) != (decErr == nil) {
+			t.Fatalf("DetectTenant err %v, DecodeDetect err %v", err, decErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped tenant-tail error: %v", err)
+			}
+			return
+		}
+		if tenant != req.Tenant {
+			t.Fatalf("DetectTenant = %q, DecodeDetect tenant %q", tenant, req.Tenant)
+		}
+	})
+}

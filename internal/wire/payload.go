@@ -287,6 +287,34 @@ func (a *Arena) DecodeDetect(p []byte) (DetectRequest, error) {
 	return req, nil
 }
 
+// DetectTenant returns the tenant tag of a DETECT payload without
+// decoding its windows: it walks the program headers, skips each
+// program's window bytes, and reads the tail. It accepts and rejects
+// exactly the payloads DecodeDetect does and returns the same tenant,
+// so a server can settle admission before decoding anything.
+func DetectTenant(p []byte) (string, error) {
+	d := decoder{buf: p}
+	d.u32("deadline")
+	n := int(d.u16("program count"))
+	if n > MaxPrograms {
+		return "", corrupt("%d programs exceeds %d", n, MaxPrograms)
+	}
+	for i := 0; i < n && d.err == nil; i++ {
+		d.skip(int(d.u8("program id")), "program id")
+		w := int(d.u16("window count"))
+		if rem := len(d.buf) - d.off; d.err == nil && rem < w*windowWireLen {
+			return "", corrupt("program %d claims %d windows, %d bytes remain", i, w, rem)
+		}
+		d.skip(w*windowWireLen, "windows")
+	}
+	tenant := d.tenantTail()
+	d.done()
+	if d.err != nil {
+		return "", d.err
+	}
+	return tenant, nil
+}
+
 // VerdictResult is one program's verdict in a VERDICT frame.
 type VerdictResult struct {
 	ID          string
@@ -726,6 +754,13 @@ func (d *decoder) u64(what string) uint64 {
 	v := binary.BigEndian.Uint64(d.buf[d.off:])
 	d.off += 8
 	return v
+}
+
+// skip passes over n bytes.
+func (d *decoder) skip(n int, what string) {
+	if d.need(n, what) {
+		d.off += n
+	}
 }
 
 // str8 reads a u8-length-prefixed string.
