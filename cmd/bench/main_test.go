@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -31,6 +32,7 @@ func TestCompareGate(t *testing.T) {
 			TrainEpochVs1Proc:          1.8,
 			LaneReseedVsMathRand:       5.0,
 			SweepCellVsEvaluate:        1.6,
+			ExactMACSIMDVsGo:           3.8,
 		},
 		Results: []Result{
 			{Name: "inference_exact_fused", NsPerOp: 100, AllocsPerOp: 0},
@@ -224,6 +226,20 @@ func TestCompareGate(t *testing.T) {
 	}), base, 0.25); len(p) != 0 {
 		t.Errorf("1-proc wire ratio wrongly gated: %v", p)
 	}
+	// The exact-MAC baseline is capped at 1.0: a CPU without the SIMD
+	// kernel runs the Go kernel on both sides and passes, a selected
+	// kernel slower than the Go one fails, on any proc count.
+	if p := compare(clone(func(r *Report) {
+		r.Speedups.ExactMACSIMDVsGo = 1.0
+	}), base, 0.25); len(p) != 0 {
+		t.Errorf("portable-kernel MAC ratio wrongly gated: %v", p)
+	}
+	if p := compare(clone(func(r *Report) {
+		r.MaxProcs = 1
+		r.Speedups.ExactMACSIMDVsGo = 0.5
+	}), base, 0.25); len(p) != 1 {
+		t.Errorf("slower selected MAC kernel not flagged: %v", p)
+	}
 }
 
 // TestLoadRoundTrip pins load() against write().
@@ -253,16 +269,17 @@ func TestRunAndWriteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 26 {
-		t.Fatalf("got %d results, want 26", len(rep.Results))
+	if len(rep.Results) != 28 {
+		t.Fatalf("got %d results, want 28", len(rep.Results))
 	}
 	// modelRows lists the rows that need the trained environment; the
-	// rest are the two lane re-seeding rows and the wire codec row.
+	// rest are the two lane re-seeding rows, the wire codec row and the
+	// two exact-MAC rows.
 	var names []string
 	for _, r := range rep.Results {
 		names = append(names, r.Name)
 	}
-	if want := append(append([]string(nil), modelRows...), "lane_reseed", "lane_reseed_mathrand", codecRow); !slices.Equal(names, want) {
+	if want := append(append([]string(nil), modelRows...), "lane_reseed", "lane_reseed_mathrand", codecRow, macRow, macRowGo); !slices.Equal(names, want) {
 		t.Errorf("rows %v, want %v", names, want)
 	}
 	for _, r := range rep.Results {
@@ -272,8 +289,9 @@ func TestRunAndWriteReport(t *testing.T) {
 	}
 	if rep.Speedups.ExactFusedVsScalar <= 0 || rep.Speedups.FaultySkipAheadVsBernoulli <= 0 ||
 		rep.Speedups.JSONDecodeFastVsStd <= 0 || rep.Speedups.DetectLane1VsScalar <= 0 ||
-		rep.Speedups.ServeBatch16IdleVsBatch1 <= 0 || rep.Speedups.TrainEpochVs1Proc <= 0 ||
-		rep.Speedups.LaneReseedVsMathRand <= 0 || rep.Speedups.SweepCellVsEvaluate <= 0 {
+		rep.Speedups.ServeBatch16IdleVsBatch1 <= 0 || (rep.MaxProcs > 1) != (rep.Speedups.TrainEpochVs1Proc > 0) ||
+		rep.Speedups.LaneReseedVsMathRand <= 0 || rep.Speedups.SweepCellVsEvaluate <= 0 ||
+		rep.Speedups.ExactMACSIMDVsGo <= 0 {
 		t.Errorf("speedups not computed: %+v", rep.Speedups)
 	}
 	if rep.NumMuls <= 0 {
@@ -305,7 +323,7 @@ func TestSpeedupsOfCommittedReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := speedupsOf(rep.Results); got != rep.Speedups {
+	if got := speedupsOf(rep.Results, rep.MaxProcs); got != rep.Speedups {
 		t.Errorf("ratios recomputed from the committed rows %+v, committed %+v", got, rep.Speedups)
 	}
 }
@@ -325,11 +343,11 @@ func TestRefreshRows(t *testing.T) {
 		"train_rprop_epoch", "train_rprop_epoch_1proc",
 	}
 	mk := func(ns float64, allocs int64) *Report {
-		r := &Report{Scale: "quick", Count: 3}
+		r := &Report{Scale: "quick", Count: 3, MaxProcs: 2}
 		for i, n := range names {
 			r.Results = append(r.Results, Result{Name: n, NsPerOp: ns * float64(i+1), AllocsPerOp: allocs, Iterations: 1})
 		}
-		r.Speedups = speedupsOf(r.Results)
+		r.Speedups = speedupsOf(r.Results, r.MaxProcs)
 		return r
 	}
 	prev, fresh := mk(100, 5), mk(50, 3)
@@ -354,7 +372,7 @@ func TestRefreshRows(t *testing.T) {
 			t.Errorf("%s: %+v, want %+v (refreshed %v)", r.Name, r, want, refreshed)
 		}
 	}
-	if got.Speedups != speedupsOf(got.Results) {
+	if got.Speedups != speedupsOf(got.Results, got.MaxProcs) {
 		t.Errorf("ratios not recomputed from the merged rows")
 	}
 	if want := prev.Results[19].NsPerOp / fresh.Results[18].NsPerOp; got.Speedups.DetectLane1VsScalar != want {
@@ -375,7 +393,7 @@ func TestRefreshRows(t *testing.T) {
 
 	// Rows the committed report does not have yet are appended when a
 	// pattern names them, and their ratio follows.
-	older := &Report{Scale: "quick", Count: 3, Results: prev.Results[:len(names)-2]}
+	older := &Report{Scale: "quick", Count: 3, MaxProcs: 2, Results: prev.Results[:len(names)-2]}
 	got, err = refreshRows(older, fresh, "train_*")
 	if err != nil {
 		t.Fatal(err)
@@ -427,6 +445,65 @@ func TestRefreshRows(t *testing.T) {
 	}
 	if want := partial.Results[1].NsPerOp / partial.Results[0].NsPerOp; got.Speedups.LaneReseedVsMathRand != want {
 		t.Errorf("reseed ratio %v, want %v", got.Speedups.LaneReseedVsMathRand, want)
+	}
+}
+
+// TestOneProcParallelRatios runs the bench at GOMAXPROCS 1: the
+// parallel-vs-serial ratios are not measurable there, so the report
+// leaves them out of its JSON and the summary prints a note in their
+// place instead of a ~1.0x "speedup"; every other ratio is computed.
+func TestOneProcParallelRatios(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sel, err := parseRows("lane_reseed*,exact_mac_*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := run(experiments.Quick(1), 1, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MaxProcs != 1 {
+		t.Fatalf("report at GOMAXPROCS 1 records %d procs", rep.MaxProcs)
+	}
+	// The parallel rows' measurements, as a 1-proc run records them:
+	// each side serial, about the same.
+	for _, name := range []string{"evaluate_sharded", "evaluate_serial_1worker", "train_rprop_epoch", "train_rprop_epoch_1proc"} {
+		rep.Results = append(rep.Results, Result{Name: name, NsPerOp: 1e6, Iterations: 1})
+	}
+	rep.Speedups = speedupsOf(rep.Results, rep.MaxProcs)
+	if rep.Speedups.LaneReseedVsMathRand <= 0 || rep.Speedups.ExactMACSIMDVsGo <= 0 {
+		t.Errorf("serial ratios not computed at 1 proc: %+v", rep.Speedups)
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum strings.Builder
+	printSummary(&sum, rep)
+	for _, key := range []string{"evaluate_sharded_vs_serial", "train_epoch_vs_1proc"} {
+		if strings.Contains(string(data), key) {
+			t.Errorf("1-proc report carries %s: %s", key, data)
+		}
+	}
+	for _, line := range []string{"evaluate sharded vs serial:   not measurable on 1 proc", "train epoch vs 1 proc:        not measurable on 1 proc"} {
+		if !strings.Contains(sum.String(), line) {
+			t.Errorf("summary lacks %q:\n%s", line, sum.String())
+		}
+	}
+
+	// Refreshed at 1 proc into a report taken at 2, the merged report
+	// cannot vouch for its parallel ratios either.
+	prev := &Report{MaxProcs: 2, Results: rep.Results}
+	prev.Speedups = speedupsOf(prev.Results, prev.MaxProcs)
+	if prev.Speedups.EvaluateShardedVsSerial == 0 {
+		t.Fatal("test construction broken: 2-proc report has no sharding ratio")
+	}
+	got, err := refreshRows(prev, rep, "lane_reseed*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MaxProcs != 1 || got.Speedups.EvaluateShardedVsSerial != 0 || got.Speedups.TrainEpochVs1Proc != 0 {
+		t.Errorf("1-proc refresh of a 2-proc report: %d procs, ratios %+v", got.MaxProcs, got.Speedups)
 	}
 }
 

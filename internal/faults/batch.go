@@ -477,12 +477,22 @@ func (b *BatchInjector) splitSpan(l, a, e, muls int, plan []spanFault) {
 func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, out []fxp.Value) {
 	n := len(w)
 	wAbs := bt.WAbs
-	if wAbs == 0 && bt.MaxAbs != nil {
-		wAbs = float64(fxp.SumAbs(w))
-	}
-	if bt.MaxAbs != nil && b.allSpanFast(bt, wAbs, n, len(out)) {
-		b.dotRowSpanFast(f, w, bt, out)
-		return
+	// With bounds known, every position's nominal sum comes from one
+	// blocked walk over the row (or the batch's stored sums); a
+	// position reads its own only once it has proven its bound.
+	var accs []int64
+	if bt.MaxAbs != nil {
+		if wAbs == 0 {
+			wAbs = float64(fxp.SumAbs(w))
+		}
+		if cap(b.accs) < len(out) {
+			b.accs = make([]int64, len(out))
+		}
+		accs = bt.UncheckedSums(w, 0, b.accs[:len(out)])
+		if b.allSpanFast(bt, wAbs, n, len(out)) {
+			b.dotRowSpanFast(f, w, accs, bt, out)
+			return
+		}
 	}
 	if bt.Lanes != nil {
 		b.checkRepeats(bt, len(out))
@@ -512,7 +522,7 @@ func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, 
 				// The whole window's inflation clears the bound (a
 				// superset of any row's), so consume and correct in one
 				// pass over this row's entries.
-				acc := bt.UncheckedSum(j, w, x)
+				acc := accs[j]
 				for c < len(entries) && entries[c] < pEnd {
 					site := int(entries[c].site() - base)
 					p := int64(w[site]) * int64(x[site])
@@ -530,7 +540,7 @@ func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, 
 					c++
 				}
 				if bt.MaxAbs != nil && wAbs*float64(bt.MaxAbs[j])+inflate < fxp.NoSatBound {
-					acc := bt.UncheckedSum(j, w, x)
+					acc := accs[j]
 					for s := start; s < c; s++ {
 						site := int(entries[s].site() - base)
 						p := int64(w[site]) * int64(x[site])
@@ -554,7 +564,7 @@ func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, 
 				bound += float64(uint64(1) << bit)
 			}
 			if bound < fxp.NoSatBound {
-				acc := bt.UncheckedSum(j, w, x)
+				acc := accs[j]
 				for s, site := range sites {
 					p := int64(w[site]) * int64(x[site])
 					acc += (p ^ int64(1)<<bits[s]) - p
@@ -616,20 +626,14 @@ func (b *BatchInjector) allSpanFast(bt *fxp.Batch, wAbs float64, n, k int) bool 
 	return wAbs*float64(maxAbs)+b.maxInfl < fxp.NoSatBound
 }
 
-// dotRowSpanFast is the whole-row fast path: one blocked unchecked MAC
-// over all positions (or the batch's stored sums, when it carries
-// them), then each position's planned faults applied as additive
+// dotRowSpanFast is the whole-row fast path: each position's nominal
+// sum from accs, then its planned faults applied as additive
 // corrections. Per position this computes exactly what the
 // per-position span fast path computes; allSpanFast has already
 // proven the bound for every position.
-func (b *BatchInjector) dotRowSpanFast(f fxp.Format, w []fxp.Value, bt *fxp.Batch, out []fxp.Value) {
+func (b *BatchInjector) dotRowSpanFast(f fxp.Format, w []fxp.Value, accs []int64, bt *fxp.Batch, out []fxp.Value) {
 	n := len(w)
-	k := len(out)
-	if cap(b.accs) < k {
-		b.accs = make([]int64, k)
-	}
-	accs := bt.UncheckedSums(w, b.accs[:k])
-	for j := 0; j < k; j++ {
+	for j := range out {
 		sp := &b.spans[j]
 		base := sp.pos
 		end := base + int64(n)

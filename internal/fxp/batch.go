@@ -1,6 +1,9 @@
 package fxp
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file holds the batch-lane kernels: the same fixed-point MAC the
 // scalar path runs, restructured so one walk over a weight row drives
@@ -44,33 +47,22 @@ type Batch struct {
 	// Sums, when non-nil, holds each packed lane's unchecked MAC of the
 	// current row, DotUnchecked(w, lane j's activations), computed
 	// ahead of time. A unit that has proven a lane's no-saturation
-	// bound reads Sums[j] instead of recomputing it (see UncheckedSum);
+	// bound reads Sums[j] instead of recomputing it (see UncheckedSums);
 	// the checked kernels ignore it. Outside the bound a stored sum may
 	// have wrapped, so it must never be read there.
 	Sums []int64
 }
 
-// UncheckedSum returns packed lane j's unchecked MAC of w over the
-// lane's activations x: the stored sum when the batch carries one,
-// DotUnchecked(w, x) otherwise. The caller must have proven the lane's
-// no-saturation bound.
-func (b *Batch) UncheckedSum(j int, w, x []Value) int64 {
+// UncheckedSums returns the unchecked MACs of w over packed lanes
+// [lo, lo+len(accs)): the stored sums when the batch carries them, one
+// blocked DotUncheckedBatch walk into accs otherwise. A sum may be
+// used only for a lane whose no-saturation bound the caller has
+// proven; the returned slice may alias b.Sums and must not be written.
+func (b *Batch) UncheckedSums(w []Value, lo int, accs []int64) []int64 {
 	if b.Sums != nil {
-		return b.Sums[j]
+		return b.Sums[lo : lo+len(accs)]
 	}
-	return DotUnchecked(w, x)
-}
-
-// UncheckedSums is UncheckedSum for packed lanes [0, len(accs)): the
-// stored sums when the batch carries them, one blocked
-// DotUncheckedBatch walk into accs otherwise. The caller must have
-// proven every lane's bound; the returned slice may alias b.Sums and
-// must not be written.
-func (b *Batch) UncheckedSums(w []Value, accs []int64) []int64 {
-	if b.Sums != nil {
-		return b.Sums[:len(accs)]
-	}
-	DotUncheckedBatch(w, b.Xs, b.Stride, accs)
+	DotUncheckedBatch(w, b.Xs[lo*b.Stride:], b.Stride, accs)
 	return accs
 }
 
@@ -169,14 +161,44 @@ func DotUnchecked(w, x []Value) int64 {
 }
 
 // DotUncheckedBatch runs the unchecked MAC over all packed lanes,
-// blocked four at a time so each weight element is loaded and
-// sign-extended once per four lanes instead of once per lane, writing
-// each lane's raw int64 sum into accs. Exactness has the same
-// precondition as DotUnchecked, and the caller must have proven it for
-// every lane: per lane the products are accumulated in ascending index
-// order, so under the no-saturation bound the result is bit-identical
-// to the scalar kernel.
+// writing lane j's raw int64 sum of w against xs[j*stride:
+// j*stride+len(w)] into accs[j]. It runs the kernel chosen for this
+// CPU at init — AVX2 on amd64 when the CPU has it (dot_amd64.s),
+// DotUncheckedBatchGo everywhere else — and every kernel returns the
+// same bits for every input: each sums exact int64 products with
+// wrapping int64 adds, which are associative and commutative, so
+// neither the lane order nor the element order can change a sum.
+// Exactness against the saturating kernels has the same precondition
+// as DotUnchecked, which the caller must have proven for every lane.
+// It panics unless every lane's row lies inside xs.
 func DotUncheckedBatch(w, xs []Value, stride int, accs []int64) {
+	if k := len(accs); k > 0 {
+		// The last lane starts furthest in; its offset must not wrap.
+		n := len(w)
+		hi, last := bits.Mul64(uint64(k-1), uint64(stride))
+		if stride < 0 || len(xs) < n || hi != 0 || last > uint64(len(xs)-n) {
+			panic(fmt.Sprintf("fxp: DotUncheckedBatch %d lanes of %d at stride %d overrun %d inputs", k, n, stride, len(xs)))
+		}
+	}
+	if !dotUncheckedBatchSIMD(w, xs, stride, accs) {
+		DotUncheckedBatchGo(w, xs, stride, accs)
+	}
+}
+
+// macKernel names the kernel DotUncheckedBatch runs; the architecture
+// file that selects a SIMD kernel at init renames it.
+var macKernel = "go"
+
+// MACKernel names the kernel DotUncheckedBatch runs on this CPU: "avx2"
+// or "go".
+func MACKernel() string { return macKernel }
+
+// DotUncheckedBatchGo is the portable DotUncheckedBatch kernel and the
+// reference the SIMD kernels are tested against. Lanes are blocked
+// four at a time so each weight element is loaded and sign-extended
+// once per four lanes instead of once per lane; per lane the products
+// are accumulated in ascending index order.
+func DotUncheckedBatchGo(w, xs []Value, stride int, accs []int64) {
 	n := len(w)
 	k := len(accs)
 	j := 0
@@ -293,9 +315,10 @@ func BatchDot(f Format, w, xs []Value, stride int, out []Value) {
 }
 
 // DotRowBatch implements BatchUnit for the exact multiplier. Lanes
-// whose magnitude bound clears noSatBound take the unchecked fast
-// path, reading the batch's stored sums when it carries them; the rest
-// (or all lanes, when no bounds are known) run the checked kernel.
+// run in blocks of up to 64, each block one blocked unchecked walk over
+// the row (or the batch's stored sums); a lane whose magnitude bound
+// clears noSatBound takes its sum from the walk, any other lane — or
+// every lane, when no bounds are known — runs the checked kernel.
 // Either way each lane's result is bit-identical to the scalar exact
 // dot product.
 func (Exact) DotRowBatch(f Format, w []Value, b *Batch, out []Value) {
@@ -308,28 +331,16 @@ func (Exact) DotRowBatch(f Format, w []Value, b *Batch, out []Value) {
 		wAbs = float64(SumAbs(w))
 	}
 	n := len(w)
-	var maxAbs int64
-	for _, m := range b.MaxAbs[:len(out)] {
-		if m > maxAbs {
-			maxAbs = m
-		}
-	}
-	if wAbs*float64(maxAbs) < noSatBound && len(out) <= 64 {
-		// Every lane clears the bound: one blocked walk over the row,
-		// weight loads shared across lanes.
-		var accArr [64]int64
-		accs := b.UncheckedSums(w, accArr[:len(out)])
-		for j := range out {
-			out[j] = f.ScaleProduct(Product(accs[j]))
-		}
-		return
-	}
-	for j := range out {
-		x := b.Xs[j*b.Stride : j*b.Stride+n]
-		if wAbs*float64(b.MaxAbs[j]) < noSatBound {
-			out[j] = f.ScaleProduct(Product(b.UncheckedSum(j, w, x)))
-		} else {
-			out[j] = f.ScaleProduct(AccumExact(0, w, x))
+	var accArr [64]int64
+	for lo := 0; lo < len(out); lo += len(accArr) {
+		hi := min(lo+len(accArr), len(out))
+		accs := b.UncheckedSums(w, lo, accArr[:hi-lo])
+		for j := lo; j < hi; j++ {
+			if wAbs*float64(b.MaxAbs[j]) < noSatBound {
+				out[j] = f.ScaleProduct(Product(accs[j-lo]))
+			} else {
+				out[j] = f.ScaleProduct(AccumExact(0, w, b.Xs[j*b.Stride:j*b.Stride+n]))
+			}
 		}
 	}
 }

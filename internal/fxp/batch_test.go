@@ -248,3 +248,126 @@ func BenchmarkBatchAccum65x16(b *testing.B) {
 		BatchAccum(accs, w, xs, n)
 	}
 }
+
+// fullRangeLanes fills a row of n weights and k lanes at stride of
+// full-range int32 inputs from seed, pushing about one value in eight
+// to ±2^31 so products reach 2^62 and sums wrap.
+func fullRangeLanes(seed int64, n, k, stride int) (w, xs []Value) {
+	rnd := rand.New(rand.NewSource(seed))
+	draw := func() Value {
+		switch rnd.Intn(16) {
+		case 0:
+			return math.MinInt32
+		case 1:
+			return math.MaxInt32
+		}
+		return Value(int32(rnd.Uint32()))
+	}
+	w = make([]Value, n)
+	for i := range w {
+		w[i] = draw()
+	}
+	size := 0
+	if k > 0 {
+		size = (k-1)*stride + n
+	}
+	xs = make([]Value, size)
+	for i := range xs {
+		xs[i] = draw()
+	}
+	return w, xs
+}
+
+// checkDotUncheckedBatch compares DotUncheckedBatch, which runs the
+// kernel this CPU selected, with DotUncheckedBatchGo and with the
+// per-lane DotUnchecked, sum for sum: every kernel wraps the same way,
+// so they agree on every input, bound or no bound.
+func checkDotUncheckedBatch(t *testing.T, seed int64, n, k, stride int) {
+	t.Helper()
+	w, xs := fullRangeLanes(seed, n, k, stride)
+	got := make([]int64, k)
+	for j := range got {
+		got[j] = -0x5EED // a kernel must overwrite every lane
+	}
+	DotUncheckedBatch(w, xs, stride, got)
+	want := make([]int64, k)
+	DotUncheckedBatchGo(w, xs, stride, want)
+	for j := 0; j < k; j++ {
+		lane := DotUnchecked(w, xs[j*stride:j*stride+n])
+		if got[j] != want[j] || want[j] != lane {
+			t.Fatalf("%s kernel, seed %d n=%d k=%d stride=%d lane %d: got %d, Go kernel %d, DotUnchecked %d",
+				MACKernel(), seed, n, k, stride, j, got[j], want[j], lane)
+		}
+	}
+}
+
+// TestDotUncheckedBatchMatchesGo pins the selected kernel to the Go
+// reference across row lengths around the 4-element vector width
+// (n < 4 runs only the scalar tail), lane counts around the 4-lane
+// block (k%4 leftovers run one lane at a time), and padded strides.
+func TestDotUncheckedBatchMatchesGo(t *testing.T) {
+	seed := int64(0)
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 33, 64, 65, 71} {
+		for _, k := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 20} {
+			for _, pad := range []int{0, 1, 3} {
+				seed++
+				checkDotUncheckedBatch(t, seed, n, k, n+pad)
+			}
+		}
+	}
+}
+
+// TestDotUncheckedBatchOverrun checks that a lane layout reaching past
+// xs panics before any kernel reads it.
+func TestDotUncheckedBatchOverrun(t *testing.T) {
+	w := make([]Value, 8)
+	for _, c := range []struct {
+		xs, stride, k int
+	}{
+		{7, 8, 1},        // one lane shorter than the row
+		{23, 8, 3},       // last lane one element short
+		{64, -8, 2},      // negative stride
+		{64, 1 << 62, 5}, // last lane's offset wraps to 0
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%+v: no panic", c)
+				}
+			}()
+			DotUncheckedBatch(w, make([]Value, c.xs), c.stride, make([]int64, c.k))
+		}()
+	}
+}
+
+// FuzzDotUncheckedBatch differentially fuzzes the selected kernel
+// against the Go reference over full-range inputs, rows of 0-79
+// elements, 0-20 lanes and strides of n to n+7.
+func FuzzDotUncheckedBatch(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(3), uint8(5), uint8(1))
+	f.Add(int64(3), uint8(65), uint8(16), uint8(0))
+	f.Add(int64(4), uint8(71), uint8(19), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, n, k, pad uint8) {
+		rowLen := int(n % 80)
+		checkDotUncheckedBatch(t, seed, rowLen, int(k%21), rowLen+int(pad%8))
+	})
+}
+
+func BenchmarkDotUncheckedBatch65x16(b *testing.B) {
+	rnd := rand.New(rand.NewSource(8))
+	const n, k = 65, 16
+	w := randRow(rnd, n, 1<<14)
+	xs := randLanes(rnd, k, n, n, 1<<14)
+	accs := make([]int64, k)
+	for _, kern := range []struct {
+		name string
+		dot  func(w, xs []Value, stride int, accs []int64)
+	}{{MACKernel(), DotUncheckedBatch}, {"go", DotUncheckedBatchGo}} {
+		b.Run(kern.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kern.dot(w, xs, n, accs)
+			}
+		})
+	}
+}

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -349,6 +351,70 @@ func TestWireStreamSlidingWindow(t *testing.T) {
 	v = send(6, wire.StreamRequest{StreamID: 9, ID: "cam2", Stride: 1, Windows: windows[:1]})
 	if len(v.Results) != 1 || v.Results[0].ID != "cam2#1" {
 		t.Fatalf("reopened stream results = %+v, want one cam2#1", v.Results)
+	}
+}
+
+// TestWireStreamLabelBound pins the STREAM label limit: a label with
+// no room left for the "#N" suffix of its result IDs is refused with a
+// 400 at open, before any window is scored or buffered, and the
+// longest allowed label is echoed whole.
+func TestWireStreamLabelBound(t *testing.T) {
+	if got := len(strconv.FormatInt(math.MaxInt64, 10)); maxStreamLabel != wire.MaxIDLen-1-got {
+		t.Fatalf("maxStreamLabel = %d, want %d", maxStreamLabel, wire.MaxIDLen-1-got)
+	}
+	srv := newTestServer(t, Config{JitterSeed: 1})
+	defer srv.Close()
+	addr, stop := startWireServer(t, srv)
+	defer stop()
+	c := wireDial(t, addr)
+	windows := testWindows(t, trace.Trojan, 0, 2)
+	send := func(corr uint64, req wire.StreamRequest) wire.Frame {
+		t.Helper()
+		payload, err := wire.AppendStreamRequest(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteFrame(wire.Frame{Type: wire.FrameStream, Corr: corr, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := c.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Corr != corr {
+			t.Fatalf("reply corr %d, want %d", f.Corr, corr)
+		}
+		return f
+	}
+
+	f := send(1, wire.StreamRequest{StreamID: 1, ID: strings.Repeat("L", wire.MaxIDLen), Stride: 1, Windows: windows[:1]})
+	if f.Type != wire.FrameError {
+		t.Fatalf("255-byte label reply = %v, want ERROR", f.Type)
+	}
+	e, err := wire.DecodeErrorFrame(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Code != wire.CodeBadRequest {
+		t.Fatalf("255-byte label code = %d, want %d", e.Code, wire.CodeBadRequest)
+	}
+	if n := detections(srv); n != 0 {
+		t.Fatalf("refused open ran %d detections, want 0", n)
+	}
+
+	// The refused stream never opened: the same id opens afresh, and a
+	// label at the limit is echoed whole.
+	label := strings.Repeat("L", maxStreamLabel)
+	f = send(2, wire.StreamRequest{StreamID: 1, ID: label, Stride: 1, Windows: windows[1:2]})
+	if f.Type != wire.FrameVerdict {
+		t.Fatalf("%d-byte label reply = %v, want VERDICT", maxStreamLabel, f.Type)
+	}
+	v, err := wire.DecodeVerdict(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Results) != 1 || v.Results[0].ID != label+"#1" {
+		t.Fatalf("results = %+v, want one %s#1", v.Results, label)
 	}
 }
 

@@ -76,6 +76,11 @@ type wireConn struct {
 // connection may hold open.
 const maxWireStreams = 64
 
+// maxStreamLabel bounds a STREAM label so that every re-scoring's
+// result ID "label#N" fits wire.MaxIDLen: N is the stream's int window
+// counter, at most 19 decimal digits (math.MaxInt64).
+const maxStreamLabel = wire.MaxIDLen - len("#") - len("9223372036854775807")
+
 // windowStream is one long-lived sliding-window detection stream: a
 // trailing buffer of the model period's windows, re-scored every
 // stride appended windows.
@@ -530,6 +535,10 @@ func (s *Server) wireStream(wc *wireConn, f wire.Frame) {
 		if req.Close {
 			// Closing a stream that is not open is idempotent: ack.
 			c.reply(batchOutcome{session: -1}, "")
+			return
+		}
+		if len(req.ID) > maxStreamLabel {
+			c.fail(failure{code: int(wire.CodeBadRequest), msg: fmt.Sprintf("stream label is %d bytes, limit %d (room for \"#N\" in result ids)", len(req.ID), maxStreamLabel)}, "")
 			return
 		}
 		if len(wc.streams) >= maxWireStreams {
