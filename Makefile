@@ -4,7 +4,8 @@
 #   make test     tier-1 tests
 #   make race     suite under the race detector
 #   make fmt      fail on any Go file gofmt would change
-#   make verify   fmt + vet + build + test + race, in that order
+#   make perfbench  vet + test the perfbench module against this tree
+#   make verify   fmt + vet + build + test + race + perfbench, in that order
 #   make bench    A/B inference benchmarks -> BENCH_inference.json
 #   make loc      net non-test Go lines against LOC_BASE
 #
@@ -29,7 +30,7 @@ ROLLOUT_SOAK_FLAGS ?=
 STATICCHECK_VERSION ?= 2024.1.1
 LOC_BASE ?= origin/main
 
-.PHONY: build test race vet fmt verify bench soak fleet-soak tenant-soak rollout-soak conform lint loc
+.PHONY: build test race vet fmt perfbench verify bench soak fleet-soak tenant-soak rollout-soak conform lint loc
 
 build:
 	$(GO) build ./...
@@ -47,7 +48,14 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
-verify: fmt vet build test race
+# perfbench is its own module (replace shmd => ../), so the root's
+# `go build ./...` and `go test ./...` never compile it. Vetting and
+# testing it here makes a change that breaks the benchmark fail verify
+# rather than the benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+verify: fmt vet build test race perfbench
 	@echo "verify: OK"
 
 # bench regenerates BENCH_inference.json: ns/op, muls/s and allocs/op

@@ -7,8 +7,9 @@
 // inference on an undervolted core — together with every substrate the
 // evaluation depends on: a FANN-style fixed-point neural network
 // library, a stochastic timing-violation fault injector, an MSR-level
-// undervolting plane with per-device calibration, a Pin-like synthetic
-// program-trace corpus, the RHMD ensemble baseline, the
+// undervolting plane with per-device calibration, a synthetic
+// program-trace corpus in place of the paper's Pin traces, the RHMD
+// ensemble baseline, the
 // reverse-engineering/evasion attack pipeline, and analytic
 // power/latency/storage models.
 //

@@ -144,8 +144,9 @@ func DefaultConfig(seed uint64) Config {
 }
 
 // Sentinel errors for injected faults. Callers classify retryability
-// with Transient/Permanent (or the Permanent() method the error
-// values carry) rather than matching sentinels directly.
+// with Permanent (or the Permanent() method the error values carry)
+// rather than matching sentinels directly: every other injected fault
+// is worth retrying.
 var (
 	ErrTransient = errors.New("chaos: transient MSR write failure")
 	ErrPermanent = errors.New("chaos: voltage regulator failed permanently")
@@ -172,12 +173,6 @@ func (e *planeError) Error() string {
 
 func (e *planeError) Unwrap() error   { return e.sentinel }
 func (e *planeError) Permanent() bool { return e.perm }
-
-// Transient reports whether err is an injected fault worth retrying.
-func Transient(err error) bool {
-	return errors.Is(err, ErrTransient) || errors.Is(err, ErrContended) ||
-		errors.Is(err, ErrCrashed)
-}
 
 // Permanent reports whether err is an injected fault that no retry
 // will clear.

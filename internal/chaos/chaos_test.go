@@ -69,7 +69,7 @@ func TestScriptedTransientBurst(t *testing.T) {
 		if !errors.Is(err, ErrTransient) {
 			t.Fatalf("write %d: err = %v, want ErrTransient", i, err)
 		}
-		if !Transient(err) || Permanent(err) {
+		if Permanent(err) {
 			t.Errorf("transient fault misclassified: %v", err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestSupplyDroopRaisesEffectiveDepth(t *testing.T) {
 	if err := env.Trigger(Rule{Kind: SupplyDroop, Magnitude: 30, Duration: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := env.DroopMV(); got != 30 {
+	if got := env.droopMV; got != 30 {
 		t.Errorf("droop = %v", got)
 	}
 	if got := env.ErrorRate(); got <= calm {
@@ -197,7 +197,7 @@ func TestCrashInsideMargin(t *testing.T) {
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("err = %v, want ErrCrashed", err)
 	}
-	if !env.Crashed() {
+	if env.crashLeft == 0 {
 		t.Error("env not mid-reboot")
 	}
 	if got := env.UndervoltMV(); got != 0 {

@@ -128,20 +128,6 @@ func (e *Env) Dead() bool {
 	return e.dead
 }
 
-// Crashed reports whether the plane is mid-reboot after a crash.
-func (e *Env) Crashed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.crashLeft > 0
-}
-
-// DroopMV returns the active uncommanded supply sag in mV.
-func (e *Env) DroopMV() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.droopMV
-}
-
 // --- the core.Plane surface -------------------------------------------
 
 // Lock forwards to the regulator; a dead regulator or a contended

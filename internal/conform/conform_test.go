@@ -285,7 +285,8 @@ func flipTrial(t testing.TB, er float64, seed uint64) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := flipFixture.h.DetectProgramUnit(inj, flipFixture.programs[idx])
+	h := flipFixture.h
+	d := h.DecideFromScores(h.ScoreWindowsUnit(inj, flipFixture.programs[idx]))
 	return d.Malware != flipFixture.exact[idx]
 }
 

@@ -24,7 +24,8 @@ func programDecision(s *StochasticHMD, idx int, windows []trace.WindowCounts) hm
 	if err != nil {
 		panic(err)
 	}
-	return s.Base().WithFreshBuffers().DetectProgramUnit(inj, windows)
+	h := s.Base().WithFreshBuffers()
+	return h.DecideFromScores(h.ScoreWindowsUnit(inj, windows))
 }
 
 // programConfusion is the confusion matrix of programDecision over

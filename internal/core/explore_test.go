@@ -55,7 +55,8 @@ func confidenceOracle(base *hmd.HMD, programs []dataset.TracedProgram, rate floa
 			if err != nil {
 				panic(err)
 			}
-			score := base.WithFreshBuffers().DetectProgramUnit(inj, p.Windows).Score
+			h := base.WithFreshBuffers()
+			score := h.DecideFromScores(h.ScoreWindowsUnit(inj, p.Windows)).Score
 			if p.IsMalware() {
 				malware.Add(score)
 			} else {

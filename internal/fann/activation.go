@@ -93,16 +93,3 @@ func (a Activation) derivFromOutput(y float64) float64 {
 		panic("fann: unknown activation " + a.String())
 	}
 }
-
-// Range returns the output range of the activation, used by callers to
-// pick thresholds.
-func (a Activation) Range() (lo, hi float64) {
-	switch a {
-	case Sigmoid:
-		return 0, 1
-	case SigmoidSymmetric:
-		return -1, 1
-	default:
-		return math.Inf(-1), math.Inf(1)
-	}
-}

@@ -194,14 +194,21 @@ func TestActivationString(t *testing.T) {
 }
 
 func TestActivationRange(t *testing.T) {
-	if lo, hi := Sigmoid.Range(); lo != 0 || hi != 1 {
-		t.Errorf("sigmoid range = (%v, %v)", lo, hi)
+	// The sigmoid family saturates at its documented output range;
+	// Linear is unbounded.
+	for _, c := range []struct {
+		a      Activation
+		lo, hi float64
+	}{{Sigmoid, 0, 1}, {SigmoidSymmetric, -1, 1}} {
+		if got := c.a.apply(-50); got < c.lo || got > c.lo+1e-9 {
+			t.Errorf("%v(-50) = %v, want just above %v", c.a, got, c.lo)
+		}
+		if got := c.a.apply(50); got > c.hi || got < c.hi-1e-9 {
+			t.Errorf("%v(50) = %v, want just below %v", c.a, got, c.hi)
+		}
 	}
-	if lo, hi := SigmoidSymmetric.Range(); lo != -1 || hi != 1 {
-		t.Errorf("symmetric range = (%v, %v)", lo, hi)
-	}
-	if lo, _ := Linear.Range(); !math.IsInf(lo, -1) {
-		t.Errorf("linear range lo = %v", lo)
+	if got := Linear.apply(-1e300); got != -1e300 {
+		t.Errorf("linear(-1e300) = %v", got)
 	}
 }
 

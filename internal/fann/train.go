@@ -156,20 +156,3 @@ func (n *Network) Train(samples []TrainSample, opts TrainOptions) (mse float64, 
 	}
 	return mse, opts.MaxEpochs, nil
 }
-
-// MSE computes the mean squared error of the network on samples
-// without updating weights.
-func (n *Network) MSE(samples []TrainSample) (float64, error) {
-	if err := n.checkSamples(samples); err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, s := range samples {
-		out := n.Run(s.Input)
-		for j := range out {
-			d := out[j] - s.Target[j]
-			total += d * d
-		}
-	}
-	return total / float64(len(samples)*n.NumOutputs()), nil
-}

@@ -199,9 +199,6 @@ func (b *BatchInjector) configure(rate float64) {
 // Rate returns the configured per-multiplication error rate.
 func (b *BatchInjector) Rate() float64 { return b.rate }
 
-// NumLanes returns the number of fault lanes.
-func (b *BatchInjector) NumLanes() int { return len(b.lanes) }
-
 // Lane exposes lane l's scalar injector state. The lane is live — it
 // shares the batch injector's tables and stream — so it supports
 // everything a scalar Injector does (StartRecord, Stats, even scalar

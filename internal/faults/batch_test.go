@@ -33,7 +33,7 @@ var batchSizes = []int{1, 2, 7, 64}
 // bound, poisoned where it does not.
 func runLaneRows(t *testing.T, b *BatchInjector, f fxp.Format, w []fxp.Value, rows int, mkX func(row, lane, i int) fxp.Value, stored bool) [][]fxp.Value {
 	t.Helper()
-	k := b.NumLanes()
+	k := len(b.lanes)
 	n := len(w)
 	stride := n
 	xs := make([]fxp.Value, k*stride)

@@ -52,8 +52,8 @@ func TestNewDistributionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Weight(20) != 1 {
-		t.Errorf("single-bit distribution weight = %v", d.Weight(20))
+	if d.weights[20] != 1 {
+		t.Errorf("single-bit distribution weight = %v", d.weights[20])
 	}
 }
 
@@ -101,7 +101,7 @@ func TestDistributionSampleMatchesWeights(t *testing.T) {
 		counts[bit]++
 	}
 	for bit := MinFaultBit; bit <= MaxFaultBit; bit++ {
-		want := d.Weight(bit)
+		want := d.weights[bit]
 		got := float64(counts[bit]) / n
 		// 5-sigma binomial tolerance.
 		tol := 5*math.Sqrt(want*(1-want)/n) + 1e-4
@@ -281,8 +281,10 @@ func TestTruncatedUnitError(t *testing.T) {
 	u := TruncatedUnit{DropBits: 6}
 	a := f.FromFloat(3.14159)
 	b := f.FromFloat(-2.71828)
-	approx := f.ProductToFloat(u.Mul(a, b))
-	exact := f.ProductToFloat(fxp.Exact{}.Mul(a, b))
+	// A product carries 2F fractional bits.
+	scale := math.Ldexp(1, 2*int(f.FracBits))
+	approx := float64(u.Mul(a, b)) / scale
+	exact := float64(fxp.Exact{}.Mul(a, b)) / scale
 	if approx == exact {
 		t.Error("truncation should perturb this product")
 	}

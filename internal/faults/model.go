@@ -216,14 +216,6 @@ func UniformDistribution() *Distribution {
 
 func sq(x float64) float64 { return x * x }
 
-// Weight returns the normalized probability mass at bit.
-func (d *Distribution) Weight(bit int) float64 {
-	if bit < 0 || bit >= ProductBits {
-		return 0
-	}
-	return d.weights[bit]
-}
-
 // Weights returns a copy of the normalized per-bit mass.
 func (d *Distribution) Weights() [ProductBits]float64 { return d.weights }
 

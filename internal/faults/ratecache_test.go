@@ -99,7 +99,7 @@ func TestBatchViewTracksInjector(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := in.BatchView()
-	if in.BatchView() != v || v.NumLanes() != 1 || v.Lane(0) != in {
+	if in.BatchView() != v || len(v.lanes) != 1 || v.Lane(0) != in {
 		t.Fatal("view not a cached one-lane view of the injector")
 	}
 	v.BeginSpan([]int{0}, 1000)

@@ -91,7 +91,7 @@ func TestSkipAheadBulkPathRate(t *testing.T) {
 
 // TestSkipAheadPerBitDistribution checks that where faults land is
 // untouched by the sampling change: each bit's observed fault rate must
-// match dist.Weight(bit) * rate for both injectors, within a binomial
+// match dist.weights[bit] * rate for both injectors, within a binomial
 // band (only bits with enough expected mass are tested individually;
 // the tail is pooled).
 func TestSkipAheadPerBitDistribution(t *testing.T) {
@@ -110,11 +110,11 @@ func TestSkipAheadPerBitDistribution(t *testing.T) {
 		}{{"skip-ahead", skip.Stats()}, {"bernoulli", ref.Stats()}} {
 			bitRates := in.c.BitRates()
 			for bit := 0; bit < ProductBits; bit++ {
-				want := dist.Weight(bit) * rate
+				want := dist.weights[bit] * rate
 				if want*muls < 50 {
 					// Too little expected mass for a per-bit band; the
 					// zero-weight bits are still checked exactly.
-					if dist.Weight(bit) == 0 && in.c.PerBit[bit] != 0 {
+					if dist.weights[bit] == 0 && in.c.PerBit[bit] != 0 {
 						t.Errorf("rate %v: %s faulted zero-weight bit %d", rate, in.name, bit)
 					}
 					continue

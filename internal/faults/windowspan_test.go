@@ -342,8 +342,8 @@ func TestResetMatchesFreshInjector(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reused.NumLanes() != width {
-			t.Fatalf("pass %d: %d lanes after Reset, want %d", pass, reused.NumLanes(), width)
+		if len(reused.lanes) != width {
+			t.Fatalf("pass %d: %d lanes after Reset, want %d", pass, len(reused.lanes), width)
 		}
 		ids := make([]int, 0, 2*width)
 		for l := 0; l < width; l++ {

@@ -8,13 +8,42 @@ import (
 	"shmd/internal/trace"
 )
 
+// aggregateAll merges groups of `period` consecutive windows. A trailing
+// partial group is dropped, matching a detector that only fires on
+// full windows.
+func aggregateAll(windows []trace.WindowCounts, period int) ([]trace.WindowCounts, error) {
+	if period < 1 {
+		return nil, fmt.Errorf("features: period %d < 1", period)
+	}
+	if period == 1 {
+		return append([]trace.WindowCounts(nil), windows...), nil
+	}
+	out := make([]trace.WindowCounts, len(windows)/period)
+	for g := range out {
+		aggregate(&out[g], windows[g*period:(g+1)*period])
+	}
+	return out, nil
+}
+
+// fromWindow computes the feature vector of a single (possibly
+// aggregated) window.
+func fromWindow(w trace.WindowCounts, s Set) []float64 {
+	dim, err := s.Dim()
+	if err != nil {
+		panic(fmt.Sprintf("features: unknown set %d", int(s)))
+	}
+	out := make([]float64, dim)
+	fill(out, &w, s)
+	return out
+}
+
 // extractOracle is Extract as it was before it read windows in place:
 // aggregate a copy of every window, then one fresh vector per window.
 func extractOracle(windows []trace.WindowCounts, s Set, period int) ([][]float64, error) {
 	if _, err := s.Dim(); err != nil {
 		return nil, err
 	}
-	agg, err := Aggregate(windows, period)
+	agg, err := aggregateAll(windows, period)
 	if err != nil {
 		return nil, err
 	}
@@ -23,7 +52,7 @@ func extractOracle(windows []trace.WindowCounts, s Set, period int) ([][]float64
 	}
 	out := make([][]float64, len(agg))
 	for i, w := range agg {
-		out[i] = FromWindow(w, s)
+		out[i] = fromWindow(w, s)
 	}
 	return out, nil
 }

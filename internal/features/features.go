@@ -83,23 +83,6 @@ const (
 	Period2 = 2
 )
 
-// Aggregate merges groups of `period` consecutive windows. A trailing
-// partial group is dropped, matching a detector that only fires on
-// full windows.
-func Aggregate(windows []trace.WindowCounts, period int) ([]trace.WindowCounts, error) {
-	if period < 1 {
-		return nil, fmt.Errorf("features: period %d < 1", period)
-	}
-	if period == 1 {
-		return append([]trace.WindowCounts(nil), windows...), nil
-	}
-	out := make([]trace.WindowCounts, len(windows)/period)
-	for g := range out {
-		aggregate(&out[g], windows[g*period:(g+1)*period])
-	}
-	return out, nil
-}
-
 // aggregate sets *agg to the sum of group's windows.
 func aggregate(agg *trace.WindowCounts, group []trace.WindowCounts) {
 	*agg = trace.WindowCounts{}
@@ -159,18 +142,6 @@ func ExtractTo(out [][]float64, backing []float64, windows []trace.WindowCounts,
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// FromWindow computes the feature vector of a single (possibly
-// aggregated) window.
-func FromWindow(w trace.WindowCounts, s Set) []float64 {
-	dim, err := s.Dim()
-	if err != nil {
-		panic(fmt.Sprintf("features: unknown set %d", int(s)))
-	}
-	out := make([]float64, dim)
-	fill(out, &w, s)
-	return out
 }
 
 // fill writes w's feature vector of family s into the zeroed out.

@@ -98,7 +98,7 @@ func TestInstrFreqSumsToOne(t *testing.T) {
 
 func TestAggregatePeriod2(t *testing.T) {
 	ws := testWindows(t, trace.Benign, 8)
-	agg, err := Aggregate(ws, Period2)
+	agg, err := aggregateAll(ws, Period2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestAggregatePeriod2(t *testing.T) {
 		}
 	}
 	// Odd trailing window is dropped.
-	agg, err = Aggregate(ws[:7], Period2)
+	agg, err = aggregateAll(ws[:7], Period2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,17 +125,17 @@ func TestAggregatePeriod2(t *testing.T) {
 
 func TestAggregateValidation(t *testing.T) {
 	ws := testWindows(t, trace.Benign, 2)
-	if _, err := Aggregate(ws, 0); err == nil {
+	if _, err := aggregateAll(ws, 0); err == nil {
 		t.Error("period 0 must error")
 	}
 	if _, err := Extract(ws, SetInstrFreq, 4); err == nil {
 		t.Error("period larger than trace must error (no complete windows)")
 	}
 	// Period 1 returns a copy, not an alias.
-	cp, _ := Aggregate(ws, 1)
+	cp, _ := aggregateAll(ws, 1)
 	cp[0].Taken = -999
 	if ws[0].Taken == -999 {
-		t.Error("Aggregate(period 1) must copy")
+		t.Error("aggregateAll(period 1) must copy")
 	}
 }
 
@@ -254,12 +254,12 @@ func TestInjectionShiftsFeatures(t *testing.T) {
 	inj := make([]int, isa.NumOpcodes)
 	inj[nop.Opcode] = 2000
 
-	before := FromWindow(ws[0], SetInstrFreq)
+	before := fromWindow(ws[0], SetInstrFreq)
 	after, err := Inject(ws[0], inj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	afterVec := FromWindow(after, SetInstrFreq)
+	afterVec := fromWindow(after, SetInstrFreq)
 	if afterVec[nop.Opcode] <= before[nop.Opcode] {
 		t.Error("injected opcode frequency must rise")
 	}
@@ -301,7 +301,7 @@ func TestZeroWindowFeatures(t *testing.T) {
 	// An all-zero window yields all-zero features, not NaNs.
 	var w trace.WindowCounts
 	for _, s := range []Set{SetInstrFreq, SetMemory, SetArchEvents} {
-		for i, x := range FromWindow(w, s) {
+		for i, x := range fromWindow(w, s) {
 			if x != 0 {
 				t.Errorf("%v feature %d = %v for empty window", s, i, x)
 			}

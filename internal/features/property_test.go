@@ -44,7 +44,7 @@ func TestFeatureRangesProperty(t *testing.T) {
 		size := int(sizeRaw%8192) + 64
 		w := randomWindow(seed, size)
 		for _, s := range []Set{SetInstrFreq, SetMemory, SetArchEvents} {
-			for _, x := range FromWindow(w, s) {
+			for _, x := range fromWindow(w, s) {
 				if math.IsNaN(x) || math.IsInf(x, 0) {
 					return false
 				}
@@ -102,7 +102,7 @@ func TestAggregatePreservesTotalsProperty(t *testing.T) {
 		for i := 0; i < groups*period; i++ {
 			total += windows[i].Total()
 		}
-		agg, err := Aggregate(windows, period)
+		agg, err := aggregateAll(windows, period)
 		if err != nil {
 			return false
 		}
@@ -122,7 +122,7 @@ func TestInstrFreqSumProperty(t *testing.T) {
 	check := func(seed uint64) bool {
 		w := randomWindow(seed, 1024)
 		sum := 0.0
-		for _, x := range FromWindow(w, SetInstrFreq) {
+		for _, x := range fromWindow(w, SetInstrFreq) {
 			if x < 0 {
 				return false
 			}

@@ -56,11 +56,6 @@ func (f Format) Validate() error {
 // One returns the fixed-point representation of 1.0.
 func (f Format) One() Value { return Value(1) << f.FracBits }
 
-// MaxFloat returns the largest representable magnitude.
-func (f Format) MaxFloat() float64 {
-	return float64(math.MaxInt32) / float64(int64(1)<<f.FracBits)
-}
-
 // FromFloat converts x to fixed point with round-to-nearest and
 // saturation at the representable range.
 func (f Format) FromFloat(x float64) Value {
@@ -81,12 +76,6 @@ func (f Format) FromFloat(x float64) Value {
 // ToFloat converts v back to a float64.
 func (f Format) ToFloat(v Value) float64 {
 	return float64(v) / float64(int64(1)<<f.FracBits)
-}
-
-// ProductToFloat converts a full-width product (2F fractional bits)
-// back to float64.
-func (f Format) ProductToFloat(p Product) float64 {
-	return float64(p) / float64(int64(1)<<(2*f.FracBits))
 }
 
 // ScaleProduct reduces a full-width product back to Value precision
@@ -229,22 +218,4 @@ func Dot(u Unit, f Format, w, x []Value) Value {
 		acc = SatAdd(acc, u.Mul(w[i], x[i]))
 	}
 	return f.ScaleProduct(acc)
-}
-
-// FromFloats converts a float64 slice into fixed point.
-func (f Format) FromFloats(xs []float64) []Value {
-	out := make([]Value, len(xs))
-	for i, x := range xs {
-		out[i] = f.FromFloat(x)
-	}
-	return out
-}
-
-// ToFloats converts a fixed-point slice back to float64.
-func (f Format) ToFloats(vs []Value) []float64 {
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = f.ToFloat(v)
-	}
-	return out
 }

@@ -61,8 +61,8 @@ func TestExactMul(t *testing.T) {
 	a := f.FromFloat(2.5)
 	b := f.FromFloat(-4.0)
 	p := u.Mul(a, b)
-	if got := f.ProductToFloat(p); got != -10.0 {
-		t.Errorf("2.5 * -4.0 = %v", got)
+	if want := Product(f.FromFloat(-10.0)) << f.FracBits; p != want {
+		t.Errorf("2.5 * -4.0 = %d, want %d", p, want)
 	}
 	if got := f.ToFloat(f.ScaleProduct(p)); got != -10.0 {
 		t.Errorf("scaled product = %v", got)
@@ -112,10 +112,19 @@ func TestSatAdd(t *testing.T) {
 	}
 }
 
+// fromFloats converts xs to fixed point element by element.
+func fromFloats(f Format, xs []float64) []Value {
+	out := make([]Value, len(xs))
+	for i, x := range xs {
+		out[i] = f.FromFloat(x)
+	}
+	return out
+}
+
 func TestDotMatchesFloat(t *testing.T) {
 	f := DefaultFormat
-	w := f.FromFloats([]float64{0.5, -1.25, 2.0, 0.125})
-	x := f.FromFloats([]float64{1.0, 2.0, -0.5, 8.0})
+	w := fromFloats(f, []float64{0.5, -1.25, 2.0, 0.125})
+	x := fromFloats(f, []float64{1.0, 2.0, -0.5, 8.0})
 	got := f.ToFloat(Dot(Exact{}, f, w, x))
 	want := 0.5*1.0 + -1.25*2.0 + 2.0*-0.5 + 0.125*8.0
 	if math.Abs(got-want) > 1e-9 {
@@ -132,27 +141,13 @@ func TestDotLengthMismatchPanics(t *testing.T) {
 	Dot(Exact{}, DefaultFormat, make([]Value, 2), make([]Value, 3))
 }
 
-func TestSliceConversions(t *testing.T) {
-	f := DefaultFormat
-	in := []float64{1, -2, 0.5}
-	out := f.ToFloats(f.FromFloats(in))
-	for i := range in {
-		if out[i] != in[i] {
-			t.Errorf("slice round trip[%d] = %v, want %v", i, out[i], in[i])
-		}
-	}
-	if len(f.FromFloats(nil)) != 0 {
-		t.Error("FromFloats(nil) should be empty")
-	}
-}
-
 // Property: conversion error is bounded by half an LSB for in-range values.
 func TestQuantizationErrorBound(t *testing.T) {
 	f := DefaultFormat
 	lsb := 1.0 / float64(int64(1)<<f.FracBits)
 	check := func(raw int32) bool {
 		x := float64(raw) / float64(1<<16) // roughly [-32768, 32768)
-		if math.Abs(x) > f.MaxFloat()-1 {
+		if math.Abs(x) > f.ToFloat(math.MaxInt32)-1 {
 			return true
 		}
 		got := f.ToFloat(f.FromFloat(x))
@@ -175,8 +170,8 @@ func TestDotErrorBound(t *testing.T) {
 			w64[i] = float64(rawW[i]) / (1 << 12) // [-8, 8)
 			x64[i] = float64(rawX[i]) / (1 << 12)
 		}
-		w := f.FromFloats(w64)
-		x := f.FromFloats(x64)
+		w := fromFloats(f, w64)
+		x := fromFloats(f, x64)
 		got := f.ToFloat(Dot(Exact{}, f, w, x))
 		want := 0.0
 		for i := range w64 {

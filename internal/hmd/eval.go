@@ -36,7 +36,8 @@ const DefaultEvalBatch = 64
 // lane of one planned pass (see scoreLanes), so per-lane unit state —
 // fault streams — stays attached to its trace whatever its length,
 // and per trace the window scores, and hence the decision, are
-// bit-identical to DetectProgramUnit with the lane's unit state.
+// bit-identical to scoring them through ScoreWindowsUnit with the
+// lane's unit state and deciding with DecideFromScores.
 //
 // The receiver's scratch buffers are used; as with ScoreWindowsUnit,
 // an HMD is not safe for concurrent calls (WithFreshBuffers per
@@ -125,9 +126,9 @@ var _ SetDetector = (*HMD)(nil)
 // windows run as packed lanes in program order, laneChunk at a time,
 // so — as in DetectTracesUnit — a program's windows take consecutive
 // windows of its lane's stream, and per program the decision is
-// bit-identical to DetectProgramUnit with the lane's unit state. The
-// set is only read; the receiver's scratch buffers are used
-// (WithFreshBuffers per goroutine).
+// bit-identical to ScoreWindowsUnit and DecideFromScores with the
+// lane's unit state. The set is only read; the receiver's scratch
+// buffers are used (WithFreshBuffers per goroutine).
 func (h *HMD) DetectSetUnit(u fxp.BatchUnit, set *Set, lo, hi int, out []Decision) {
 	s := &h.lanes
 	first, last := set.starts[lo], set.starts[hi]

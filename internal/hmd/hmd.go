@@ -319,9 +319,4 @@ func (h *HMD) DetectProgram(windows []trace.WindowCounts) Decision {
 	return h.DecideFromScores(h.ScoreWindows(windows))
 }
 
-// DetectProgramUnit is DetectProgram through an arbitrary multiplier.
-func (h *HMD) DetectProgramUnit(u fxp.Unit, windows []trace.WindowCounts) Decision {
-	return h.DecideFromScores(h.ScoreWindowsUnit(u, windows))
-}
-
 var _ Detector = (*HMD)(nil)

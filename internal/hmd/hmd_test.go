@@ -117,9 +117,9 @@ func TestDetectProgramUnitMatchesExact(t *testing.T) {
 	d, h := fixtures(t)
 	p := d.Programs[5]
 	a := h.DetectProgram(p.Windows)
-	b := h.DetectProgramUnit(fxp.Exact{}, p.Windows)
+	b := h.DecideFromScores(h.ScoreWindowsUnit(fxp.Exact{}, p.Windows))
 	if a != b {
-		t.Error("DetectProgramUnit(Exact) must equal DetectProgram")
+		t.Error("deciding ScoreWindowsUnit(Exact) must equal DetectProgram")
 	}
 }
 

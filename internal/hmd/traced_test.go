@@ -56,7 +56,8 @@ func (s *tracedSharder) programDecision(idx int, windows []trace.WindowCounts) D
 	if err != nil {
 		panic(err)
 	}
-	return s.HMD.WithFreshBuffers().DetectProgramUnit(inj, windows)
+	h := s.HMD.WithFreshBuffers()
+	return h.DecideFromScores(h.ScoreWindowsUnit(inj, windows))
 }
 
 // evaluateTraced is EvaluateSet with a sink, collecting the traces.
@@ -135,7 +136,7 @@ func TestTracedDrawsReplayBitIdentically(t *testing.T) {
 	_, traces := evaluateTraced(t, sharder, test, 0)
 	for _, tr := range traces {
 		rep := faults.NewReplayer(sharder.logs[tr.Program])
-		dec := h.DetectProgramUnit(rep, tr.Windows)
+		dec := h.DecideFromScores(h.ScoreWindowsUnit(rep, tr.Windows))
 		if err := rep.Done(); err != nil {
 			t.Fatalf("program %d: %v", tr.Program, err)
 		}

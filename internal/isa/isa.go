@@ -183,14 +183,6 @@ func init() {
 // Catalog returns the full instruction table (shared, read-only).
 func Catalog() []Instruction { return catalog }
 
-// ByOpcode returns the instruction at a catalog index.
-func ByOpcode(op int) (Instruction, error) {
-	if op < 0 || op >= NumOpcodes {
-		return Instruction{}, fmt.Errorf("isa: opcode %d outside catalog", op)
-	}
-	return catalog[op], nil
-}
-
 // ByMnemonic looks an instruction up by name.
 func ByMnemonic(name string) (Instruction, error) {
 	i, ok := byMnemonic[name]
@@ -198,28 +190,4 @@ func ByMnemonic(name string) (Instruction, error) {
 		return Instruction{}, fmt.Errorf("isa: unknown mnemonic %q", name)
 	}
 	return catalog[i], nil
-}
-
-// OpcodesInCategory lists the catalog indices of a sub-group.
-func OpcodesInCategory(c Category) []int {
-	var out []int
-	for i := range catalog {
-		if catalog[i].Category == c {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// CategoryCounts folds a per-opcode count vector into per-category
-// counts — the coarse sub-group features of the paper's description.
-func CategoryCounts(perOpcode []int) ([NumCategories]int, error) {
-	var out [NumCategories]int
-	if len(perOpcode) != NumOpcodes {
-		return out, fmt.Errorf("isa: count vector has %d entries, want %d", len(perOpcode), NumOpcodes)
-	}
-	for op, n := range perOpcode {
-		out[catalog[op].Category] += n
-	}
-	return out, nil
 }

@@ -17,8 +17,12 @@ func TestOpcodesAreSequential(t *testing.T) {
 }
 
 func TestEveryCategoryRepresented(t *testing.T) {
+	var n [NumCategories]int
+	for _, ins := range Catalog() {
+		n[ins.Category]++
+	}
 	for c := Category(0); int(c) < NumCategories; c++ {
-		if len(OpcodesInCategory(c)) == 0 {
+		if n[c] == 0 {
 			t.Errorf("category %v has no instructions", c)
 		}
 	}
@@ -34,19 +38,6 @@ func TestByMnemonic(t *testing.T) {
 	}
 	if _, err := ByMnemonic("bogus"); err == nil {
 		t.Error("unknown mnemonic must error")
-	}
-}
-
-func TestByOpcode(t *testing.T) {
-	ins, err := ByOpcode(0)
-	if err != nil || ins.Mnemonic != "mov" {
-		t.Errorf("opcode 0 = %+v err=%v", ins, err)
-	}
-	if _, err := ByOpcode(-1); err == nil {
-		t.Error("negative opcode must error")
-	}
-	if _, err := ByOpcode(NumOpcodes); err == nil {
-		t.Error("out-of-range opcode must error")
 	}
 }
 
@@ -91,45 +82,5 @@ func TestCategoryString(t *testing.T) {
 	}
 	if Category(99).String() != "category(99)" {
 		t.Errorf("unknown name = %q", Category(99).String())
-	}
-}
-
-func TestCategoryCounts(t *testing.T) {
-	counts := make([]int, NumOpcodes)
-	counts[0] = 5 // mov: data transfer
-	movs, _ := ByMnemonic("movs")
-	counts[movs.Opcode] = 3 // string
-	byCat, err := CategoryCounts(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if byCat[CatDataTransfer] != 5 {
-		t.Errorf("data-transfer count = %d", byCat[CatDataTransfer])
-	}
-	if byCat[CatString] != 3 {
-		t.Errorf("string count = %d", byCat[CatString])
-	}
-	if _, err := CategoryCounts(make([]int, 3)); err == nil {
-		t.Error("wrong-length vector must error")
-	}
-}
-
-func TestCategoryCountsTotalPreserved(t *testing.T) {
-	counts := make([]int, NumOpcodes)
-	total := 0
-	for i := range counts {
-		counts[i] = i * 3
-		total += counts[i]
-	}
-	byCat, err := CategoryCounts(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0
-	for _, n := range byCat {
-		sum += n
-	}
-	if sum != total {
-		t.Errorf("category sum %d != opcode sum %d", sum, total)
 	}
 }

@@ -71,19 +71,3 @@ func Accuracy(c Classifier, samples []Sample) float64 {
 	}
 	return float64(correct) / float64(len(samples))
 }
-
-// Agreement measures how often two classifiers make the same decision
-// over a set of feature vectors — the paper's reverse-engineering
-// effectiveness metric (proxy vs victim agreement on the testing set).
-func Agreement(a, b Classifier, features [][]float64) float64 {
-	if len(features) == 0 {
-		return 0
-	}
-	same := 0
-	for _, f := range features {
-		if a.Predict(f) == b.Predict(f) {
-			same++
-		}
-	}
-	return float64(same) / float64(len(features))
-}

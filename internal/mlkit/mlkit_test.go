@@ -164,6 +164,14 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 	}
 }
 
+// leaves counts the leaf nodes under n.
+func leaves(n *treeNode) int {
+	if n.leaf {
+		return 1
+	}
+	return leaves(n.left) + leaves(n.right)
+}
+
 func TestTreePureLeafShortCircuit(t *testing.T) {
 	// Perfectly separable on one feature: the tree needs depth 1.
 	var train []Sample
@@ -178,8 +186,8 @@ func TestTreePureLeafShortCircuit(t *testing.T) {
 	if tree.Depth() != 1 {
 		t.Errorf("separable data grew depth %d, want 1", tree.Depth())
 	}
-	if tree.Leaves() != 2 {
-		t.Errorf("leaves = %d, want 2", tree.Leaves())
+	if n := leaves(tree.root); n != 2 {
+		t.Errorf("leaves = %d, want 2", n)
 	}
 	if tree.Predict([]float64{5}) || !tree.Predict([]float64{35}) {
 		t.Error("tree predictions wrong on separable data")
@@ -222,21 +230,5 @@ func TestAccuracyEmpty(t *testing.T) {
 	m := &LogisticRegression{Weights: []float64{1}}
 	if Accuracy(m, nil) != 0 {
 		t.Error("accuracy of empty set must be 0")
-	}
-}
-
-func TestAgreement(t *testing.T) {
-	// Two models that always disagree on sign.
-	a := &LogisticRegression{Weights: []float64{10}}
-	b := &LogisticRegression{Weights: []float64{-10}}
-	features := [][]float64{{1}, {-1}, {2}, {-2}}
-	if got := Agreement(a, a, features); got != 1 {
-		t.Errorf("self agreement = %v", got)
-	}
-	if got := Agreement(a, b, features); got != 0 {
-		t.Errorf("opposite agreement = %v", got)
-	}
-	if Agreement(a, b, nil) != 0 {
-		t.Error("empty agreement must be 0")
 	}
 }

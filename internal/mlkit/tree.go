@@ -188,14 +188,4 @@ func (n *treeNode) depth() int {
 	return r + 1
 }
 
-// Leaves returns the number of leaf nodes.
-func (t *DecisionTree) Leaves() int { return t.root.leaves() }
-
-func (n *treeNode) leaves() int {
-	if n.leaf {
-		return 1
-	}
-	return n.left.leaves() + n.right.leaves()
-}
-
 var _ Classifier = (*DecisionTree)(nil)

@@ -5,12 +5,7 @@
 //     deterministic streams for every program, fold, and repeat so that
 //     experiments are exactly reproducible;
 //   - Source, math/rand's lagged Fibonacci stream with seeding cheap
-//     enough to re-seed every fault lane of every batched pass;
-//   - the Lewis–Goodman–Miller "minimal standard" PRNG (IBM Systems
-//     Journal 1969), the PRNG the paper benchmarks against a TRNG in the
-//     Section VIII noise-injection overhead comparison;
-//   - a simulated off-core TRNG that models the Intel DRNG's query
-//     latency and energy, used only for overhead accounting.
+//     enough to re-seed every fault lane of every batched pass.
 package rng
 
 import "math/rand"

@@ -174,6 +174,14 @@ func timingVolatile(series string) bool {
 	return strings.HasSuffix(name, "_seconds_bucket") || strings.HasSuffix(name, "_seconds_sum")
 }
 
+// metricsText renders the metrics without an HTTP request, so polling
+// them leaves the request counters as they are.
+func metricsText(srv *Server) string {
+	var b bytes.Buffer
+	srv.Metrics().Write(&b)
+	return b.String()
+}
+
 // scrapeHandler renders /metrics straight off the handler.
 func scrapeHandler(t *testing.T, h http.Handler) string {
 	t.Helper()
@@ -316,7 +324,10 @@ func goldenScalar(t *testing.T) {
 		defer close(first)
 		postExpect(t, ts, "capped", "", body, http.StatusOK)
 	}()
-	waitFor(t, 5*time.Second, "capped tenant in flight", func() bool { return srv.tenants.InFlight("capped") == 1 })
+	// With every slot held, the admitted request is still in flight.
+	waitFor(t, 5*time.Second, "capped tenant in flight", func() bool {
+		return strings.Contains(metricsText(srv), `shmd_tenant_accepted_total{tenant="capped",class="standard"} 1`)
+	})
 	postExpect(t, ts, "capped", "", body, http.StatusTooManyRequests)
 	for _, slot := range held {
 		srv.Pool().Release(slot)

@@ -142,13 +142,10 @@ func TestTenantConcurrencyCapHTTP(t *testing.T) {
 		resp, _ := postTenantDetect(t, ts, "acme", body)
 		first <- resp.StatusCode
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.tenants.InFlight("acme") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// With the only slot held, the admitted request is still in flight.
+	waitFor(t, 5*time.Second, "first request admitted", func() bool {
+		return strings.Contains(metricsText(srv), `shmd_tenant_accepted_total{tenant="acme",class="standard"} 1`)
+	})
 	resp, raw := postTenantDetect(t, ts, "acme", body)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-cap status = %d: %s", resp.StatusCode, raw)

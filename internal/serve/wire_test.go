@@ -283,7 +283,7 @@ func TestWireVersionSkew(t *testing.T) {
 	if _, err := wire.ReadPreamble(nc); err != nil {
 		t.Fatalf("server preamble: %v", err)
 	}
-	f, err := wire.ReadWireFrame(nc, wire.DefaultMaxFramePayload)
+	f, err := wire.NewConn(nc, 0).ReadFrame()
 	if err != nil {
 		t.Fatalf("reading skew reply: %v", err)
 	}

@@ -26,14 +26,6 @@ func (c *Confusion) Record(predicted, actual bool) {
 	}
 }
 
-// Merge folds other into c.
-func (c *Confusion) Merge(other Confusion) {
-	c.TP += other.TP
-	c.TN += other.TN
-	c.FP += other.FP
-	c.FN += other.FN
-}
-
 // Total returns the number of recorded predictions.
 func (c Confusion) Total() int { return c.TP + c.TN + c.FP + c.FN }
 
@@ -62,42 +54,6 @@ func (c Confusion) FNR() float64 {
 		return 0
 	}
 	return float64(c.FN) / float64(pos)
-}
-
-// TPR returns the true-positive rate (malware detection rate).
-func (c Confusion) TPR() float64 {
-	pos := c.TP + c.FN
-	if pos == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(pos)
-}
-
-// TNR returns the true-negative rate.
-func (c Confusion) TNR() float64 {
-	neg := c.FP + c.TN
-	if neg == 0 {
-		return 0
-	}
-	return float64(c.TN) / float64(neg)
-}
-
-// Precision returns TP/(TP+FP), 0 when nothing was flagged.
-func (c Confusion) Precision() float64 {
-	flagged := c.TP + c.FP
-	if flagged == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(flagged)
-}
-
-// F1 returns the harmonic mean of precision and recall.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.TPR()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
 }
 
 // String renders the matrix and headline rates on one line.

@@ -29,35 +29,12 @@ func TestConfusionRecord(t *testing.T) {
 	if got := c.FNR(); !almostEqual(got, 1.0/3.0, 1e-12) {
 		t.Errorf("FNR = %v", got)
 	}
-	if got := c.TPR(); !almostEqual(got, 2.0/3.0, 1e-12) {
-		t.Errorf("TPR = %v", got)
-	}
-	if got := c.TNR(); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("TNR = %v", got)
-	}
-	if got := c.Precision(); !almostEqual(got, 2.0/3.0, 1e-12) {
-		t.Errorf("Precision = %v", got)
-	}
-	if got := c.F1(); !almostEqual(got, 2.0/3.0, 1e-12) {
-		t.Errorf("F1 = %v", got)
-	}
 }
 
 func TestConfusionEmptyRates(t *testing.T) {
 	var c Confusion
-	if c.Accuracy() != 0 || c.FPR() != 0 || c.FNR() != 0 ||
-		c.TPR() != 0 || c.TNR() != 0 || c.Precision() != 0 || c.F1() != 0 {
+	if c.Accuracy() != 0 || c.FPR() != 0 || c.FNR() != 0 {
 		t.Error("all rates of an empty confusion matrix must be 0")
-	}
-}
-
-func TestConfusionMerge(t *testing.T) {
-	a := Confusion{TP: 1, TN: 2, FP: 3, FN: 4}
-	b := Confusion{TP: 10, TN: 20, FP: 30, FN: 40}
-	a.Merge(b)
-	want := Confusion{TP: 11, TN: 22, FP: 33, FN: 44}
-	if a != want {
-		t.Errorf("Merge = %+v, want %+v", a, want)
 	}
 }
 
@@ -69,21 +46,15 @@ func TestConfusionString(t *testing.T) {
 	}
 }
 
-// Property: TPR+FNR = 1 and TNR+FPR = 1 whenever the denominators exist,
-// and accuracy is a TPR/TNR convex combination weighted by class sizes.
+// Property: accuracy is the convex combination of the per-class hit
+// rates 1-FNR and 1-FPR, weighted by class sizes.
 func TestConfusionRateIdentities(t *testing.T) {
 	f := func(tp, tn, fp, fn uint8) bool {
 		c := Confusion{TP: int(tp), TN: int(tn), FP: int(fp), FN: int(fn)}
 		pos := c.TP + c.FN
 		neg := c.TN + c.FP
-		if pos > 0 && !almostEqual(c.TPR()+c.FNR(), 1, 1e-12) {
-			return false
-		}
-		if neg > 0 && !almostEqual(c.TNR()+c.FPR(), 1, 1e-12) {
-			return false
-		}
 		if pos+neg > 0 {
-			want := (c.TPR()*float64(pos) + c.TNR()*float64(neg)) / float64(pos+neg)
+			want := ((1-c.FNR())*float64(pos) + (1-c.FPR())*float64(neg)) / float64(pos+neg)
 			if !almostEqual(c.Accuracy(), want, 1e-12) {
 				return false
 			}

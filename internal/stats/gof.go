@@ -28,16 +28,6 @@ func GammaQ(a, x float64) float64 {
 	return gammaQContinued(a, x)
 }
 
-// GammaP returns the regularized lower incomplete gamma function
-// P(a, x) = 1 - Q(a, x).
-func GammaP(a, x float64) float64 {
-	q := GammaQ(a, x)
-	if math.IsNaN(q) {
-		return q
-	}
-	return 1 - q
-}
-
 const (
 	gammaEps     = 1e-14
 	gammaMaxIter = 1000

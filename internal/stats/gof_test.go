@@ -25,8 +25,12 @@ func TestGammaQKnownValues(t *testing.T) {
 	if !math.IsNaN(GammaQ(-1, 1)) || !math.IsNaN(GammaQ(1, -1)) {
 		t.Error("invalid arguments must return NaN")
 	}
-	if got := GammaP(1, 2); math.Abs(got-(1-math.Exp(-2))) > 1e-12 {
-		t.Errorf("GammaP(1,2) = %v", got)
+	// Q(2, x) = (1+x)e^-x, on the series (x < 3) and continued-fraction
+	// sides.
+	for _, x := range []float64{0.5, 2, 5} {
+		if got, want := GammaQ(2, x), (1+x)*math.Exp(-x); math.Abs(got-want) > 1e-12 {
+			t.Errorf("GammaQ(2, %v) = %v, want %v", x, got, want)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Histogram is a fixed-width binning of float64 samples over [Lo, Hi).
@@ -43,13 +42,6 @@ func (h *Histogram) Add(x float64) {
 	h.total++
 }
 
-// AddAll records every sample in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
 // Total returns the number of samples recorded.
 func (h *Histogram) Total() int { return h.total }
 
@@ -70,27 +62,4 @@ func (h *Histogram) Density() []float64 {
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Render draws a simple fixed-width ASCII bar chart of the histogram,
-// used by the CLI tools to show confidence distributions (Fig 2b).
-func (h *Histogram) Render(width int) string {
-	if width < 1 {
-		width = 40
-	}
-	maxCount := 0
-	for _, c := range h.Counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		bar := 0
-		if maxCount > 0 {
-			bar = c * width / maxCount
-		}
-		fmt.Fprintf(&b, "%8.3f | %-*s %d\n", h.BinCenter(i), width, strings.Repeat("#", bar), c)
-	}
-	return b.String()
 }

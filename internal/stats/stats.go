@@ -46,20 +46,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// SampleVariance returns the unbiased sample variance (division by n-1),
-// or 0 for fewer than two samples.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return Variance(xs) * float64(len(xs)) / float64(len(xs)-1)
-}
-
-// SampleStdDev returns the square root of the unbiased sample variance.
-func SampleStdDev(xs []float64) float64 {
-	return math.Sqrt(SampleVariance(xs))
-}
-
 // MinMax returns the minimum and maximum of xs.
 // It returns ErrEmpty when xs is empty.
 func MinMax(xs []float64) (min, max float64, err error) {

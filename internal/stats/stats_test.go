@@ -43,17 +43,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	// population variance = 1.25, sample variance = 5/3.
-	if got := SampleVariance(xs); !almostEqual(got, 5.0/3.0, 1e-12) {
-		t.Errorf("SampleVariance = %v, want %v", got, 5.0/3.0)
-	}
-	if got := SampleStdDev(xs); !almostEqual(got, math.Sqrt(5.0/3.0), 1e-12) {
-		t.Errorf("SampleStdDev = %v", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	if _, _, err := MinMax(nil); err != ErrEmpty {
 		t.Fatalf("MinMax(nil) err = %v, want ErrEmpty", err)

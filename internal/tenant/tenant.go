@@ -403,13 +403,3 @@ func (r *Registry) Admit(id string, load float64) *Admission {
 	}
 	return adm
 }
-
-// InFlight reports a tenant's live admitted count (0 for unknown).
-func (r *Registry) InFlight(id string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st, ok := r.tenants[labelFor(id)]; ok {
-		return st.inflight
-	}
-	return 0
-}

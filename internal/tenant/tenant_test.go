@@ -80,7 +80,7 @@ func TestConcurrencyCap(t *testing.T) {
 	if a := r.Admit("acme", 0); !a.OK() {
 		t.Fatalf("post-release admission failed: %v", a.Outcome)
 	}
-	if got := r.InFlight("acme"); got != 2 {
+	if got := r.tenants["acme"].inflight; got != 2 {
 		t.Fatalf("inflight = %d, want 2", got)
 	}
 }

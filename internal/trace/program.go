@@ -289,8 +289,5 @@ func NewProgram(c Class, index int, corpusSeed uint64) (*Program, error) {
 	return p, nil
 }
 
-// NumPhases returns the number of execution phases.
-func (p *Program) NumPhases() int { return len(p.phases) }
-
 // IsMalware reports the program's label.
 func (p *Program) IsMalware() bool { return p.Class.IsMalware() }

@@ -217,43 +217,6 @@ func TestApportionPreservesTotal(t *testing.T) {
 	}
 }
 
-func TestInstructionStream(t *testing.T) {
-	p, _ := NewProgram(Worm, 0, 3)
-	ws, _ := p.Trace(1, 1024)
-	stream := p.InstructionStream(ws[0])
-	if len(stream) != 1024 {
-		t.Fatalf("stream length = %d", len(stream))
-	}
-	// The stream must contain exactly the window's opcode counts.
-	var counts [isa.NumOpcodes]int
-	for _, ins := range stream {
-		counts[ins.Opcode]++
-	}
-	if counts != ws[0].Opcode {
-		t.Error("stream counts do not match window counts")
-	}
-	// The interleaving must not be one giant run per opcode: the most
-	// common opcode must not occupy one contiguous block.
-	best, bestOp := 0, 0
-	for op, n := range counts {
-		if n > best {
-			best, bestOp = n, op
-		}
-	}
-	firstIdx, lastIdx := -1, -1
-	for i, ins := range stream {
-		if ins.Opcode == bestOp {
-			if firstIdx < 0 {
-				firstIdx = i
-			}
-			lastIdx = i
-		}
-	}
-	if lastIdx-firstIdx+1 == best {
-		t.Error("dominant opcode forms a contiguous run; interleave is degenerate")
-	}
-}
-
 func TestProgramMetadata(t *testing.T) {
 	p, _ := NewProgram(PasswordStealer, 12, 1)
 	if p.Name != "password-stealer-0012" {
@@ -262,7 +225,7 @@ func TestProgramMetadata(t *testing.T) {
 	if !p.IsMalware() {
 		t.Error("password stealer must be malware")
 	}
-	if p.NumPhases() < 2 || p.NumPhases() > 4 {
-		t.Errorf("phases = %d, want 2..4", p.NumPhases())
+	if n := len(p.phases); n < 2 || n > 4 {
+		t.Errorf("phases = %d, want 2..4", n)
 	}
 }

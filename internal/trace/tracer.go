@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"shmd/internal/isa"
 	"shmd/internal/rng"
 )
 
@@ -121,40 +120,4 @@ func apportion(mix []float64, total int, r interface{ Float64() float64 }) []int
 		fracs[best].f = -1
 	}
 	return counts
-}
-
-// InstructionStream materializes the opcode sequence of one window in
-// a plausible interleaving — the Pin-like instruction-level view used
-// by the characterization and latency tooling. The counts come from
-// Trace; the ordering round-robins proportionally so phase structure
-// is visible without storing 64k-entry slices per program in the
-// dataset pipeline.
-func (p *Program) InstructionStream(window WindowCounts) []isa.Instruction {
-	total := window.Total()
-	out := make([]isa.Instruction, 0, total)
-	remaining := window.Opcode
-	catalog := isa.Catalog()
-	for len(out) < total {
-		emitted := false
-		for op := range remaining {
-			if remaining[op] == 0 {
-				continue
-			}
-			// Emit opcodes in proportion: one per pass, plus extra for
-			// dominant opcodes so the interleave stays representative.
-			n := 1 + remaining[op]/(isa.NumOpcodes/4)
-			if n > remaining[op] {
-				n = remaining[op]
-			}
-			for k := 0; k < n; k++ {
-				out = append(out, catalog[op])
-			}
-			remaining[op] -= n
-			emitted = true
-		}
-		if !emitted {
-			break
-		}
-	}
-	return out
 }

@@ -101,7 +101,7 @@ func TestArenaDecodeStreamReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %d: %v", i, err)
 		}
-		want, err := DecodeStreamRequest(p)
+		want, err := new(Arena).DecodeStream(p)
 		if err != nil {
 			t.Fatal(err)
 		}

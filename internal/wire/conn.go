@@ -32,8 +32,7 @@ type Conn struct {
 	wmu sync.Mutex
 	bw  *bufio.Writer
 
-	maxPayload  int
-	peerVersion uint8
+	maxPayload int
 }
 
 // NewConn wraps nc. maxPayload bounds incoming frame payloads
@@ -72,16 +71,8 @@ func (c *Conn) Handshake(timeout time.Duration) (uint8, error) {
 	if err != nil {
 		return 0, fmt.Errorf("wire: sending preamble: %w", err)
 	}
-	v, err := ReadPreamble(c.br)
-	if err != nil {
-		return 0, err
-	}
-	c.peerVersion = v
-	return v, nil
+	return ReadPreamble(c.br)
 }
-
-// PeerVersion returns the version the peer advertised in Handshake.
-func (c *Conn) PeerVersion() uint8 { return c.peerVersion }
 
 // MaxPayload returns the incoming payload bound.
 func (c *Conn) MaxPayload() int { return c.maxPayload }

@@ -33,20 +33,20 @@ func fuzzSeedFrames(t interface{ Helper() }) [][]byte {
 		Tenant:  "acme",
 	})
 	frames := [][]byte{
-		EncodeFrame(Frame{Type: FrameHello, Payload: AppendHello(nil, Hello{Version: 1, MaxFrame: 1 << 20})}),
-		EncodeFrame(Frame{Type: FrameHello, Payload: AppendHello(nil, Hello{Version: 1, MaxFrame: 1 << 20, Meta: map[string]string{MetaClass: "batch", MetaTenant: "acme"}})}),
-		EncodeFrame(Frame{Type: FrameDetect, Corr: 1, Payload: detect}),
-		EncodeFrame(Frame{Type: FrameDetect, Corr: 6, Payload: detectTenant}),
-		EncodeFrame(Frame{Type: FrameStream, Corr: 7, Payload: stream}),
-		EncodeFrame(Frame{Type: FrameError, Corr: 8, Payload: AppendErrorFrame(nil, ErrorFrame{Code: CodeOverloaded, Msg: "queue full", RetryAfterSec: 2})}),
-		EncodeFrame(Frame{Type: FrameVerdict, Corr: 1, Payload: verdict}),
-		EncodeFrame(Frame{Type: FrameError, Corr: 2, Payload: AppendErrorFrame(nil, ErrorFrame{Code: CodeUnavailable, Msg: "draining"})}),
-		EncodeFrame(Frame{Type: FramePing, Corr: 3}),
-		EncodeFrame(Frame{Type: FramePong, Corr: 3}),
-		EncodeFrame(Frame{Type: FrameGoAway, Payload: AppendGoAway(nil, GoAway{Msg: "bye"})}),
-		EncodeFrame(Frame{Type: FrameHealthReq, Corr: 4}),
-		EncodeFrame(Frame{Type: FrameHealth, Corr: 4, Payload: []byte(`{"status":"ok"}`)}),
-		EncodeFrame(Frame{Type: 0x7F, Corr: 5, Payload: []byte("future")}),
+		AppendFrame(nil, Frame{Type: FrameHello, Payload: AppendHello(nil, Hello{Version: 1, MaxFrame: 1 << 20})}),
+		AppendFrame(nil, Frame{Type: FrameHello, Payload: AppendHello(nil, Hello{Version: 1, MaxFrame: 1 << 20, Meta: map[string]string{MetaClass: "batch", MetaTenant: "acme"}})}),
+		AppendFrame(nil, Frame{Type: FrameDetect, Corr: 1, Payload: detect}),
+		AppendFrame(nil, Frame{Type: FrameDetect, Corr: 6, Payload: detectTenant}),
+		AppendFrame(nil, Frame{Type: FrameStream, Corr: 7, Payload: stream}),
+		AppendFrame(nil, Frame{Type: FrameError, Corr: 8, Payload: AppendErrorFrame(nil, ErrorFrame{Code: CodeOverloaded, Msg: "queue full", RetryAfterSec: 2})}),
+		AppendFrame(nil, Frame{Type: FrameVerdict, Corr: 1, Payload: verdict}),
+		AppendFrame(nil, Frame{Type: FrameError, Corr: 2, Payload: AppendErrorFrame(nil, ErrorFrame{Code: CodeUnavailable, Msg: "draining"})}),
+		AppendFrame(nil, Frame{Type: FramePing, Corr: 3}),
+		AppendFrame(nil, Frame{Type: FramePong, Corr: 3}),
+		AppendFrame(nil, Frame{Type: FrameGoAway, Payload: AppendGoAway(nil, GoAway{Msg: "bye"})}),
+		AppendFrame(nil, Frame{Type: FrameHealthReq, Corr: 4}),
+		AppendFrame(nil, Frame{Type: FrameHealth, Corr: 4, Payload: []byte(`{"status":"ok"}`)}),
+		AppendFrame(nil, Frame{Type: 0x7F, Corr: 5, Payload: []byte("future")}),
 	}
 	seeds := append([][]byte{}, frames...)
 	for _, f := range frames {
@@ -70,47 +70,34 @@ func fuzzSeedFrames(t interface{ Helper() }) [][]byte {
 	return seeds
 }
 
-// FuzzWireFrameDecode holds the frame decoder to its contract on
-// arbitrary bytes: it never panics, every failure is ErrCorrupt-family
-// or *TooLargeError, and a successful decode re-encodes to exactly the
-// bytes consumed (identity). Typed payload decoders get the same
-// treatment on whatever payload survives framing.
+// FuzzWireFrameDecode holds readWireFrame, the reader behind
+// Conn.ReadFrame, to its contract on arbitrary bytes: it never panics,
+// it fails only ErrCorrupt-family, with *TooLargeError, or with a
+// clean io.EOF when no byte arrived, and a frame it reads re-encodes
+// through AppendFrame to exactly the bytes consumed (identity). Typed
+// payload decoders get the same treatment on whatever payload
+// survives framing.
 func FuzzWireFrameDecode(f *testing.F) {
 	for _, seed := range fuzzSeedFrames(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, err := DecodeFrame(data, DefaultMaxFramePayload)
+		fr, n, err := readFrame(data)
 		if err != nil {
 			var tooBig *TooLargeError
-			if !errors.Is(err, ErrCorrupt) && !errors.As(err, &tooBig) {
+			if err == io.EOF {
+				if len(data) != 0 {
+					t.Fatalf("io.EOF with %d bytes unread", len(data))
+				}
+			} else if !errors.Is(err, ErrCorrupt) && !errors.As(err, &tooBig) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
-		} else {
-			if n <= 0 || n > len(data) {
-				t.Fatalf("consumed %d of %d bytes", n, len(data))
-			}
-			if enc := EncodeFrame(fr); !bytes.Equal(enc, data[:n]) {
-				t.Fatalf("re-encode is not identity:\n got %x\nwant %x", enc, data[:n])
-			}
-			// The streaming reader must agree with the buffer decoder.
-			rf, rerr := ReadWireFrame(bytes.NewReader(data), DefaultMaxFramePayload)
-			if rerr != nil {
-				t.Fatalf("ReadWireFrame disagrees: %v", rerr)
-			}
-			if rf.Type != fr.Type || rf.Corr != fr.Corr || !bytes.Equal(rf.Payload, fr.Payload) {
-				t.Fatalf("ReadWireFrame decoded %+v, DecodeFrame %+v", rf, fr)
-			}
-			checkPayloadDecoder(t, fr)
+			return
 		}
-		// The streaming reader independently must never panic and only
-		// fail typed (or io.EOF at a clean boundary).
-		if _, rerr := ReadWireFrame(bytes.NewReader(data), DefaultMaxFramePayload); rerr != nil {
-			var tooBig *TooLargeError
-			if rerr != io.EOF && !errors.Is(rerr, ErrCorrupt) && !errors.As(rerr, &tooBig) {
-				t.Fatalf("untyped stream error: %v", rerr)
-			}
+		if enc := AppendFrame(nil, fr); !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("re-encode is not identity:\n got %x\nwant %x", enc, data[:n])
 		}
+		checkPayloadDecoder(t, fr)
 	})
 }
 
@@ -167,14 +154,14 @@ func checkPayloadDecoder(t *testing.T, fr Frame) {
 		}
 		assert(AppendHello(nil, h), nil)
 	case FrameGoAway:
-		g, err := DecodeGoAway(fr.Payload)
+		g, err := decodeGoAway(fr.Payload)
 		if err != nil {
 			assert(nil, err)
 			return
 		}
 		assert(AppendGoAway(nil, g), nil)
 	case FrameStream:
-		s, err := DecodeStreamRequest(fr.Payload)
+		s, err := new(Arena).DecodeStream(fr.Payload)
 		if err != nil {
 			assert(nil, err)
 			return

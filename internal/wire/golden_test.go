@@ -120,6 +120,28 @@ func readGolden(t *testing.T, name string) []byte {
 	return data
 }
 
+// readFrame reads the first frame of raw with readWireFrame, the
+// reader behind Conn.ReadFrame, and reports the bytes it consumed.
+func readFrame(raw []byte) (Frame, int, error) {
+	r := bytes.NewReader(raw)
+	f, err := readWireFrame(r, DefaultMaxFramePayload, new([FrameHeaderLen]byte))
+	return f, len(raw) - r.Len(), err
+}
+
+// decodeGoAway decodes a GOAWAY payload. Endpoints only ever send
+// GOAWAY (a reader acts on the frame type alone), so the decoder is a
+// test helper that pins the canonical encoding.
+func decodeGoAway(p []byte) (GoAway, error) {
+	d := decoder{buf: p}
+	g := GoAway{Code: d.u16("goaway code")}
+	g.Msg = d.str16("goaway message")
+	d.done()
+	if d.err != nil {
+		return GoAway{}, d.err
+	}
+	return g, nil
+}
+
 // TestGoldenFrameCorpus pins every v1 frame type byte-exactly: the
 // committed fixture must decode, and re-encoding the decoded value
 // must reproduce the fixture bit for bit. Any accidental wire change
@@ -131,14 +153,14 @@ func TestGoldenFrameCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, f := range frames {
-			enc := hex.EncodeToString(EncodeFrame(f)) + "\n"
+			enc := hex.EncodeToString(AppendFrame(nil, f)) + "\n"
 			if err := os.WriteFile(goldenPath(name), []byte(enc), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// The unknown-type fixture: a future frame type that v1 must
 		// skip with a warning, never treat as fatal.
-		unknown := EncodeFrame(Frame{Type: 0x7F, Corr: 5, Payload: []byte("future frame")})
+		unknown := AppendFrame(nil, Frame{Type: 0x7F, Corr: 5, Payload: []byte("future frame")})
 		if err := os.WriteFile(goldenPath("unknown"), []byte(hex.EncodeToString(unknown)+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -148,10 +170,10 @@ func TestGoldenFrameCorpus(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			raw := readGolden(t, name)
 			// The in-memory sample must encode to the committed bytes.
-			if enc := EncodeFrame(want); !bytes.Equal(enc, raw) {
+			if enc := AppendFrame(nil, want); !bytes.Equal(enc, raw) {
 				t.Fatalf("encoding drifted from committed fixture:\n got %x\nwant %x", enc, raw)
 			}
-			f, n, err := DecodeFrame(raw, DefaultMaxFramePayload)
+			f, n, err := readFrame(raw)
 			if err != nil {
 				t.Fatalf("decoding committed fixture: %v", err)
 			}
@@ -206,13 +228,13 @@ func reencodePayload(t *testing.T, f Frame) []byte {
 		}
 		return AppendHello(nil, h)
 	case FrameGoAway:
-		g, err := DecodeGoAway(f.Payload)
+		g, err := decodeGoAway(f.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return AppendGoAway(nil, g)
 	case FrameStream:
-		s, err := DecodeStreamRequest(f.Payload)
+		s, err := new(Arena).DecodeStream(f.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,25 +256,22 @@ func reencodePayload(t *testing.T, f Frame) []byte {
 // kill-connection.
 func TestGoldenUnknownFrameSkips(t *testing.T) {
 	raw := readGolden(t, "unknown")
-	f, n, err := DecodeFrame(raw, DefaultMaxFramePayload)
+	// A stream carrying [unknown, ping] must deliver the ping after
+	// the unknown frame is skipped.
+	stream := append(append([]byte{}, raw...), AppendFrame(nil, Frame{Type: FramePing, Corr: 11})...)
+	r := bytes.NewReader(stream)
+	var hdr [FrameHeaderLen]byte
+	first, err := readWireFrame(r, DefaultMaxFramePayload, &hdr)
 	if err != nil {
 		t.Fatalf("unknown frame type must still decode structurally: %v", err)
 	}
-	if n != len(raw) {
+	if n := len(stream) - r.Len(); n != len(raw) {
 		t.Fatalf("consumed %d of %d bytes", n, len(raw))
 	}
-	if f.Type.Known() {
-		t.Fatalf("fixture type %v unexpectedly known to v1", f.Type)
+	if first.Type.Known() {
+		t.Fatalf("fixture type %v unexpectedly known to v1", first.Type)
 	}
-	// A stream carrying [unknown, ping] must deliver the ping after
-	// the unknown frame is skipped.
-	stream := append(append([]byte{}, raw...), EncodeFrame(Frame{Type: FramePing, Corr: 11})...)
-	r := bytes.NewReader(stream)
-	first, err := ReadWireFrame(r, DefaultMaxFramePayload)
-	if err != nil || first.Type.Known() {
-		t.Fatalf("first frame: %+v, %v", first, err)
-	}
-	second, err := ReadWireFrame(r, DefaultMaxFramePayload)
+	second, err := readWireFrame(r, DefaultMaxFramePayload, &hdr)
 	if err != nil || second.Type != FramePing || second.Corr != 11 {
 		t.Fatalf("second frame after skip: %+v, %v", second, err)
 	}
@@ -274,7 +293,7 @@ func TestGoldenCorpusMutationsFailTyped(t *testing.T) {
 			for _, flip := range []byte{0x01, 0x80} {
 				mut := append([]byte{}, raw...)
 				mut[i] ^= flip
-				f, _, err := DecodeFrame(mut, DefaultMaxFramePayload)
+				f, _, err := readFrame(mut)
 				if err == nil {
 					t.Fatalf("%s: byte %d ^ %#x decoded silently to %+v", name, i, flip, f)
 				}

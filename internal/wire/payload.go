@@ -589,18 +589,6 @@ func AppendGoAway(dst []byte, g GoAway) []byte {
 	return append(dst, msg...)
 }
 
-// DecodeGoAway decodes a GOAWAY payload.
-func DecodeGoAway(p []byte) (GoAway, error) {
-	d := decoder{buf: p}
-	g := GoAway{Code: d.u16("goaway code")}
-	g.Msg = d.str16("goaway message")
-	d.done()
-	if d.err != nil {
-		return GoAway{}, d.err
-	}
-	return g, nil
-}
-
 // StreamRequest is the STREAM frame payload: one append to a
 // long-lived sliding-window detection stream. The stream id is a
 // client-chosen handle scoped to the connection; each append is a
@@ -661,14 +649,8 @@ func AppendStreamRequest(dst []byte, req StreamRequest) ([]byte, error) {
 	return appendTenantTail(dst, req.Tenant), nil
 }
 
-// DecodeStreamRequest decodes a STREAM payload into fresh storage.
-func DecodeStreamRequest(p []byte) (StreamRequest, error) {
-	var a Arena
-	return a.DecodeStream(p)
-}
-
-// DecodeStream decodes a STREAM payload as DecodeStreamRequest does,
-// into the arena: the request's windows alias it.
+// DecodeStream decodes a STREAM payload into the arena: the request's
+// windows alias it.
 func (a *Arena) DecodeStream(p []byte) (StreamRequest, error) {
 	a.reset(p)
 	d := decoder{buf: p}

@@ -208,58 +208,13 @@ func appendFrameHeader(dst []byte, f Frame) []byte {
 	return binary.BigEndian.AppendUint32(dst, uint32(len(f.Payload)))
 }
 
-// EncodeFrame encodes one frame.
-func EncodeFrame(f Frame) []byte {
-	return AppendFrame(make([]byte, 0, FrameHeaderLen+len(f.Payload)+FrameTrailerLen), f)
-}
-
-// DecodeFrame decodes the first frame in raw, returning the frame and
-// the number of bytes consumed. Structural damage wraps ErrCorrupt; a
-// payload length beyond maxPayload returns a *TooLargeError with the
-// consumed size set so a buffer-based caller can skip the frame.
-func DecodeFrame(raw []byte, maxPayload int) (Frame, int, error) {
-	if len(raw) < FrameHeaderLen+FrameTrailerLen {
-		return Frame{}, 0, corrupt("%d bytes, shorter than frame header+trailer", len(raw))
-	}
-	f := Frame{
-		Type:  FrameType(raw[0]),
-		Flags: raw[1],
-		Corr:  binary.BigEndian.Uint64(raw[2:10]),
-	}
-	n := binary.BigEndian.Uint32(raw[10:14])
-	if n > uint32(maxPayload) {
-		total := FrameHeaderLen + int(n) + FrameTrailerLen
-		if int(n) < 0 || total < 0 {
-			return Frame{}, 0, corrupt("frame length %d overflows", n)
-		}
-		return Frame{}, total, &TooLargeError{Type: f.Type, Corr: f.Corr, Len: int(n), Max: maxPayload}
-	}
-	total := FrameHeaderLen + int(n) + FrameTrailerLen
-	if len(raw) < total {
-		return Frame{}, 0, corrupt("frame claims %d payload bytes, only %d remain", n, len(raw)-FrameHeaderLen-FrameTrailerLen)
-	}
-	body := raw[:FrameHeaderLen+int(n)]
-	want := binary.BigEndian.Uint32(raw[FrameHeaderLen+int(n) : total])
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return Frame{}, 0, corrupt("frame CRC32 %08x, trailer says %08x", got, want)
-	}
-	if f.Flags != 0 {
-		return Frame{}, 0, corrupt("reserved frame flags 0x%02x set", f.Flags)
-	}
-	f.Payload = raw[FrameHeaderLen : FrameHeaderLen+int(n)]
-	return f, total, nil
-}
-
-// ReadWireFrame reads one frame from r. An oversized frame is consumed
-// (payload discarded) and reported as *TooLargeError, leaving the
-// stream synchronized on the next frame boundary; every other failure
-// wraps ErrCorrupt except a clean io.EOF at a frame boundary.
-func ReadWireFrame(r io.Reader, maxPayload int) (Frame, error) {
-	return readWireFrame(r, maxPayload, new([FrameHeaderLen]byte))
-}
-
-// readWireFrame is ReadWireFrame reading the header into hdr, which a
-// connection's single reader reuses for every frame.
+// readWireFrame reads one frame from r, reading the header into hdr,
+// which a connection's single reader reuses for every frame. An
+// oversized frame is consumed (payload discarded) and reported as
+// *TooLargeError, leaving the stream synchronized on the next frame
+// boundary; every other failure wraps ErrCorrupt except an error
+// before the first header byte (io.EOF at a clean close), returned
+// unwrapped.
 func readWireFrame(r io.Reader, maxPayload int, hdr *[FrameHeaderLen]byte) (Frame, error) {
 	if n, err := io.ReadFull(r, hdr[:]); err != nil {
 		if n == 0 {

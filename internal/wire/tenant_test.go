@@ -49,11 +49,18 @@ func TestHelloMetaRoundTrip(t *testing.T) {
 //     skips the tail it does not know.
 func TestHelloMetaLegacySkip(t *testing.T) {
 	payload := AppendHello(nil, Hello{Version: 1, MaxFrame: 1 << 20, Meta: map[string]string{MetaTenant: "acme"}})
-	raw := EncodeFrame(Frame{Type: FrameHello, Payload: payload})
+	raw := AppendFrame(nil, Frame{Type: FrameHello, Payload: payload})
 
-	f, n, err := DecodeFrame(raw, DefaultMaxFramePayload)
-	if err != nil || n != len(raw) || f.Type != FrameHello {
+	// The connection keeps flowing past it.
+	streamBytes := append(append([]byte{}, raw...), AppendFrame(nil, Frame{Type: FramePing, Corr: 3})...)
+	r := bytes.NewReader(streamBytes)
+	var hdr [FrameHeaderLen]byte
+	f, err := readWireFrame(r, DefaultMaxFramePayload, &hdr)
+	if n := len(streamBytes) - r.Len(); err != nil || n != len(raw) || f.Type != FrameHello {
 		t.Fatalf("frame-level decode of metadata-bearing HELLO: %+v, n=%d, %v", f, n, err)
+	}
+	if second, err := readWireFrame(r, DefaultMaxFramePayload, &hdr); err != nil || second.Type != FramePing || second.Corr != 3 {
+		t.Fatalf("second frame after metadata HELLO: %+v, %v", second, err)
 	}
 
 	// Frozen v1.0 payload reader: version u8 + max_frame u32, tail
@@ -66,16 +73,6 @@ func TestHelloMetaLegacySkip(t *testing.T) {
 	}
 	if mf := binary.BigEndian.Uint32(f.Payload[1:5]); mf != 1<<20 {
 		t.Fatalf("legacy max_frame read = %d", mf)
-	}
-
-	// The connection keeps flowing past it.
-	streamBytes := append(append([]byte{}, raw...), EncodeFrame(Frame{Type: FramePing, Corr: 3})...)
-	r := bytes.NewReader(streamBytes)
-	if first, err := ReadWireFrame(r, DefaultMaxFramePayload); err != nil || first.Type != FrameHello {
-		t.Fatalf("first frame: %+v, %v", first, err)
-	}
-	if second, err := ReadWireFrame(r, DefaultMaxFramePayload); err != nil || second.Type != FramePing || second.Corr != 3 {
-		t.Fatalf("second frame after metadata HELLO: %+v, %v", second, err)
 	}
 }
 
@@ -151,7 +148,7 @@ func TestStreamRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeStreamRequest(enc)
+	got, err := new(Arena).DecodeStream(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +166,7 @@ func TestStreamRequestRoundTrip(t *testing.T) {
 	// Reserved flag bits are corruption.
 	bad := append([]byte{}, enc...)
 	bad[4] |= 0x80
-	if _, err := DecodeStreamRequest(bad); !errors.Is(err, ErrCorrupt) {
+	if _, err := new(Arena).DecodeStream(bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("reserved stream flags: got %v", err)
 	}
 }
