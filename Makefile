@@ -5,7 +5,8 @@
 #   make race     suite under the race detector
 #   make fmt      fail on any Go file gofmt would change
 #   make perfbench  vet + test the perfbench module against this tree
-#   make verify   fmt + vet + build + test + race + perfbench, in that order
+#   make examples run every program under examples/
+#   make verify   fmt + vet + build + test + race + perfbench + examples, in that order
 #   make bench    A/B inference benchmarks -> BENCH_inference.json
 #   make loc      net non-test Go lines against LOC_BASE
 #
@@ -30,7 +31,7 @@ ROLLOUT_SOAK_FLAGS ?=
 STATICCHECK_VERSION ?= 2024.1.1
 LOC_BASE ?= origin/main
 
-.PHONY: build test race vet fmt perfbench verify bench soak fleet-soak tenant-soak rollout-soak conform lint loc
+.PHONY: build test race vet fmt perfbench examples verify bench soak fleet-soak tenant-soak rollout-soak conform lint loc
 
 build:
 	$(GO) build ./...
@@ -55,7 +56,17 @@ fmt:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-verify: fmt vet build test race perfbench
+# examples runs every demo under examples/ and fails on the first one
+# that exits non-zero. The demos are the end-to-end users of the
+# library API (examples/resilience builds its detector on a chaos
+# plane), and no test runs them.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $${d%/}"; \
+		$(GO) run ./$${d%/} >/dev/null || exit 1; \
+	done
+
+verify: fmt vet build test race perfbench examples
 	@echo "verify: OK"
 
 # bench regenerates BENCH_inference.json: ns/op, muls/s and allocs/op

@@ -2,7 +2,7 @@
 // exact kernels, geometric skip-ahead vs per-multiplication Bernoulli
 // fault injection, sharded vs serial evaluation, JSON/HTTP vs SHMDWIRE
 // streaming over real sockets, single-pass vs encoding/json request
-// decoding, the in-process SHMDWIRE DETECT ingest path, window-lane vs scalar supervised detection, served batches of
+// decoding, the in-process SHMDWIRE DETECT ingest path, one supervised detection, served batches of
 // 16 vs batches of one, one training epoch at GOMAXPROCS vs one proc, lane
 // re-seeding vs math/rand's Seed, a sweep cell vs a standalone
 // evaluation, the exact first-layer MAC kernel this CPU selected vs its
@@ -55,7 +55,6 @@ import (
 	"shmd/internal/rng"
 	"shmd/internal/serve"
 	"shmd/internal/trace"
-	"shmd/internal/volt"
 	"shmd/internal/wire"
 	"shmd/pkg/sdk"
 )
@@ -114,12 +113,6 @@ type Speedups struct {
 	// ns/op over the single-pass /v1/detect decoder's, on a
 	// 16-window x 4096-instruction body.
 	JSONDecodeFastVsStd float64 `json:"json_decode_fast_vs_std"`
-	// DetectLane1VsScalar is the scalar-kernel ns/op over the
-	// production ns/op of one supervised detection of a 16-window x
-	// 4096-instruction program. The key predates window lanes: the
-	// production side scores the program's 16 windows as lanes of one
-	// planned pass, no longer as 16 lane-1 passes.
-	DetectLane1VsScalar float64 `json:"detect_lane1_vs_scalar"`
 	// TrainEpochVs1Proc is the GOMAXPROCS(1) ns/op over the GOMAXPROCS
 	// ns/op of one iRPROP− epoch on the victim-training fold. On one
 	// proc both rows run the same serial pass, so it is not measured
@@ -564,12 +557,12 @@ func measureModelRows(rep *Report, scale experiments.Scale, count int, rows rowF
 		rep.Results = append(rep.Results, decodeFast, decodeStd)
 	}
 
-	if rows.wants("detect_program_16", "detect_program_16_scalar") {
-		detectLane1, detectScalar, err := measureDetect(env.Base, count)
+	if rows.wants("detect_program_16") {
+		detect, err := measureDetect(env.Base, count)
 		if err != nil {
 			return err
 		}
-		rep.Results = append(rep.Results, detectLane1, detectScalar)
+		rep.Results = append(rep.Results, detect)
 	}
 
 	if rows.wants("train_rprop_epoch", "train_rprop_epoch_1proc") {
@@ -591,7 +584,7 @@ var modelRows = []string{
 	"serve_detect_batch1", "serve_detect_batched_16", "serve_detect_batch1_serial", "serve_detect_batched_16_serial",
 	"serve_json_tcp_batched_16", "serve_wire_stream_batched_16",
 	"decode_json_16", "decode_json_16_std",
-	"detect_program_16", "detect_program_16_scalar",
+	"detect_program_16",
 	"train_rprop_epoch", "train_rprop_epoch_1proc",
 }
 
@@ -627,7 +620,6 @@ func speedupsOf(results []Result, maxProcs int) Speedups {
 		ServeBatch16IdleVsBatch1:   ratio(ns["serve_detect_batch1_serial"], ns["serve_detect_batched_16_serial"]),
 		ServeWireVsJSON:            ratio(ns["serve_json_tcp_batched_16"], ns["serve_wire_stream_batched_16"]),
 		JSONDecodeFastVsStd:        ratio(ns["decode_json_16_std"], ns["decode_json_16"]),
-		DetectLane1VsScalar:        ratio(ns["detect_program_16_scalar"], ns["detect_program_16"]),
 		TrainEpochVs1Proc:          parallel(ns["train_rprop_epoch_1proc"], ns["train_rprop_epoch"]),
 		LaneReseedVsMathRand:       ratio(ns["lane_reseed_mathrand"], ns["lane_reseed"]),
 		SweepCellVsEvaluate:        ratio(float64(sweepCells)*ns["evaluate_serial_1worker"], ns["accuracy_sweep_1proc"]),
@@ -939,62 +931,34 @@ func measureDecode(base *hmd.HMD, count int) (Result, Result, error) {
 	return row("decode_json_16", serve.DecodeDetectRequest), row("decode_json_16_std", serve.DecodeDetectRequestStd), nil
 }
 
-// scalarInjector hides an injector's batch form: it is still a
-// core.FaultUnit and an fxp.BulkUnit, but not a *faults.Injector, so
-// scoring through it runs fann.FixedNetwork.Run and Injector.DotRow —
-// the scalar path production detection used before batch kernels.
-type scalarInjector struct{ *faults.Injector }
-
-// measureDetect benchmarks one supervised detection A/B on one program
-// of 16 windows x 4096 instructions, the http-scalar request geometry:
-// the production detector, which scores the program's windows as lanes
-// of one planned pass of the batch kernel, against the same
-// supervisor, session and seed around a scalar injector.
-func measureDetect(base *hmd.HMD, count int) (Result, Result, error) {
+// measureDetect benchmarks one supervised detection of one program of
+// 16 windows x 4096 instructions, the http-scalar request geometry: a
+// batch of one through the supervisor, its windows scored as lanes of
+// one planned pass of the batch kernel.
+func measureDetect(base *hmd.HMD, count int) (Result, error) {
 	prog, err := trace.NewProgram(trace.Trojan, 0, 1)
 	if err != nil {
-		return Result{}, Result{}, err
+		return Result{}, err
 	}
 	windows, err := prog.Trace(16, 4096)
 	if err != nil {
-		return Result{}, Result{}, err
+		return Result{}, err
 	}
-	opts := core.Options{ErrorRate: experiments.OperatingErrorRate, Seed: 1}
-	lane1, err := core.New(base.WithFreshBuffers(), opts)
+	det, err := core.New(base.WithFreshBuffers(), core.Options{ErrorRate: experiments.OperatingErrorRate, Seed: 1})
 	if err != nil {
-		return Result{}, Result{}, err
+		return Result{}, err
 	}
-	reg, err := volt.NewRegulator(volt.PlaneCore, volt.NewDeviceProfile(opts.DeviceSeed))
+	sup, err := core.NewSupervisor(det, core.SupervisorConfig{})
 	if err != nil {
-		return Result{}, Result{}, err
+		return Result{}, err
 	}
-	inj, err := faults.NewInjector(0, nil, rng.NewRand(opts.Seed, 0x5BD))
-	if err != nil {
-		return Result{}, Result{}, err
-	}
-	scalar, err := core.NewWithHardware(base.WithFreshBuffers(), reg, scalarInjector{inj}, opts)
-	if err != nil {
-		return Result{}, Result{}, err
-	}
-	row := func(name string, s *core.StochasticHMD) (Result, error) {
-		sup, err := core.NewSupervisor(s, core.SupervisorConfig{})
-		if err != nil {
-			return Result{}, err
-		}
-		return measure(name, count, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sup.DetectProgram(windows); err != nil {
-					b.Fatal(err)
-				}
+	return measure("detect_program_16", count, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sup.DetectProgram(windows); err != nil {
+				b.Fatal(err)
 			}
-		}), nil
-	}
-	lane1Row, err := row("detect_program_16", lane1)
-	if err != nil {
-		return Result{}, Result{}, err
-	}
-	scalarRow, err := row("detect_program_16_scalar", scalar)
-	return lane1Row, scalarRow, err
+		}
+	}), nil
 }
 
 // sweepRates are the error rates of the accuracy_sweep_1proc row: the
@@ -1106,7 +1070,6 @@ func compare(rep, base *Report, maxRegress float64) []string {
 	ratio("batch_lane64_vs_faulty_skipahead", rep.Speedups.BatchLane64VsScalarFaulty, base.Speedups.BatchLane64VsScalarFaulty)
 	ratio("batch_lane64_vs_exact_fused", rep.Speedups.BatchLane64VsExactFused, base.Speedups.BatchLane64VsExactFused)
 	ratio("json_decode_fast_vs_std", rep.Speedups.JSONDecodeFastVsStd, base.Speedups.JSONDecodeFastVsStd)
-	ratio("detect_lane1_vs_scalar", rep.Speedups.DetectLane1VsScalar, base.Speedups.DetectLane1VsScalar)
 	ratio("lane_reseed_vs_mathrand", rep.Speedups.LaneReseedVsMathRand, base.Speedups.LaneReseedVsMathRand)
 	ratio("sweep_cell_vs_evaluate", rep.Speedups.SweepCellVsEvaluate, base.Speedups.SweepCellVsEvaluate)
 	// One serial client leaves nothing to overlap, so the idle-batcher
@@ -1291,7 +1254,6 @@ func printSummary(w io.Writer, rep *Report) {
 	fmt.Fprintf(w, "serve batch16 idle vs batch1: %.2fx\n", sp.ServeBatch16IdleVsBatch1)
 	fmt.Fprintf(w, "serve wire stream vs json:    %.2fx\n", sp.ServeWireVsJSON)
 	fmt.Fprintf(w, "json decode fast vs std:      %.2fx\n", sp.JSONDecodeFastVsStd)
-	fmt.Fprintf(w, "detect lanes vs scalar:       %.2fx\n", sp.DetectLane1VsScalar)
 	fmt.Fprintf(w, "lane reseed vs math/rand:     %.2fx\n", sp.LaneReseedVsMathRand)
 	fmt.Fprintf(w, "exact MAC %s vs go:         %.2fx\n", fxp.MACKernel(), sp.ExactMACSIMDVsGo)
 	if rep.MaxProcs > 1 {

@@ -28,7 +28,6 @@ func TestCompareGate(t *testing.T) {
 			ServeBatch16IdleVsBatch1:   0.9,
 			ServeWireVsJSON:            1.3,
 			JSONDecodeFastVsStd:        6.0,
-			DetectLane1VsScalar:        1.6,
 			TrainEpochVs1Proc:          1.8,
 			LaneReseedVsMathRand:       5.0,
 			SweepCellVsEvaluate:        1.6,
@@ -100,20 +99,6 @@ func TestCompareGate(t *testing.T) {
 		r.Speedups.JSONDecodeFastVsStd = 4.0
 	}), base, 0.25); len(p) != 1 {
 		t.Errorf("json decode regression not flagged: %v", p)
-	}
-	// The lane-1 detect ratio is single-threaded too: it gates on any
-	// proc count, inside the margin passes and past it fails.
-	if p := compare(clone(func(r *Report) {
-		r.MaxProcs = 1
-		r.Speedups.DetectLane1VsScalar = 1.3
-	}), base, 0.25); len(p) != 0 {
-		t.Errorf("in-margin detect lane-1 drop flagged: %v", p)
-	}
-	if p := compare(clone(func(r *Report) {
-		r.MaxProcs = 1
-		r.Speedups.DetectLane1VsScalar = 1.1
-	}), base, 0.25); len(p) != 1 {
-		t.Errorf("detect lane-1 regression not flagged: %v", p)
 	}
 	// Lane re-seeding is single-threaded: its ratio gates on any proc
 	// count, and its row allows no allocation at all.
@@ -269,8 +254,8 @@ func TestRunAndWriteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 28 {
-		t.Fatalf("got %d results, want 28", len(rep.Results))
+	if len(rep.Results) != 27 {
+		t.Fatalf("got %d results, want 27", len(rep.Results))
 	}
 	// modelRows lists the rows that need the trained environment; the
 	// rest are the two lane re-seeding rows, the wire codec row and the
@@ -288,7 +273,7 @@ func TestRunAndWriteReport(t *testing.T) {
 		}
 	}
 	if rep.Speedups.ExactFusedVsScalar <= 0 || rep.Speedups.FaultySkipAheadVsBernoulli <= 0 ||
-		rep.Speedups.JSONDecodeFastVsStd <= 0 || rep.Speedups.DetectLane1VsScalar <= 0 ||
+		rep.Speedups.JSONDecodeFastVsStd <= 0 ||
 		rep.Speedups.ServeBatch16IdleVsBatch1 <= 0 || (rep.MaxProcs > 1) != (rep.Speedups.TrainEpochVs1Proc > 0) ||
 		rep.Speedups.LaneReseedVsMathRand <= 0 || rep.Speedups.SweepCellVsEvaluate <= 0 ||
 		rep.Speedups.ExactMACSIMDVsGo <= 0 {
@@ -339,7 +324,7 @@ func TestRefreshRows(t *testing.T) {
 		"batch_faulty_1", "batch_faulty_4", "batch_faulty_16", "batch_faulty_64",
 		"serve_detect_batch1", "serve_detect_batched_16", "serve_detect_batch1_serial",
 		"serve_detect_batched_16_serial", "serve_json_tcp_batched_16", "serve_wire_stream_batched_16",
-		"decode_json_16", "decode_json_16_std", "detect_program_16", "detect_program_16_scalar",
+		"decode_json_16", "decode_json_16_std", "detect_program_16",
 		"train_rprop_epoch", "train_rprop_epoch_1proc",
 	}
 	mk := func(ns float64, allocs int64) *Report {
@@ -352,7 +337,7 @@ func TestRefreshRows(t *testing.T) {
 	}
 	prev, fresh := mk(100, 5), mk(50, 3)
 	fresh.Count = 2
-	got, err := refreshRows(prev, fresh, "detect_program_16, batch_faulty_*")
+	got, err := refreshRows(prev, fresh, "detect_program_16, decode_json_16, batch_faulty_*")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +348,7 @@ func TestRefreshRows(t *testing.T) {
 		if r.Name != names[i] {
 			t.Fatalf("row %d is %s, want %s in committed order", i, r.Name, names[i])
 		}
-		refreshed := r.Name == "detect_program_16" || strings.HasPrefix(r.Name, "batch_faulty_")
+		refreshed := r.Name == "detect_program_16" || r.Name == "decode_json_16" || strings.HasPrefix(r.Name, "batch_faulty_")
 		want := prev.Results[i]
 		if refreshed {
 			want = fresh.Results[i]
@@ -375,8 +360,8 @@ func TestRefreshRows(t *testing.T) {
 	if got.Speedups != speedupsOf(got.Results, got.MaxProcs) {
 		t.Errorf("ratios not recomputed from the merged rows")
 	}
-	if want := prev.Results[19].NsPerOp / fresh.Results[18].NsPerOp; got.Speedups.DetectLane1VsScalar != want {
-		t.Errorf("detect ratio %v, want committed scalar over fresh lane row %v", got.Speedups.DetectLane1VsScalar, want)
+	if want := prev.Results[17].NsPerOp / fresh.Results[16].NsPerOp; got.Speedups.JSONDecodeFastVsStd != want {
+		t.Errorf("decode ratio %v, want committed std over fresh fast row %v", got.Speedups.JSONDecodeFastVsStd, want)
 	}
 	if got.Speedups.ExactFusedVsScalar != prev.Speedups.ExactFusedVsScalar {
 		t.Errorf("untouched ratio moved: %v, committed %v", got.Speedups.ExactFusedVsScalar, prev.Speedups.ExactFusedVsScalar)
@@ -410,7 +395,7 @@ func TestRefreshRows(t *testing.T) {
 			t.Errorf("%s: %+v, want %+v", r.Name, r, want)
 		}
 	}
-	if want := fresh.Results[21].NsPerOp / fresh.Results[20].NsPerOp; got.Speedups.TrainEpochVs1Proc != want {
+	if want := fresh.Results[20].NsPerOp / fresh.Results[19].NsPerOp; got.Speedups.TrainEpochVs1Proc != want {
 		t.Errorf("training ratio %v, want %v", got.Speedups.TrainEpochVs1Proc, want)
 	}
 

@@ -48,9 +48,7 @@ import (
 	"shmd/internal/chaos"
 	"shmd/internal/core"
 	"shmd/internal/dataset"
-	"shmd/internal/faults"
 	"shmd/internal/hmd"
-	"shmd/internal/rng"
 	"shmd/internal/trace"
 	"shmd/internal/volt"
 )
@@ -248,11 +246,7 @@ func cmdDetect(args []string) error {
 		if err != nil {
 			return err
 		}
-		inj, err := faults.NewInjectorSource(0, nil, rng.NewSource64(*seed, 0x5BD))
-		if err != nil {
-			return err
-		}
-		s, err = core.NewWithHardware(det, env, inj, opts)
+		s, err = core.NewOnPlane(det, env, opts)
 		if err != nil {
 			return err
 		}

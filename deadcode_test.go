@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -39,11 +40,16 @@ var reachableExempt = map[string]string{
 // TestEveryExportedFuncIsCalled parses the non-test Go files of both
 // modules (the root module and perfbench, which builds against it
 // through a replace directive) and fails on any exported top-level
-// function or method whose name occurs nowhere outside its own
-// declaration, and on any exemption that no longer exempts one.
-// Comments are not parsed, so a mention in a doc comment does not
-// count as a use. Matching is by name only, so a use of a name in any
-// package keeps every function and method of that name alive.
+// function or method that nothing uses outside its own declaration,
+// and on any exemption that no longer exempts one. Comments are not
+// parsed, so a mention in a doc comment does not count as a use.
+//
+// A top-level function is matched by package: a use is its bare name
+// in a file of the declaring directory, or a pkg.Name selector whose
+// pkg resolves through that file's imports to the declaring package.
+// Methods are matched by name only, since resolving a receiver needs
+// type checking: a use of a name in any package keeps every method of
+// that name alive.
 func TestEveryExportedFuncIsCalled(t *testing.T) {
 	fset := token.NewFileSet()
 	var files []*ast.File
@@ -81,13 +87,55 @@ func TestEveryExportedFuncIsCalled(t *testing.T) {
 		t.Fatal("the scan must cover the root module and perfbench")
 	}
 
-	// uses counts every identifier occurrence by name; each exported
-	// declaration then subtracts the occurrences inside itself.
-	uses := map[string]int{}
-	for _, f := range files {
+	// Both modules map directories to import paths the same way: the
+	// root module is "shmd" and perfbench is "shmd/perfbench".
+	dirOf := map[string]string{}   // import path -> directory
+	pkgName := map[string]string{} // import path -> package name
+	for f, dir := range dirs {
+		path := "shmd"
+		if dir != "." {
+			path += "/" + dir
+		}
+		dirOf[path] = dir
+		pkgName[path] = f.Name.Name
+	}
+
+	// names counts every identifier occurrence by name, for methods.
+	// funcs counts the uses of top-level functions by "dir.Name": bare
+	// names by the directory of the file they occur in, selectors by
+	// the directory of the package they resolve to.
+	names := map[string]int{}
+	funcs := map[string]int{}
+	for f, dir := range dirs {
+		imports := map[string]string{} // local name -> directory
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			to, ok := dirOf[path]
+			if !ok {
+				continue
+			}
+			local := pkgName[path]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = to
+		}
+		sels := map[*ast.Ident]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				sels[sel.Sel] = true
+				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					funcs[imports[x.Name]+"."+sel.Sel.Name]++
+				}
+			}
+			return true
+		})
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name]++
+				names[id.Name]++
+				if !sels[id] {
+					funcs[dir+"."+id.Name]++
+				}
 			}
 			return true
 		})
@@ -95,11 +143,14 @@ func TestEveryExportedFuncIsCalled(t *testing.T) {
 	var dead []string
 	exempted := map[string]bool{}
 	for _, f := range files {
+		dir := dirs[f]
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || !fn.Name.IsExported() {
 				continue
 			}
+			// inside counts the declaration's own occurrences of its
+			// name: the name it declares, and any recursive call.
 			inside := 0
 			ast.Inspect(fn, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok && id.Name == fn.Name.Name {
@@ -107,11 +158,15 @@ func TestEveryExportedFuncIsCalled(t *testing.T) {
 				}
 				return true
 			})
-			if uses[fn.Name.Name] > inside {
+			key := dir + "." + fn.Name.Name
+			uses := funcs[key]
+			if fn.Recv != nil {
+				uses = names[fn.Name.Name]
+			}
+			if uses > inside {
 				continue
 			}
-			dir := dirs[f]
-			switch key := dir + "." + fn.Name.Name; {
+			switch {
 			case reachableExempt[dir] != "":
 				exempted[dir] = true
 			case reachableExempt[key] != "":

@@ -17,9 +17,7 @@ import (
 	"shmd/internal/chaos"
 	"shmd/internal/core"
 	"shmd/internal/dataset"
-	"shmd/internal/faults"
 	"shmd/internal/hmd"
-	"shmd/internal/rng"
 	"shmd/internal/volt"
 )
 
@@ -49,11 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	inj, err := faults.NewInjectorSource(0, nil, rng.NewSource64(3, 0x5BD))
-	if err != nil {
-		log.Fatal(err)
-	}
-	protected, err := core.NewWithHardware(detector, env, inj, core.Options{ErrorRate: 0.1})
+	protected, err := core.NewOnPlane(detector, env, core.Options{ErrorRate: 0.1, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"shmd/internal/core"
 	"shmd/internal/dataset"
 	"shmd/internal/hmd"
+	"shmd/internal/trace"
 	"shmd/internal/volt"
 )
 
@@ -59,12 +60,12 @@ func TestEndToEndLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sc hmd.Decision
 	for _, p := range data.Select(split.Test)[:10] {
-		if sc, err = session.DetectProgram(p.Windows); err != nil {
+		decs, _, err := session.DetectBatch([][]trace.WindowCounts{p.Windows}, false)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if sc.Score < 0 || sc.Score > 1 {
+		if sc := decs[0]; sc.Score < 0 || sc.Score > 1 {
 			t.Fatalf("session score = %v", sc.Score)
 		}
 		if !session.AtNominal() {

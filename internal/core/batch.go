@@ -16,8 +16,8 @@ import (
 // This file is the serving-side batch surface: whole groups of traces
 // — concurrent requests coalesced by the serve dispatcher — evaluated
 // in one lane-batched undervolted pass, carried through the Session
-// enter/exit protocol and the Supervisor recovery machinery with the
-// same guarantees the scalar path gives each program individually.
+// enter/exit protocol and the Supervisor recovery machinery. A single
+// supervised request is a batch of one.
 
 // laneKit is the reusable state of one lane-batched pass: one source
 // per lane, re-seeded for every pass, the batch injector re-armed over
@@ -96,32 +96,9 @@ func (c laneCell) DetectSet(set *hmd.Set, lo, hi int, out []hmd.Decision) {
 }
 
 // batchPassLabel separates serving-batch lane streams from the
-// detector's own stream (0x5BD in New), the evaluation shard streams
-// (0x5A4D), and the pool slot streams (0x5E54).
+// detector's own stream (0x5BD in NewOnPlane), the evaluation shard
+// streams (0x5A4D), and the pool slot streams (0x5E54).
 const batchPassLabel = 0x5BA7
-
-// EnableBatchStreams installs a root seed and fault-location
-// distribution for batched detection on a detector whose fault streams
-// could not otherwise be re-derived per lane — one built by
-// NewWithHardware on caller-supplied hardware (nil dist selects the
-// Fig 1 model). Detectors built by New already carry their seed and
-// need no opt-in. The caller-supplied FaultUnit keeps serving the
-// scalar path; batched passes run on derived per-lane injectors at the
-// unit's current rate, so the moving-target property and the
-// calibrated operating point are preserved either way.
-func (s *StochasticHMD) EnableBatchStreams(seed uint64, dist *faults.Distribution) {
-	if dist == nil {
-		dist = faults.Fig1Distribution()
-	}
-	s.laneSeeded = true
-	s.seed = seed
-	s.dist = dist
-}
-
-// BatchCapable reports whether DetectTracesBatch will accept batches:
-// true for detectors built by New and for hardware-backed detectors
-// after EnableBatchStreams.
-func (s *StochasticHMD) BatchCapable() bool { return s.shardable || s.laneSeeded }
 
 // DetectTracesBatch evaluates every trace in one lane-batched pass
 // through the undervolted multiplier. Lane j's fault stream is derived
@@ -132,25 +109,20 @@ func (s *StochasticHMD) BatchCapable() bool { return s.shardable || s.laneSeeded
 //
 // When record is set, the returned logs hold lane j's stochastic draw
 // log (replayable off-hardware via faults.Replayer); otherwise logs is
-// nil. ok is false when the detector cannot derive per-lane streams
-// (NewWithHardware without EnableBatchStreams) — callers fall back to
-// the scalar path.
+// nil.
 //
 // Unlike ScoreWindows, a batched pass never consumes the detector's
 // own fault stream; it is not safe for concurrent use with itself or
-// the scalar path (the serving layer serializes through Session).
-func (s *StochasticHMD) DetectTracesBatch(traces [][]trace.WindowCounts, record bool) (decs []hmd.Decision, logs []faults.DrawLog, ok bool) {
-	if !s.BatchCapable() {
-		return nil, nil, false
-	}
+// the library path (the serving layer serializes through Session).
+func (s *StochasticHMD) DetectTracesBatch(traces [][]trace.WindowCounts, record bool) (decs []hmd.Decision, logs []faults.DrawLog, err error) {
 	rate := s.inj.Rate()
 	pass := s.batchPass
 	s.batchPass++
-	err := s.kit.arm(s.base, rate, s.dist, len(traces), func(src rand.Source64, j int) {
+	err = s.kit.arm(s.base, rate, s.dist, len(traces), func(src rand.Source64, j int) {
 		rng.Reseed(src, s.seed, batchPassLabel, pass, math.Float64bits(rate), uint64(j))
 	})
 	if err != nil {
-		return nil, nil, false
+		return nil, nil, err
 	}
 	binj := s.kit.inj
 	if record {
@@ -164,19 +136,14 @@ func (s *StochasticHMD) DetectTracesBatch(traces [][]trace.WindowCounts, record 
 			}
 		}()
 	}
-	decs = s.kit.h.DetectTracesUnit(binj, traces)
-	return decs, logs, true
+	return s.kit.h.DetectTracesUnit(binj, traces), logs, nil
 }
 
 // DetectBatch runs one enter → batched infer → exit cycle: a whole
 // group of coalesced requests pays a single undervolt transition
 // instead of one per program, while faults still never reach
-// computation outside the cycle. When the detector cannot derive
-// per-lane streams the group is served sequentially inside the same
-// cycle, so callers get batch semantics either way. logs follows
-// DetectTracesBatch's contract (per-lane draw logs when record is
-// set; the sequential fallback records through the detector's own
-// recordable unit, if any).
+// computation outside the cycle. logs follows DetectTracesBatch's
+// contract.
 func (sess *Session) DetectBatch(traces [][]trace.WindowCounts, record bool) (decs []hmd.Decision, logs []faults.DrawLog, err error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -188,32 +155,17 @@ func (sess *Session) DetectBatch(traces [][]trace.WindowCounts, record bool) (de
 			err = exitErr
 		}
 	}()
-	decs, logs, ok := sess.s.DetectTracesBatch(traces, record)
-	if !ok {
-		decs = make([]hmd.Decision, len(traces))
-		if record {
-			logs = make([]faults.DrawLog, len(traces))
-			for j, w := range traces {
-				decs[j], logs[j] = sess.s.DetectProgramTraced(w)
-			}
-		} else {
-			logs = nil
-			for j, w := range traces {
-				decs[j] = sess.s.DetectProgram(w)
-			}
-		}
-	}
-	return decs, logs, nil
+	return sess.s.DetectTracesBatch(traces, record)
 }
 
 // DetectBatch serves one coalesced group of detection requests through
-// the recovery state machine. It mirrors DetectProgram exactly — the
-// whole batch is one protected cycle (retried, breaker-gated, canary-
-// counted), and on exhaustion the whole batch degrades together to
-// deterministic nominal-voltage decisions flagged Unprotected — with
-// per-request counters scaled by the batch size, so Health reads the
-// same whether requests arrive one at a time or coalesced. Like
-// DetectProgram, it never returns an error for environmental faults.
+// the recovery state machine: the whole batch is one protected cycle
+// (retried with backoff, breaker-gated, canary-counted), and on
+// exhaustion the whole batch degrades together to deterministic
+// nominal-voltage decisions flagged Unprotected. Per-request counters
+// scale by the batch size, so Health reads the same whether requests
+// arrive one at a time or coalesced. It never returns an error for
+// environmental faults: every request gets a decision.
 //
 // logs[j] is lane j's draw log when record is set and the batch ran
 // protected; degraded batches return nil logs (there are no draws at
@@ -274,10 +226,12 @@ func (sup *Supervisor) DetectBatch(traces [][]trace.WindowCounts, record bool) (
 	return v, logs, nil
 }
 
-// tryProtectedBatch is tryProtected for a coalesced group: the whole
-// batch is one retriable cycle, Retries counts cycle retries (not per
-// lane — one faulted cycle is one recovery action), Protected scales
-// by the lanes served. Callers hold sup.mu.
+// tryProtectedBatch runs the enter → batched infer → exit cycle with
+// bounded retry and exponential backoff; on final failure the plane is
+// forced back to nominal (best effort). The whole batch is one
+// retriable cycle: Retries counts cycle retries (not per lane — one
+// faulted cycle is one recovery action), Protected scales by the lanes
+// served. Callers hold sup.mu.
 func (sup *Supervisor) tryProtectedBatch(traces [][]trace.WindowCounts, record bool) ([]Verdict, []faults.DrawLog, error) {
 	var lastErr error
 	for attempt := 0; attempt <= sup.cfg.MaxRetries; attempt++ {
@@ -304,12 +258,14 @@ func (sup *Supervisor) tryProtectedBatch(traces [][]trace.WindowCounts, record b
 }
 
 // degradedBatch serves the group deterministically at nominal voltage
-// through the exact batch kernels — the unprotected baseline HMD, one
-// batched pass. Callers hold sup.mu.
+// — the paper's unprotected baseline HMD, one batched pass of the exact
+// kernels through the base's own buffers, which sup.mu serialises —
+// after making a best-effort pass at restoring the plane. Callers hold
+// sup.mu.
 func (sup *Supervisor) degradedBatch(traces [][]trace.WindowCounts) []Verdict {
 	sup.failSafe()
 	sup.h.Unprotected += uint64(len(traces))
-	decs := sup.s.Base().WithFreshBuffers().DetectTracesUnit(fxp.Exact{}, traces)
+	decs := sup.s.Base().DetectTracesUnit(fxp.Exact{}, traces)
 	out := make([]Verdict, len(decs))
 	for j, dec := range decs {
 		out[j] = Verdict{Decision: dec, Unprotected: true}

@@ -80,13 +80,13 @@ func TestDetectTracesBatchReproducibleAndMoving(t *testing.T) {
 		return s
 	}
 	a, b := build(), build()
-	decA, logsA, ok := a.DetectTracesBatch(traces, true)
-	if !ok {
-		t.Fatal("New-built detector declined batching")
+	decA, logsA, err := a.DetectTracesBatch(traces, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	decB, _, ok := b.DetectTracesBatch(traces, true)
-	if !ok {
-		t.Fatal("second instance declined batching")
+	decB, _, err := b.DetectTracesBatch(traces, true)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sameDecisions(t, "same seed+pass", decA, decB)
 	replayLanes(t, "pass 0", base, traces, decA, logsA)
@@ -94,9 +94,9 @@ func TestDetectTracesBatchReproducibleAndMoving(t *testing.T) {
 	// Second pass on the same detector: fresh lane streams. At rate
 	// 0.4 over thousands of multiplications per lane, identical draw
 	// logs would mean the pass counter is not feeding the streams.
-	_, logsA1, ok := a.DetectTracesBatch(traces, true)
-	if !ok {
-		t.Fatal("second pass declined")
+	_, logsA1, err := a.DetectTracesBatch(traces, true)
+	if err != nil {
+		t.Fatal(err)
 	}
 	moved := false
 	for j := range logsA {
@@ -139,9 +139,9 @@ func TestDetectTracesBatchReusesSources(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := base.WithFreshBuffers().DetectTracesUnit(binj, traces)
-		got, _, ok := s.DetectTracesBatch(traces, false)
-		if !ok {
-			t.Fatal("New-built detector declined batching")
+		got, _, err := s.DetectTracesBatch(traces, false)
+		if err != nil {
+			t.Fatal(err)
 		}
 		sameDecisions(t, fmt.Sprintf("pass %d (%d lanes)", pass, n), got, want)
 	}
@@ -191,16 +191,14 @@ func TestSessionDetectBatchProtocol(t *testing.T) {
 	}
 }
 
-// TestSessionDetectBatchFallback: a detector on caller-supplied
-// hardware (no derivable lane streams) still serves the whole group in
-// one cycle, sequentially, with per-lane logs that replay exactly.
+// TestSessionDetectBatchFallback: a detector on a chaos plane, which
+// once fell back to a sequential per-lane path, serves the whole group
+// in one batched cycle that leaves the plane at nominal, with per-lane
+// logs that replay exactly.
 func TestSessionDetectBatchFallback(t *testing.T) {
 	_, base := fixtures(t)
 	traces := batchTraces(t, 4)
 	s, _ := chaosFixture(t, chaos.Config{Seed: 37})
-	if s.BatchCapable() {
-		t.Fatal("hardware-backed detector unexpectedly batch-capable")
-	}
 	sess, err := NewSession(s)
 	if err != nil {
 		t.Fatal(err)
@@ -218,23 +216,22 @@ func TestSessionDetectBatchFallback(t *testing.T) {
 		}
 	}
 	if !sess.AtNominal() {
-		t.Fatal("fallback batch left the plane undervolted")
+		t.Fatal("chaos-plane batch left the plane undervolted")
 	}
-	replayLanes(t, "fallback", base, traces, decs, logs)
+	replayLanes(t, "chaos plane", base, traces, decs, logs)
 }
 
-// TestEnableBatchStreams: the opt-in makes a hardware-backed detector
-// batch-capable, and the derived lane streams are a pure function of
-// the installed seed — reproducible across identically-built stacks.
+// TestEnableBatchStreams: every detector, chaos-plane ones included,
+// derives its lane streams from Options.Seed (the name is kept from the
+// opt-in that this replaced), so identically-built stacks reproduce
+// each other's batches and the lanes replay. (Over an unarmed plane
+// they match an ideal-hardware detector of the same seed:
+// replay.TestChaosPlaneDrawsMatchIdeal.)
 func TestEnableBatchStreams(t *testing.T) {
 	_, base := fixtures(t)
 	traces := batchTraces(t, 5)
 	build := func() *Session {
 		s, _ := chaosFixture(t, chaos.Config{Seed: 41})
-		s.EnableBatchStreams(777, nil)
-		if !s.BatchCapable() {
-			t.Fatal("EnableBatchStreams did not enable batching")
-		}
 		sess, err := NewSession(s)
 		if err != nil {
 			t.Fatal(err)
@@ -246,12 +243,15 @@ func TestEnableBatchStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !sa.AtNominal() {
+		t.Fatal("batch left the plane undervolted")
+	}
 	decB, _, err := sb.DetectBatch(traces, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameDecisions(t, "lane-seeded stacks", decA, decB)
-	replayLanes(t, "lane-seeded", base, traces, decA, logsA)
+	sameDecisions(t, "seed-derived stacks", decA, decB)
+	replayLanes(t, "seed-derived", base, traces, decA, logsA)
 }
 
 // TestSupervisorDetectBatchHealthy: one batch is one protected cycle;
@@ -261,7 +261,6 @@ func TestEnableBatchStreams(t *testing.T) {
 func TestSupervisorDetectBatchHealthy(t *testing.T) {
 	traces := batchTraces(t, 5)
 	s, _ := chaosFixture(t, chaos.Config{Seed: 43})
-	s.EnableBatchStreams(43, nil)
 	sup, err := NewSupervisor(s, SupervisorConfig{
 		Sleep:      func(time.Duration) {},
 		CanaryMuls: 2000, // CanaryEvery defaults to 8
@@ -312,7 +311,6 @@ func TestSupervisorDetectBatchDegradesAndRecovers(t *testing.T) {
 	_, base := fixtures(t)
 	traces := batchTraces(t, 4)
 	s, env := chaosFixture(t, chaos.Config{Seed: 47})
-	s.EnableBatchStreams(47, nil)
 	sup, err := NewSupervisor(s, SupervisorConfig{
 		Sleep:            func(time.Duration) {},
 		CanaryEvery:      -1,

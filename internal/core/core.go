@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"shmd/internal/faults"
-	"shmd/internal/fxp"
 	"shmd/internal/hmd"
 	"shmd/internal/rng"
 	"shmd/internal/trace"
@@ -47,16 +46,6 @@ type Plane interface {
 
 var _ Plane = (*volt.Regulator)(nil)
 
-// FaultUnit is the stochastic multiplier surface: an arithmetic unit
-// whose per-multiplication fault rate tracks the supply voltage.
-type FaultUnit interface {
-	fxp.Unit
-	Rate() float64
-	SetRate(rate float64) error
-}
-
-var _ FaultUnit = (*faults.Injector)(nil)
-
 // Options configures a Stochastic-HMD.
 type Options struct {
 	// ErrorRate directly requests a multiplier fault rate in [0, 1].
@@ -85,24 +74,19 @@ type Options struct {
 type StochasticHMD struct {
 	base *hmd.HMD
 	reg  Plane
-	inj  FaultUnit
+	inj  *faults.Injector
 
-	// Set-evaluation support (hmd.SetDetector): the root seed and
-	// fault-location distribution from which per-program fault streams
-	// are derived. Only populated by New, where the fault unit is known
-	// to be a standard injector; detectors on caller-supplied hardware
-	// decline set evaluation.
-	shardable bool
-	seed      uint64
-	dist      *faults.Distribution
+	// seed and dist are the root seed and fault-location distribution
+	// the detector's fault streams derive from: its own stream (label
+	// 0x5BD), the per-program streams of set evaluation (DetectSet) and
+	// the per-lane streams of batched serving (DetectTracesBatch).
+	seed uint64
+	dist *faults.Distribution
 
-	// Batched-serving support (DetectTracesBatch): laneSeeded marks a
-	// detector whose seed/dist were installed by EnableBatchStreams
-	// (the opt-in for caller-supplied hardware), and batchPass counts
-	// batched passes so every batch draws fresh per-lane fault streams
-	// — the moving-target property across batches.
-	laneSeeded bool
-	batchPass  uint64
+	// batchPass counts batched passes so every batch draws fresh
+	// per-lane fault streams — the moving-target property across
+	// batches.
+	batchPass uint64
 	// kit is the lane kit DetectTracesBatch re-arms on every pass; like
 	// batchPass it belongs to the one caller the detector's locking
 	// admits at a time. DetectSet, which evaluation calls from many
@@ -110,47 +94,30 @@ type StochasticHMD struct {
 	kit laneKit
 }
 
-// New builds a Stochastic-HMD around base on ideal hardware: a fresh
-// volt.Regulator for the core plane and a faults.Injector seeded from
-// the options. The regulator is locked to the detector (trusted
-// control) and calibrated per the options.
+// New builds a Stochastic-HMD around base on ideal hardware: NewOnPlane
+// over a fresh volt.Regulator for the core plane of the DeviceSeed
+// profile.
 func New(base *hmd.HMD, opts Options) (*StochasticHMD, error) {
 	reg, err := volt.NewRegulator(volt.PlaneCore, volt.NewDeviceProfile(opts.DeviceSeed))
 	if err != nil {
 		return nil, err
 	}
-	dist := opts.Dist
-	if dist == nil {
-		dist = faults.Fig1Distribution()
-	}
-	inj, err := faults.NewInjectorSource(0, dist, rng.NewSource64(opts.Seed, 0x5BD))
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewWithHardware(base, reg, inj, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.shardable = true
-	s.seed = opts.Seed
-	s.dist = dist
-	return s, nil
+	return NewOnPlane(base, reg, opts)
 }
 
-// NewWithHardware builds a Stochastic-HMD on caller-supplied hardware:
-// any Plane (an ideal regulator, or a chaos.Env wrapping one) and any
-// FaultUnit. The DeviceSeed, Seed, and Dist options are ignored — they
-// configure the hardware New would have built. The plane is locked to
-// the detector and calibrated per the remaining options.
-func NewWithHardware(base *hmd.HMD, reg Plane, inj FaultUnit, opts Options) (*StochasticHMD, error) {
+// NewOnPlane builds a Stochastic-HMD around base on the given voltage
+// plane — an ideal regulator, or a chaos.Env wrapping one. The plane
+// is the only hardware a caller supplies: the undervolted multiplier
+// is a faults.Injector seeded from Seed and Dist, whose rate follows
+// the plane. The plane is locked to the detector (trusted control) and
+// calibrated per the options; DeviceSeed is ignored, since it selects
+// the profile of the regulator New builds.
+func NewOnPlane(base *hmd.HMD, reg Plane, opts Options) (*StochasticHMD, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: nil base detector")
 	}
 	if reg == nil {
 		return nil, fmt.Errorf("core: nil voltage plane")
-	}
-	if inj == nil {
-		return nil, fmt.Errorf("core: nil fault unit")
 	}
 	if opts.ErrorRate != 0 && opts.UndervoltMV != 0 {
 		return nil, fmt.Errorf("core: set ErrorRate or UndervoltMV, not both")
@@ -164,13 +131,21 @@ func NewWithHardware(base *hmd.HMD, reg Plane, inj FaultUnit, opts Options) (*St
 	if opts.TempC == 0 {
 		opts.TempC = volt.ReferenceTempC
 	}
+	dist := opts.Dist
+	if dist == nil {
+		dist = faults.Fig1Distribution()
+	}
+	inj, err := faults.NewInjectorSource(0, dist, rng.NewSource64(opts.Seed, 0x5BD))
+	if err != nil {
+		return nil, err
+	}
 	if err := reg.Lock(Owner); err != nil {
 		return nil, err
 	}
 	if err := reg.SetTemperature(opts.TempC); err != nil {
 		return nil, err
 	}
-	s := &StochasticHMD{base: base, reg: reg, inj: inj}
+	s := &StochasticHMD{base: base, reg: reg, inj: inj, seed: opts.Seed, dist: dist}
 	switch {
 	case opts.ErrorRate > 0:
 		if err := s.SetErrorRate(opts.ErrorRate); err != nil {
@@ -190,9 +165,6 @@ func (s *StochasticHMD) Base() *hmd.HMD { return s.base }
 // Regulator exposes the (locked) voltage plane.
 func (s *StochasticHMD) Regulator() Plane { return s.reg }
 
-// Injector exposes the fault unit, mainly for statistics.
-func (s *StochasticHMD) Injector() FaultUnit { return s.inj }
-
 // ErrorRate returns the current per-multiplication fault rate.
 func (s *StochasticHMD) ErrorRate() float64 { return s.inj.Rate() }
 
@@ -211,6 +183,11 @@ func (s *StochasticHMD) SetErrorRate(rate float64) error {
 	// same: the er axis is the injected rate).
 	return s.inj.SetRate(rate)
 }
+
+// PinErrorRate points the injector at rate without moving the plane:
+// a pool that adopts a journaled depth (Options.UndervoltMV) pins the
+// exact calibrated target this way, as SetErrorRate would have.
+func (s *StochasticHMD) PinErrorRate(rate float64) error { return s.inj.SetRate(rate) }
 
 // SetUndervolt sets an explicit depth and derives the fault rate from
 // the device profile.
@@ -239,43 +216,18 @@ func (s *StochasticHMD) ScoreWindows(windows []trace.WindowCounts) []float64 {
 	return s.base.ScoreWindowsUnit(s.inj, windows)
 }
 
-// DetectProgramTraced returns the verdict plus the draw log of its
-// scoring pass. Recording is observational — the score and the fault
-// stream are bit-identical to DetectProgram's. A fault unit that is
-// not faults.Recordable yields an empty log, which replays as the
-// exact unit.
-func (s *StochasticHMD) DetectProgramTraced(windows []trace.WindowCounts) (hmd.Decision, faults.DrawLog) {
-	rec, ok := s.inj.(faults.Recordable)
-	if !ok {
-		return s.DetectProgram(windows), faults.DrawLog{InitialGap: -1}
-	}
-	var log faults.DrawLog
-	rec.StartRecord(&log)
-	dec := s.base.DecideFromScores(s.base.ScoreWindowsUnit(s.inj, windows))
-	rec.StopRecord()
-	return dec, log
-}
-
 // DetectProgram implements hmd.Detector.
 func (s *StochasticHMD) DetectProgram(windows []trace.WindowCounts) hmd.Decision {
 	return s.base.DecideFromScores(s.ScoreWindows(windows))
 }
 
 // shardStreamLabel separates per-program evaluation fault streams from
-// the detector's own stream (label 0x5BD in New).
+// the detector's own stream (label 0x5BD in NewOnPlane).
 const shardStreamLabel = 0x5A4D
 
 // SetBase implements hmd.SetDetector: the base detector, whose
-// network scores the evaluation sets, or nil for a detector built on
-// caller-supplied hardware (NewWithHardware), whose FaultUnit cannot
-// be re-derived per program — evaluation then runs it program by
-// program on its own stream.
-func (s *StochasticHMD) SetBase() *hmd.HMD {
-	if !s.shardable {
-		return nil
-	}
-	return s.base
-}
+// network scores the evaluation sets.
+func (s *StochasticHMD) SetBase() *hmd.HMD { return s.base }
 
 // DetectSet implements hmd.SetDetector: programs [lo, hi) of set in
 // one lane-batched pass, program idx drawing its faults from its own

@@ -54,6 +54,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(base, Options{UndervoltMV: -5}); err == nil {
 		t.Error("negative depth must be rejected")
 	}
+	if _, err := NewOnPlane(base, nil, Options{}); err == nil {
+		t.Error("nil plane must be rejected")
+	}
 }
 
 func TestTrustedControlLocked(t *testing.T) {

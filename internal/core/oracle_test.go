@@ -87,7 +87,7 @@ func sameDrawLog(t *testing.T, what string, got, want faults.DrawLog) {
 
 func sameStats(t *testing.T, what string, s *StochasticHMD, o *scalarOracle) {
 	t.Helper()
-	if got, want := s.Injector().(*faults.Injector).Stats(), o.inj.Stats(); got != want {
+	if got, want := s.inj.Stats(), o.inj.Stats(); got != want {
 		t.Fatalf("%s: stats %d muls / %d faults, oracle %d / %d (or per-bit counts differ)",
 			what, got.Muls, got.Faults, want.Muls, want.Faults)
 	}
@@ -107,9 +107,9 @@ func topBitDist(t *testing.T) *faults.Distribution {
 	return d
 }
 
-// TestStochasticMatchesScalarOracle holds StochasticHMD's scalar
-// detection entry points — DetectProgram, ScoreWindows and
-// DetectProgramTraced — to the scalar Run/DotRow oracle
+// TestStochasticMatchesScalarOracle holds StochasticHMD's library
+// detection entry points — DetectProgram and ScoreWindows, the latter
+// also with the injector recording — to the scalar Run/DotRow oracle
 // on the same seed: score bits, draw logs and injector counters, over
 // consecutive detections that carry a pending gap from one call into
 // the next, at rates spanning exact (0), the log-inversion regime
@@ -133,7 +133,7 @@ func TestStochasticMatchesScalarOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Injector().SetRate(rate); err != nil {
+			if err := s.inj.SetRate(rate); err != nil {
 				t.Fatal(err)
 			}
 			o := newScalarOracle(t, base, rate, dc.dist, seed)
@@ -151,13 +151,13 @@ func TestStochasticMatchesScalarOracle(t *testing.T) {
 				case 1:
 					sameScoreBits(t, what("ScoreWindows"), s.ScoreWindows(p.Windows), o.score(t, p.Windows))
 				case 2:
-					got, gotLog := s.DetectProgramTraced(p.Windows)
-					scores, wantLog := o.scoreTraced(t, p.Windows)
-					want := base.DecideFromScores(scores)
-					if got.Malware != want.Malware || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
-						t.Fatalf("%s: %+v, oracle %+v", what("DetectProgramTraced"), got, want)
-					}
-					sameDrawLog(t, what("DetectProgramTraced"), gotLog, wantLog)
+					var gotLog faults.DrawLog
+					s.inj.StartRecord(&gotLog)
+					got := s.ScoreWindows(p.Windows)
+					s.inj.StopRecord()
+					want, wantLog := o.scoreTraced(t, p.Windows)
+					sameScoreBits(t, what("recorded ScoreWindows"), got, want)
+					sameDrawLog(t, what("recorded ScoreWindows"), gotLog, wantLog)
 				}
 				sameStats(t, what("stats"), s, o)
 			}
@@ -166,8 +166,11 @@ func TestStochasticMatchesScalarOracle(t *testing.T) {
 }
 
 // TestSessionMatchesScalarOracle repeats the oracle check through the
-// Session enter/exit cycle, where every detection moves the injector
-// rate 0 → r → 0 and so discards the pending gap at each boundary.
+// Session enter/exit cycle. Each cycle is one batched pass at the rate
+// enter restores, lane j drawing from its own stream (seed,
+// batchPassLabel, pass, rate, j); a scalar oracle on that stream must
+// score each lane bit for bit and draw the same log, whatever the
+// batch width. No cycle consumes the detector's own stream.
 func TestSessionMatchesScalarOracle(t *testing.T) {
 	d, base := fixtures(t)
 	progs := d.Programs
@@ -186,34 +189,33 @@ func TestSessionMatchesScalarOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := newScalarOracle(t, base, 0.1, nil, seed)
-	if err := o.inj.SetRate(0); err != nil {
-		t.Fatal(err)
+	for pass, n := range []int{1, 4, 1, 6} {
+		traces := make([][]trace.WindowCounts, n)
+		for j := range traces {
+			traces[j] = progs[(pass+j)%len(progs)].Windows
+		}
+		decs, logs, err := sess.DetectBatch(traces, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, w := range traces {
+			what := fmt.Sprintf("pass %d lane %d", pass, j)
+			inj, err := faults.NewInjector(enterRate, nil,
+				rng.NewRand(seed, batchPassLabel, uint64(pass), math.Float64bits(enterRate), uint64(j)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := &scalarOracle{cfg: base.Config(), fn: base.Fixed().Clone(), inj: inj}
+			scores, wantLog := o.scoreTraced(t, w)
+			if want := base.DecideFromScores(scores); decs[j].Malware != want.Malware ||
+				math.Float64bits(decs[j].Score) != math.Float64bits(want.Score) {
+				t.Fatalf("%s: %+v, oracle %+v", what, decs[j], want)
+			}
+			sameDrawLog(t, what, logs[j], wantLog)
+		}
 	}
-	for i, p := range progs {
-		if err := o.inj.SetRate(enterRate); err != nil {
-			t.Fatal(err)
-		}
-		want := o.score(t, p.Windows)
-		if err := o.inj.SetRate(0); err != nil {
-			t.Fatal(err)
-		}
-		if i%2 == 0 {
-			got, err := sess.DetectProgram(p.Windows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w := base.DecideFromScores(want); got.Malware != w.Malware || math.Float64bits(got.Score) != math.Float64bits(w.Score) {
-				t.Fatalf("session DetectProgram %s: %+v, oracle %+v", p.Program.Name, got, w)
-			}
-		} else {
-			got, err := sess.ScoreWindows(p.Windows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameScoreBits(t, "session ScoreWindows "+p.Program.Name, got, want)
-		}
-		sameStats(t, "session "+p.Program.Name, s, o)
+	if st := s.inj.Stats(); st.Muls != 0 {
+		t.Errorf("session cycles consumed the detector's own stream: %d muls", st.Muls)
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"runtime"
 	"testing"
 
-	"shmd/internal/faults"
 	"shmd/internal/hmd"
-	"shmd/internal/rng"
 	"shmd/internal/stats"
 	"shmd/internal/volt"
 )
@@ -87,10 +85,11 @@ func TestStochasticEvaluateSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestHardwareDetectorDeclinesSharding: a detector on caller-supplied
-// hardware cannot re-derive per-program fault streams, so it must
-// decline sharding and still evaluate (serially) with correct counts.
-func TestHardwareDetectorDeclinesSharding(t *testing.T) {
+// TestPlaneDetectorEvaluatesAsSet: a detector on a caller-supplied
+// plane derives its per-program evaluation streams from its seed like
+// any other, so it evaluates as a set and agrees with an
+// ideal-hardware detector of the same seed and rate.
+func TestPlaneDetectorEvaluatesAsSet(t *testing.T) {
 	d, base := fixtures(t)
 	split, err := d.ThreeFold(0)
 	if err != nil {
@@ -102,19 +101,22 @@ func TestHardwareDetectorDeclinesSharding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := faults.NewInjector(0, nil, rng.NewRand(11))
+	s, err := NewOnPlane(base, reg, Options{ErrorRate: 0.1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewWithHardware(base, reg, inj, Options{ErrorRate: 0.1})
+	if s.SetBase() == nil {
+		t.Fatal("plane-built detector declined set evaluation")
+	}
+	ideal, err := New(base, Options{ErrorRate: 0.1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.SetBase() != nil {
-		t.Fatal("hardware-supplied detector must decline set evaluation")
+	got, want := hmd.Evaluate(s, test), hmd.Evaluate(ideal, test)
+	if got.TP+got.TN+got.FP+got.FN != len(test) {
+		t.Errorf("recorded %+v verdicts, want %d", got, len(test))
 	}
-	c := hmd.Evaluate(s, test)
-	if c.TP+c.TN+c.FP+c.FN != len(test) {
-		t.Errorf("serial fallback recorded %+v verdicts, want %d", c, len(test))
+	if got != want {
+		t.Errorf("plane-built confusion %+v != ideal %+v", got, want)
 	}
 }

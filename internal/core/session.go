@@ -6,8 +6,6 @@ import (
 	"sync"
 
 	"shmd/internal/fxp"
-	"shmd/internal/hmd"
-	"shmd/internal/trace"
 )
 
 // Session implements the Section IX deployment protocol for systems
@@ -122,37 +120,6 @@ func (sess *Session) Recalibrate(rate float64) (float64, error) {
 // voltage (true whenever no detection is in flight).
 func (sess *Session) AtNominal() bool {
 	return sess.s.reg.UndervoltMV() == 0
-}
-
-// DetectProgram runs one enter → infer → exit cycle.
-func (sess *Session) DetectProgram(windows []trace.WindowCounts) (dec hmd.Decision, err error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if err := sess.enter(); err != nil {
-		return hmd.Decision{}, err
-	}
-	defer func() {
-		if exitErr := sess.exit(); exitErr != nil && err == nil {
-			err = exitErr
-		}
-	}()
-	dec = sess.s.DetectProgram(windows)
-	return dec, nil
-}
-
-// ScoreWindows runs one enter → score → exit cycle.
-func (sess *Session) ScoreWindows(windows []trace.WindowCounts) (scores []float64, err error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if err := sess.enter(); err != nil {
-		return nil, err
-	}
-	defer func() {
-		if exitErr := sess.exit(); exitErr != nil && err == nil {
-			err = exitErr
-		}
-	}()
-	return sess.s.ScoreWindows(windows), nil
 }
 
 // ObserveRate runs one enter → probe → exit cycle that streams n

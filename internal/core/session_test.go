@@ -1,14 +1,23 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"sync"
 	"testing"
 
-	"shmd/internal/fxp"
+	"shmd/internal/hmd"
+	"shmd/internal/trace"
 	"shmd/internal/volt"
 )
+
+// detectOne runs one session cycle over a batch of one program.
+func detectOne(sess *Session, windows []trace.WindowCounts) (hmd.Decision, error) {
+	decs, _, err := sess.DetectBatch([][]trace.WindowCounts{windows}, false)
+	if err != nil {
+		return hmd.Decision{}, err
+	}
+	return decs[0], nil
+}
 
 func TestSessionProtocol(t *testing.T) {
 	d, base := fixtures(t)
@@ -35,7 +44,7 @@ func TestSessionProtocol(t *testing.T) {
 	}
 
 	p := d.Programs[0]
-	dec, err := sess.DetectProgram(p.Windows)
+	dec, err := detectOne(sess, p.Windows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +64,7 @@ func TestSessionProtocol(t *testing.T) {
 	// calibrated depth was re-applied inside the cycle.
 	seen := map[float64]bool{}
 	for i := 0; i < 20; i++ {
-		dec, err := sess.DetectProgram(p.Windows)
+		dec, err := detectOne(sess, p.Windows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,28 +72,6 @@ func TestSessionProtocol(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Error("session detections never varied; undervolting not applied")
-	}
-}
-
-func TestSessionScoreWindows(t *testing.T) {
-	d, base := fixtures(t)
-	s, err := New(base, Options{ErrorRate: 0.2, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSession(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores, err := sess.ScoreWindows(d.Programs[1].Windows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != len(d.Programs[1].Windows) {
-		t.Errorf("scores = %d", len(scores))
-	}
-	if !sess.AtNominal() {
-		t.Error("voltage not restored after scoring")
 	}
 }
 
@@ -110,7 +97,7 @@ func TestSessionPreservesOperatingPoint(t *testing.T) {
 	p, basep := fixtures(t)
 	_ = basep
 	for i := 0; i < 3; i++ {
-		if _, err := sess.DetectProgram(p.Programs[2].Windows); err != nil {
+		if _, err := detectOne(sess, p.Programs[2].Windows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,53 +136,58 @@ func TestSessionDoubleEnter(t *testing.T) {
 	}
 }
 
-// flakyUnit is a FaultUnit whose SetRate can be made to fail for any
-// non-zero rate — the injector-side failure that used to leak an
-// undervolted plane out of a half-completed enter.
-type flakyUnit struct {
-	rate        float64
+// flakyPlane is a regulator whose ErrorRate reading can be made out of
+// range for any non-zero depth, so the injector refuses the rate
+// enter derives from it — the injector-side failure that used to leak
+// an undervolted plane out of a half-completed enter.
+type flakyPlane struct {
+	*volt.Regulator
 	failNonZero bool
 }
 
-func (f *flakyUnit) Mul(a, b fxp.Value) fxp.Product { return fxp.Exact{}.Mul(a, b) }
-func (f *flakyUnit) Rate() float64                  { return f.rate }
-func (f *flakyUnit) SetRate(r float64) error {
-	if f.failNonZero && r != 0 {
-		return errors.New("flaky: injector refused the rate")
+func (f *flakyPlane) ErrorRate() float64 {
+	if f.failNonZero && f.UndervoltMV() != 0 {
+		return 2
 	}
-	f.rate = r
-	return nil
+	return f.Regulator.ErrorRate()
 }
 
-func TestSessionEnterRollsBackOnInjectorFailure(t *testing.T) {
+// flakyFixture builds a detector at a 130 mV depth on a flakyPlane.
+func flakyFixture(t *testing.T) (*StochasticHMD, *flakyPlane) {
+	t.Helper()
 	_, base := fixtures(t)
 	reg, err := volt.NewRegulator(volt.PlaneCore, volt.DefaultProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit := &flakyUnit{}
-	s, err := NewWithHardware(base, reg, unit, Options{UndervoltMV: 130})
+	plane := &flakyPlane{Regulator: reg}
+	s, err := NewOnPlane(base, plane, Options{UndervoltMV: 130})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, plane
+}
+
+func TestSessionEnterRollsBackOnInjectorFailure(t *testing.T) {
+	s, plane := flakyFixture(t)
 	sess, err := NewSession(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit.failNonZero = true
-	if _, err := sess.DetectProgram(nil); err == nil {
+	plane.failNonZero = true
+	if _, err := detectOne(sess, nil); err == nil {
 		t.Fatal("enter must fail when the injector rejects the rate")
 	}
 	// The plane must have been rolled back to nominal: a failed enter
 	// may never leave the system undervolted with entered == false.
 	if !sess.AtNominal() {
-		t.Fatalf("partial enter leaked an undervolted plane: depth %v mV", reg.UndervoltMV())
+		t.Fatalf("partial enter leaked an undervolted plane: depth %v mV", plane.UndervoltMV())
 	}
 	if sess.entered {
 		t.Error("entered flag set after failed enter")
 	}
-	// The session recovers once the injector does.
-	unit.failNonZero = false
+	// The session recovers once the plane reads a valid rate again.
+	plane.failNonZero = false
 	if err := sess.enter(); err != nil {
 		t.Fatal(err)
 	}
@@ -205,16 +197,7 @@ func TestSessionEnterRollsBackOnInjectorFailure(t *testing.T) {
 }
 
 func TestSessionExitNeverWedges(t *testing.T) {
-	_, base := fixtures(t)
-	reg, err := volt.NewRegulator(volt.PlaneCore, volt.DefaultProfile())
-	if err != nil {
-		t.Fatal(err)
-	}
-	unit := &flakyUnit{}
-	s, err := NewWithHardware(base, reg, unit, Options{UndervoltMV: 130})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, reg := flakyFixture(t)
 	sess, err := NewSession(s)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +254,7 @@ func TestSessionConcurrentDetections(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				dec, err := sess.DetectProgram(prog.Windows)
+				dec, err := detectOne(sess, prog.Windows)
 				if err != nil {
 					t.Error(err)
 					return

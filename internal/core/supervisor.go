@@ -252,95 +252,15 @@ func (sup *Supervisor) State() State {
 	return sup.state
 }
 
-// DetectProgram serves one detection request. It never returns an
-// error for environmental faults: protected detection is retried,
-// then the request degrades to a deterministic nominal-voltage
-// decision flagged Unprotected. The returned error is reserved for
-// programming errors (nil windows panics upstream, not here).
+// DetectProgram serves one detection request as a batch of one
+// through DetectBatch, whose recovery rules, counters and error
+// contract it shares.
 func (sup *Supervisor) DetectProgram(windows []trace.WindowCounts) (Verdict, error) {
-	sup.mu.Lock()
-	defer sup.mu.Unlock()
-	sup.h.Detections++
-
-	if sup.state == Degraded {
-		sup.ticks++ // degraded detections are the breaker's clock
-		if sup.breaker.Allow() {
-			// Half-open probe: one protected attempt set.
-			if v, err := sup.tryProtected(windows); err == nil {
-				sup.breaker.Success()
-				sup.state = Healthy
-				sup.h.Recoveries++
-				return v, nil
-			}
-			sup.breaker.Failure()
-		}
-		return sup.degraded(windows), nil
-	}
-
-	v, err := sup.tryProtected(windows)
+	v, _, err := sup.DetectBatch([][]trace.WindowCounts{windows}, false)
 	if err != nil {
-		sup.h.Failures++
-		sup.state = Retrying
-		if permanentErr(err) {
-			sup.breaker.Trip()
-		} else {
-			sup.breaker.Failure()
-		}
-		if sup.breaker.State() == BreakerOpen {
-			sup.state = Degraded
-			sup.h.Trips++
-		}
-		return sup.degraded(windows), nil
+		return Verdict{}, err
 	}
-	sup.breaker.Success()
-	if v.Attempts > 1 {
-		sup.state = Retrying
-	} else {
-		sup.state = Healthy
-	}
-
-	if sup.cfg.CanaryEvery > 0 && sup.targetRate > 0 {
-		sup.sinceCanary++
-		if sup.sinceCanary >= sup.cfg.CanaryEvery {
-			sup.sinceCanary = 0
-			sup.canary()
-		}
-	}
-	return v, nil
-}
-
-// tryProtected runs the enter → infer → exit cycle with bounded retry
-// and exponential backoff. On final failure the plane is forced back
-// to nominal (best effort). Callers hold sup.mu.
-func (sup *Supervisor) tryProtected(windows []trace.WindowCounts) (Verdict, error) {
-	var lastErr error
-	for attempt := 0; attempt <= sup.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			sup.h.Retries++
-			sup.backoff(attempt)
-		}
-		dec, err := sup.sess.DetectProgram(windows)
-		if err == nil {
-			sup.h.Protected++
-			return Verdict{Decision: dec, Attempts: attempt + 1}, nil
-		}
-		lastErr = err
-		if permanentErr(err) {
-			break
-		}
-	}
-	sup.failSafe()
-	return Verdict{}, lastErr
-}
-
-// degraded serves the request deterministically at nominal voltage —
-// the paper's unprotected baseline HMD — after making a best-effort
-// pass at restoring the plane. Callers hold sup.mu.
-func (sup *Supervisor) degraded(windows []trace.WindowCounts) Verdict {
-	sup.failSafe()
-	sup.h.Unprotected++
-	dec := sup.s.Base().DetectProgram(windows)
-	return Verdict{Decision: dec, Unprotected: true}
+	return v[0], nil
 }
 
 // canary probes the true fault rate and recalibrates when it has

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"shmd/internal/chaos"
-	"shmd/internal/faults"
-	"shmd/internal/rng"
+	"shmd/internal/trace"
 	"shmd/internal/volt"
 )
 
@@ -28,11 +28,7 @@ func chaosFixture(t *testing.T, cfg chaos.Config) (*StochasticHMD, *chaos.Env) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := faults.NewInjector(0, nil, rng.NewRand(cfg.Seed, 0x5BD))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewWithHardware(base.WithFreshBuffers(), env, inj, Options{ErrorRate: 0.1, Seed: cfg.Seed})
+	s, err := NewOnPlane(base.WithFreshBuffers(), env, Options{ErrorRate: 0.1, Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +197,74 @@ func TestSupervisorSelfHealing(t *testing.T) {
 	}
 	if h.Recoveries != 0 {
 		t.Errorf("recovered from permanent death? %+v", h)
+	}
+}
+
+// TestSupervisorDetectProgramIsBatchOfOne: DetectProgram is the batch
+// path and nothing else. Twin supervisors built from the same seed on
+// scripted chaos planes, one driven through DetectProgram and the
+// other through DetectBatch with a batch of one, live through the same
+// story — healthy, a transient MSR burst, a thermal excursion, then
+// permanent regulator death with failing half-open probes — and must
+// return the same verdict bits and Health after every step.
+func TestSupervisorDetectProgramIsBatchOfOne(t *testing.T) {
+	d, _ := fixtures(t)
+	w := d.Programs[0].Windows
+	build := func() (*Supervisor, *chaos.Env) {
+		s, env := chaosFixture(t, chaos.Config{Seed: 53})
+		sup, err := NewSupervisor(s, SupervisorConfig{
+			Sleep:            func(time.Duration) {},
+			CanaryEvery:      1,
+			CanaryMuls:       6000,
+			BreakerThreshold: 2,
+			BreakerCooldown:  2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sup, env
+	}
+	single, envSingle := build()
+	batch, envBatch := build()
+	trigger := func(r chaos.Rule) {
+		t.Helper()
+		for _, env := range []*chaos.Env{envSingle, envBatch} {
+			if err := env.Trigger(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step := func(phase string) {
+		t.Helper()
+		v, err := single.DetectProgram(w)
+		if err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		vb, logs, err := batch.DetectBatch([][]trace.WindowCounts{w}, false)
+		if err != nil || len(vb) != 1 || logs != nil {
+			t.Fatalf("%s: batch of one: %v, logs %v, err %v", phase, vb, logs, err)
+		}
+		if v.Malware != vb[0].Malware || math.Float64bits(v.Score) != math.Float64bits(vb[0].Score) ||
+			v.Unprotected != vb[0].Unprotected || v.Attempts != vb[0].Attempts {
+			t.Fatalf("%s: DetectProgram %+v, batch of one %+v", phase, v, vb[0])
+		}
+		if hs, hb := single.Health(), batch.Health(); hs != hb {
+			t.Fatalf("%s: health %+v, batch twin %+v", phase, hs, hb)
+		}
+	}
+
+	step("healthy")
+	trigger(chaos.Rule{Kind: chaos.TransientMSR, Duration: 2})
+	step("transient burst")
+	trigger(chaos.Rule{Kind: chaos.ThermalExcursion, Magnitude: 40, Duration: 10000})
+	step("thermal drift")
+	trigger(chaos.Rule{Kind: chaos.PermanentMSR})
+	for i := 0; i < 6; i++ {
+		step(fmt.Sprintf("dead %d", i))
+	}
+	h := single.Health()
+	if h.Retries == 0 || h.Recalibrations == 0 || h.Trips == 0 || h.Unprotected < 6 || h.Recoveries != 0 {
+		t.Errorf("story did not unfold: %+v", h)
 	}
 }
 

@@ -57,17 +57,3 @@ func checkSamples(samples []Sample) (dim int, err error) {
 	}
 	return dim, nil
 }
-
-// Accuracy evaluates a classifier against labelled samples.
-func Accuracy(c Classifier, samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	correct := 0
-	for _, s := range samples {
-		if c.Predict(s.Features) == s.Label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(samples))
-}

@@ -795,9 +795,8 @@ func TestBatchedMetricsScrape(t *testing.T) {
 }
 
 // TestBatchedChaosPool runs the batched path over a chaos-built pool:
-// chaos slots use caller-supplied hardware, which only serves batches
-// because the pool opts them into lane streams (EnableBatchStreams) —
-// this test pins that wiring.
+// chaos slots sit on a chaos.Env plane and serve batches on the lane
+// streams of their slot seed — this test pins that wiring.
 func TestBatchedChaosPool(t *testing.T) {
 	srv := newTestServer(t, Config{
 		Pool:     PoolConfig{Size: 1, ChaosConfig: &chaos.Config{Seed: 9}},
@@ -810,9 +809,6 @@ func TestBatchedChaosPool(t *testing.T) {
 	det := srv.Pool().Slots()[0].Det
 	if _, ok := det.Regulator().(*chaos.Env); !ok {
 		t.Fatalf("slot regulator is %T, want *chaos.Env", det.Regulator())
-	}
-	if !det.BatchCapable() {
-		t.Fatal("chaos-built slot detector is not batch-capable")
 	}
 
 	resp, raw := postDetect(t, ts, detectBody(t,

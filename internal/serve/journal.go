@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"shmd/internal/chaos"
 	"shmd/internal/journal"
 	"shmd/internal/volt"
 )
@@ -157,7 +158,7 @@ func (p *Pool) verifyJournaled(slot *Slot, profile volt.DeviceProfile, rate floa
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
 		observed, err = sess.ObserveRate(journalVerifyMuls)
-		if err == nil || permanentErr(err) {
+		if err == nil || chaos.Permanent(err) {
 			break
 		}
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"time"
 
 	"shmd/internal/core"
@@ -157,11 +156,4 @@ func (p *Pool) respawn(old *Slot) {
 		p.slots <- slot // capacity Size; the old slot was never re-parked
 		return
 	}
-}
-
-// permanentErr mirrors core's classification of unrecoverable faults:
-// any error in the chain advertising Permanent() == true.
-func permanentErr(err error) bool {
-	var pe interface{ Permanent() bool }
-	return errors.As(err, &pe) && pe.Permanent()
 }

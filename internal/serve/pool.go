@@ -10,7 +10,6 @@ import (
 
 	"shmd/internal/chaos"
 	"shmd/internal/core"
-	"shmd/internal/faults"
 	"shmd/internal/hmd"
 	"shmd/internal/rng"
 	"shmd/internal/volt"
@@ -281,7 +280,7 @@ func (p *Pool) buildSlot(i, gen int, version uint32) (*Slot, error) {
 		return nil, err
 	}
 	if entry != nil {
-		if err := det.Injector().SetRate(cfg.ErrorRate); err != nil {
+		if err := det.PinErrorRate(cfg.ErrorRate); err != nil {
 			return nil, err
 		}
 	}
@@ -323,21 +322,7 @@ func (p *Pool) newDetector(base *hmd.HMD, opts core.Options, profile volt.Device
 	if err != nil {
 		return nil, err
 	}
-	inj, err := faults.NewInjectorSource(0, nil, rng.NewSource64(opts.Seed, 0x5BD))
-	if err != nil {
-		return nil, err
-	}
-	det, err := core.NewWithHardware(base.WithFreshBuffers(), env, inj, opts)
-	if err != nil {
-		return nil, err
-	}
-	// A chaos-built detector runs on caller-supplied hardware, whose
-	// fault unit cannot be re-derived per lane; opt it into batched
-	// serving with lane streams rooted at the slot seed so micro-batched
-	// dispatch keeps working — and keeps its moving-target re-rolls —
-	// under chaos pools too.
-	det.EnableBatchStreams(opts.Seed, nil)
-	return det, nil
+	return core.NewOnPlane(base.WithFreshBuffers(), env, opts)
 }
 
 // Size returns the number of pooled sessions.
