@@ -70,16 +70,17 @@ verify: fmt vet build test race perfbench examples
 	@echo "verify: OK"
 
 # bench regenerates BENCH_inference.json: ns/op, muls/s and allocs/op
-# for the fused vs scalar exact kernels and the skip-ahead vs
-# per-multiplication Bernoulli fault injectors, plus the headline
-# speedup ratios.
+# for one exact and one undervolted (skip-ahead) forward pass, the
+# batch-lane, serving, decoding, training and MAC-kernel rows, plus the
+# headline speedup ratios.
 bench:
 	$(GO) run ./cmd/bench -count 3 -out BENCH_inference.json
 
 # conform runs the statistical conformance suite: chi-square/KS
 # goodness-of-fit of the skip-ahead injector (scalar and span-planned
 # batch paths) against the closed-form geometric gap law and the Fig 1
-# bit-location model, scalar/bulk/batched homogeneity, and the SPRT
+# bit-location model, scalar vs one-lane and many-lane batch
+# homogeneity, and the SPRT
 # detection-rate checks against their pinned golden value. Fixed seeds:
 # deterministic in CI; a fresh seed would pass with probability > 98%
 # (alpha 1e-3 per check, <20 checks).

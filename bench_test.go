@@ -312,13 +312,6 @@ func BenchmarkExactMul(b *testing.B) {
 	_ = sink
 }
 
-// scalarUnit hides a unit's BulkUnit implementation, forcing fxp.Dot
-// down the per-element scalar loop — the pre-fused-kernel code path,
-// kept measurable for A/B comparison.
-type scalarUnit struct{ u fxp.Unit }
-
-func (s scalarUnit) Mul(a, b fxp.Value) fxp.Product { return s.u.Mul(a, b) }
-
 // benchInput builds a deterministic input vector for the deployed
 // network.
 func benchInput(n int) []float64 {
@@ -330,8 +323,8 @@ func benchInput(n int) []float64 {
 	return in
 }
 
-// BenchmarkInferenceExactFused measures one exact forward pass through
-// the fused MAC kernel (the BulkUnit fast path).
+// BenchmarkInferenceExactFused measures one exact forward pass: a
+// one-lane batched pass through the exact MAC kernels.
 func BenchmarkInferenceExactFused(b *testing.B) {
 	e := env(b)
 	fn := e.Base.Fixed().Clone()
@@ -343,46 +336,15 @@ func BenchmarkInferenceExactFused(b *testing.B) {
 	b.ReportMetric(float64(fn.NumMuls())*float64(b.N)/b.Elapsed().Seconds(), "muls/s")
 }
 
-// BenchmarkInferenceExactScalar is the same pass through the scalar
-// per-element reference loop.
-func BenchmarkInferenceExactScalar(b *testing.B) {
-	e := env(b)
-	fn := e.Base.Fixed().Clone()
-	in := benchInput(fn.NumInputs())
-	u := scalarUnit{fxp.Exact{}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn.Run(u, in)
-	}
-	b.ReportMetric(float64(fn.NumMuls())*float64(b.N)/b.Elapsed().Seconds(), "muls/s")
-}
-
 // BenchmarkInferenceFaultySkipAhead measures one undervolted forward
 // pass at the operating point through the geometric skip-ahead
-// injector (fused kernel between fault sites).
+// injector: one lane, its faults presampled for the whole pass and the
+// exact MAC kernel between them.
 func BenchmarkInferenceFaultySkipAhead(b *testing.B) {
 	e := env(b)
 	fn := e.Base.Fixed().Clone()
 	in := benchInput(fn.NumInputs())
 	inj, err := faults.NewInjector(experiments.OperatingErrorRate, nil, rng.NewRand(2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn.Run(inj, in)
-	}
-	b.ReportMetric(float64(fn.NumMuls())*float64(b.N)/b.Elapsed().Seconds(), "muls/s")
-}
-
-// BenchmarkInferenceFaultyBernoulli is the same undervolted pass
-// through the per-multiplication Bernoulli reference injector (one RNG
-// draw per mul, scalar loop).
-func BenchmarkInferenceFaultyBernoulli(b *testing.B) {
-	e := env(b)
-	fn := e.Base.Fixed().Clone()
-	in := benchInput(fn.NumInputs())
-	inj, err := faults.NewBernoulliInjector(experiments.OperatingErrorRate, nil, rng.NewRand(2))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,14 +1,14 @@
-// Command bench measures the inference hot paths A/B — fused vs scalar
-// exact kernels, geometric skip-ahead vs per-multiplication Bernoulli
-// fault injection, sharded vs serial evaluation, JSON/HTTP vs SHMDWIRE
-// streaming over real sockets, single-pass vs encoding/json request
-// decoding, the in-process SHMDWIRE DETECT ingest path, one supervised detection, served batches of
-// 16 vs batches of one, one training epoch at GOMAXPROCS vs one proc, lane
-// re-seeding vs math/rand's Seed, a sweep cell vs a standalone
-// evaluation, the exact first-layer MAC kernel this CPU selected vs its
-// portable Go twin — and writes the results to a JSON file
-// (BENCH_inference.json by default) so the speedups are recorded
-// alongside the code that produced them.
+// Command bench measures the inference hot paths A/B — one exact and
+// one undervolted forward pass vs a 64-lane batched faulty pass,
+// sharded vs serial evaluation, JSON/HTTP vs SHMDWIRE streaming over
+// real sockets, single-pass vs encoding/json request decoding, the
+// in-process SHMDWIRE DETECT ingest path, one supervised detection,
+// served batches of 16 vs batches of one, one training epoch at
+// GOMAXPROCS vs one proc, lane re-seeding vs math/rand's Seed, a sweep
+// cell vs a standalone evaluation, the exact first-layer MAC kernel
+// this CPU selected vs its portable Go twin — and writes the results
+// to a JSON file (BENCH_inference.json by default) so the speedups are
+// recorded alongside the code that produced them.
 //
 // Usage:
 //
@@ -76,22 +76,15 @@ type Result struct {
 
 // Speedups are the headline ratios of the A/B pairs.
 type Speedups struct {
-	// ExactFusedVsScalar is scalar-loop ns/op over fused-kernel ns/op
-	// for a nominal-voltage forward pass.
-	ExactFusedVsScalar float64 `json:"exact_fused_vs_scalar"`
-	// FaultySkipAheadVsBernoulli is per-mul-Bernoulli ns/op over
-	// skip-ahead ns/op for an undervolted forward pass at the
-	// operating error rate.
-	FaultySkipAheadVsBernoulli float64 `json:"faulty_skipahead_vs_bernoulli"`
 	// EvaluateShardedVsSerial is 1-worker ns/op over sharded ns/op for
 	// a full test-corpus stochastic evaluation. On one proc both rows
 	// run serially, so it is not measured there and left out.
 	EvaluateShardedVsSerial float64 `json:"evaluate_sharded_vs_serial,omitempty"`
-	// BatchLane64VsScalarFaulty is scalar skip-ahead ns/op over the
-	// per-lane cost of a 64-lane batched faulty pass.
+	// BatchLane64VsScalarFaulty is the one-lane skip-ahead pass's ns/op
+	// over the per-lane cost of a 64-lane batched faulty pass.
 	BatchLane64VsScalarFaulty float64 `json:"batch_lane64_vs_faulty_skipahead"`
 	// BatchLane64VsExactFused is the headline batching criterion:
-	// exact-fused scalar ns/op over the 64-lane per-lane faulty cost.
+	// one-lane exact pass ns/op over the 64-lane per-lane faulty cost.
 	// >= 1 means a batched UNDERVOLTED lane is no slower than an exact
 	// nominal-voltage pass.
 	BatchLane64VsExactFused float64 `json:"batch_lane64_vs_exact_fused"`
@@ -156,12 +149,6 @@ type Report struct {
 	Results  []Result `json:"results"`
 	Speedups Speedups `json:"speedups"`
 }
-
-// scalarUnit hides a unit's BulkUnit implementation, forcing fxp.Dot
-// down the per-element scalar loop — the pre-fused-kernel code path.
-type scalarUnit struct{ u fxp.Unit }
-
-func (s scalarUnit) Mul(a, b fxp.Value) fxp.Product { return s.u.Mul(a, b) }
 
 // measure runs f through testing.Benchmark count times and keeps the
 // fastest repetition.
@@ -440,22 +427,12 @@ func measureModelRows(rep *Report, scale experiments.Scale, count int, rows rowF
 	if rows.wants("inference_exact_fused") {
 		add(measure("inference_exact_fused", count, forwardPass(fxp.Exact{})), true)
 	}
-	if rows.wants("inference_exact_scalar") {
-		add(measure("inference_exact_scalar", count, forwardPass(scalarUnit{fxp.Exact{}})), true)
-	}
 	if rows.wants("inference_faulty_skipahead") {
 		skip, err := faults.NewInjector(experiments.OperatingErrorRate, nil, rng.NewRand(2))
 		if err != nil {
 			return err
 		}
 		add(measure("inference_faulty_skipahead", count, forwardPass(skip)), true)
-	}
-	if rows.wants("inference_faulty_bernoulli") {
-		bern, err := faults.NewBernoulliInjector(experiments.OperatingErrorRate, nil, rng.NewRand(2))
-		if err != nil {
-			return err
-		}
-		add(measure("inference_faulty_bernoulli", count, forwardPass(scalarUnit{bern})), true)
 	}
 	if rows.wants("evaluate_sharded", "evaluate_serial_1worker") {
 		stoch, err := env.Stochastic(experiments.OperatingErrorRate, 0xE7A1)
@@ -578,7 +555,7 @@ func measureModelRows(rep *Report, scale experiments.Scale, count int, rows rowF
 
 // modelRows are the rows measureModelRows measures, in report order.
 var modelRows = []string{
-	"inference_exact_fused", "inference_exact_scalar", "inference_faulty_skipahead", "inference_faulty_bernoulli",
+	"inference_exact_fused", "inference_faulty_skipahead",
 	"evaluate_sharded", "evaluate_serial_1worker", "accuracy_sweep_1proc",
 	"batch_faulty_1", "batch_faulty_4", "batch_faulty_16", "batch_faulty_64",
 	"serve_detect_batch1", "serve_detect_batched_16", "serve_detect_batch1_serial", "serve_detect_batched_16_serial",
@@ -611,19 +588,17 @@ func speedupsOf(results []Result, maxProcs int) Speedups {
 		parallel = func(float64, float64) float64 { return 0 }
 	}
 	return Speedups{
-		ExactFusedVsScalar:         ratio(ns["inference_exact_scalar"], ns["inference_exact_fused"]),
-		FaultySkipAheadVsBernoulli: ratio(ns["inference_faulty_bernoulli"], ns["inference_faulty_skipahead"]),
-		EvaluateShardedVsSerial:    parallel(ns["evaluate_serial_1worker"], ns["evaluate_sharded"]),
-		BatchLane64VsScalarFaulty:  ratio(ns["inference_faulty_skipahead"], ns["batch_faulty_64"]/64),
-		BatchLane64VsExactFused:    ratio(ns["inference_exact_fused"], ns["batch_faulty_64"]/64),
-		ServeBatch16VsBatch1:       ratio(ns["serve_detect_batch1"], ns["serve_detect_batched_16"]),
-		ServeBatch16IdleVsBatch1:   ratio(ns["serve_detect_batch1_serial"], ns["serve_detect_batched_16_serial"]),
-		ServeWireVsJSON:            ratio(ns["serve_json_tcp_batched_16"], ns["serve_wire_stream_batched_16"]),
-		JSONDecodeFastVsStd:        ratio(ns["decode_json_16_std"], ns["decode_json_16"]),
-		TrainEpochVs1Proc:          parallel(ns["train_rprop_epoch_1proc"], ns["train_rprop_epoch"]),
-		LaneReseedVsMathRand:       ratio(ns["lane_reseed_mathrand"], ns["lane_reseed"]),
-		SweepCellVsEvaluate:        ratio(float64(sweepCells)*ns["evaluate_serial_1worker"], ns["accuracy_sweep_1proc"]),
-		ExactMACSIMDVsGo:           ratio(ns[macRowGo], ns[macRow]),
+		EvaluateShardedVsSerial:   parallel(ns["evaluate_serial_1worker"], ns["evaluate_sharded"]),
+		BatchLane64VsScalarFaulty: ratio(ns["inference_faulty_skipahead"], ns["batch_faulty_64"]/64),
+		BatchLane64VsExactFused:   ratio(ns["inference_exact_fused"], ns["batch_faulty_64"]/64),
+		ServeBatch16VsBatch1:      ratio(ns["serve_detect_batch1"], ns["serve_detect_batched_16"]),
+		ServeBatch16IdleVsBatch1:  ratio(ns["serve_detect_batch1_serial"], ns["serve_detect_batched_16_serial"]),
+		ServeWireVsJSON:           ratio(ns["serve_json_tcp_batched_16"], ns["serve_wire_stream_batched_16"]),
+		JSONDecodeFastVsStd:       ratio(ns["decode_json_16_std"], ns["decode_json_16"]),
+		TrainEpochVs1Proc:         parallel(ns["train_rprop_epoch_1proc"], ns["train_rprop_epoch"]),
+		LaneReseedVsMathRand:      ratio(ns["lane_reseed_mathrand"], ns["lane_reseed"]),
+		SweepCellVsEvaluate:       ratio(float64(sweepCells)*ns["evaluate_serial_1worker"], ns["accuracy_sweep_1proc"]),
+		ExactMACSIMDVsGo:          ratio(ns[macRowGo], ns[macRow]),
 	}
 }
 
@@ -1065,8 +1040,6 @@ func compare(rep, base *Report, maxRegress float64) []string {
 					name, got, want, int(maxRegress*100)))
 		}
 	}
-	ratio("exact_fused_vs_scalar", rep.Speedups.ExactFusedVsScalar, base.Speedups.ExactFusedVsScalar)
-	ratio("faulty_skipahead_vs_bernoulli", rep.Speedups.FaultySkipAheadVsBernoulli, base.Speedups.FaultySkipAheadVsBernoulli)
 	ratio("batch_lane64_vs_faulty_skipahead", rep.Speedups.BatchLane64VsScalarFaulty, base.Speedups.BatchLane64VsScalarFaulty)
 	ratio("batch_lane64_vs_exact_fused", rep.Speedups.BatchLane64VsExactFused, base.Speedups.BatchLane64VsExactFused)
 	ratio("json_decode_fast_vs_std", rep.Speedups.JSONDecodeFastVsStd, base.Speedups.JSONDecodeFastVsStd)
@@ -1241,14 +1214,12 @@ func printSummary(w io.Writer, rep *Report) {
 		fmt.Fprintln(w)
 	}
 	sp := rep.Speedups
-	fmt.Fprintf(w, "exact fused vs scalar:        %.2fx\n", sp.ExactFusedVsScalar)
-	fmt.Fprintf(w, "faulty skip-ahead vs bernoulli: %.2fx\n", sp.FaultySkipAheadVsBernoulli)
 	if rep.MaxProcs > 1 {
 		fmt.Fprintf(w, "evaluate sharded vs serial:   %.2fx (%d procs)\n", sp.EvaluateShardedVsSerial, rep.MaxProcs)
 	} else {
 		fmt.Fprintln(w, "evaluate sharded vs serial:   not measurable on 1 proc (both rows are serial; left out, gate skipped)")
 	}
-	fmt.Fprintf(w, "batch lane64 vs scalar faulty: %.2fx\n", sp.BatchLane64VsScalarFaulty)
+	fmt.Fprintf(w, "batch lane64 vs 1-lane faulty: %.2fx\n", sp.BatchLane64VsScalarFaulty)
 	fmt.Fprintf(w, "batch lane64 vs exact fused:  %.2fx\n", sp.BatchLane64VsExactFused)
 	fmt.Fprintf(w, "serve batch16 vs batch1:      %.2fx\n", sp.ServeBatch16VsBatch1)
 	fmt.Fprintf(w, "serve batch16 idle vs batch1: %.2fx\n", sp.ServeBatch16IdleVsBatch1)

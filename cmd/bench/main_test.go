@@ -19,19 +19,17 @@ func TestCompareGate(t *testing.T) {
 	base := &Report{
 		MaxProcs: 8,
 		Speedups: Speedups{
-			ExactFusedVsScalar:         2.0,
-			FaultySkipAheadVsBernoulli: 4.0,
-			EvaluateShardedVsSerial:    3.0,
-			BatchLane64VsScalarFaulty:  5.0,
-			BatchLane64VsExactFused:    1.1,
-			ServeBatch16VsBatch1:       1.8,
-			ServeBatch16IdleVsBatch1:   0.9,
-			ServeWireVsJSON:            1.3,
-			JSONDecodeFastVsStd:        6.0,
-			TrainEpochVs1Proc:          1.8,
-			LaneReseedVsMathRand:       5.0,
-			SweepCellVsEvaluate:        1.6,
-			ExactMACSIMDVsGo:           3.8,
+			EvaluateShardedVsSerial:   3.0,
+			BatchLane64VsScalarFaulty: 5.0,
+			BatchLane64VsExactFused:   1.1,
+			ServeBatch16VsBatch1:      1.8,
+			ServeBatch16IdleVsBatch1:  0.9,
+			ServeWireVsJSON:           1.3,
+			JSONDecodeFastVsStd:       6.0,
+			TrainEpochVs1Proc:         1.8,
+			LaneReseedVsMathRand:      5.0,
+			SweepCellVsEvaluate:       1.6,
+			ExactMACSIMDVsGo:          3.8,
 		},
 		Results: []Result{
 			{Name: "inference_exact_fused", NsPerOp: 100, AllocsPerOp: 0},
@@ -60,13 +58,13 @@ func TestCompareGate(t *testing.T) {
 	}
 	// Speedup degraded within the margin: passes.
 	if p := compare(clone(func(r *Report) {
-		r.Speedups.FaultySkipAheadVsBernoulli = 3.2
+		r.Speedups.BatchLane64VsExactFused = 0.9
 	}), base, 0.25); len(p) != 0 {
 		t.Errorf("in-margin speedup drop flagged: %v", p)
 	}
 	// Speedup degraded past the margin: fails.
 	if p := compare(clone(func(r *Report) {
-		r.Speedups.FaultySkipAheadVsBernoulli = 2.9
+		r.Speedups.BatchLane64VsExactFused = 0.8
 	}), base, 0.25); len(p) != 1 {
 		t.Errorf("25%%+ speedup regression not flagged: %v", p)
 	}
@@ -254,8 +252,8 @@ func TestRunAndWriteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 27 {
-		t.Fatalf("got %d results, want 27", len(rep.Results))
+	if len(rep.Results) != 25 {
+		t.Fatalf("got %d results, want 25", len(rep.Results))
 	}
 	// modelRows lists the rows that need the trained environment; the
 	// rest are the two lane re-seeding rows, the wire codec row and the
@@ -272,7 +270,7 @@ func TestRunAndWriteReport(t *testing.T) {
 			t.Errorf("%s: empty measurement %+v", r.Name, r)
 		}
 	}
-	if rep.Speedups.ExactFusedVsScalar <= 0 || rep.Speedups.FaultySkipAheadVsBernoulli <= 0 ||
+	if rep.Speedups.BatchLane64VsScalarFaulty <= 0 || rep.Speedups.BatchLane64VsExactFused <= 0 ||
 		rep.Speedups.JSONDecodeFastVsStd <= 0 ||
 		rep.Speedups.ServeBatch16IdleVsBatch1 <= 0 || (rep.MaxProcs > 1) != (rep.Speedups.TrainEpochVs1Proc > 0) ||
 		rep.Speedups.LaneReseedVsMathRand <= 0 || rep.Speedups.SweepCellVsEvaluate <= 0 ||
@@ -319,8 +317,8 @@ func TestSpeedupsOfCommittedReport(t *testing.T) {
 // nothing (or is malformed) is an error.
 func TestRefreshRows(t *testing.T) {
 	names := []string{
-		"inference_exact_fused", "inference_exact_scalar", "inference_faulty_skipahead",
-		"inference_faulty_bernoulli", "evaluate_sharded", "evaluate_serial_1worker",
+		"inference_exact_fused", "inference_faulty_skipahead",
+		"evaluate_sharded", "evaluate_serial_1worker",
 		"batch_faulty_1", "batch_faulty_4", "batch_faulty_16", "batch_faulty_64",
 		"serve_detect_batch1", "serve_detect_batched_16", "serve_detect_batch1_serial",
 		"serve_detect_batched_16_serial", "serve_json_tcp_batched_16", "serve_wire_stream_batched_16",
@@ -360,14 +358,14 @@ func TestRefreshRows(t *testing.T) {
 	if got.Speedups != speedupsOf(got.Results, got.MaxProcs) {
 		t.Errorf("ratios not recomputed from the merged rows")
 	}
-	if want := prev.Results[17].NsPerOp / fresh.Results[16].NsPerOp; got.Speedups.JSONDecodeFastVsStd != want {
+	if want := prev.Results[15].NsPerOp / fresh.Results[14].NsPerOp; got.Speedups.JSONDecodeFastVsStd != want {
 		t.Errorf("decode ratio %v, want committed std over fresh fast row %v", got.Speedups.JSONDecodeFastVsStd, want)
 	}
-	if got.Speedups.ExactFusedVsScalar != prev.Speedups.ExactFusedVsScalar {
-		t.Errorf("untouched ratio moved: %v, committed %v", got.Speedups.ExactFusedVsScalar, prev.Speedups.ExactFusedVsScalar)
+	if got.Speedups.ServeWireVsJSON != prev.Speedups.ServeWireVsJSON {
+		t.Errorf("untouched ratio moved: %v, committed %v", got.Speedups.ServeWireVsJSON, prev.Speedups.ServeWireVsJSON)
 	}
 	// The inputs are not modified.
-	if prev.Results[18].NsPerOp != 100*19 {
+	if prev.Results[16].NsPerOp != 100*17 {
 		t.Errorf("refresh mutated the committed report")
 	}
 	for _, bad := range []string{"detect_progam_16", "serve_[", " , ", "lane_reseed,"} {
@@ -395,7 +393,7 @@ func TestRefreshRows(t *testing.T) {
 			t.Errorf("%s: %+v, want %+v", r.Name, r, want)
 		}
 	}
-	if want := fresh.Results[20].NsPerOp / fresh.Results[19].NsPerOp; got.Speedups.TrainEpochVs1Proc != want {
+	if want := fresh.Results[18].NsPerOp / fresh.Results[17].NsPerOp; got.Speedups.TrainEpochVs1Proc != want {
 		t.Errorf("training ratio %v, want %v", got.Speedups.TrainEpochVs1Proc, want)
 	}
 

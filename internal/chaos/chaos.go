@@ -144,7 +144,7 @@ func DefaultConfig(seed uint64) Config {
 }
 
 // Sentinel errors for injected faults. Callers classify retryability
-// with Permanent (or the Permanent() method the error values carry)
+// with volt.Permanent (the Permanent() method the error values carry)
 // rather than matching sentinels directly: every other injected fault
 // is worth retrying.
 var (
@@ -155,8 +155,7 @@ var (
 )
 
 // planeError is the concrete injected-fault error: it unwraps to its
-// sentinel and reports permanence so consumers that cannot import
-// this package (or do not want to) can classify it structurally via
+// sentinel and reports permanence, which volt.Permanent reads through
 // interface{ Permanent() bool }.
 type planeError struct {
 	sentinel error
@@ -173,13 +172,6 @@ func (e *planeError) Error() string {
 
 func (e *planeError) Unwrap() error   { return e.sentinel }
 func (e *planeError) Permanent() bool { return e.perm }
-
-// Permanent reports whether err is an injected fault that no retry
-// will clear.
-func Permanent(err error) bool {
-	var p interface{ Permanent() bool }
-	return errors.As(err, &p) && p.Permanent()
-}
 
 // Events counts injected faults by kind, plus the writes observed —
 // the Env-side half of the health picture (core.Supervisor holds the

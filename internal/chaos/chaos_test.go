@@ -69,7 +69,7 @@ func TestScriptedTransientBurst(t *testing.T) {
 		if !errors.Is(err, ErrTransient) {
 			t.Fatalf("write %d: err = %v, want ErrTransient", i, err)
 		}
-		if Permanent(err) {
+		if volt.Permanent(err) {
 			t.Errorf("transient fault misclassified: %v", err)
 		}
 	}
@@ -90,7 +90,7 @@ func TestPermanentDeath(t *testing.T) {
 		t.Fatal("env not dead after permanent trigger")
 	}
 	err := env.SetUndervolt("x", 100)
-	if !errors.Is(err, ErrPermanent) || !Permanent(err) {
+	if !errors.Is(err, ErrPermanent) || !volt.Permanent(err) {
 		t.Fatalf("err = %v, want permanent", err)
 	}
 	if err := env.Lock("y"); !errors.Is(err, ErrPermanent) {

@@ -1,13 +1,14 @@
 // Package conform is the statistical conformance suite for the
 // stochastic fault injector: it checks that the geometric skip-ahead
-// sampler — alias tables, fused draws, bulk kernel and all — still
+// sampler — alias tables, fused draws, span-planned batch kernel and
+// all — still
 // produces the exact fault process the paper's analysis assumes
 // (i.i.d. Bernoulli(rate) faults with Fig 1 bit locations).
 //
 // Unlike the bit-identity tests in internal/faults (which pin one RNG
 // stream to one output), these checks are distributional: they would
 // catch a sampler that is self-consistent but wrong — an off-by-one in
-// the gap law, a mis-normalized alias row, a bulk kernel that skips a
+// the gap law, a mis-normalized alias row, a batch kernel that skips a
 // site — by comparing large samples against the closed-form laws with
 // chi-square, Kolmogorov-Smirnov, and sequential (SPRT) tests.
 //
@@ -80,34 +81,6 @@ func SampleGaps(rate float64, n int, seed uint64) ([]int64, error) {
 	in.StartRecord(&log)
 	for len(log.Gaps) < n {
 		in.Mul(1, 1)
-	}
-	in.StopRecord()
-	return append([]int64(nil), log.Gaps[:n]...), nil
-}
-
-// SampleBulkGaps collects n gap draws like SampleGaps but through the
-// fused DotRow bulk kernel (rows of width rowLen), exercising the
-// segment-skipping path instead of the per-Mul countdown.
-func SampleBulkGaps(rate float64, n, rowLen int, seed uint64) ([]int64, error) {
-	if rate <= 0 || rate >= 1 {
-		return nil, fmt.Errorf("conform: gap sampling needs rate in (0,1), got %v", rate)
-	}
-	if rowLen < 1 {
-		return nil, fmt.Errorf("conform: row length %d", rowLen)
-	}
-	in, err := faults.NewInjector(rate, nil, rng.NewRand(seed, conformStream))
-	if err != nil {
-		return nil, err
-	}
-	w := make([]fxp.Value, rowLen)
-	x := make([]fxp.Value, rowLen)
-	for i := range w {
-		w[i], x[i] = 1, 1
-	}
-	var log faults.DrawLog
-	in.StartRecord(&log)
-	for len(log.Gaps) < n {
-		in.DotRow(fxp.Format{}, w, x)
 	}
 	in.StopRecord()
 	return append([]int64(nil), log.Gaps[:n]...), nil

@@ -6,6 +6,7 @@ import (
 
 	"shmd/internal/fann"
 	"shmd/internal/faults"
+	"shmd/internal/fxp"
 	"shmd/internal/hmd"
 	"shmd/internal/rng"
 	"shmd/internal/trace"
@@ -138,19 +139,42 @@ func TestBitLawRejectsPerturbedModel(t *testing.T) {
 	}
 }
 
-// TestScalarBulkEquivalence holds the scalar Mul path and the fused
-// DotRow bulk kernel to the same gap distribution — the distributional
-// complement of the bit-identity skip-ahead tests in internal/faults.
+// sampleRowGaps collects n gap draws like SampleGaps but through the
+// injector's one-lane batch form, rows of width rowLen drawn live, so
+// the row planner's segment skipping places the faults instead of the
+// per-Mul countdown.
+func sampleRowGaps(t *testing.T, rate float64, n, rowLen int, seed uint64) []int64 {
+	t.Helper()
+	in, err := faults.NewInjector(rate, nil, rng.NewRand(seed, conformStream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]fxp.Value, rowLen)
+	for i := range w {
+		w[i] = 1
+	}
+	bt := &fxp.Batch{Xs: w, Stride: rowLen}
+	out := make([]fxp.Value, 1)
+	var log faults.DrawLog
+	in.StartRecord(&log)
+	for len(log.Gaps) < n {
+		in.DotRowBatch(fxp.Format{}, w, bt, out)
+	}
+	in.StopRecord()
+	return log.Gaps[:n]
+}
+
+// TestScalarBulkEquivalence holds the scalar Mul path and the
+// injector's row-planned batch form to the same gap distribution — the
+// distributional complement of the bit-identity skip-ahead tests in
+// internal/faults.
 func TestScalarBulkEquivalence(t *testing.T) {
 	const rate, n, kmax = 0.1, 20000, 60
 	scalar, err := SampleGaps(rate, n, bulkSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bulk, err := SampleBulkGaps(rate, n, 64, bulkSeed+1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bulk := sampleRowGaps(t, rate, n, 64, bulkSeed+1)
 	res, err := Homogeneity("scalar-vs-bulk", BinGaps(scalar, kmax), BinGaps(bulk, kmax), Alpha)
 	if err != nil {
 		t.Fatal(err)
@@ -161,10 +185,7 @@ func TestScalarBulkEquivalence(t *testing.T) {
 	}
 
 	// Mutation: a bulk path running at a perturbed rate must be caught.
-	drifted, err := SampleBulkGaps(0.12, n, 64, bulkSeed+1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	drifted := sampleRowGaps(t, 0.12, n, 64, bulkSeed+1)
 	bad, err := Homogeneity("scalar-vs-drifted-bulk", BinGaps(scalar, kmax), BinGaps(drifted, kmax), Alpha)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"shmd/internal/hmd"
 	"shmd/internal/rng"
 	"shmd/internal/trace"
+	"shmd/internal/volt"
 )
 
 // This file is the serving-side batch surface: whole groups of traces
@@ -198,7 +199,7 @@ func (sup *Supervisor) DetectBatch(traces [][]trace.WindowCounts, record bool) (
 	if err != nil {
 		sup.h.Failures += uint64(n)
 		sup.state = Retrying
-		if permanentErr(err) {
+		if volt.Permanent(err) {
 			sup.breaker.Trip()
 		} else {
 			sup.breaker.Failure()
@@ -249,7 +250,7 @@ func (sup *Supervisor) tryProtectedBatch(traces [][]trace.WindowCounts, record b
 			return out, logs, nil
 		}
 		lastErr = err
-		if permanentErr(err) {
+		if volt.Permanent(err) {
 			break
 		}
 	}

@@ -8,16 +8,18 @@ import (
 	"shmd/internal/fann"
 	"shmd/internal/faults"
 	"shmd/internal/features"
+	"shmd/internal/fxp"
 	"shmd/internal/hmd"
 	"shmd/internal/rng"
 	"shmd/internal/trace"
 )
 
-// scalarOracle scores windows the way the detector did before scalar
-// detection moved onto the lane-1 batch kernel: fann.FixedNetwork.Run
-// with a scalar faults.Injector built on rand.Rand (no Source64), so
-// every multiplication goes through Injector.DotRow. It shares no code
-// path with the detector under test beyond the feature extractor.
+// scalarOracle scores windows one multiplication at a time:
+// fann.FixedNetwork.Run with a scalar faults.Injector built on
+// rand.Rand (no Source64), wrapped in a Mul-only unit so Run walks
+// fxp.AsBatch's one-lane adapter — one Injector.Mul per product — and
+// never the injector's span planner. It shares no fault-sampling path
+// with the detector under test.
 type scalarOracle struct {
 	cfg hmd.Config
 	fn  *fann.FixedNetwork
@@ -41,7 +43,7 @@ func (o *scalarOracle) score(t *testing.T, windows []trace.WindowCounts) []float
 	}
 	scores := make([]float64, len(vecs))
 	for i, v := range vecs {
-		scores[i] = o.fn.Run(o.inj, v)[0]
+		scores[i] = o.fn.Run(mulOnly{o.inj}, v)[0]
 	}
 	return scores
 }
@@ -54,6 +56,11 @@ func (o *scalarOracle) scoreTraced(t *testing.T, windows []trace.WindowCounts) (
 	o.inj.StopRecord()
 	return scores, log
 }
+
+// mulOnly hides a unit's batch form.
+type mulOnly struct{ u fxp.Unit }
+
+func (m mulOnly) Mul(a, b fxp.Value) fxp.Product { return m.u.Mul(a, b) }
 
 func sameScoreBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()

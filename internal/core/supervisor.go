@@ -8,6 +8,7 @@ import (
 
 	"shmd/internal/hmd"
 	"shmd/internal/trace"
+	"shmd/internal/volt"
 )
 
 // Supervisor keeps a detection Session alive in a hostile environment.
@@ -277,7 +278,7 @@ func (sup *Supervisor) canary() {
 			sup.backoff(attempt)
 		}
 		observed, err = sup.sess.ObserveRate(sup.cfg.CanaryMuls)
-		if err != nil && permanentErr(err) {
+		if err != nil && volt.Permanent(err) {
 			break
 		}
 	}
@@ -324,12 +325,4 @@ func (sup *Supervisor) backoff(attempt int) {
 		d = sup.cfg.MaxBackoff
 	}
 	sup.cfg.Sleep(d)
-}
-
-// permanentErr classifies an error as unrecoverable without importing
-// the chaos package: any error in the chain advertising
-// Permanent() == true (the convention chaos errors follow).
-func permanentErr(err error) bool {
-	var p interface{ Permanent() bool }
-	return errors.As(err, &p) && p.Permanent()
 }

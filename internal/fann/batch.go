@@ -14,13 +14,16 @@ import (
 // the FixedNetwork and reused across calls, so a steady-state batched
 // inference allocates nothing.
 //
-// Per lane the computation is bit-identical to Run: the same quantize
-// → MAC → activation pipeline with the same rounding and saturation at
-// every step. The differences are layout, hoisted constants (the 2^F
-// scale factor is precomputed; multiplying by the exact power-of-two
-// reciprocal is the same IEEE operation as dividing by the scale), and
-// the activation, which is looked up in its exact fixed-point form
-// (fixedact.go) rather than recomputed through float64.
+// It is the network's only forward pass (Run is one lane of it). Per
+// lane the computation is the scalar FANN pipeline — quantize, MAC of
+// each neuron row with the bias last, activation — with the same
+// rounding and saturation at every step. What batching changes is
+// layout, hoisted constants (the 2^F scale factor is precomputed;
+// multiplying by the exact power-of-two reciprocal is the same IEEE
+// operation as dividing by the scale), and the activation, which is
+// looked up in its exact fixed-point form (fixedact.go) rather than
+// recomputed through float64; the tests hold every lane to a scalar
+// float-activation reference pass.
 
 // batchScratch is the reusable lane-major state of batched runs.
 type batchScratch struct {
@@ -155,11 +158,9 @@ func (fn *FixedNetwork) quantize(vecs [][]float64, xs []fxp.Value, maxAbs []int6
 // Results are written lane-major into out (grown if needed) and
 // returned: packed lane j's outputs are out[j*NumOutputs :
 // (j+1)*NumOutputs]. Per lane the scores are bit-identical to
-// Run(unit, inputs[j]) with the unit in the same stream state: the MAC
-// is the same, and activations go through their exact fixed-point
-// form (fixedAct) instead of Run's float expression. The scratch
-// arenas are reused, so a FixedNetwork is not safe for concurrent runs
-// (Clone per goroutine, as with Run).
+// Run(unit, inputs[j]) with the unit in the same stream state. The
+// scratch arenas are reused, so a FixedNetwork is not safe for
+// concurrent runs (Clone per goroutine).
 //
 // RunBatch quantizes the inputs into the scratch arenas and runs them
 // as RunInputs does, without stored sums.
@@ -169,7 +170,7 @@ func (fn *FixedNetwork) RunBatch(u fxp.BatchUnit, inputs [][]float64, lanes []in
 		return out[:0]
 	}
 	s := &fn.batch
-	s.grow(k, len(fn.actA)-1)
+	s.grow(k, fn.maxWidth)
 	in := fn.quantize(inputs, s.act, s.maxAbs)
 	return fn.run(u, &in, 0, k, lanes, out)
 }
@@ -190,7 +191,7 @@ func (fn *FixedNetwork) RunInputs(u fxp.BatchUnit, in *Inputs, lo, hi int, lanes
 	if lo == hi {
 		return out[:0]
 	}
-	fn.batch.grow(hi-lo, len(fn.actA)-1)
+	fn.batch.grow(hi-lo, fn.maxWidth)
 	return fn.run(u, in, lo, hi, lanes, out)
 }
 

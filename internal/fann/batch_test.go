@@ -36,8 +36,8 @@ func batchInputs(seed int64, k, dim int) [][]float64 {
 }
 
 // TestRunBatchExactMatchesRun pins RunBatch with the exact unit to the
-// scalar Run at every issue batch size: same inputs, bit-identical
-// scores.
+// scalar reference pass (refRun) at every batch size: same inputs,
+// bit-identical scores.
 func TestRunBatchExactMatchesRun(t *testing.T) {
 	fn := trainedWide(t)
 	dim := fn.NumInputs()
@@ -45,7 +45,7 @@ func TestRunBatchExactMatchesRun(t *testing.T) {
 		ins := batchInputs(int64(k), k, dim)
 		got := fn.RunBatch(fxp.Exact{}, ins, nil, nil)
 		for j := 0; j < k; j++ {
-			want := fn.Run(fxp.Exact{}, ins[j])
+			want := refRun(fn, fxp.Exact{}, ins[j])
 			for o, wv := range want {
 				if got[j*fn.NumOutputs()+o] != wv {
 					t.Fatalf("k=%d lane %d out %d: batch %v, scalar %v", k, j, o, got[j*fn.NumOutputs()+o], wv)
@@ -57,10 +57,10 @@ func TestRunBatchExactMatchesRun(t *testing.T) {
 
 // TestRunBatchInjectorMatchesRun is the end-to-end bit-identity test
 // through the fault path: each lane of a batched faulty forward pass
-// must equal a scalar Run through an identically-seeded scalar
-// injector, across batch sizes and multiple sequential windows
-// (so gap state carries across RunBatch calls exactly as it carries
-// across scalar Runs).
+// must equal the scalar reference pass (refRun, one Mul per product)
+// through an identically-seeded injector, across batch sizes and
+// multiple sequential windows (so gap state carries across RunBatch
+// calls exactly as it carries across scalar passes).
 func TestRunBatchInjectorMatchesRun(t *testing.T) {
 	fn := trainedWide(t)
 	dim := fn.NumInputs()
@@ -82,12 +82,11 @@ func TestRunBatchInjectorMatchesRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			batch := fn.Clone()
-			scalar := fn.Clone()
 			for wdx := 0; wdx < windows; wdx++ {
 				ins := batchInputs(int64(100*wdx+k), k, dim)
 				got := batch.RunBatch(b, ins, nil, nil)
 				for j := 0; j < k; j++ {
-					want := scalar.Run(refs[j], ins[j])
+					want := refRun(fn, refs[j], ins[j])
 					for o, wv := range want {
 						if got[j*fn.NumOutputs()+o] != wv {
 							t.Fatalf("rate %v k=%d window %d lane %d out %d: batch %v, scalar %v",

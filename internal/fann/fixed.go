@@ -1,7 +1,7 @@
 package fann
 
 import (
-	"fmt"
+	"slices"
 
 	"shmd/internal/fxp"
 )
@@ -15,8 +15,6 @@ import (
 type FixedNetwork struct {
 	format  fxp.Format
 	layers  []int
-	hidden  Activation
-	output  Activation
 	weights [][]fxp.Value
 
 	// rowAbs caches Σ|w| per layer per neuron row (read-only, shared
@@ -28,10 +26,14 @@ type FixedNetwork struct {
 	// form, the ones RunBatch applies (read-only, shared process-wide).
 	hiddenAct, outputAct *fixedAct
 
-	// scratch buffers reused across runs to keep the per-inference
-	// allocation count flat (the detector is "always on").
-	actA, actB []fxp.Value
-	batch      batchScratch
+	// maxWidth is the widest layer, the lane pitch of the scratch
+	// arenas (plus the bias slot).
+	maxWidth int
+
+	// batch holds the arenas reused across runs to keep the
+	// per-inference allocation count flat (the detector is "always
+	// on").
+	batch batchScratch
 }
 
 // ToFixed quantizes the network into the given format.
@@ -42,8 +44,6 @@ func (n *Network) ToFixed(f fxp.Format) (*FixedNetwork, error) {
 	fn := &FixedNetwork{
 		format: f,
 		layers: append([]int(nil), n.layers...),
-		hidden: n.hidden,
-		output: n.output,
 	}
 	fn.weights = make([][]fxp.Value, len(n.weights))
 	for l, w := range n.weights {
@@ -53,16 +53,9 @@ func (n *Network) ToFixed(f fxp.Format) (*FixedNetwork, error) {
 		}
 		fn.weights[l] = q
 	}
-	maxWidth := 0
-	for _, width := range fn.layers {
-		if width > maxWidth {
-			maxWidth = width
-		}
-	}
+	fn.maxWidth = slices.Max(fn.layers)
 	fn.hiddenAct = fixedActFor(n.hidden, f)
 	fn.outputAct = fixedActFor(n.output, f)
-	fn.actA = make([]fxp.Value, maxWidth+1)
-	fn.actB = make([]fxp.Value, maxWidth+1)
 	fn.rowAbs = make([][]float64, len(fn.weights))
 	for l, w := range fn.weights {
 		stride := fn.layers[l] + 1
@@ -80,8 +73,6 @@ func (n *Network) ToFixed(f fxp.Format) (*FixedNetwork, error) {
 // parallel evaluation can run its own copy safely.
 func (fn *FixedNetwork) Clone() *FixedNetwork {
 	c := *fn
-	c.actA = make([]fxp.Value, len(fn.actA))
-	c.actB = make([]fxp.Value, len(fn.actB))
 	c.batch = batchScratch{}
 	return &c
 }
@@ -112,59 +103,18 @@ func (fn *FixedNetwork) NumMuls() int {
 	return total
 }
 
-// Run performs a fixed-point forward pass with every multiplication
-// going through u. Input is given in float64 and quantized on entry;
-// outputs are returned in float64. The returned slice is fresh; the
-// internal activation buffers are reused, so a FixedNetwork is not safe
-// for concurrent Runs.
+// Run performs one fixed-point forward pass with every multiplication
+// going through u: RunBatch on one lane of fxp.AsBatch(u), so a unit
+// with no batch form sees one Mul per product, layer by layer, row by
+// row, in index order with the bias last. Input is given in float64
+// and quantized on entry; the outputs are returned in a fresh slice.
+// The scratch arenas are reused, so a FixedNetwork is not safe for
+// concurrent Runs.
 func (fn *FixedNetwork) Run(u fxp.Unit, input []float64) []float64 {
-	if len(input) != fn.layers[0] {
-		panic(fmt.Sprintf("fann: input length %d, network expects %d", len(input), fn.layers[0]))
-	}
-	f := fn.format
-	cur := fn.actA[:len(input)+1]
-	for i, x := range input {
-		cur[i] = f.FromFloat(x)
-	}
-
-	nextBuf := fn.actB
-	for l, w := range fn.weights {
-		fanIn := fn.layers[l]
-		fanOut := fn.layers[l+1]
-		a := fn.activationAtFixed(l)
-		cur = cur[:fanIn+1]
-		cur[fanIn] = f.One() // bias input
-		next := nextBuf[:fanOut+1]
-		for j := 0; j < fanOut; j++ {
-			row := w[j*(fanIn+1) : (j+1)*(fanIn+1)]
-			pre := fxp.Dot(u, f, row, cur)
-			// Activation is evaluated via float64: this is the oracle
-			// RunBatch's exact fixed-point tables (fixedAct) are built
-			// from and tested against, entry for entry. The multiplier
-			// faults land in the MAC, which is where the paper
-			// characterizes them; FANN's fixed-point mode looks its
-			// sigmoids up in a table, which has no long carry chains.
-			next[j] = f.FromFloat(a.apply(f.ToFloat(pre)))
-		}
-		cur, nextBuf = next, cur[:cap(cur)]
-	}
-
-	out := make([]float64, fn.NumOutputs())
-	for j := range out {
-		out[j] = f.ToFloat(cur[j])
-	}
-	return out
+	return fn.RunBatch(fxp.AsBatch(u), [][]float64{input}, nil, nil)
 }
 
-// activationAtFixed mirrors Network.activationAt.
-func (fn *FixedNetwork) activationAtFixed(l int) Activation {
-	if l == len(fn.weights)-1 {
-		return fn.output
-	}
-	return fn.hidden
-}
-
-// fixedActAt is activationAtFixed in exact fixed-point form.
+// fixedActAt returns layer l's activation in exact fixed-point form.
 func (fn *FixedNetwork) fixedActAt(l int) *fixedAct {
 	if l == len(fn.weights)-1 {
 		return fn.outputAct

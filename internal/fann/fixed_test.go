@@ -9,6 +9,96 @@ import (
 	"shmd/internal/rng"
 )
 
+// refRun is the scalar reference forward pass: one u.Mul per product,
+// layer by layer and row by row, in index order with the bias input
+// last, SatAdd accumulation, and every activation evaluated through
+// float64 and quantized back (floatAct, FANN's expression). It shares
+// no kernel, arena or activation table with RunBatch, which makes it
+// the oracle RunBatch, Run and fixedAct are held to.
+func refRun(fn *FixedNetwork, u fxp.Unit, input []float64) []float64 {
+	f := fn.format
+	cur := make([]fxp.Value, len(input)+1)
+	for i, x := range input {
+		cur[i] = f.FromFloat(x)
+	}
+	for l, w := range fn.weights {
+		fanIn, fanOut := fn.layers[l], fn.layers[l+1]
+		cur[fanIn] = f.One() // bias input
+		next := make([]fxp.Value, fanOut+1)
+		for j := 0; j < fanOut; j++ {
+			row := w[j*(fanIn+1) : (j+1)*(fanIn+1)]
+			var acc fxp.Product
+			for i := range row {
+				acc = fxp.SatAdd(acc, u.Mul(row[i], cur[i]))
+			}
+			next[j] = floatAct(fn.fixedActAt(l).act, f, f.ScaleProduct(acc))
+		}
+		cur = next
+	}
+	out := make([]float64, fn.NumOutputs())
+	for j := range out {
+		out[j] = toFloat(f, cur[j])
+	}
+	return out
+}
+
+// mulOnly hides a unit's batch form, so Run walks it through
+// fxp.AsBatch's one-lane adapter.
+type mulOnly struct{ u fxp.Unit }
+
+func (m mulOnly) Mul(a, b fxp.Value) fxp.Product { return m.u.Mul(a, b) }
+
+// mulRecorder is a Mul-only exact unit that logs every operand pair in
+// the order it is asked to multiply them.
+type mulRecorder struct{ ops [][2]fxp.Value }
+
+func (r *mulRecorder) Mul(a, b fxp.Value) fxp.Product {
+	r.ops = append(r.ops, [2]fxp.Value{a, b})
+	return fxp.Exact{}.Mul(a, b)
+}
+
+// TestRunMulSequenceMatchesRefRun pins the order a unit without a batch
+// form sees: Run issues exactly refRun's (a, b) Mul sequence — every
+// product once, bias last in each row — over one to three weight
+// layers, and a stream-consuming unit walked that way (a Mul-only
+// injector) scores exactly what refRun scores on the same stream. A
+// draw-log replayer depends on this order.
+func TestRunMulSequenceMatchesRefRun(t *testing.T) {
+	r := rng.NewRand(61)
+	for _, layers := range [][]int{{3, 2}, {4, 5, 1}, {5, 3, 4, 2}} {
+		n := mustNew(t, Config{Layers: layers, Hidden: SigmoidSymmetric, Output: Sigmoid, Seed: 62})
+		fn, err := n.ToFixed(fxp.DefaultFormat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := make([]float64, layers[0])
+		for i := range in {
+			in[i] = r.Float64()*2 - 1
+		}
+		var got, want mulRecorder
+		fn.Run(&got, in)
+		refRun(fn, &want, in)
+		if len(got.ops) != fn.NumMuls() || len(got.ops) != len(want.ops) {
+			t.Fatalf("layers %v: Run issued %d muls, refRun %d, NumMuls %d", layers, len(got.ops), len(want.ops), fn.NumMuls())
+		}
+		for i := range got.ops {
+			if got.ops[i] != want.ops[i] {
+				t.Fatalf("layers %v: mul %d is %v, refRun's is %v", layers, i, got.ops[i], want.ops[i])
+			}
+		}
+		a, _ := faults.NewInjector(0.3, nil, rng.NewRand(63))
+		b, _ := faults.NewInjector(0.3, nil, rng.NewRand(63))
+		for rep := 0; rep < 20; rep++ {
+			g, w := fn.Run(mulOnly{a}, in), refRun(fn, b, in)
+			for o := range w {
+				if g[o] != w[o] {
+					t.Fatalf("layers %v pass %d out %d: Run %v, refRun %v", layers, rep, o, g[o], w[o])
+				}
+			}
+		}
+	}
+}
+
 func trainedToy(t *testing.T) *Network {
 	t.Helper()
 	n := mustNew(t, Config{Layers: []int{4, 6, 1}, Hidden: SigmoidSymmetric, Output: Sigmoid, Seed: 21})

@@ -8,8 +8,8 @@ import (
 )
 
 // fixedAct is an activation in exact fixed-point form: the function
-// pre-activation → quantize(Activation.apply(pre·2^-F)) that Run
-// computes through float64, evaluated without leaving the integers.
+// pre-activation → quantize(Activation.apply(pre·2^-F)), FANN's float
+// expression, evaluated without leaving the integers.
 // Pre-activations below lo map to below, above hi to above; inside
 // [lo, hi] the result is vals[v-lo] when a table is present, v itself
 // otherwise. That one shape covers all four activations:
@@ -27,9 +27,10 @@ type fixedAct struct {
 	lo, hi       fxp.Value
 	below, above fxp.Value
 	vals         []int16
-	// float, when set, evaluates act through float64 inside [lo, hi].
-	float bool
+	// act is the activation this form computes; float, when set,
+	// evaluates it through float64 inside [lo, hi].
 	act   Activation
+	float bool
 	scale float64
 }
 
@@ -73,9 +74,9 @@ var actTables [2][31]struct {
 func fixedActFor(a Activation, f fxp.Format) *fixedAct {
 	switch a {
 	case Linear:
-		return &fixedAct{lo: math.MinInt32, hi: math.MaxInt32}
+		return &fixedAct{lo: math.MinInt32, hi: math.MaxInt32, act: a}
 	case ReLU:
-		return &fixedAct{lo: 0, hi: math.MaxInt32}
+		return &fixedAct{lo: 0, hi: math.MaxInt32, act: a}
 	case Sigmoid, SigmoidSymmetric:
 		c := &actTables[a][f.FracBits]
 		c.once.Do(func() { c.t = buildSigmoidAct(a, f) })
@@ -84,8 +85,8 @@ func fixedActFor(a Activation, f fxp.Format) *fixedAct {
 	panic("fann: unknown activation " + a.String())
 }
 
-// buildSigmoidAct tabulates a sigmoid-family activation from the exact
-// expression Run evaluates. The saturated outputs are the values at the
+// buildSigmoidAct tabulates a sigmoid-family activation from its exact
+// float expression. The saturated outputs are the values at the
 // int32 ends, and the table runs between the innermost pre-activations
 // that reach them: scanning outward from 0, the edge on each side is
 // one past the last output that still differs from the saturated

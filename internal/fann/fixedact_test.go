@@ -14,15 +14,20 @@ import (
 // keeps the float expression.
 var actFormats = []uint{4, 8, fxp.DefaultFracBits, 13}
 
-// floatAct is Run's activation of a fixed-point pre-activation: the
-// oracle every fixed-point form is held to.
+// toFloat converts v back to a float64.
+func toFloat(f fxp.Format, v fxp.Value) float64 {
+	return float64(v) / float64(int64(1)<<f.FracBits)
+}
+
+// floatAct is refRun's activation of a fixed-point pre-activation:
+// the oracle every fixed-point form is held to.
 func floatAct(a Activation, f fxp.Format, v fxp.Value) fxp.Value {
-	return f.FromFloat(a.apply(f.ToFloat(v)))
+	return f.FromFloat(a.apply(toFloat(f, v)))
 }
 
 // TestSigmoidTablesExhaustive checks both sigmoid kinds entry for
 // entry: every int32 pre-activation with |x| < 16, then a sample out
-// to both int32 ends, against Run's float expression.
+// to both int32 ends, against refRun's float expression.
 func TestSigmoidTablesExhaustive(t *testing.T) {
 	rnd := rand.New(rand.NewSource(17))
 	for _, bits := range actFormats {
@@ -79,7 +84,7 @@ func TestSigmoidTableSizes(t *testing.T) {
 
 // TestLinearAndReLUAreExact is the property behind the table-free
 // activations: Linear is the identity and ReLU is max(v, 0) on
-// fixed-point values, and both equal Run's float expression, over the
+// fixed-point values, and both equal refRun's float expression, over the
 // int32 extremes and random values in every valid format.
 func TestLinearAndReLUAreExact(t *testing.T) {
 	rnd := rand.New(rand.NewSource(23))
@@ -102,8 +107,9 @@ func TestLinearAndReLUAreExact(t *testing.T) {
 }
 
 // TestRunBatchActivationsMatchRun runs every activation pairing
-// through RunBatch against Run, so each fixed-point form is exercised
-// inside the forward pass, not only in isolation.
+// through RunBatch against the float-activation reference pass
+// (refRun), so each fixed-point form is exercised inside the forward
+// pass, not only in isolation.
 func TestRunBatchActivationsMatchRun(t *testing.T) {
 	acts := []Activation{Sigmoid, SigmoidSymmetric, Linear, ReLU}
 	for _, hidden := range acts {
@@ -125,7 +131,7 @@ func TestRunBatchActivationsMatchRun(t *testing.T) {
 				}
 				got := fn.RunBatch(fxp.Exact{}, ins, nil, nil)
 				for j, in := range ins {
-					for o, w := range fn.Run(fxp.Exact{}, in) {
+					for o, w := range refRun(fn, fxp.Exact{}, in) {
 						if got[j*2+o] != w {
 							t.Fatalf("%v/%v F=%d lane %d out %d: batch %v, run %v", hidden, output, bits, j, o, got[j*2+o], w)
 						}

@@ -202,7 +202,7 @@ func (b *BatchInjector) Rate() float64 { return b.rate }
 // Lane exposes lane l's scalar injector state. The lane is live — it
 // shares the batch injector's tables and stream — so it supports
 // everything a scalar Injector does (StartRecord, Stats, even scalar
-// Mul/DotRow calls interleaved with batched rows).
+// Mul calls interleaved with batched rows).
 func (b *BatchInjector) Lane(l int) *Injector { return b.lanes[l] }
 
 // SetRate changes the error rate on every lane, rebuilding the shared
@@ -250,9 +250,9 @@ func (b *BatchInjector) ResetStats() {
 // planRow materializes lane l's fault plan for the next n
 // multiplications: the sites (relative mul index within the row) and
 // bits of every fault landing in the row. The randomness is consumed
-// through the same helpers in the same order as the scalar
-// Injector.DotRow walk — lazy gap draw first, then one fused draw per
-// fault — so a planned row is stream-identical to a scalar row, and
+// through the same helpers in the same order as one Injector.Mul per
+// product — lazy gap draw first, then one fused draw per fault — so a
+// planned row is stream-identical to a scalar row, and
 // recording (lane DrawLogs) captures the same log either way.
 func (b *BatchInjector) planRow(l, n int) (sites []int32, bits []uint8) {
 	in := b.lanes[l]
@@ -656,7 +656,8 @@ func (b *BatchInjector) dotRowSpanFast(f fxp.Format, w []fxp.Value, accs []int64
 // dotPlanned replays a fault plan through the checked scalar kernel:
 // exact saturating segments between sites, a saturating add of the
 // faulted product at each site — element for element the computation
-// Injector.DotRow performs, minus the (already consumed) draws.
+// one Injector.Mul per product with SatAdd accumulation performs, minus
+// the (already consumed) draws.
 func dotPlanned(w, x []fxp.Value, sites []int32, bits []uint8) fxp.Product {
 	var a fxp.Product
 	prev := 0

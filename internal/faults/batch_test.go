@@ -110,7 +110,7 @@ func TestBatchInjectorBitIdentity(t *testing.T) {
 					for i := range x {
 						x[i] = mkX(r, l, i)
 					}
-					want := fxp.Dot(ref, f, w, x)
+					want := mulDot(ref, f, w, x)
 					if got[r][l] != want {
 						t.Fatalf("rate %v k=%d lane %d row %d: batch %d, scalar %d",
 							rate, k, l, r, got[r][l], want)
@@ -160,7 +160,7 @@ func TestBatchInjectorSaturatingLanes(t *testing.T) {
 				for i := range x {
 					x[i] = mkX(r, l, i)
 				}
-				want := fxp.Dot(ref, f, w, x)
+				want := mulDot(ref, f, w, x)
 				if got[r][l] != want {
 					t.Fatalf("stored=%v lane %d row %d: batch %d, scalar %d", stored, l, r, got[r][l], want)
 				}
@@ -349,7 +349,7 @@ func TestBatchInjectorRecording(t *testing.T) {
 			for i := range x {
 				x[i] = mkX(r, l, i)
 			}
-			fxp.Dot(ref, f, w, x)
+			mulDot(ref, f, w, x)
 		}
 		ref.StopRecord()
 		if logs[l].InitialGap != want.InitialGap {

@@ -50,13 +50,13 @@ func (c Counters) BitRates() [ProductBits]float64 {
 // exactly until that site. Because a sequence of i.i.d. Bernoulli(p)
 // trials has i.i.d. Geometric(p) gaps between successes, the per-mul
 // fault process is distributionally identical to the per-mul draw
-// (DESIGN.md §9 gives the argument; BernoulliInjector keeps the
-// per-mul reference implementation, and a statistical test holds the
-// two to the same observed rate and per-bit distribution) while the
-// RNG cost drops from O(muls) to O(faults). The injector also
-// implements fxp.BulkUnit, running the fused exact kernel between
-// fault sites, so a whole MAC row at the paper's operating points
-// costs barely more than exact inference.
+// (DESIGN.md §9 gives the argument; a per-mul Bernoulli reference in
+// the tests holds the two to the same observed rate and per-bit
+// distribution) while the RNG cost drops from O(muls) to O(faults).
+// The injector is also an fxp.BatchUnit and fxp.SpanPlanner through
+// its one-lane batch view, which presamples a forward pass's faults
+// and runs the exact MAC kernel between them, so a whole pass at the
+// paper's operating points costs barely more than exact inference.
 //
 // An Injector is not safe for concurrent use; give each goroutine its
 // own (they are cheap, and independent streams keep runs reproducible).
@@ -91,7 +91,7 @@ type Injector struct {
 	// Recordable in record.go). Recording is observational only: the
 	// draw order and count are identical with and without it.
 	rec *DrawLog
-	// view is the one-lane batch view (see BatchView), built on first
+	// view is the one-lane batch view (see batchView), built on first
 	// use. Its only lane is this injector, so it holds no stream state
 	// of its own.
 	view *BatchInjector
@@ -250,8 +250,9 @@ func NewInjector(rate float64, dist *Distribution, rnd *rand.Rand) (*Injector, e
 // rand.New(src)) draws. When src is an *rng.Source it also reads src
 // directly for its fused per-fault draws. Production injectors are
 // built this way on rng.NewSource64 sources, because the span planner
-// behind BatchView takes its hot loop only on a known *rng.Source;
-// any other source takes the generic path, with the same draws.
+// behind the batch view takes its hot loop only on a known
+// *rng.Source; any other source takes the generic path, with the same
+// draws.
 func NewInjectorSource(rate float64, dist *Distribution, src rand.Source64) (*Injector, error) {
 	if src == nil {
 		return nil, fmt.Errorf("faults: injector needs a random stream")
@@ -264,22 +265,30 @@ func NewInjectorSource(rate float64, dist *Distribution, src rand.Source64) (*In
 	return in, nil
 }
 
-// BatchView returns the injector's one-lane batch view: a
+// batchView returns the injector's one-lane batch view: a
 // BatchInjector whose only lane is this injector, built on first call
 // and cached. Every piece of stream state — pending gap, RNG, draw
 // log, counters, rate — stays in the injector, so a forward pass run
-// through fann.RunBatch on the view consumes the stream exactly as
-// fann.Run on the injector would (the batch bit-identity suites pin
-// this), and SetRate, recording and Stats keep working on the
-// injector itself. Like the injector, the view is not safe for
-// concurrent use.
-func (in *Injector) BatchView() *BatchInjector {
+// on the view consumes the stream exactly as one Mul per product in
+// pass order would (the batch bit-identity suites pin this), and
+// SetRate, recording and Stats keep working on the injector itself.
+// Like the injector, the view is not safe for concurrent use.
+func (in *Injector) batchView() *BatchInjector {
 	if in.view == nil {
 		in.view = newBatchInjector([]*Injector{in})
 		in.view.rate, in.view.invLog1mRate, in.view.table = in.rate, in.invLog1mRate, in.gapTable
 	}
 	return in.view
 }
+
+// DotRowBatch implements fxp.BatchUnit through the one-lane view:
+// every packed position is unit lane 0, this injector's stream.
+func (in *Injector) DotRowBatch(f fxp.Format, w []fxp.Value, b *fxp.Batch, out []fxp.Value) {
+	in.batchView().DotRowBatch(f, w, b, out)
+}
+
+// BeginSpan implements fxp.SpanPlanner through the one-lane view.
+func (in *Injector) BeginSpan(lanes []int, muls int) { in.batchView().BeginSpan(lanes, muls) }
 
 // Rate returns the configured per-multiplication error rate.
 func (in *Injector) Rate() float64 { return in.rate }
@@ -340,22 +349,13 @@ func (in *Injector) drawGap() int64 {
 	return int64(k)
 }
 
-// fault applies one single-bit timing-violation fault to p — an XOR of
-// a bit sampled from the fault-location distribution, exactly how a
-// timing violation manifests (the latch captures a stale value for
-// that output line) — and draws the gap to the next fault site. With
-// the gap table active, one 64-bit RNG output covers both: the low 32
-// bits pick the bit, the high 32 the gap. This fused draw is the whole
-// per-fault cost of the skip-ahead sampler.
-func (in *Injector) fault(p fxp.Product) fxp.Product {
-	return p ^ fxp.Product(1)<<uint(in.drawFault())
-}
-
 // drawFault performs the fused per-fault draw — bit sample, next gap,
-// recording, statistics — and returns the sampled bit. It is the
-// single place fault randomness is consumed, shared by the scalar
-// fault application and the batch planner, so both consume the stream
-// identically.
+// recording, statistics — and returns the sampled bit. With the gap
+// table active, one 64-bit RNG output covers both: the low 32 bits
+// pick the bit, the high 32 the gap, so this is the whole per-fault
+// cost of the skip-ahead sampler. It is the single place fault
+// randomness is consumed, shared by Mul and the batch planner, so both
+// consume the stream identically.
 func (in *Injector) drawFault() int {
 	var bit int
 	if in.gapTable != nil {
@@ -381,7 +381,10 @@ func (in *Injector) drawFault() int {
 }
 
 // Mul multiplies two fixed-point values, faulting when the
-// multiplication counter reaches the sampled next fault site.
+// multiplication counter reaches the sampled next fault site. A fault
+// is one single-bit timing violation: an XOR of a bit sampled from the
+// fault-location distribution, exactly how a timing violation
+// manifests (the latch captures a stale value for that output line).
 func (in *Injector) Mul(a, b fxp.Value) fxp.Product {
 	p := fxp.Product(int64(a) * int64(b))
 	in.stats.Muls++
@@ -395,144 +398,15 @@ func (in *Injector) Mul(a, b fxp.Value) fxp.Product {
 		}
 	}
 	if in.gap == 0 {
-		return in.fault(p)
+		return p ^ fxp.Product(1)<<uint(in.drawFault())
 	}
 	in.gap--
 	return p
 }
 
-// DotRow implements fxp.BulkUnit: the fused exact kernel runs between
-// sampled fault sites, and only the sampled sites pay for a fault
-// draw. The RNG stream is consumed through the same helpers in the
-// same order as the scalar Mul path, so scalar and bulk execution of
-// the same multiplication sequence produce bit-identical products.
-func (in *Injector) DotRow(f fxp.Format, w, x []fxp.Value) fxp.Value {
-	n := len(w)
-	in.stats.Muls += uint64(n)
-	if in.rate <= 0 {
-		return f.ScaleProduct(fxp.AccumExact(0, w, x))
-	}
-	x = x[:n] // one bounds check for the whole row
-	a := int64(0)
-	i := 0
-	for i < n {
-		if in.gap < 0 {
-			in.gap = in.drawGap()
-			if in.rec != nil {
-				in.rec.Gaps = append(in.rec.Gaps, in.gap)
-			}
-		}
-		if in.gap >= int64(n-i) {
-			// No fault lands in the rest of the row. The MAC loop is
-			// the AccumExact kernel inlined: at the paper's operating
-			// rates segments average only a handful of elements, so the
-			// per-segment call and slice-header cost would rival the
-			// arithmetic.
-			in.gap -= int64(n - i)
-			for ; i < n; i++ {
-				p := int64(w[i]) * int64(x[i])
-				s := a + p
-				if (a^s)&(p^s) < 0 {
-					if a > 0 {
-						a = math.MaxInt64
-					} else {
-						a = math.MinInt64
-					}
-					continue
-				}
-				a = s
-			}
-			break
-		}
-		site := i + int(in.gap)
-		for ; i < site; i++ {
-			p := int64(w[i]) * int64(x[i])
-			s := a + p
-			if (a^s)&(p^s) < 0 {
-				if a > 0 {
-					a = math.MaxInt64
-				} else {
-					a = math.MinInt64
-				}
-				continue
-			}
-			a = s
-		}
-		fp := in.fault(fxp.Product(int64(w[site]) * int64(x[site])))
-		a = int64(fxp.SatAdd(fxp.Product(a), fp))
-		i = site + 1
-	}
-	return f.ScaleProduct(fxp.Product(a))
-}
-
 var _ fxp.Unit = (*Injector)(nil)
-var _ fxp.BulkUnit = (*Injector)(nil)
-
-// BernoulliInjector is the scalar reference implementation of the
-// undervolted multiplier: one Bernoulli(rate) draw per multiplication,
-// the direct transcription of the paper's fault model. The production
-// Injector replaces it with geometric skip-ahead sampling; this type
-// remains as the ground truth the statistical-equivalence test and the
-// A/B benchmarks compare against. It intentionally does not implement
-// fxp.BulkUnit, so it always exercises the scalar Dot path.
-type BernoulliInjector struct {
-	rate  float64
-	dist  *Distribution
-	rnd   *rand.Rand
-	stats Counters
-}
-
-// NewBernoulliInjector builds the per-mul reference injector with the
-// same parameters as NewInjector.
-func NewBernoulliInjector(rate float64, dist *Distribution, rnd *rand.Rand) (*BernoulliInjector, error) {
-	if rate < 0 || rate > 1 {
-		return nil, fmt.Errorf("faults: error rate %v outside [0,1]", rate)
-	}
-	if rnd == nil {
-		return nil, fmt.Errorf("faults: injector needs a random stream")
-	}
-	if dist == nil {
-		dist = Fig1Distribution()
-	}
-	return &BernoulliInjector{rate: rate, dist: dist, rnd: rnd}, nil
-}
-
-// Rate returns the configured per-multiplication error rate.
-func (in *BernoulliInjector) Rate() float64 { return in.rate }
-
-// SetRate changes the error rate.
-func (in *BernoulliInjector) SetRate(rate float64) error {
-	if rate < 0 || rate > 1 {
-		return fmt.Errorf("faults: error rate %v outside [0,1]", rate)
-	}
-	in.rate = rate
-	return nil
-}
-
-// Stats returns a snapshot of the injection counters.
-func (in *BernoulliInjector) Stats() Counters { return in.stats }
-
-// ResetStats clears the injection counters.
-func (in *BernoulliInjector) ResetStats() { in.stats = Counters{} }
-
-// Mul multiplies two fixed-point values, then — with probability equal
-// to the error rate — flips one product bit sampled from the
-// fault-location distribution. The bit is drawn with the original
-// CDF binary search, so this type is the pre-skip-ahead implementation
-// preserved end to end.
-func (in *BernoulliInjector) Mul(a, b fxp.Value) fxp.Product {
-	p := fxp.Product(int64(a) * int64(b))
-	in.stats.Muls++
-	if in.rate > 0 && in.rnd.Float64() < in.rate {
-		bit := in.dist.sampleCDF(in.rnd)
-		p ^= fxp.Product(1) << uint(bit)
-		in.stats.Faults++
-		in.stats.PerBit[bit]++
-	}
-	return p
-}
-
-var _ fxp.Unit = (*BernoulliInjector)(nil)
+var _ fxp.BatchUnit = (*Injector)(nil)
+var _ fxp.SpanPlanner = (*Injector)(nil)
 
 // TruncatedUnit is a *deterministic* approximate multiplier that drops
 // the low DropBits of each operand before multiplying — the classic

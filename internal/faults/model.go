@@ -42,7 +42,6 @@ const (
 // construction.
 type Distribution struct {
 	weights [ProductBits]float64
-	cdf     [ProductBits]float64
 	// Walker alias tables: Sample draws in O(1) — one uniform, one
 	// table row — instead of binary-searching the CDF, whose ~6
 	// data-dependent branches mispredict and dominate the per-fault
@@ -82,13 +81,9 @@ func NewDistribution(weights [ProductBits]float64) (*Distribution, error) {
 		return nil, fmt.Errorf("faults: distribution has no mass")
 	}
 	d := &Distribution{}
-	acc := 0.0
 	for bit := range weights {
 		d.weights[bit] = weights[bit] / total
-		acc += d.weights[bit]
-		d.cdf[bit] = acc
 	}
-	d.cdf[ProductBits-1] = 1 // guard against rounding
 	d.buildAlias()
 	return d, nil
 }
@@ -231,24 +226,6 @@ func (d *Distribution) Sample(rnd *rand.Rand) int {
 		return i
 	}
 	return d.alias[i]
-}
-
-// sampleCDF draws a fault bit by binary-searching the CDF — the
-// original sampler, kept as the reference implementation behind
-// BernoulliInjector so the A/B benchmarks measure the pre-alias-table
-// baseline faithfully. Distributionally identical to Sample.
-func (d *Distribution) sampleCDF(rnd *rand.Rand) int {
-	u := rnd.Float64()
-	lo, hi := 0, ProductBits-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Bit-sampler fraction split of a 32-bit draw: the top 6 bits index

@@ -33,7 +33,7 @@ func TestSetRateCycleMatchesFresh(t *testing.T) {
 					t.Fatal(err)
 				}
 				w := []fxp.Value{3, -7}
-				if got, want := cycled.DotRow(f, w, w), (fxp.Exact{}).DotRow(f, w, w); got != want {
+				if got, want := rowDot(cycled, f, w, w), mulDot(fxp.Exact{}, f, w, w); got != want {
 					t.Fatalf("rate %v: zero-rate row %d, want exact", rate, got)
 				}
 				if err := cycled.SetRate(rate); err != nil {
@@ -57,7 +57,7 @@ func TestSetRateCycleMatchesFresh(t *testing.T) {
 					w[i] = fxp.Value(gen.Int31n(1<<16)) - 1<<15
 					x[i] = fxp.Value(gen.Int31n(1<<16)) - 1<<15
 				}
-				if got, want := cycled.DotRow(f, w, x), fresh.DotRow(f, w, x); got != want {
+				if got, want := rowDot(cycled, f, w, x), mulDot(fresh, f, w, x); got != want {
 					t.Fatalf("rate %v segment %d row %d: cycled %d, fresh %d", rate, seg, r, got, want)
 				}
 			}
@@ -98,8 +98,8 @@ func TestBatchViewTracksInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := in.BatchView()
-	if in.BatchView() != v || len(v.lanes) != 1 || v.Lane(0) != in {
+	v := in.batchView()
+	if in.batchView() != v || len(v.lanes) != 1 || v.Lane(0) != in {
 		t.Fatal("view not a cached one-lane view of the injector")
 	}
 	v.BeginSpan([]int{0}, 1000)

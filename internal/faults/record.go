@@ -87,10 +87,11 @@ var _ Recordable = (*Injector)(nil)
 // it consumes the gaps and bits of a DrawLog instead of drawing from
 // an RNG, so running the same multiplication sequence through it
 // reproduces the recorded products bit-for-bit — off-hardware, with no
-// regulator and no random stream. It intentionally does not implement
-// fxp.BulkUnit: the scalar path produces products bit-identical to the
-// fused bulk kernel (pinned by the skip-ahead equivalence tests), so
-// one replay path covers traces recorded through either.
+// regulator and no random stream. It has no batch form: a forward pass
+// runs it through fxp.AsBatch's one-lane adapter, one Mul per product
+// in the pass's multiplication order, which is the order the recording
+// injector's batch view drew the log in (pinned by the skip-ahead
+// equivalence tests).
 //
 // After the replayed computation, Done reports whether the log was
 // consumed exactly; a leftover or starved log means the replayed

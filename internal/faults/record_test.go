@@ -84,9 +84,9 @@ func TestReplayerReproducesScalar(t *testing.T) {
 	}
 }
 
-// TestReplayerReproducesBulk records through the fused DotRow kernel
-// and replays through the scalar Dot path: the replayed row sums must
-// match bit-identically (the scalar/bulk bit-identity of the injector
+// TestReplayerReproducesBulk records through the injector's batch form
+// and replays through scalar Mul calls: the replayed row sums must
+// match bit-identically (the scalar/batch bit-identity of the injector
 // carries over to the replayer by construction).
 func TestReplayerReproducesBulk(t *testing.T) {
 	const rows, width = 200, 96
@@ -107,13 +107,13 @@ func TestReplayerReproducesBulk(t *testing.T) {
 		inj.StartRecord(&log)
 		sums := make([]fxp.Value, rows)
 		for i := range sums {
-			sums[i] = inj.DotRow(f, w, x)
+			sums[i] = rowDot(inj, f, w, x)
 		}
 		inj.StopRecord()
 
 		rep := NewReplayer(log)
 		for i := range sums {
-			got := fxp.Dot(rep, f, w, x)
+			got := mulDot(rep, f, w, x)
 			if got != sums[i] {
 				t.Fatalf("rate %v row %d: replayed %d, recorded %d", rate, i, got, sums[i])
 			}

@@ -8,12 +8,6 @@ import (
 	"shmd/internal/rng"
 )
 
-// hideBulk masks an Injector's BulkUnit implementation so fxp.Dot takes
-// the scalar per-Mul loop through it.
-type hideBulk struct{ u fxp.Unit }
-
-func (h hideBulk) Mul(a, b fxp.Value) fxp.Product { return h.u.Mul(a, b) }
-
 // equivalenceRates are the operating points the skip-ahead sampler is
 // held to the Bernoulli reference at: the paper's sweep floor, the
 // chosen operating region, a heavy-fault point, and the degenerate
@@ -32,10 +26,7 @@ func TestSkipAheadMatchesBernoulliRate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewBernoulliInjector(rate, nil, rng.NewRand(91, math.Float64bits(rate)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newBernoulliInjector(rate, nil, rng.NewRand(91, math.Float64bits(rate)))
 		for i := 0; i < muls; i++ {
 			skip.Mul(3, 5)
 			ref.Mul(3, 5)
@@ -56,10 +47,10 @@ func TestSkipAheadMatchesBernoulliRate(t *testing.T) {
 	}
 }
 
-// TestSkipAheadBulkPathRate repeats the rate check through the DotRow
-// bulk path, using rows comparable to the deployed network's fan-in, so
-// the fused kernel's gap bookkeeping across row boundaries is what is
-// being measured.
+// TestSkipAheadBulkPathRate repeats the rate check through the
+// injector's batch form, one lane row by row, using rows comparable to
+// the deployed network's fan-in, so the row planner's gap bookkeeping
+// across row boundaries is what is being measured.
 func TestSkipAheadBulkPathRate(t *testing.T) {
 	const (
 		rowLen = 33 // hidden-layer fan-in + bias in the deployed HMD
@@ -76,7 +67,7 @@ func TestSkipAheadBulkPathRate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := 0; r < rows; r++ {
-			fxp.Dot(in, fxp.DefaultFormat, w, x)
+			rowDot(in, fxp.DefaultFormat, w, x)
 		}
 		muls := float64(rowLen * rows)
 		if got := in.Stats().Muls; got != uint64(muls) {
@@ -99,7 +90,7 @@ func TestSkipAheadPerBitDistribution(t *testing.T) {
 	dist := Fig1Distribution()
 	for _, rate := range []float64{0.1, 1.0} {
 		skip, _ := NewInjector(rate, dist, rng.NewRand(93, math.Float64bits(rate)))
-		ref, _ := NewBernoulliInjector(rate, dist, rng.NewRand(94, math.Float64bits(rate)))
+		ref := newBernoulliInjector(rate, dist, rng.NewRand(94, math.Float64bits(rate)))
 		for i := 0; i < muls; i++ {
 			skip.Mul(7, 11)
 			ref.Mul(7, 11)
@@ -130,11 +121,11 @@ func TestSkipAheadPerBitDistribution(t *testing.T) {
 }
 
 // TestSkipAheadScalarBulkBitIdentical is the stronger, non-statistical
-// property the bulk path is designed for: two injectors on identical
+// property the batch form is designed for: two injectors on identical
 // streams produce bit-identical products whether a multiplication
-// sequence flows through scalar Mul calls or through DotRow — because
-// both consume the RNG in the same order (gap draws and bit draws at
-// the same points).
+// sequence flows through scalar Mul calls or through the injector's
+// one-lane batch form — because both consume the RNG in the same order
+// (gap draws and bit draws at the same points).
 func TestSkipAheadScalarBulkBitIdentical(t *testing.T) {
 	const (
 		rowLen = 65
@@ -152,8 +143,8 @@ func TestSkipAheadScalarBulkBitIdentical(t *testing.T) {
 				w[i] = fxp.Value(gen.Int31()) - 1<<30
 				x[i] = fxp.Value(gen.Int31()) - 1<<30
 			}
-			got := fxp.Dot(bulk, f, w, x)
-			want := fxp.Dot(hideBulk{scalar}, f, w, x)
+			got := rowDot(bulk, f, w, x)
+			want := mulDot(scalar, f, w, x)
 			if got != want {
 				t.Fatalf("rate %v row %d: bulk %d != scalar %d", rate, r, got, want)
 			}
@@ -223,19 +214,19 @@ func TestSkipAheadZeroAndFullRate(t *testing.T) {
 	zero, _ := NewInjector(0, nil, rng.NewRand(98))
 	for i := 0; i < 1000; i++ {
 		zero.Mul(w[0], x[0])
-		fxp.Dot(zero, fxp.DefaultFormat, w, x)
+		rowDot(zero, fxp.DefaultFormat, w, x)
 	}
 	if s := zero.Stats(); s.Faults != 0 {
 		t.Errorf("zero-rate injector faulted %d times", s.Faults)
 	}
-	if got, want := fxp.Dot(zero, fxp.DefaultFormat, w, x), fxp.DotExact(fxp.DefaultFormat, w, x); got != want {
+	if got, want := rowDot(zero, fxp.DefaultFormat, w, x), mulDot(fxp.Exact{}, fxp.DefaultFormat, w, x); got != want {
 		t.Errorf("zero-rate DotRow %d != exact %d", got, want)
 	}
 
 	full, _ := NewInjector(1, nil, rng.NewRand(99))
 	for i := 0; i < 1000; i++ {
 		full.Mul(w[0], x[0])
-		fxp.Dot(full, fxp.DefaultFormat, w, x)
+		rowDot(full, fxp.DefaultFormat, w, x)
 	}
 	if s := full.Stats(); s.Faults != s.Muls {
 		t.Errorf("full-rate injector faulted %d of %d muls", s.Faults, s.Muls)

@@ -155,7 +155,7 @@ func checkConsecutiveWindows(t *testing.T, what string, rate float64, ids []int,
 				for i := range x {
 					x[i] = mkX(r, j, i)
 				}
-				if want := scalar[l].DotRow(fxp.DefaultFormat, w, x); got[j][r] != want {
+				if want := mulDot(scalar[l], fxp.DefaultFormat, w, x); got[j][r] != want {
 					t.Fatalf("%s %s position %d row %d: span %d, scalar %d", src.name, what, j, r, got[j][r], want)
 				}
 			}
@@ -294,7 +294,7 @@ func TestSetRateDropsEveryPackedSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := in.BatchView()
+	v := in.batchView()
 	v.BeginSpan([]int{0, 0, 0, 0}, 100)
 	if err := in.SetRate(0.2); err != nil {
 		t.Fatal(err)

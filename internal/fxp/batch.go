@@ -5,17 +5,18 @@ import (
 	"math/bits"
 )
 
-// This file holds the batch-lane kernels: the same fixed-point MAC the
-// scalar path runs, restructured so one walk over a weight row drives
-// N independent activation lanes. The layout is structure-of-arrays
+// This file holds the batch-lane kernels: the fixed-point MAC of one
+// weight row (one Mul per product in index order, SatAdd accumulation,
+// ScaleProduct at the end), restructured so one walk over the row
+// drives N independent activation lanes. The layout is structure-of-arrays
 // and lane-major — lane j's activations live at
 // Xs[j*Stride : j*Stride+len(w)] — so each lane streams contiguously
 // while the weight row stays resident in L1 across lanes, and the
 // per-row bounds checks, loop control, and weight loads are paid once
 // per row instead of once per lane.
 //
-// Every batch kernel is bit-identical per lane to the scalar reference
-// (Dot / AccumExact): the checked kernels run the identical saturating
+// Every batch kernel is bit-identical per lane to that scalar MAC
+// (AccumExact is its exact form): the checked kernels run the identical saturating
 // add sequence, and the unchecked fast path is only taken when a
 // conservative magnitude bound proves no intermediate sum can leave
 // the int64 range in any association order — in which case plain adds,
@@ -76,14 +77,48 @@ func (b *Batch) Lane(j int) int {
 
 // BatchUnit is a multiply unit that can drive a whole batch of lanes
 // down one weight row per call. Implementations must produce, for each
-// packed lane, exactly the Value the scalar Dot path would produce for
-// that lane's multiplication sequence — batching is a layout change,
+// packed lane, exactly the Value the scalar MAC would produce for that
+// lane's multiplication sequence — one Mul per product in index order,
+// SatAdd accumulation, ScaleProduct — so batching is a layout change,
 // never a semantics change.
 type BatchUnit interface {
-	// DotRowBatch computes out[j] = Dot(w, lane j's activations) for
-	// every packed lane j in [0, len(out)), with per-lane state (fault
-	// streams, draw logs) addressed through b.Lane(j).
+	// DotRowBatch computes out[j], the MAC of w against lane j's
+	// activations, for every packed lane j in [0, len(out)), with
+	// per-lane state (fault streams, draw logs) addressed through
+	// b.Lane(j).
 	DotRowBatch(f Format, w []Value, b *Batch, out []Value)
+}
+
+// AsBatch returns the batch form of u: u itself when it implements
+// BatchUnit, otherwise a one-lane adapter that issues u.Mul once per
+// product of each row, in index order, accumulating with SatAdd. That
+// is the multiplication order a stream-consuming unit (a draw-log
+// replayer) depends on. A scalar unit has one stream, so the adapter
+// accepts one packed lane per row and panics on more: walking several
+// lanes row by row would interleave their windows on that stream.
+func AsBatch(u Unit) BatchUnit {
+	if bu, ok := u.(BatchUnit); ok {
+		return bu
+	}
+	return lane1{u}
+}
+
+// lane1 is AsBatch's adapter for a unit with no batch form.
+type lane1 struct{ u Unit }
+
+func (a lane1) DotRowBatch(f Format, w []Value, b *Batch, out []Value) {
+	if len(out) > 1 {
+		panic(fmt.Sprintf("fxp: %d packed lanes on a one-lane unit", len(out)))
+	}
+	if len(out) == 0 {
+		return
+	}
+	x := b.Xs[:len(w)]
+	var acc Product
+	for i := range w {
+		acc = SatAdd(acc, a.u.Mul(w[i], x[i]))
+	}
+	out[0] = f.ScaleProduct(acc)
 }
 
 // SpanPlanner is an optional BatchUnit extension: a unit that can
@@ -293,7 +328,7 @@ const (
 
 // BatchDot runs the checked batch kernel from zero accumulators and
 // scales each lane's sum back to Value precision: out[j] is
-// bit-identical to Dot(Exact{}, f, w, xs[j*stride:j*stride+len(w)]).
+// f.ScaleProduct(AccumExact(0, w, xs[j*stride:j*stride+len(w)])).
 func BatchDot(f Format, w, xs []Value, stride int, out []Value) {
 	if stride < len(w) {
 		panic(fmt.Sprintf("fxp: BatchDot stride %d shorter than row %d", stride, len(w)))
@@ -320,7 +355,7 @@ func BatchDot(f Format, w, xs []Value, stride int, out []Value) {
 // clears noSatBound takes its sum from the walk, any other lane — or
 // every lane, when no bounds are known — runs the checked kernel.
 // Either way each lane's result is bit-identical to the scalar exact
-// dot product.
+// MAC.
 func (Exact) DotRowBatch(f Format, w []Value, b *Batch, out []Value) {
 	if b.MaxAbs == nil {
 		BatchDot(f, w, b.Xs, b.Stride, out)

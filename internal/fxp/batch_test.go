@@ -38,7 +38,7 @@ func TestBatchDotMatchesScalar(t *testing.T) {
 			out := make([]Value, k)
 			BatchDot(f, w, xs, stride, out)
 			for j := 0; j < k; j++ {
-				want := Dot(Exact{}, f, w, xs[j*stride:j*stride+n])
+				want := refDot(f, w, xs[j*stride:j*stride+n])
 				if out[j] != want {
 					t.Fatalf("k=%d n=%d lane %d: batch %d, scalar %d", k, n, j, out[j], want)
 				}
@@ -156,7 +156,7 @@ func TestExactDotRowBatch(t *testing.T) {
 		out := make([]Value, k)
 		Exact{}.DotRowBatch(f, w, b, out)
 		for j := 0; j < k; j++ {
-			want := Dot(Exact{}, f, w, xs[j*stride:j*stride+n])
+			want := refDot(f, w, xs[j*stride:j*stride+n])
 			if out[j] != want {
 				t.Fatalf("%+v lane %d: batch %d, scalar %d", c, j, out[j], want)
 			}
@@ -201,7 +201,7 @@ func TestExactDotRowBatchSaturatingLane(t *testing.T) {
 		out := make([]Value, k)
 		Exact{}.DotRowBatch(f, w, b, out)
 		for j := 0; j < k; j++ {
-			want := Dot(Exact{}, f, w, xs[j*stride:j*stride+n])
+			want := refDot(f, w, xs[j*stride:j*stride+n])
 			if out[j] != want {
 				t.Fatalf("stored sums %v lane %d: batch %d, scalar %d", sums != nil, j, out[j], want)
 			}

@@ -73,11 +73,6 @@ func (f Format) FromFloat(x float64) Value {
 	return Value(scaled)
 }
 
-// ToFloat converts v back to a float64.
-func (f Format) ToFloat(v Value) float64 {
-	return float64(v) / float64(int64(1)<<f.FracBits)
-}
-
 // ScaleProduct reduces a full-width product back to Value precision
 // (shift right by F with rounding) and saturates to the int32 range.
 func (f Format) ScaleProduct(p Product) Value {
@@ -135,19 +130,6 @@ type Unit interface {
 	Mul(a, b Value) Product
 }
 
-// BulkUnit is the optional fast-path interface: a Unit that can
-// process a whole multiply-accumulate row in one call, avoiding the
-// per-element interface dispatch of the scalar path. Dot fast-paths
-// any unit implementing it. DotRow must return exactly what the
-// scalar Dot loop would — same saturation, same scaling — and may
-// assume len(w) == len(x) (Dot validates before delegating).
-type BulkUnit interface {
-	Unit
-	// DotRow computes the inner product of w and x, accumulating with
-	// SatAdd semantics and scaling back to Value precision.
-	DotRow(f Format, w, x []Value) Value
-}
-
 // Exact is the fault-free multiplier used at nominal voltage.
 type Exact struct{}
 
@@ -156,17 +138,10 @@ func (Exact) Mul(a, b Value) Product {
 	return Product(int64(a) * int64(b))
 }
 
-// DotRow implements BulkUnit with the fused exact kernel.
-func (Exact) DotRow(f Format, w, x []Value) Value {
-	return DotExact(f, w, x)
-}
-
-var _ BulkUnit = Exact{}
-
 // AccumExact extends a running accumulator with the exact products of
 // w[i]*x[i], using the same saturating addition as SatAdd, in one
 // fused loop with no per-element interface call. It is the kernel the
-// exact dot product and the fault injector's between-fault-sites
+// checked exact batch rows and the fault injector's between-fault-sites
 // segments are built on. Panics are the caller's concern: w and x must
 // have equal length.
 func AccumExact(acc Product, w, x []Value) Product {
@@ -191,31 +166,4 @@ func AccumExact(acc Product, w, x []Value) Product {
 		a = s
 	}
 	return Product(a)
-}
-
-// DotExact is the fused exact dot-product kernel: a plain int64 MAC
-// loop with saturating accumulation, bit-identical to
-// Dot(Exact{}, f, w, x) but without the per-element interface
-// dispatch. The scalar Dot loop remains the reference implementation.
-func DotExact(f Format, w, x []Value) Value {
-	return f.ScaleProduct(AccumExact(0, w, x))
-}
-
-// Dot computes the inner product of w and x through u, accumulating in
-// a saturating 64-bit register and scaling back to Value precision.
-// Units implementing BulkUnit take the fused whole-row fast path; any
-// other unit runs the scalar reference loop. It panics if the slices
-// differ in length — a layer-wiring bug.
-func Dot(u Unit, f Format, w, x []Value) Value {
-	if len(w) != len(x) {
-		panic(fmt.Sprintf("fxp: Dot length mismatch %d vs %d", len(w), len(x)))
-	}
-	if bu, ok := u.(BulkUnit); ok {
-		return bu.DotRow(f, w, x)
-	}
-	var acc Product
-	for i := range w {
-		acc = SatAdd(acc, u.Mul(w[i], x[i]))
-	}
-	return f.ScaleProduct(acc)
 }

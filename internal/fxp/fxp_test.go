@@ -23,7 +23,7 @@ func TestRoundTripExactValues(t *testing.T) {
 	f := DefaultFormat
 	// Values exactly representable in Q.12 round-trip without loss.
 	for _, x := range []float64{0, 1, -1, 0.5, -0.25, 3.75, -100.0625} {
-		if got := f.ToFloat(f.FromFloat(x)); got != x {
+		if got := toFloat(f, f.FromFloat(x)); got != x {
 			t.Errorf("round trip %v = %v", x, got)
 		}
 	}
@@ -50,8 +50,8 @@ func TestOne(t *testing.T) {
 	if f.One() != 1024 {
 		t.Errorf("One = %d", f.One())
 	}
-	if f.ToFloat(f.One()) != 1.0 {
-		t.Errorf("ToFloat(One) = %v", f.ToFloat(f.One()))
+	if toFloat(f, f.One()) != 1.0 {
+		t.Errorf("toFloat(One) = %v", toFloat(f, f.One()))
 	}
 }
 
@@ -64,7 +64,7 @@ func TestExactMul(t *testing.T) {
 	if want := Product(f.FromFloat(-10.0)) << f.FracBits; p != want {
 		t.Errorf("2.5 * -4.0 = %d, want %d", p, want)
 	}
-	if got := f.ToFloat(f.ScaleProduct(p)); got != -10.0 {
+	if got := toFloat(f, f.ScaleProduct(p)); got != -10.0 {
 		t.Errorf("scaled product = %v", got)
 	}
 }
@@ -112,6 +112,11 @@ func TestSatAdd(t *testing.T) {
 	}
 }
 
+// toFloat converts v back to a float64.
+func toFloat(f Format, v Value) float64 {
+	return float64(v) / float64(int64(1)<<f.FracBits)
+}
+
 // fromFloats converts xs to fixed point element by element.
 func fromFloats(f Format, xs []float64) []Value {
 	out := make([]Value, len(xs))
@@ -125,20 +130,26 @@ func TestDotMatchesFloat(t *testing.T) {
 	f := DefaultFormat
 	w := fromFloats(f, []float64{0.5, -1.25, 2.0, 0.125})
 	x := fromFloats(f, []float64{1.0, 2.0, -0.5, 8.0})
-	got := f.ToFloat(Dot(Exact{}, f, w, x))
+	got := toFloat(f, rowDot(Exact{}, f, w, x, false))
 	want := 0.5*1.0 + -1.25*2.0 + 2.0*-0.5 + 0.125*8.0
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("Dot = %v, want %v", got, want)
 	}
 }
 
+// A row longer than its lane's inputs is a layer-wiring bug: every
+// exact row path panics rather than read past the lane.
 func TestDotLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on length mismatch")
-		}
-	}()
-	Dot(Exact{}, DefaultFormat, make([]Value, 2), make([]Value, 3))
+	for _, u := range []BatchUnit{Exact{}, AsBatch(scalarOnly{Exact{}})} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%T: expected panic on length mismatch", u)
+				}
+			}()
+			rowDot(u, DefaultFormat, make([]Value, 3), make([]Value, 2), false)
+		}()
+	}
 }
 
 // Property: conversion error is bounded by half an LSB for in-range values.
@@ -147,10 +158,10 @@ func TestQuantizationErrorBound(t *testing.T) {
 	lsb := 1.0 / float64(int64(1)<<f.FracBits)
 	check := func(raw int32) bool {
 		x := float64(raw) / float64(1<<16) // roughly [-32768, 32768)
-		if math.Abs(x) > f.ToFloat(math.MaxInt32)-1 {
+		if math.Abs(x) > toFloat(f, math.MaxInt32)-1 {
 			return true
 		}
-		got := f.ToFloat(f.FromFloat(x))
+		got := toFloat(f, f.FromFloat(x))
 		return math.Abs(got-x) <= lsb/2+1e-15
 	}
 	if err := quick.Check(check, nil); err != nil {
@@ -172,7 +183,7 @@ func TestDotErrorBound(t *testing.T) {
 		}
 		w := fromFloats(f, w64)
 		x := fromFloats(f, x64)
-		got := f.ToFloat(Dot(Exact{}, f, w, x))
+		got := toFloat(f, rowDot(Exact{}, f, w, x, true))
 		want := 0.0
 		for i := range w64 {
 			want += w64[i] * x64[i]

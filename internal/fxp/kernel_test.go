@@ -6,17 +6,49 @@ import (
 	"testing/quick"
 )
 
-// scalarOnly hides a unit's BulkUnit implementation, forcing Dot down
-// the scalar reference loop. Benchmarks and differential tests use it
-// to compare the fused fast path against the reference path.
+// scalarOnly hides a unit's batch form, so AsBatch wraps it in the
+// one-lane adapter.
 type scalarOnly struct{ u Unit }
 
 func (s scalarOnly) Mul(a, b Value) Product { return s.u.Mul(a, b) }
 
-// refDot is the scalar reference dot product: the exact code Dot runs
-// for a non-BulkUnit unit.
+// refDot is the scalar reference dot product: one exact Mul per
+// product in index order, SatAdd accumulation, ScaleProduct. Every
+// MAC kernel is held to it.
 func refDot(f Format, w, x []Value) Value {
-	return Dot(scalarOnly{Exact{}}, f, w, x)
+	var acc Product
+	for i := range w {
+		acc = SatAdd(acc, Exact{}.Mul(w[i], x[i]))
+	}
+	return f.ScaleProduct(acc)
+}
+
+// rowDot runs one row of w against x through u as a single packed
+// lane, with x's magnitude bound when bounded is set (which unlocks
+// the unchecked kernels) and without one otherwise.
+func rowDot(u BatchUnit, f Format, w, x []Value, bounded bool) Value {
+	b := &Batch{Xs: x, Stride: len(x)}
+	if bounded {
+		var m int64
+		for _, v := range x[:len(w)] {
+			m = max(m, int64(v), -int64(v))
+		}
+		b.MaxAbs = []int64{m}
+	}
+	out := make([]Value, 1)
+	u.DotRowBatch(f, w, b, out)
+	return out[0]
+}
+
+// exactDots returns w·x through every exact row path: Exact's batch
+// form without and with a magnitude bound, and the one-lane adapter
+// over a Mul-only exact unit.
+func exactDots(f Format, w, x []Value) [3]Value {
+	return [3]Value{
+		rowDot(Exact{}, f, w, x, false),
+		rowDot(Exact{}, f, w, x, true),
+		rowDot(AsBatch(scalarOnly{Exact{}}), f, w, x, false),
+	}
 }
 
 func TestDotExactMatchesReferenceTargeted(t *testing.T) {
@@ -48,21 +80,18 @@ func TestDotExactMatchesReferenceTargeted(t *testing.T) {
 	cases = append(cases, long...)
 
 	for i, c := range cases {
-		got := DotExact(f, c[0], c[1])
 		want := refDot(f, c[0], c[1])
-		if got != want {
-			t.Errorf("case %d: DotExact = %d, reference = %d", i, got, want)
-		}
-		// The BulkUnit fast path through Dot must take the same kernel.
-		if fast := Dot(Exact{}, f, c[0], c[1]); fast != want {
-			t.Errorf("case %d: Dot(Exact) fast path = %d, reference = %d", i, fast, want)
+		for path, got := range exactDots(f, c[0], c[1]) {
+			if got != want {
+				t.Errorf("case %d path %d: %d, reference %d", i, path, got, want)
+			}
 		}
 	}
 }
 
-// Property: for random rows (including extreme magnitudes), the fused
-// kernel, the BulkUnit fast path, and the scalar reference agree
-// bit-exactly across formats.
+// Property: for random rows (including extreme magnitudes), every
+// exact row path and the scalar reference agree bit-exactly across
+// formats.
 func TestDotExactMatchesReferenceProperty(t *testing.T) {
 	check := func(raw []int32, fracBits uint8) bool {
 		f := Format{FracBits: uint(fracBits%30) + 1}
@@ -84,16 +113,18 @@ func TestDotExactMatchesReferenceProperty(t *testing.T) {
 			}
 		}
 		want := refDot(f, w, x)
-		return DotExact(f, w, x) == want && Dot(Exact{}, f, w, x) == want
+		return exactDots(f, w, x) == [3]Value{want, want, want}
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
 
-// FuzzDotExact differentially fuzzes the fused exact kernel against
-// the generic scalar Dot loop, including saturation edge cases fed via
-// the seed corpus.
+// FuzzDotExact differentially fuzzes the checked saturating exact
+// kernel (Exact.DotRowBatch without a magnitude bound), the bounded
+// path that may take the unchecked kernel, and the one-lane adapter
+// against refDot, including saturation edge cases fed via the seed
+// corpus.
 func FuzzDotExact(f *testing.F) {
 	f.Add([]byte{}, uint8(12))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0xFF, 0xFF, 0xFF, 0x7F}, uint8(12))
@@ -112,12 +143,11 @@ func FuzzDotExact(f *testing.F) {
 		n := len(vals) / 2
 		w, x := vals[:n], vals[n:2*n]
 		want := refDot(format, w, x)
-		if got := DotExact(format, w, x); got != want {
-			t.Fatalf("DotExact = %d, scalar reference = %d (w=%v x=%v F=%d)",
-				got, want, w, x, format.FracBits)
-		}
-		if got := Dot(Exact{}, format, w, x); got != want {
-			t.Fatalf("Dot fast path = %d, scalar reference = %d", got, want)
+		for path, got := range exactDots(format, w, x) {
+			if got != want {
+				t.Fatalf("path %d = %d, scalar reference = %d (w=%v x=%v F=%d)",
+					path, got, want, w, x, format.FracBits)
+			}
 		}
 	})
 }
@@ -135,7 +165,27 @@ func TestAccumExactComposes(t *testing.T) {
 			t.Errorf("split at %d: %d != %d", split, part, whole)
 		}
 	}
-	if got := f.ScaleProduct(whole); got != DotExact(f, w, x) {
-		t.Error("DotExact must equal ScaleProduct(AccumExact)")
+	if got := f.ScaleProduct(whole); got != refDot(f, w, x) {
+		t.Error("ScaleProduct(AccumExact) must equal the scalar reference")
 	}
+}
+
+// TestAsBatch pins the adapter contract: a unit with a batch form is
+// returned as is, and a scalar unit's adapter walks one packed lane
+// and refuses two, which would interleave two windows on its one
+// stream.
+func TestAsBatch(t *testing.T) {
+	if _, ok := AsBatch(Exact{}).(Exact); !ok {
+		t.Error("AsBatch wrapped a unit that has a batch form")
+	}
+	u := AsBatch(scalarOnly{Exact{}})
+	w := []Value{3, -5}
+	out := []Value{0, 0}
+	u.DotRowBatch(DefaultFormat, w, &Batch{Xs: []Value{7, 11, 13, 17}, Stride: 2}, out[:0])
+	defer func() {
+		if recover() == nil {
+			t.Error("adapter walked two packed lanes")
+		}
+	}()
+	u.DotRowBatch(DefaultFormat, w, &Batch{Xs: []Value{7, 11, 13, 17}, Stride: 2}, out)
 }

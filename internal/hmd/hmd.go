@@ -10,7 +10,6 @@ import (
 
 	"shmd/internal/dataset"
 	"shmd/internal/fann"
-	"shmd/internal/faults"
 	"shmd/internal/features"
 	"shmd/internal/fxp"
 	"shmd/internal/stats"
@@ -203,13 +202,19 @@ func (h *HMD) Fixed() *fann.FixedNetwork { return h.fixed }
 // — fxp.Exact for the nominal detector, a faults.Injector for the
 // undervolted one. This is the integration point internal/core uses.
 //
-// Units with a batch form (see batchForm) score every window as one
-// lane of fann.RunBatch on unit lane 0 (see scoreLanes): the windows
-// consume the unit's stream in window order exactly as one fann.Run
-// per window would, so scores, fault streams and draw logs are
-// bit-identical either way. Other units run through fann.Run.
+// Every window is one lane of fann.RunBatch on unit lane 0 through
+// fxp.AsBatch(u) (see scoreLanes): the windows consume the unit's
+// stream in window order exactly as one fann.Run per window would, so
+// scores, fault streams and draw logs are bit-identical either way. A
+// unit with no batch form of its own (faults.TruncatedUnit, the
+// faults.Replayer) has one lane, so its windows are packed one per
+// pass.
 func (h *HMD) ScoreWindowsUnit(u fxp.Unit, windows []trace.WindowCounts) []float64 {
-	return h.scoreLanes(u, batchForm(u), make([]float64, 0, len(windows)/h.cfg.Period), windows)
+	chunk := laneChunk
+	if _, native := u.(fxp.BatchUnit); !native {
+		chunk = 1
+	}
+	return h.scoreLanes(fxp.AsBatch(u), chunk, make([]float64, 0, len(windows)/h.cfg.Period), windows)
 }
 
 // laneScratch is the reusable state of the detector's lane passes:
@@ -236,13 +241,12 @@ const laneChunk = 64
 // scoreLanes scores every decision window of every trace and appends
 // the scores to dst, trace-major: each (trace j, window i) pair is one
 // packed lane on unit lane j. Lanes are extracted into the scratch
-// feature arena and scored laneChunk at a time, one planned pass of bu
-// per chunk. A trace's windows repeat its unit lane, so a
-// span-planning unit draws the trace's whole fault stream at once, in
-// window order, and hands each window its own slice; a trace split
-// across chunks continues its stream in the next chunk. Without a
-// batch form (bu nil) every lane runs fann.Run through u instead.
-func (h *HMD) scoreLanes(u fxp.Unit, bu fxp.BatchUnit, dst []float64, traces ...[]trace.WindowCounts) []float64 {
+// feature arena and scored chunk (at most laneChunk) at a time, one
+// planned pass of bu per chunk. A trace's windows repeat its unit
+// lane, so a span-planning unit draws the trace's whole fault stream
+// at once, in window order, and hands each window its own slice; a
+// trace split across chunks continues its stream in the next chunk.
+func (h *HMD) scoreLanes(bu fxp.BatchUnit, chunk int, dst []float64, traces ...[]trace.WindowCounts) []float64 {
 	s := &h.lanes
 	period, dim := h.cfg.Period, h.fixed.NumInputs()
 	if len(s.feat) < laneChunk*dim {
@@ -250,14 +254,8 @@ func (h *HMD) scoreLanes(u fxp.Unit, bu fxp.BatchUnit, dst []float64, traces ...
 	}
 	s.vecs, s.ids = s.vecs[:0], s.ids[:0]
 	score := func() {
-		if bu == nil {
-			for _, v := range s.vecs {
-				dst = append(dst, h.fixed.Run(u, v)[0])
-			}
-		} else {
-			s.out = h.fixed.RunBatch(bu, s.vecs, s.ids, s.out)
-			dst = append(dst, s.out...)
-		}
+		s.out = h.fixed.RunBatch(bu, s.vecs, s.ids, s.out)
+		dst = append(dst, s.out...)
 		s.vecs, s.ids = s.vecs[:0], s.ids[:0]
 	}
 	for j, windows := range traces {
@@ -267,7 +265,7 @@ func (h *HMD) scoreLanes(u fxp.Unit, bu fxp.BatchUnit, dst []float64, traces ...
 			panic(fmt.Sprintf("hmd: trace %d: %d windows, no complete window at period %d", j, len(windows), period))
 		}
 		for g := 0; g < n; {
-			k := min(n-g, laneChunk-len(s.vecs))
+			k := min(n-g, chunk-len(s.vecs))
 			vecs, err := features.ExtractTo(s.vecs, s.feat[len(s.vecs)*dim:], windows[g*period:(g+k)*period], h.cfg.FeatureSet, period)
 			if err != nil {
 				panic(fmt.Sprintf("hmd: %v", err))
@@ -276,7 +274,7 @@ func (h *HMD) scoreLanes(u fxp.Unit, bu fxp.BatchUnit, dst []float64, traces ...
 			for range k {
 				s.ids = append(s.ids, j)
 			}
-			if g += k; len(s.vecs) == laneChunk {
+			if g += k; len(s.vecs) == chunk {
 				score()
 			}
 		}
@@ -285,21 +283,6 @@ func (h *HMD) scoreLanes(u fxp.Unit, bu fxp.BatchUnit, dst []float64, traces ...
 		score()
 	}
 	return dst
-}
-
-// batchForm returns the lane-1 batch form of u, or nil when it has
-// none: a faults.Injector scores through its one-lane view, and units
-// that already implement fxp.BatchUnit (fxp.Exact) score directly.
-// The reference and ablation units (BernoulliInjector, TruncatedUnit,
-// the replay unit) have no batch form and keep the scalar pass.
-func batchForm(u fxp.Unit) fxp.BatchUnit {
-	switch u := u.(type) {
-	case *faults.Injector:
-		return u.BatchView()
-	case fxp.BatchUnit:
-		return u
-	}
-	return nil
 }
 
 // ScoreWindows implements Detector at nominal voltage.

@@ -126,7 +126,7 @@ func sameStream(t *testing.T, what string, got, want *faults.Injector, gotLog, w
 // lanes split a program's stream across chunks), detection period 1 or
 // 2, every sampling regime, recording on and off. Batched detection is
 // compared per program against the lane-1 loop on the same lane's
-// one-lane view, both without stored sums (DetectTracesUnit, which
+// injector, both without stored sums (DetectTracesUnit, which
 // quantizes each chunk) and with them (DetectSetUnit over an extracted
 // Set), and so is the exact unit; scalar scoring (ScoreWindowsUnit)
 // is compared against the lane-1 loop on an identically seeded
@@ -183,7 +183,7 @@ func FuzzWindowLanes(f *testing.F) {
 		got := h.DetectTracesUnit(b, traces)
 		oh := h.WithFreshBuffers()
 		for j, w := range traces {
-			want := oh.DecideFromScores(scoreWindowsLane1(oh, ob.Lane(j).BatchView(), w))
+			want := oh.DecideFromScores(scoreWindowsLane1(oh, ob.Lane(j), w))
 			if got[j].Malware != want.Malware || math.Float64bits(got[j].Score) != math.Float64bits(want.Score) {
 				t.Fatalf("rate %v program %d of %v: window lanes %+v, lane-1 loop %+v", rate, j, lens, got[j], want)
 			}
@@ -227,7 +227,7 @@ func FuzzWindowLanes(f *testing.F) {
 		setGot := make([]Decision, len(traces))
 		h.DetectSetUnit(sb, set, 1, len(traces), setGot[1:])
 		for j := 1; j < len(traces); j++ {
-			want := oh.DecideFromScores(scoreWindowsLane1(oh, sob.Lane(j-1).BatchView(), traces[j]))
+			want := oh.DecideFromScores(scoreWindowsLane1(oh, sob.Lane(j-1), traces[j]))
 			if setGot[j] != want {
 				t.Fatalf("rate %v program %d of %v: set lanes %+v, lane-1 loop %+v", rate, j, lens, setGot[j], want)
 			}
@@ -265,7 +265,7 @@ func FuzzWindowLanes(f *testing.F) {
 				oin.StartRecord(&olg)
 			}
 			scores := h.ScoreWindowsUnit(in, w)
-			want := scoreWindowsLane1(oh, oin.BatchView(), w)
+			want := scoreWindowsLane1(oh, oin, w)
 			if len(scores) != len(want) {
 				t.Fatalf("program %d: %d scores, oracle %d", j, len(scores), len(want))
 			}
@@ -283,4 +283,72 @@ func FuzzWindowLanes(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestScoreWindowsUnitScalarUnits covers the units with no batch form
+// of their own, which score one window per pass through the one-lane
+// adapter: a TruncatedUnit, and a faults.Replayer over a draw log
+// recorded by scoring the same trace on an injector. Over a trace of
+// more windows than one lane chunk, each must match the per-window
+// reference — one fann Run per window through the same unit, the pass
+// fann's tests hold Mul for Mul to their scalar float-activation
+// reference — and the replayer must reproduce the recorded scores and
+// drain its log.
+func TestScoreWindowsUnitScalarUnits(t *testing.T) {
+	h := laneHMD(t, 1)
+	prog, err := trace.NewProgram(trace.MalwareFamilies()[1], 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows, err := prog.Trace(laneChunk+6, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs, err := features.Extract(windows, h.cfg.FeatureSet, h.cfg.Period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := h.fixed.Clone()
+	perWindow := func(u fxp.Unit) []float64 {
+		out := make([]float64, len(vecs))
+		for i, v := range vecs {
+			out[i] = ref.Run(u, v)[0]
+		}
+		return out
+	}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d scores, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: window %d score %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+
+	trunc := faults.TruncatedUnit{DropBits: 6}
+	same("truncated", h.ScoreWindowsUnit(trunc, windows), perWindow(trunc))
+
+	inj, err := faults.NewInjectorSource(0.1, nil, rng.NewSource64(9, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log faults.DrawLog
+	inj.StartRecord(&log)
+	recorded := h.ScoreWindowsUnit(inj, windows)
+	inj.StopRecord()
+	if log.Faults() == 0 {
+		t.Fatal("recording drew no faults")
+	}
+	rep, refRep := faults.NewReplayer(log), faults.NewReplayer(log)
+	replayed := h.ScoreWindowsUnit(rep, windows)
+	same("replayer", replayed, perWindow(refRep))
+	same("replayed vs recorded", replayed, recorded)
+	for _, r := range []*faults.Replayer{rep, refRep} {
+		if err := r.Done(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

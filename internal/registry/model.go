@@ -13,15 +13,15 @@ import (
 // manifest resolves to one; the serve pool builds sessions off
 // Detector() exactly as it does off the compiled-in seed model, so a
 // registry-loaded copy of a model is bit-identical to the compiled-in
-// path by construction (same *hmd.HMD, same scalar and batch kernels).
+// path by construction (same *hmd.HMD, same forward pass).
 type Model interface {
 	// Type names the codec that produced the model.
 	Type() string
 	// Fingerprint is a short stable content hash of the model.
 	Fingerprint() string
-	// Detector returns the runnable detector: scalar
-	// (DetectProgram/ScoreWindows) and batch (DetectTracesUnit /
-	// EvaluateSet) forward passes both hang off it.
+	// Detector returns the runnable detector: per-program
+	// (DetectProgram/ScoreWindows) and batched (DetectTracesUnit /
+	// EvaluateSet) detection both run its one batched forward pass.
 	Detector() *hmd.HMD
 }
 

@@ -33,9 +33,11 @@ func Replay(base *hmd.HMD, rec Record, conf ConfidenceFunc) (hmd.Decision, float
 	}
 	// One replay path covers both serve modes: an unprotected
 	// (exact-unit) decision records an empty draw log, and an empty log
-	// makes the replayer exact. The scalar replayer also reproduces
-	// traces recorded through the fused bulk kernels — scalar/bulk
-	// bit-identity is pinned in internal/faults and internal/fxp.
+	// makes the replayer exact. The replayer has no batch form, so it
+	// scores one window per pass through the one-lane adapter, one Mul
+	// per product in the order the recording injector's span planner
+	// drew the log — Mul/batch bit-identity is pinned in
+	// internal/faults and internal/fann.
 	rep := faults.NewReplayer(rec.Draws)
 	det := base.WithFreshBuffers()
 	dec := det.DecideFromScores(det.ScoreWindowsUnit(rep, rec.Windows))

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"shmd/internal/chaos"
 	"shmd/internal/journal"
 	"shmd/internal/volt"
 )
@@ -158,7 +157,7 @@ func (p *Pool) verifyJournaled(slot *Slot, profile volt.DeviceProfile, rate floa
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
 		observed, err = sess.ObserveRate(journalVerifyMuls)
-		if err == nil || chaos.Permanent(err) {
+		if err == nil || volt.Permanent(err) {
 			break
 		}
 	}

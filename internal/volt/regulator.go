@@ -18,6 +18,15 @@ var (
 	ErrOvervolt    = errors.New("volt: positive offsets (overvolting) are not permitted")
 )
 
+// Permanent reports whether err is a plane fault that no retry will
+// clear: an error in its chain advertising Permanent() == true, the
+// convention a fault-injecting plane (internal/chaos) follows. Every
+// other plane error is worth retrying.
+func Permanent(err error) bool {
+	var p interface{ Permanent() bool }
+	return errors.As(err, &p) && p.Permanent()
+}
+
 // Regulator models one integrated voltage regulator (IVR): modern
 // multi-core parts expose one per core, which is what lets the paper
 // offload detection to a dedicated undervolted core while monitored
