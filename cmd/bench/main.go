@@ -409,7 +409,7 @@ func measureModelRows(rep *Report, scale experiments.Scale, count int, rows rowF
 	muls := fn.NumMuls()
 	rep.NumMuls = muls
 
-	forwardPass := func(u fxp.Unit) func(b *testing.B) {
+	forwardPass := func(u fxp.BatchUnit) func(b *testing.B) {
 		net := fn.Clone()
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

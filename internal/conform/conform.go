@@ -94,10 +94,9 @@ func SampleGaps(rate float64, n int, seed uint64) ([]int64, error) {
 // dividing the span and spans short relative to 1/rate, gap draws
 // routinely straddle row and span boundaries, exercising the pending
 // carryover bookkeeping the scalar sampler never touches. Recording
-// lanes take the batch planner's generic (non-fused) consume loop, but
-// draw streams and fault placement are identical to the fused path —
-// that equivalence is pinned bit-for-bit in internal/faults; here the
-// draws themselves are held to the law.
+// lanes take the batch planner's fused hot loop and record from its
+// plan, whose draws match the per-draw path bit-for-bit (pinned in
+// internal/faults); here the draws themselves are held to the law.
 func SampleBatchDraws(rate float64, dist *faults.Distribution, nGaps, lanes, rowLen int, seed uint64) ([]faults.DrawLog, error) {
 	if rate <= 0 || rate >= 1 {
 		return nil, fmt.Errorf("conform: batch sampling needs rate in (0,1), got %v", rate)

@@ -16,10 +16,9 @@ import (
 
 // scalarOracle scores windows one multiplication at a time:
 // fann.FixedNetwork.Run with a scalar faults.Injector built on
-// rand.Rand (no Source64), wrapped in a Mul-only unit so Run walks
-// fxp.AsBatch's one-lane adapter — one Injector.Mul per product — and
-// never the injector's span planner. It shares no fault-sampling path
-// with the detector under test.
+// rand.Rand (no Source64), wrapped in mulOnly's Mul walk — one
+// Injector.Mul per product — and never the injector's span planner.
+// It shares no fault-sampling path with the detector under test.
 type scalarOracle struct {
 	cfg hmd.Config
 	fn  *fann.FixedNetwork
@@ -57,10 +56,23 @@ func (o *scalarOracle) scoreTraced(t *testing.T, windows []trace.WindowCounts) (
 	return scores, log
 }
 
-// mulOnly hides a unit's batch form.
+// mulOnly is the oracle's Mul walk: a one-lane fxp.BatchUnit that
+// issues u.Mul once per product of each row, in index order, with
+// SatAdd accumulation.
 type mulOnly struct{ u fxp.Unit }
 
-func (m mulOnly) Mul(a, b fxp.Value) fxp.Product { return m.u.Mul(a, b) }
+func (m mulOnly) DotRowBatch(f fxp.Format, w []fxp.Value, b *fxp.Batch, out []fxp.Value) {
+	if len(out) > 1 {
+		panic("mulOnly: one stream, one packed lane")
+	}
+	for j := range out {
+		var acc fxp.Product
+		for i, x := range b.Xs[:len(w)] {
+			acc = fxp.SatAdd(acc, m.u.Mul(w[i], x))
+		}
+		out[j] = f.ScaleProduct(acc)
+	}
+}
 
 func sameScoreBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()

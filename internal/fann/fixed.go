@@ -104,14 +104,12 @@ func (fn *FixedNetwork) NumMuls() int {
 }
 
 // Run performs one fixed-point forward pass with every multiplication
-// going through u: RunBatch on one lane of fxp.AsBatch(u), so a unit
-// with no batch form sees one Mul per product, layer by layer, row by
-// row, in index order with the bias last. Input is given in float64
+// going through u: RunBatch on one lane. Input is given in float64
 // and quantized on entry; the outputs are returned in a fresh slice.
 // The scratch arenas are reused, so a FixedNetwork is not safe for
 // concurrent Runs.
-func (fn *FixedNetwork) Run(u fxp.Unit, input []float64) []float64 {
-	return fn.RunBatch(fxp.AsBatch(u), [][]float64{input}, nil, nil)
+func (fn *FixedNetwork) Run(u fxp.BatchUnit, input []float64) []float64 {
+	return fn.RunBatch(u, [][]float64{input}, nil, nil)
 }
 
 // fixedActAt returns layer l's activation in exact fixed-point form.

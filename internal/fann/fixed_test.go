@@ -42,11 +42,23 @@ func refRun(fn *FixedNetwork, u fxp.Unit, input []float64) []float64 {
 	return out
 }
 
-// mulOnly hides a unit's batch form, so Run walks it through
-// fxp.AsBatch's one-lane adapter.
+// mulOnly is the test-local Mul walk: a one-lane fxp.BatchUnit that
+// issues u.Mul once per product of each row it is handed, in index
+// order, with SatAdd accumulation.
 type mulOnly struct{ u fxp.Unit }
 
-func (m mulOnly) Mul(a, b fxp.Value) fxp.Product { return m.u.Mul(a, b) }
+func (m mulOnly) DotRowBatch(f fxp.Format, w []fxp.Value, b *fxp.Batch, out []fxp.Value) {
+	if len(out) > 1 {
+		panic("mulOnly: one stream, one packed lane")
+	}
+	for j := range out {
+		var acc fxp.Product
+		for i, x := range b.Xs[:len(w)] {
+			acc = fxp.SatAdd(acc, m.u.Mul(w[i], x))
+		}
+		out[j] = f.ScaleProduct(acc)
+	}
+}
 
 // mulRecorder is a Mul-only exact unit that logs every operand pair in
 // the order it is asked to multiply them.
@@ -57,12 +69,12 @@ func (r *mulRecorder) Mul(a, b fxp.Value) fxp.Product {
 	return fxp.Exact{}.Mul(a, b)
 }
 
-// TestRunMulSequenceMatchesRefRun pins the order a unit without a batch
-// form sees: Run issues exactly refRun's (a, b) Mul sequence — every
-// product once, bias last in each row — over one to three weight
-// layers, and a stream-consuming unit walked that way (a Mul-only
-// injector) scores exactly what refRun scores on the same stream. A
-// draw-log replayer depends on this order.
+// TestRunMulSequenceMatchesRefRun pins the multiplication order of a
+// forward pass: walked product by product, Run's rows issue exactly
+// refRun's (a, b) Mul sequence — every product once, bias last in each
+// row — over one to three weight layers, and an injector's span-planned
+// batch form scores exactly what refRun scores walking the same stream
+// one Mul at a time. Draw logs are recorded and replayed in this order.
 func TestRunMulSequenceMatchesRefRun(t *testing.T) {
 	r := rng.NewRand(61)
 	for _, layers := range [][]int{{3, 2}, {4, 5, 1}, {5, 3, 4, 2}} {
@@ -76,7 +88,7 @@ func TestRunMulSequenceMatchesRefRun(t *testing.T) {
 			in[i] = r.Float64()*2 - 1
 		}
 		var got, want mulRecorder
-		fn.Run(&got, in)
+		fn.Run(mulOnly{&got}, in)
 		refRun(fn, &want, in)
 		if len(got.ops) != fn.NumMuls() || len(got.ops) != len(want.ops) {
 			t.Fatalf("layers %v: Run issued %d muls, refRun %d, NumMuls %d", layers, len(got.ops), len(want.ops), fn.NumMuls())
@@ -86,10 +98,10 @@ func TestRunMulSequenceMatchesRefRun(t *testing.T) {
 				t.Fatalf("layers %v: mul %d is %v, refRun's is %v", layers, i, got.ops[i], want.ops[i])
 			}
 		}
-		a, _ := faults.NewInjector(0.3, nil, rng.NewRand(63))
+		a, _ := faults.NewInjectorSource(0.3, nil, rng.NewSource64(63))
 		b, _ := faults.NewInjector(0.3, nil, rng.NewRand(63))
 		for rep := 0; rep < 20; rep++ {
-			g, w := fn.Run(mulOnly{a}, in), refRun(fn, b, in)
+			g, w := fn.Run(a, in), refRun(fn, b, in)
 			for o := range w {
 				if g[o] != w[o] {
 					t.Fatalf("layers %v pass %d out %d: Run %v, refRun %v", layers, rep, o, g[o], w[o])

@@ -27,40 +27,47 @@ import (
 //
 // Per-fault randomness is amortized the same way the scalar skip-ahead
 // sampler amortizes it — O(faults), not O(muls) — but batching moves
-// the draws out of the MAC inner loop entirely: each row is planned
+// the draws out of the MAC inner loop entirely: each span is planned
 // first (fault sites and bits materialized lane-by-lane by global mul
-// index in exactly the scalar draw order), then the row runs through
-// the unchecked batch MAC kernel with faults applied as additive
-// corrections, falling back to the scalar saturating segment walk only
-// when the magnitude bound cannot prove the corrections exact.
+// index in exactly the scalar draw order; a row with no announced span
+// is a span of one row), then its rows run through the unchecked batch
+// MAC kernel with faults applied as additive corrections, falling back
+// to the scalar saturating segment walk only when the magnitude bound
+// cannot prove the corrections exact.
 //
 // A BatchInjector is not safe for concurrent use.
 type BatchInjector struct {
-	rate         float64
-	table        *geomTable
-	invLog1mRate float64
-	lanes        []*Injector
+	spanConsumer
+	lanes []*Injector
+}
 
-	// per-lane row-plan arenas, reused across rows.
-	sites [][]int32
-	bits  [][]uint8
+// planner draws the fault plan of unit lane l for its next muls
+// multiplications, appending one spanFault per fault to entries with
+// sites as offsets from the plan's start. BatchInjector draws it from
+// the lane's stream; Replayer reads it from a DrawLog.
+type planner interface {
+	planSpan(l, muls int, entries []spanFault) []spanFault
+}
 
+// spanConsumer holds the presampled span plan of every packed position
+// and runs rows against it: the one place faults reach a MAC, shared
+// by every undervolted unit — serving, sweeping, recording and replay.
+type spanConsumer struct {
 	// spans holds the presampled span plan of each packed position (see
-	// BeginSpan); plan is the one arena every position's entries slice
+	// beginSpan); plan is the one arena every position's entries slice
 	// points into, reused across spans.
 	spans []laneSpan
 	plan  []spanFault
 
-	// seen stamps unit lanes per row on the live path (gen<<1 | live),
-	// so a lane repeated without an announced span is caught.
-	seen []uint64
-	gen  uint64
-
 	// accumulator arena for the blocked whole-row fast path.
 	accs []int64
 
+	// ids is the identity lane list an unannounced row with nil
+	// Batch.Lanes is planned on.
+	ids []int
+
 	// maxInfl is the largest inflTotal across the packed positions of
-	// the last BeginSpan: one float compare per row then covers every
+	// the last span: one float compare per row then covers every
 	// position's inflation bound in allSpanFast.
 	maxInfl float64
 }
@@ -149,7 +156,7 @@ func (b *BatchInjector) Reset(rate float64, dist *Distribution, srcs []rand.Sour
 	if dist == nil {
 		dist = Fig1Distribution()
 	}
-	b.configure(rate)
+	inv, table := rateState(rate)
 	lanes := b.lanes[:cap(b.lanes)]
 	for l, src := range srcs {
 		if l == len(lanes) {
@@ -162,70 +169,19 @@ func (b *BatchInjector) Reset(rate float64, dist *Distribution, srcs []rand.Sour
 			lanes[l] = in
 		}
 		in.rate, in.dist, in.gap = rate, dist, -1
-		in.invLog1mRate, in.gapTable = b.invLog1mRate, b.table
+		in.invLog1mRate, in.gapTable = inv, table
 		in.stats, in.rec = Counters{}, nil
 	}
 	b.lanes = lanes[:len(srcs)]
-	b.growLanes(len(srcs))
 	b.dropSpans()
 	return nil
 }
-
-// newBatchInjector wraps existing lane states; the caller sets the
-// rate state.
-func newBatchInjector(lanes []*Injector) *BatchInjector {
-	b := &BatchInjector{lanes: lanes}
-	b.growLanes(len(lanes))
-	return b
-}
-
-// growLanes sizes the per-lane row-plan arenas and repeat stamps for n
-// lanes, keeping existing arenas.
-func (b *BatchInjector) growLanes(n int) {
-	for len(b.sites) < n {
-		b.sites = append(b.sites, nil)
-		b.bits = append(b.bits, nil)
-		b.seen = append(b.seen, 0)
-	}
-}
-
-// configure sets the shared rate-dependent state (the geometric gap
-// table and the cached log constant), mirroring Injector.SetRate.
-func (b *BatchInjector) configure(rate float64) {
-	b.rate = rate
-	b.invLog1mRate, b.table = rateState(rate)
-}
-
-// Rate returns the configured per-multiplication error rate.
-func (b *BatchInjector) Rate() float64 { return b.rate }
 
 // Lane exposes lane l's scalar injector state. The lane is live — it
 // shares the batch injector's tables and stream — so it supports
 // everything a scalar Injector does (StartRecord, Stats, even scalar
 // Mul calls interleaved with batched rows).
 func (b *BatchInjector) Lane(l int) *Injector { return b.lanes[l] }
-
-// SetRate changes the error rate on every lane, rebuilding the shared
-// gap table once. As with the scalar injector, re-setting the same
-// rate is a no-op (pending gaps stay valid); a new rate discards every
-// lane's pending gap.
-func (b *BatchInjector) SetRate(rate float64) error {
-	if rate < 0 || rate > 1 {
-		return fmt.Errorf("faults: error rate %v outside [0,1]", rate)
-	}
-	if rate == b.rate {
-		return nil
-	}
-	b.configure(rate)
-	for _, in := range b.lanes {
-		in.rate = rate
-		in.gap = -1
-		in.invLog1mRate = b.invLog1mRate
-		in.gapTable = b.table
-	}
-	b.dropSpans()
-	return nil
-}
 
 // Stats returns the injection counters aggregated across lanes.
 func (b *BatchInjector) Stats() Counters {
@@ -238,52 +194,6 @@ func (b *BatchInjector) Stats() Counters {
 		}
 	}
 	return c
-}
-
-// ResetStats clears every lane's counters.
-func (b *BatchInjector) ResetStats() {
-	for _, in := range b.lanes {
-		in.stats = Counters{}
-	}
-}
-
-// planRow materializes lane l's fault plan for the next n
-// multiplications: the sites (relative mul index within the row) and
-// bits of every fault landing in the row. The randomness is consumed
-// through the same helpers in the same order as one Injector.Mul per
-// product — lazy gap draw first, then one fused draw per fault — so a
-// planned row is stream-identical to a scalar row, and
-// recording (lane DrawLogs) captures the same log either way.
-func (b *BatchInjector) planRow(l, n int) (sites []int32, bits []uint8) {
-	in := b.lanes[l]
-	in.stats.Muls += uint64(n)
-	sites, bits = b.sites[l][:0], b.bits[l][:0]
-	if in.rate <= 0 {
-		return sites, bits
-	}
-	pos := 0
-	for {
-		if in.gap < 0 {
-			in.gap = in.drawGap()
-			if in.rec != nil {
-				in.rec.Gaps = append(in.rec.Gaps, in.gap)
-			}
-		}
-		if in.gap >= int64(n-pos) {
-			in.gap -= int64(n - pos)
-			break
-		}
-		site := pos + int(in.gap)
-		bit := in.drawFault()
-		sites = append(sites, int32(site))
-		bits = append(bits, uint8(bit))
-		pos = site + 1
-		if pos >= n {
-			break
-		}
-	}
-	b.sites[l], b.bits[l] = sites, bits
-	return sites, bits
 }
 
 // BeginSpan implements fxp.SpanPlanner: presample every announced
@@ -300,41 +210,20 @@ func (b *BatchInjector) planRow(l, n int) (sites []int32, bits []uint8) {
 // the plan without touching the streams. Draw order and values per
 // lane are exactly the scalar order, just earlier in time, so
 // recording and bit-identity are unaffected.
-func (b *BatchInjector) BeginSpan(lanes []int, muls int) {
-	for len(b.spans) < len(lanes) {
-		b.spans = append(b.spans, laneSpan{})
-	}
-	b.dropSpans()
-	b.maxInfl = 0
-	plan := b.plan[:0]
-	for a := 0; a < len(lanes); {
-		e := a + 1
-		for e < len(lanes) && lanes[e] == lanes[a] {
-			e++
-		}
-		// Positions keep capped slices of the arena, so later appends
-		// (even a reallocating one) never disturb a split plan.
-		start := len(plan)
-		plan = b.planSpan(lanes[a], (e-a)*muls, plan)
-		b.splitSpan(lanes[a], a, e, muls, plan[start:])
-		a = e
-	}
-	b.plan = plan
-}
+func (b *BatchInjector) BeginSpan(lanes []int, muls int) { b.beginSpan(b, lanes, muls) }
 
-// dropSpans deactivates every packed position's presampled span.
-func (b *BatchInjector) dropSpans() {
-	for i := range b.spans {
-		b.spans[i].active = false
-	}
+// DotRowBatch implements fxp.BatchUnit by running the row against the
+// announced span plan (see spanConsumer.dotRowBatch); a row with no
+// announced span is planned as a one-row span on its lanes first.
+func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, out []fxp.Value) {
+	b.dotRowBatch(b, f, w, bt, out)
 }
 
 // planSpan appends lane l's fault plan for the next muls
 // multiplications to entries, with sites as offsets from the plan's
-// start: the same draw loop as planRow run over the whole span. The
-// whole span's multiplications are accounted up front (Stats observed
-// mid-span report the announced span as already executed; totals at
-// span boundaries match the scalar path exactly).
+// start. The whole span's multiplications are accounted up front
+// (Stats observed mid-span report the announced span as already
+// executed; totals at span boundaries match the scalar path exactly).
 func (b *BatchInjector) planSpan(l, muls int, entries []spanFault) []spanFault {
 	in := b.lanes[l]
 	in.stats.Muls += uint64(muls)
@@ -343,19 +232,23 @@ func (b *BatchInjector) planSpan(l, muls int, entries []spanFault) []spanFault {
 	switch {
 	case in.rate <= 0 || muls <= 0:
 		// nothing to draw
-	case in.gapTable != nil && in.src != nil && in.rec == nil:
+	case in.gapTable != nil && in.src != nil:
 		// Hot loop for the tabulated regime: the fused per-fault draw
 		// of drawFault hand-inlined (source read, threshold alias
 		// rows), with the gap and slice headers in locals. Counters and
-		// the inflation sums are reconstructed from the plan afterward
-		// (splitSpan), keeping the serial draw chain to the minimum
-		// per-fault work. The bit-identity suites hold this loop to
-		// drawFault's exact stream consumption.
+		// the draw log are rebuilt from the plan afterward, keeping the
+		// serial draw chain to the minimum per-fault work. The
+		// bit-identity suites hold this loop to drawFault's exact
+		// stream consumption.
 		src, t := in.src, in.gapTable
 		brows := &in.dist.bits32
+		start := len(entries)
 		gap := in.gap
 		if gap < 0 {
 			gap = in.drawGap()
+			if in.rec != nil {
+				in.rec.Gaps = append(in.rec.Gaps, gap)
+			}
 		}
 		for {
 			if gap >= n-pos {
@@ -386,10 +279,18 @@ func (b *BatchInjector) planSpan(l, muls int, entries []spanFault) []spanFault {
 			}
 		}
 		in.gap = gap
+		plan := entries[start:]
+		in.stats.Faults += uint64(len(plan))
+		for _, f := range plan {
+			in.stats.PerBit[f.bit()]++
+		}
+		if in.rec != nil {
+			in.recordPlan(plan, n)
+		}
 	default:
-		// Generic regime (log-inversion rates, rate 1, recording
-		// lanes): same loop through the shared draw helpers, which
-		// update the counters per draw.
+		// Generic regime (log-inversion rates, rate 1, sources other
+		// than *rng.Source): same loop through the shared draw helpers,
+		// which count and record per draw.
 		for {
 			if in.gap < 0 {
 				in.gap = in.drawGap()
@@ -413,66 +314,89 @@ func (b *BatchInjector) planSpan(l, muls int, entries []spanFault) []spanFault {
 	return entries
 }
 
+// beginSpan presamples, through pl, every announced position's fault
+// plan for the next muls multiplications: each run of positions on one
+// unit lane is planned as one span of count × muls multiplications and
+// split into the positions' windows.
+func (c *spanConsumer) beginSpan(pl planner, lanes []int, muls int) {
+	for len(c.spans) < len(lanes) {
+		c.spans = append(c.spans, laneSpan{})
+	}
+	c.dropSpans()
+	c.maxInfl = 0
+	plan := c.plan[:0]
+	for a := 0; a < len(lanes); {
+		e := a + 1
+		for e < len(lanes) && lanes[e] == lanes[a] {
+			e++
+		}
+		// Positions keep capped slices of the arena, so later appends
+		// (even a reallocating one) never disturb a split plan.
+		start := len(plan)
+		plan = pl.planSpan(lanes[a], (e-a)*muls, plan)
+		c.splitSpan(lanes[a], a, e, muls, plan[start:])
+		a = e
+	}
+	c.plan = plan
+}
+
+// dropSpans deactivates every packed position's presampled span.
+func (c *spanConsumer) dropSpans() {
+	for i := range c.spans {
+		c.spans[i].active = false
+	}
+}
+
 // splitSpan hands the run of packed positions [a, e), announced
 // together on unit lane l, their windows of the run's plan: position
 // a+i gets the entries with sites in [i·muls, (i+1)·muls) and their
 // inflation sum Σ 2^bit (two partial sums, so the float adds overlap
-// instead of forming one serial latency chain). It also reconstructs
-// what the per-draw path accounts as it goes — the fault and per-bit
-// counters — for plans drawn by planSpan's hot loop, which defers them
-// so its serial draw chain carries no stores; the generic loop already
-// counted through drawFault. The condition mirrors planSpan's switch.
-func (b *BatchInjector) splitSpan(l, a, e, muls int, plan []spanFault) {
-	in := b.lanes[l]
-	counted := !(in.gapTable != nil && in.src != nil && in.rec == nil)
-	if !counted {
-		in.stats.Faults += uint64(len(plan))
-		for _, f := range plan {
-			in.stats.PerBit[f.bit()]++
-		}
-	}
-	c := 0
+// instead of forming one serial latency chain).
+func (c *spanConsumer) splitSpan(l, a, e, muls int, plan []spanFault) {
+	k := 0
 	for j := a; j < e; j++ {
 		base := int64(j-a) * int64(muls)
 		end := base + int64(muls)
 		pEnd := spanFault(end) << 8 // f < pEnd ⟺ f.site() < end
-		start := c
+		start := k
 		var s0, s1 float64
-		for ; c+1 < len(plan) && plan[c+1] < pEnd; c += 2 {
-			s0 += float64(uint64(1) << plan[c].bit())
-			s1 += float64(uint64(1) << plan[c+1].bit())
+		for ; k+1 < len(plan) && plan[k+1] < pEnd; k += 2 {
+			s0 += float64(uint64(1) << plan[k].bit())
+			s1 += float64(uint64(1) << plan[k+1].bit())
 		}
-		if c < len(plan) && plan[c] < pEnd {
-			s0 += float64(uint64(1) << plan[c].bit())
-			c++
+		if k < len(plan) && plan[k] < pEnd {
+			s0 += float64(uint64(1) << plan[k].bit())
+			k++
 		}
 		infl := s0 + s1
-		b.spans[j] = laneSpan{
-			entries:   plan[start:c:c],
+		c.spans[j] = laneSpan{
+			entries:   plan[start:k:k],
 			inflTotal: infl,
 			lane:      l,
 			pos:       base,
 			end:       end,
 			active:    muls > 0,
 		}
-		if infl > b.maxInfl {
-			b.maxInfl = infl
+		if infl > c.maxInfl {
+			c.maxInfl = infl
 		}
 	}
 }
 
-// DotRowBatch implements fxp.BatchUnit: plan each packed position's
-// faults for the row (consuming its presampled span when one is
-// active, drawing live otherwise), then run the MAC. Positions whose
-// magnitude bound (Σ|w|·max|x| plus the planned bit-flip inflation
-// Σ2^bit) clears fxp.NoSatBound take the unchecked fast path — the
-// batch's stored nominal sum when it carries one — with faults applied
-// as additive corrections afterward; other positions
-// replay the plan through the scalar saturating segment walk. Both
-// give bit-identical results to the scalar Injector on the same
-// stream.
-func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, out []fxp.Value) {
+// dotRowBatch runs one row of every packed position against its span
+// plan, with pl planning the row as a one-row span on the row's lanes
+// when no span is announced. Positions whose magnitude bound
+// (Σ|w|·max|x| plus the planned bit-flip inflation Σ2^bit) clears
+// fxp.NoSatBound take the unchecked fast path — the batch's stored
+// nominal sum when it carries one — with faults applied as additive
+// corrections afterward; other positions replay the plan through the
+// scalar saturating segment walk. Both give bit-identical results to
+// one Injector.Mul per product on the same stream.
+func (c *spanConsumer) dotRowBatch(pl planner, f fxp.Format, w []fxp.Value, bt *fxp.Batch, out []fxp.Value) {
 	n := len(w)
+	if len(out) > 0 && (len(c.spans) == 0 || !c.spans[0].active) {
+		c.beginRow(pl, bt, n, len(out))
+	}
 	wAbs := bt.WAbs
 	// With bounds known, every position's nominal sum comes from one
 	// blocked walk over the row (or the batch's stored sums); a
@@ -482,120 +406,100 @@ func (b *BatchInjector) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, 
 		if wAbs == 0 {
 			wAbs = float64(fxp.SumAbs(w))
 		}
-		if cap(b.accs) < len(out) {
-			b.accs = make([]int64, len(out))
+		if cap(c.accs) < len(out) {
+			c.accs = make([]int64, len(out))
 		}
-		accs = bt.UncheckedSums(w, 0, b.accs[:len(out)])
-		if b.allSpanFast(bt, wAbs, n, len(out)) {
-			b.dotRowSpanFast(f, w, accs, bt, out)
+		accs = bt.UncheckedSums(w, 0, c.accs[:len(out)])
+		if c.allSpanFast(bt, wAbs, n, len(out)) {
+			c.dotRowSpanFast(f, w, accs, bt, out)
 			return
 		}
-	}
-	if bt.Lanes != nil {
-		b.checkRepeats(bt, len(out))
 	}
 	for j := range out {
 		lane := bt.Lane(j)
 		x := bt.Xs[j*bt.Stride : j*bt.Stride+n]
-		if j < len(b.spans) && b.spans[j].active {
-			// Span path: the row's plan is the next run of presampled
-			// entries.
-			sp := &b.spans[j]
-			if sp.lane != lane || sp.pos+int64(n) > sp.end {
-				// Addressing a position as another lane than announced,
-				// or a row overrunning its window, breaks the
-				// SpanPlanner contract — the remaining plan would be
-				// misaligned against the stream — so fail loudly rather
-				// than silently diverging.
-				panic(fmt.Sprintf("faults: position %d (lane %d, announced lane %d) row of %d muls at offset %d overruns announced span ending at %d",
-					j, lane, sp.lane, n, sp.pos, sp.end))
+		if j >= len(c.spans) || !c.spans[j].active {
+			panic(fmt.Sprintf("faults: lane %d at packed position %d without an announced span in a span-active row", lane, j))
+		}
+		// The row's plan is the next run of presampled entries.
+		sp := &c.spans[j]
+		if sp.lane != lane || sp.pos+int64(n) > sp.end {
+			// Addressing a position as another lane than announced, or
+			// a row overrunning its window, breaks the SpanPlanner
+			// contract — the remaining plan would be misaligned against
+			// the stream — so fail loudly rather than silently
+			// diverging.
+			panic(fmt.Sprintf("faults: position %d (lane %d, announced lane %d) row of %d muls at offset %d overruns announced span ending at %d",
+				j, lane, sp.lane, n, sp.pos, sp.end))
+		}
+		base := sp.pos
+		end := base + int64(n)
+		entries := sp.entries
+		k := sp.cursor
+		pEnd := spanFault(end) << 8 // e < pEnd ⟺ e.site() < end
+		if bt.MaxAbs != nil && wAbs*float64(bt.MaxAbs[j])+sp.inflTotal < fxp.NoSatBound {
+			// The whole window's inflation clears the bound (a superset
+			// of any row's), so consume and correct in one pass over
+			// this row's entries.
+			acc := accs[j]
+			for k < len(entries) && entries[k] < pEnd {
+				site := int(entries[k].site() - base)
+				p := int64(w[site]) * int64(x[site])
+				acc += (p ^ int64(1)<<entries[k].bit()) - p
+				k++
 			}
-			base := sp.pos
-			end := base + int64(n)
-			entries := sp.entries
-			c := sp.cursor
-			pEnd := spanFault(end) << 8 // e < pEnd ⟺ e.site() < end
-			if bt.MaxAbs != nil && wAbs*float64(bt.MaxAbs[j])+sp.inflTotal < fxp.NoSatBound {
-				// The whole window's inflation clears the bound (a
-				// superset of any row's), so consume and correct in one
-				// pass over this row's entries.
+			out[j] = f.ScaleProduct(fxp.Product(acc))
+		} else {
+			// Rare: re-test with this row's exact inflation before
+			// falling back to the checked segment walk.
+			start := k
+			inflate := 0.0
+			for k < len(entries) && entries[k] < pEnd {
+				inflate += float64(uint64(1) << entries[k].bit())
+				k++
+			}
+			if bt.MaxAbs != nil && wAbs*float64(bt.MaxAbs[j])+inflate < fxp.NoSatBound {
 				acc := accs[j]
-				for c < len(entries) && entries[c] < pEnd {
-					site := int(entries[c].site() - base)
+				for s := start; s < k; s++ {
+					site := int(entries[s].site() - base)
 					p := int64(w[site]) * int64(x[site])
-					acc += (p ^ int64(1)<<entries[c].bit()) - p
-					c++
+					acc += (p ^ int64(1)<<entries[s].bit()) - p
 				}
 				out[j] = f.ScaleProduct(fxp.Product(acc))
 			} else {
-				// Rare: re-test with this row's exact inflation before
-				// falling back to the checked segment walk.
-				start := c
-				inflate := 0.0
-				for c < len(entries) && entries[c] < pEnd {
-					inflate += float64(uint64(1) << entries[c].bit())
-					c++
-				}
-				if bt.MaxAbs != nil && wAbs*float64(bt.MaxAbs[j])+inflate < fxp.NoSatBound {
-					acc := accs[j]
-					for s := start; s < c; s++ {
-						site := int(entries[s].site() - base)
-						p := int64(w[site]) * int64(x[site])
-						acc += (p ^ int64(1)<<entries[s].bit()) - p
-					}
-					out[j] = f.ScaleProduct(fxp.Product(acc))
-				} else {
-					out[j] = f.ScaleProduct(dotPlannedSpan(w, x, entries[start:c], base))
-				}
-			}
-			sp.cursor, sp.pos = c, end
-			if end == sp.end {
-				sp.active = false
-			}
-			continue
-		}
-		sites, bits := b.planRow(lane, n)
-		if bt.MaxAbs != nil {
-			bound := wAbs * float64(bt.MaxAbs[j])
-			for _, bit := range bits {
-				bound += float64(uint64(1) << bit)
-			}
-			if bound < fxp.NoSatBound {
-				acc := accs[j]
-				for s, site := range sites {
-					p := int64(w[site]) * int64(x[site])
-					acc += (p ^ int64(1)<<bits[s]) - p
-				}
-				out[j] = f.ScaleProduct(fxp.Product(acc))
-				continue
+				out[j] = f.ScaleProduct(dotPlannedSpan(w, x, entries[start:k], base))
 			}
 		}
-		out[j] = f.ScaleProduct(dotPlanned(w, x, sites, bits))
+		sp.cursor, sp.pos = k, end
+		if end == sp.end {
+			sp.active = false
+		}
 	}
 }
 
-// checkRepeats panics when a unit lane appears at more than one packed
-// position of the row and at least one of them has no active span. A
-// live row draws straight from the lane's stream, so a repeated lane
-// would interleave its windows' rows and misorder the stream; only an
-// announced span (BeginSpan) gives repeated positions their own
-// windows.
-func (b *BatchInjector) checkRepeats(bt *fxp.Batch, k int) {
-	b.gen++
-	for j := 0; j < k; j++ {
-		lane := bt.Lanes[j]
-		live := uint64(1)
-		if j < len(b.spans) && b.spans[j].active {
-			live = 0
+// beginRow plans a row that arrives with no announced span as a one-row
+// span on its lanes. Such a row has one window per lane, so a lane may
+// not repeat in it, and no position of it may still hold a span.
+func (c *spanConsumer) beginRow(pl planner, bt *fxp.Batch, n, k int) {
+	lanes := bt.Lanes
+	if lanes == nil {
+		for len(c.ids) < k {
+			c.ids = append(c.ids, len(c.ids))
 		}
-		if s := b.seen[lane]; s>>1 == b.gen {
-			if live|s&1 != 0 {
-				panic(fmt.Sprintf("faults: lane %d repeats at packed position %d without an announced span", lane, j))
-			}
-			continue
-		}
-		b.seen[lane] = b.gen<<1 | live
+		lanes = c.ids
 	}
+	lanes = lanes[:k]
+	for j := 1; j < k; j++ {
+		if j < len(c.spans) && c.spans[j].active {
+			panic(fmt.Sprintf("faults: packed position 0 runs without an announced span but position %d holds one", j))
+		}
+		for i := 0; i < j; i++ {
+			if lanes[i] == lanes[j] {
+				panic(fmt.Sprintf("faults: lane %d repeats at packed position %d without an announced span", lanes[j], j))
+			}
+		}
+	}
+	c.beginSpan(pl, lanes, n)
 }
 
 // allSpanFast reports whether every packed position of the row can
@@ -603,13 +507,13 @@ func (b *BatchInjector) checkRepeats(bt *fxp.Batch, k int) {
 // lane, inside its window, and with magnitude bound plus window
 // inflation clearing fxp.NoSatBound. When it holds, the whole row runs
 // one blocked MAC walk with the weight loads shared across positions.
-func (b *BatchInjector) allSpanFast(bt *fxp.Batch, wAbs float64, n, k int) bool {
-	if k > len(b.spans) {
+func (c *spanConsumer) allSpanFast(bt *fxp.Batch, wAbs float64, n, k int) bool {
+	if k > len(c.spans) {
 		return false
 	}
 	var maxAbs int64
 	for j := 0; j < k; j++ {
-		sp := &b.spans[j]
+		sp := &c.spans[j]
 		if !sp.active || sp.lane != bt.Lane(j) || sp.pos+int64(n) > sp.end {
 			return false
 		}
@@ -619,8 +523,8 @@ func (b *BatchInjector) allSpanFast(bt *fxp.Batch, wAbs float64, n, k int) bool 
 	}
 	// One combined test covers every position: per-position |x| bounds
 	// fold to their max, per-window inflation to the max from
-	// BeginSpan.
-	return wAbs*float64(maxAbs)+b.maxInfl < fxp.NoSatBound
+	// beginSpan.
+	return wAbs*float64(maxAbs)+c.maxInfl < fxp.NoSatBound
 }
 
 // dotRowSpanFast is the whole-row fast path: each position's nominal
@@ -628,51 +532,37 @@ func (b *BatchInjector) allSpanFast(bt *fxp.Batch, wAbs float64, n, k int) bool 
 // corrections. Per position this computes exactly what the
 // per-position span fast path computes; allSpanFast has already
 // proven the bound for every position.
-func (b *BatchInjector) dotRowSpanFast(f fxp.Format, w []fxp.Value, accs []int64, bt *fxp.Batch, out []fxp.Value) {
+func (c *spanConsumer) dotRowSpanFast(f fxp.Format, w []fxp.Value, accs []int64, bt *fxp.Batch, out []fxp.Value) {
 	n := len(w)
 	for j := range out {
-		sp := &b.spans[j]
+		sp := &c.spans[j]
 		base := sp.pos
 		end := base + int64(n)
 		entries := sp.entries
-		c := sp.cursor
+		k := sp.cursor
 		pEnd := spanFault(end) << 8
 		acc := accs[j]
 		x := bt.Xs[j*bt.Stride : j*bt.Stride+n]
-		for c < len(entries) && entries[c] < pEnd {
-			site := int(entries[c].site() - base)
+		for k < len(entries) && entries[k] < pEnd {
+			site := int(entries[k].site() - base)
 			p := int64(w[site]) * int64(x[site])
-			acc += (p ^ int64(1)<<entries[c].bit()) - p
-			c++
+			acc += (p ^ int64(1)<<entries[k].bit()) - p
+			k++
 		}
 		out[j] = f.ScaleProduct(fxp.Product(acc))
-		sp.cursor, sp.pos = c, end
+		sp.cursor, sp.pos = k, end
 		if end == sp.end {
 			sp.active = false
 		}
 	}
 }
 
-// dotPlanned replays a fault plan through the checked scalar kernel:
-// exact saturating segments between sites, a saturating add of the
-// faulted product at each site — element for element the computation
-// one Injector.Mul per product with SatAdd accumulation performs, minus
-// the (already consumed) draws.
-func dotPlanned(w, x []fxp.Value, sites []int32, bits []uint8) fxp.Product {
-	var a fxp.Product
-	prev := 0
-	for s, site32 := range sites {
-		site := int(site32)
-		a = fxp.AccumExact(a, w[prev:site], x[prev:site])
-		fp := fxp.Product(int64(w[site])*int64(x[site])) ^ fxp.Product(1)<<uint(bits[s])
-		a = fxp.SatAdd(a, fp)
-		prev = site + 1
-	}
-	return fxp.AccumExact(a, w[prev:], x[prev:len(w)])
-}
-
-// dotPlannedSpan is dotPlanned over a slice of a span plan, whose
-// sites are global mul offsets: base is the row's first global index.
+// dotPlannedSpan replays a row's slice of a span plan through the checked
+// scalar kernel: exact saturating segments between sites, a saturating
+// add of the faulted product at each site — element for element the
+// computation one Injector.Mul per product with SatAdd accumulation
+// performs, minus the (already consumed) draws. Sites are global span
+// offsets; base is the row's first.
 func dotPlannedSpan(w, x []fxp.Value, entries []spanFault, base int64) fxp.Product {
 	var a fxp.Product
 	prev := 0

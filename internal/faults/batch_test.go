@@ -424,55 +424,6 @@ func TestBatchInjectorStatisticalEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchInjectorSetRate mirrors the scalar SetRate semantics:
-// same-rate calls keep pending lane gaps, new rates discard them and
-// rebuild the shared table once.
-func TestBatchInjectorSetRate(t *testing.T) {
-	streams, _ := batchStreams(0x5E7, 3)
-	b, err := NewBatchInjector(0.1, nil, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Draw gaps on every lane via one planned row.
-	w := make([]fxp.Value, 8)
-	xs := make([]fxp.Value, 3*8)
-	out := make([]fxp.Value, 3)
-	b.DotRowBatch(fxp.DefaultFormat, w, &fxp.Batch{Xs: xs, Stride: 8}, out)
-	gaps := []int64{b.Lane(0).gap, b.Lane(1).gap, b.Lane(2).gap}
-	table := b.table
-	if err := b.SetRate(0.1); err != nil {
-		t.Fatal(err)
-	}
-	if b.table != table {
-		t.Fatal("same-rate SetRate rebuilt the shared gap table")
-	}
-	for l, g := range gaps {
-		if b.Lane(l).gap != g {
-			t.Fatalf("same-rate SetRate discarded lane %d gap", l)
-		}
-	}
-	if err := b.SetRate(0.25); err != nil {
-		t.Fatal(err)
-	}
-	if b.table == table {
-		t.Fatal("new-rate SetRate kept the old gap table")
-	}
-	for l := 0; l < 3; l++ {
-		if b.Lane(l).gap != -1 {
-			t.Fatalf("new-rate SetRate kept lane %d pending gap %d", l, b.Lane(l).gap)
-		}
-		if b.Lane(l).gapTable != b.table {
-			t.Fatalf("lane %d not sharing the rebuilt table", l)
-		}
-		if b.Lane(l).rate != 0.25 {
-			t.Fatalf("lane %d rate %v", l, b.Lane(l).rate)
-		}
-	}
-	if err := b.SetRate(1.5); err == nil {
-		t.Fatal("rate 1.5 accepted")
-	}
-}
-
 // TestBatchInjectorValidation covers constructor rejection paths.
 func TestBatchInjectorValidation(t *testing.T) {
 	streams, _ := batchStreams(1, 2)

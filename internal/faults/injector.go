@@ -53,10 +53,14 @@ func (c Counters) BitRates() [ProductBits]float64 {
 // (DESIGN.md §9 gives the argument; a per-mul Bernoulli reference in
 // the tests holds the two to the same observed rate and per-bit
 // distribution) while the RNG cost drops from O(muls) to O(faults).
-// The injector is also an fxp.BatchUnit and fxp.SpanPlanner through
-// its one-lane batch view, which presamples a forward pass's faults
-// and runs the exact MAC kernel between them, so a whole pass at the
-// paper's operating points costs barely more than exact inference.
+// Forward passes run the injector as an fxp.BatchUnit and
+// fxp.SpanPlanner through its one-lane batch view, which presamples a
+// pass's faults as a span plan and runs the exact MAC kernel between
+// them, so a whole pass at the paper's operating points costs barely
+// more than exact inference. Mul, the per-multiplication countdown
+// over the same stream, serves the session's live-rate probe
+// (core.Session.ObserveRate), the Fig 1 characterization
+// (characterize.go) and the scalar reference walks of the tests.
 //
 // An Injector is not safe for concurrent use; give each goroutine its
 // own (they are cheap, and independent streams keep runs reproducible).
@@ -88,7 +92,7 @@ type Injector struct {
 	// needed). See newGeomTable.
 	gapTable *geomTable
 	// rec, when non-nil, receives every gap and bit draw (see
-	// Recordable in record.go). Recording is observational only: the
+	// StartRecord in record.go). Recording is observational only: the
 	// draw order and count are identical with and without it.
 	rec *DrawLog
 	// view is the one-lane batch view (see batchView), built on first
@@ -275,8 +279,7 @@ func NewInjectorSource(rate float64, dist *Distribution, src rand.Source64) (*In
 // Like the injector, the view is not safe for concurrent use.
 func (in *Injector) batchView() *BatchInjector {
 	if in.view == nil {
-		in.view = newBatchInjector([]*Injector{in})
-		in.view.rate, in.view.invLog1mRate, in.view.table = in.rate, in.invLog1mRate, in.gapTable
+		in.view = &BatchInjector{lanes: []*Injector{in}}
 	}
 	return in.view
 }
@@ -311,7 +314,6 @@ func (in *Injector) SetRate(rate float64) error {
 	in.gap = -1
 	in.invLog1mRate, in.gapTable = rateState(rate)
 	if v := in.view; v != nil {
-		v.rate, v.invLog1mRate, v.table = rate, in.invLog1mRate, in.gapTable
 		// A presampled span was drawn from the old rate's gap law.
 		v.dropSpans()
 	}
@@ -425,4 +427,18 @@ func (t TruncatedUnit) Mul(a, b fxp.Value) fxp.Product {
 	return fxp.Product(int64(a&mask) * int64(b&mask))
 }
 
-var _ fxp.Unit = TruncatedUnit{}
+// DotRowBatch implements fxp.BatchUnit: every packed lane's row is its
+// truncated products accumulated with SatAdd. The unit is
+// deterministic, so lanes need no identity.
+func (t TruncatedUnit) DotRowBatch(f fxp.Format, w []fxp.Value, b *fxp.Batch, out []fxp.Value) {
+	for j := range out {
+		x := b.Xs[j*b.Stride : j*b.Stride+len(w)]
+		var acc fxp.Product
+		for i := range w {
+			acc = fxp.SatAdd(acc, t.Mul(w[i], x[i]))
+		}
+		out[j] = f.ScaleProduct(acc)
+	}
+}
+
+var _ fxp.BatchUnit = TruncatedUnit{}

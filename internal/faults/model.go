@@ -1,7 +1,7 @@
 // Package faults implements the stochastic fault-injection tool of the
 // paper's Section VI-A: it "emulates timing violations at the output of
 // arithmetic operations, based on the error distribution model detailed
-// in Section II". The injector satisfies fxp.Unit, so it drops into the
+// in Section II". The injector is an fxp.BatchUnit, so it drops into the
 // fixed-point inference path of the FANN-like network without any model
 // change.
 //

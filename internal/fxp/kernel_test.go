@@ -6,12 +6,6 @@ import (
 	"testing/quick"
 )
 
-// scalarOnly hides a unit's batch form, so AsBatch wraps it in the
-// one-lane adapter.
-type scalarOnly struct{ u Unit }
-
-func (s scalarOnly) Mul(a, b Value) Product { return s.u.Mul(a, b) }
-
 // refDot is the scalar reference dot product: one exact Mul per
 // product in index order, SatAdd accumulation, ScaleProduct. Every
 // MAC kernel is held to it.
@@ -41,13 +35,11 @@ func rowDot(u BatchUnit, f Format, w, x []Value, bounded bool) Value {
 }
 
 // exactDots returns w·x through every exact row path: Exact's batch
-// form without and with a magnitude bound, and the one-lane adapter
-// over a Mul-only exact unit.
-func exactDots(f Format, w, x []Value) [3]Value {
-	return [3]Value{
+// form without and with a magnitude bound.
+func exactDots(f Format, w, x []Value) [2]Value {
+	return [2]Value{
 		rowDot(Exact{}, f, w, x, false),
 		rowDot(Exact{}, f, w, x, true),
-		rowDot(AsBatch(scalarOnly{Exact{}}), f, w, x, false),
 	}
 }
 
@@ -113,7 +105,7 @@ func TestDotExactMatchesReferenceProperty(t *testing.T) {
 			}
 		}
 		want := refDot(f, w, x)
-		return exactDots(f, w, x) == [3]Value{want, want, want}
+		return exactDots(f, w, x) == [2]Value{want, want}
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -121,10 +113,9 @@ func TestDotExactMatchesReferenceProperty(t *testing.T) {
 }
 
 // FuzzDotExact differentially fuzzes the checked saturating exact
-// kernel (Exact.DotRowBatch without a magnitude bound), the bounded
-// path that may take the unchecked kernel, and the one-lane adapter
-// against refDot, including saturation edge cases fed via the seed
-// corpus.
+// kernel (Exact.DotRowBatch without a magnitude bound) and the bounded
+// path that may take the unchecked kernel against refDot, including
+// saturation edge cases fed via the seed corpus.
 func FuzzDotExact(f *testing.F) {
 	f.Add([]byte{}, uint8(12))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0xFF, 0xFF, 0xFF, 0x7F}, uint8(12))
@@ -168,24 +159,4 @@ func TestAccumExactComposes(t *testing.T) {
 	if got := f.ScaleProduct(whole); got != refDot(f, w, x) {
 		t.Error("ScaleProduct(AccumExact) must equal the scalar reference")
 	}
-}
-
-// TestAsBatch pins the adapter contract: a unit with a batch form is
-// returned as is, and a scalar unit's adapter walks one packed lane
-// and refuses two, which would interleave two windows on its one
-// stream.
-func TestAsBatch(t *testing.T) {
-	if _, ok := AsBatch(Exact{}).(Exact); !ok {
-		t.Error("AsBatch wrapped a unit that has a batch form")
-	}
-	u := AsBatch(scalarOnly{Exact{}})
-	w := []Value{3, -5}
-	out := []Value{0, 0}
-	u.DotRowBatch(DefaultFormat, w, &Batch{Xs: []Value{7, 11, 13, 17}, Stride: 2}, out[:0])
-	defer func() {
-		if recover() == nil {
-			t.Error("adapter walked two packed lanes")
-		}
-	}()
-	u.DotRowBatch(DefaultFormat, w, &Batch{Xs: []Value{7, 11, 13, 17}, Stride: 2}, out)
 }

@@ -47,7 +47,7 @@ func (h *HMD) DetectTracesUnit(u fxp.BatchUnit, traces [][]trace.WindowCounts) [
 	if len(traces) == 0 {
 		return out
 	}
-	scores := h.scoreLanes(u, laneChunk, h.lanes.scores[:0], traces...)
+	scores := h.scoreLanes(u, h.lanes.scores[:0], traces...)
 	h.lanes.scores = scores
 	for j, windows := range traces {
 		n := len(windows) / h.cfg.Period

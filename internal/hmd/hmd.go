@@ -200,21 +200,15 @@ func (h *HMD) Fixed() *fann.FixedNetwork { return h.fixed }
 
 // ScoreWindowsUnit scores a trace through an arbitrary multiplier unit
 // — fxp.Exact for the nominal detector, a faults.Injector for the
-// undervolted one. This is the integration point internal/core uses.
+// undervolted one, a faults.Replayer to re-execute a recorded draw
+// log. This is the integration point internal/core uses.
 //
-// Every window is one lane of fann.RunBatch on unit lane 0 through
-// fxp.AsBatch(u) (see scoreLanes): the windows consume the unit's
+// Every window is one lane of fann.RunBatch on unit lane 0 (see
+// scoreLanes), at most 64 per pass: the windows consume the unit's
 // stream in window order exactly as one fann.Run per window would, so
-// scores, fault streams and draw logs are bit-identical either way. A
-// unit with no batch form of its own (faults.TruncatedUnit, the
-// faults.Replayer) has one lane, so its windows are packed one per
-// pass.
-func (h *HMD) ScoreWindowsUnit(u fxp.Unit, windows []trace.WindowCounts) []float64 {
-	chunk := laneChunk
-	if _, native := u.(fxp.BatchUnit); !native {
-		chunk = 1
-	}
-	return h.scoreLanes(fxp.AsBatch(u), chunk, make([]float64, 0, len(windows)/h.cfg.Period), windows)
+// scores, fault streams and draw logs are bit-identical either way.
+func (h *HMD) ScoreWindowsUnit(u fxp.BatchUnit, windows []trace.WindowCounts) []float64 {
+	return h.scoreLanes(u, make([]float64, 0, len(windows)/h.cfg.Period), windows)
 }
 
 // laneScratch is the reusable state of the detector's lane passes:
@@ -241,12 +235,12 @@ const laneChunk = 64
 // scoreLanes scores every decision window of every trace and appends
 // the scores to dst, trace-major: each (trace j, window i) pair is one
 // packed lane on unit lane j. Lanes are extracted into the scratch
-// feature arena and scored chunk (at most laneChunk) at a time, one
-// planned pass of bu per chunk. A trace's windows repeat its unit
-// lane, so a span-planning unit draws the trace's whole fault stream
-// at once, in window order, and hands each window its own slice; a
-// trace split across chunks continues its stream in the next chunk.
-func (h *HMD) scoreLanes(bu fxp.BatchUnit, chunk int, dst []float64, traces ...[]trace.WindowCounts) []float64 {
+// feature arena and scored laneChunk at a time, one planned pass of bu
+// per chunk. A trace's windows repeat its unit lane, so a span-planning
+// unit draws the trace's whole fault stream at once, in window order,
+// and hands each window its own slice; a trace split across chunks
+// continues its stream in the next chunk.
+func (h *HMD) scoreLanes(bu fxp.BatchUnit, dst []float64, traces ...[]trace.WindowCounts) []float64 {
 	s := &h.lanes
 	period, dim := h.cfg.Period, h.fixed.NumInputs()
 	if len(s.feat) < laneChunk*dim {
@@ -265,7 +259,7 @@ func (h *HMD) scoreLanes(bu fxp.BatchUnit, chunk int, dst []float64, traces ...[
 			panic(fmt.Sprintf("hmd: trace %d: %d windows, no complete window at period %d", j, len(windows), period))
 		}
 		for g := 0; g < n; {
-			k := min(n-g, chunk-len(s.vecs))
+			k := min(n-g, laneChunk-len(s.vecs))
 			vecs, err := features.ExtractTo(s.vecs, s.feat[len(s.vecs)*dim:], windows[g*period:(g+k)*period], h.cfg.FeatureSet, period)
 			if err != nil {
 				panic(fmt.Sprintf("hmd: %v", err))
@@ -274,7 +268,7 @@ func (h *HMD) scoreLanes(bu fxp.BatchUnit, chunk int, dst []float64, traces ...[
 			for range k {
 				s.ids = append(s.ids, j)
 			}
-			if g += k; len(s.vecs) == chunk {
+			if g += k; len(s.vecs) == laneChunk {
 				score()
 			}
 		}

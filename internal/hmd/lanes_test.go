@@ -285,14 +285,15 @@ func FuzzWindowLanes(f *testing.F) {
 	})
 }
 
-// TestScoreWindowsUnitScalarUnits covers the units with no batch form
-// of their own, which score one window per pass through the one-lane
-// adapter: a TruncatedUnit, and a faults.Replayer over a draw log
-// recorded by scoring the same trace on an injector. Over a trace of
-// more windows than one lane chunk, each must match the per-window
-// reference — one fann Run per window through the same unit, the pass
-// fann's tests hold Mul for Mul to their scalar float-activation
-// reference — and the replayer must reproduce the recorded scores and
+// TestScoreWindowsUnitScalarUnits covers the batch forms of the units
+// other than the serving injector — a TruncatedUnit, and a
+// faults.Replayer over a draw log recorded by scoring the same trace on
+// an injector. Over a trace of more windows than one lane chunk, each
+// must match the test-local Mul walk: one fann Run per window through
+// mulOnly, one Mul per product in the order fann's tests hold to their
+// scalar float-activation reference — the truncated unit's own Mul,
+// and for the replayer a Mul-walked injector on the recording's
+// stream. The replayer must also reproduce the recorded scores and
 // drain its log.
 func TestScoreWindowsUnitScalarUnits(t *testing.T) {
 	h := laneHMD(t, 1)
@@ -312,7 +313,7 @@ func TestScoreWindowsUnitScalarUnits(t *testing.T) {
 	perWindow := func(u fxp.Unit) []float64 {
 		out := make([]float64, len(vecs))
 		for i, v := range vecs {
-			out[i] = ref.Run(u, v)[0]
+			out[i] = ref.Run(mulOnly{u}, v)[0]
 		}
 		return out
 	}
@@ -342,13 +343,33 @@ func TestScoreWindowsUnitScalarUnits(t *testing.T) {
 	if log.Faults() == 0 {
 		t.Fatal("recording drew no faults")
 	}
-	rep, refRep := faults.NewReplayer(log), faults.NewReplayer(log)
+	walked, err := faults.NewInjector(0.1, nil, rng.NewRand(9, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := faults.NewReplayer(log)
 	replayed := h.ScoreWindowsUnit(rep, windows)
-	same("replayer", replayed, perWindow(refRep))
+	same("replayer", replayed, perWindow(walked))
 	same("replayed vs recorded", replayed, recorded)
-	for _, r := range []*faults.Replayer{rep, refRep} {
-		if err := r.Done(); err != nil {
-			t.Fatal(err)
+	if err := rep.Done(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mulOnly is the test-local Mul walk: a one-lane fxp.BatchUnit that
+// issues u.Mul once per product of each row, in index order, with
+// SatAdd accumulation.
+type mulOnly struct{ u fxp.Unit }
+
+func (m mulOnly) DotRowBatch(f fxp.Format, w []fxp.Value, b *fxp.Batch, out []fxp.Value) {
+	if len(out) > 1 {
+		panic("mulOnly: one stream, one packed lane")
+	}
+	for j := range out {
+		var acc fxp.Product
+		for i, x := range b.Xs[:len(w)] {
+			acc = fxp.SatAdd(acc, m.u.Mul(w[i], x))
 		}
+		out[j] = f.ScaleProduct(acc)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"os"
 	"reflect"
 	"testing"
 
@@ -104,4 +106,112 @@ func FuzzTraceDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzReplayDraws feeds every record DecodeRecord accepts through
+// Replay on testModel (with the model's threshold, so the draw log is
+// what gets exercised). A decoded trace is input from outside the
+// program, so turning its log into span plans must never panic, and a
+// log the replayed multiplications do not consume exactly — starved of
+// bits, left undrained, or holding gaps too large for the pass — must
+// surface as an error, never as a silent pass. logFits is the test's
+// own walk of the log, sharing no code with the replayer.
+func FuzzReplayDraws(f *testing.F) {
+	data, err := os.ReadFile(goldenTrace)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload, err := EncodeRecord(nil, rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	// A gap at the int64 limit after a fault, as the last draw of a
+	// consistent log and with a bit left over: planning must compare it
+	// with the room left in the pass before adding it to a site.
+	w := trace.WindowCounts{Taken: 1}
+	seeds := fuzzSeedRecords()
+	for _, bits := range [][]uint8{{14}, {14, 20}} {
+		seeds = append(seeds, Record{Rate: 0.1, DepthMV: 130, Threshold: 0.5, Score: 0.5,
+			Draws:   faults.DrawLog{InitialGap: 3, Gaps: []int64{math.MaxInt64}, Bits: bits},
+			Windows: []trace.WindowCounts{w, w}})
+	}
+	for _, rec := range seeds {
+		payload, err := EncodeRecord(nil, rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	h := testModel(f)
+	cfg := h.Config()
+	muls := int64(h.Fixed().NumMuls())
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rec, err := DecodeRecord(payload)
+		if err != nil {
+			return
+		}
+		rec.Threshold = cfg.Threshold
+		_, _, err = Replay(h, rec, testConfidence)
+		passes := int64(len(rec.Windows) / cfg.Period)
+		var why string
+		switch {
+		case passes == 0:
+			why = "no complete window"
+		case rec.Unprotected && rec.Draws.Faults() != 0:
+			why = "unprotected record with faults"
+		case !logFits(rec.Draws, passes*muls):
+			why = "log not consumed exactly"
+		}
+		if why != "" && err == nil {
+			t.Fatalf("%s replayed clean (initial %d, %d gaps, %d bits, %d passes)",
+				why, rec.Draws.InitialGap, len(rec.Draws.Gaps), len(rec.Draws.Bits), passes)
+		}
+		if why == "" && err != nil {
+			t.Fatalf("consistent record refused: %v", err)
+		}
+	})
+}
+
+// logFits walks log over m multiplications the way the injector drew
+// it — the pending (or first) gap counts fault-free multiplications
+// down to a fault, which takes the next bit and then the next gap; a
+// gap list that runs out leaves the rest fault-free — and reports
+// whether the walk consumes every gap and bit with none missing.
+func logFits(log faults.DrawLog, m int64) bool {
+	gi, bi := 0, 0
+	next := func() int64 {
+		if gi == len(log.Gaps) {
+			return math.MaxInt64
+		}
+		gi++
+		return log.Gaps[gi-1]
+	}
+	gap := log.InitialGap
+	if gap < 0 {
+		gap = next()
+	}
+	for pos := int64(0); gap < m-pos; pos++ {
+		pos += gap
+		if bi == len(log.Bits) {
+			return false
+		}
+		bi++
+		gap = next()
+	}
+	return gi == len(log.Gaps) && bi == len(log.Bits)
 }

@@ -14,9 +14,12 @@ import (
 type ConfidenceFunc func(score, threshold float64, malware bool) float64
 
 // Replay re-executes a recorded decision off-hardware: the record's
-// windows are scored through base with a replaying fault unit that
-// consumes the recorded draw log instead of an RNG. It returns the
-// reproduced decision and confidence. The model must match the one
+// windows are scored through base with a faults.Replayer, which turns
+// the recorded draw log into span plans instead of drawing from an RNG
+// and runs them through the same span consumer and MAC kernels as the
+// serving injector. It returns the reproduced decision and confidence.
+// A log the replayed multiplications do not consume exactly — starved
+// of fault bits, or left undrained — is an error. The model must match the one
 // that produced the trace (threshold is checked bit-exactly; a wrong
 // model also surfaces as an undrained draw log or a verdict mismatch
 // in Verify).
@@ -33,11 +36,9 @@ func Replay(base *hmd.HMD, rec Record, conf ConfidenceFunc) (hmd.Decision, float
 	}
 	// One replay path covers both serve modes: an unprotected
 	// (exact-unit) decision records an empty draw log, and an empty log
-	// makes the replayer exact. The replayer has no batch form, so it
-	// scores one window per pass through the one-lane adapter, one Mul
-	// per product in the order the recording injector's span planner
-	// drew the log — Mul/batch bit-identity is pinned in
-	// internal/faults and internal/fann.
+	// makes the replayer exact. The windows run as lanes of one pass
+	// per 64, in the order the recording injector's span planner drew
+	// the log.
 	rep := faults.NewReplayer(rec.Draws)
 	det := base.WithFreshBuffers()
 	dec := det.DecideFromScores(det.ScoreWindowsUnit(rep, rec.Windows))
